@@ -6,6 +6,8 @@ Commands:
   qalg recognize --expr agile-star --a 1 ...     algebraic recognition
   qalg verify --suite paper-core                 run an identity suite
 
+SUBJECT and the --expr names (besides const) are the keys of
+recognize.QUANTITIES, written with '-' for '_'.
 Rational parameters are given as n/d strings (decimals are rejected for
 the parameters the mathematics needs exact).  Global: --digits N (env
 QALG_DIGITS), --json, --out PATH.  Exit codes: 0 ok/pass, 1 usage,
@@ -26,28 +28,8 @@ import mpmath as mp
 from . import harness
 from .errors import InsufficientPrecision, QalgError
 from .precision import PrecisionContext
-from .qengine import (
-    AgileSpec,
-    ThetaSpec,
-    agile,
-    agile_star,
-    eta_paper,
-    make_nome,
-    theta2,
-    theta3,
-    theta_general,
-)
-from .elliptic import (
-    elliptic_alpha,
-    ellint_K,
-    inverse_singular_modulus,
-    j_invariant,
-    multiplier,
-    singular_modulus,
-)
 from .moebius import TaylorInput, detect_period, extract_X, represent_product, represent_theta
-from .modular import rrcf, sextic_theta
-from .recognize import EXPRESSION_EVALUATORS, recognize, recognize_expression
+from .recognize import QUANTITIES, recognize, recognize_expression
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,6 +38,9 @@ EXIT_VERIFY_FAIL = 3
 EXIT_NOT_PERIODIC = 4
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+
+# every other parameter of a quantity is an exact rational
+_FLAG_TYPES = {"n": int, "via": str, "method": str}
 
 
 def _rational(text: str) -> Fraction:
@@ -86,59 +71,18 @@ def _emit(payload: dict, value, args) -> None:
         print(text)
 
 
+def _given(args, entry) -> dict:
+    """The command-line values of the parameters a quantity reads."""
+    return {name: str(getattr(args, name)) for name in entry.params
+            if getattr(args, name) is not None}
+
+
 def _cmd_eval(args) -> int:
     ctx = PrecisionContext(args.digits)
-    subject = args.subject
-    params = {}
-
-    def need(name):
-        v = getattr(args, name, None)
-        if v is None:
-            raise QalgError(f"subject {subject!r} needs --{name}")
-        params[name] = str(v)
-        return v
-
-    with ctx.workdps():
-        if subject == "agile":
-            value = agile(AgileSpec(need("a"), need("p")), make_nome(need("r"), ctx))
-        elif subject == "agile-star":
-            value = agile_star(AgileSpec(need("a"), need("p")), make_nome(need("r"), ctx))
-        elif subject == "theta":
-            value = theta_general(ThetaSpec(need("a"), need("b")), make_nome(need("r"), ctx))
-        elif subject == "theta2":
-            value = theta2(make_nome(need("r"), ctx))
-        elif subject == "theta3":
-            value = theta3(make_nome(need("r"), ctx))
-        elif subject == "eta-paper":
-            mult = args.mult or Fraction(1)
-            params["mult"] = str(mult)
-            value = eta_paper(mult, make_nome(need("r"), ctx))
-        elif subject == "k":
-            value = singular_modulus(need("r"), ctx)
-        elif subject == "ki":
-            value = inverse_singular_modulus(need("x"), ctx)
-        elif subject == "K":
-            if args.k is not None:
-                params["k"] = str(args.k)
-                value = ellint_K(mp.mpf(args.k.numerator) / args.k.denominator, ctx)
-            else:
-                value = ellint_K(singular_modulus(need("r"), ctx), ctx)
-        elif subject == "alpha":
-            value = elliptic_alpha(need("r"), ctx)
-        elif subject == "j":
-            params["via"] = args.via
-            value = j_invariant(need("r"), ctx, via=args.via)
-        elif subject == "rrcf":
-            params["method"] = args.method
-            value = rrcf(make_nome(need("r"), ctx), method=args.method)
-        elif subject == "sextic-theta":
-            value = sextic_theta(make_nome(need("r"), ctx))
-        elif subject == "multiplier":
-            value = multiplier(need("r"), int(need("n")), ctx)
-        else:
-            raise QalgError(f"unknown subject {subject!r}")
-
-    _emit({"subject": subject, "params": params, "digits": args.digits}, value, args)
+    entry = QUANTITIES[args.subject.replace("-", "_")]
+    params = entry.complete(_given(args, entry))
+    value = entry.evaluate(params, ctx)
+    _emit({"subject": args.subject, "params": params, "digits": args.digits}, value, args)
     return EXIT_OK
 
 
@@ -213,20 +157,12 @@ def _cmd_recognize(args) -> int:
         rec = recognize(x, args.degree, args.height_digits, ctx,
                         provenance="const")
     else:
-        pipeline = args.expr.replace("-", "_")
-        if pipeline not in EXPRESSION_EVALUATORS:
-            raise QalgError(
-                f"unknown expression {args.expr!r}; choose from "
-                + ", ".join(sorted(k.replace('_', '-') for k in EXPRESSION_EVALUATORS))
-                + ", const")
-        params = {}
-        for name in ("a", "p", "r", "x"):
-            v = getattr(args, name, None)
-            if v is not None:
-                params[name] = str(v)
+        name = args.expr.replace("-", "_")
+        # recognize_expression rejects an unknown name with a DomainError
+        params = _given(args, QUANTITIES[name]) if name in QUANTITIES else {}
         if args.power != 1:
             params["power"] = str(args.power)
-        rec = recognize_expression(pipeline, params, args.degree,
+        rec = recognize_expression(name, params, args.degree,
                                    args.height_digits, ctx)
     doc = rec.to_json_dict()
     if args.json:
@@ -276,16 +212,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--out", help="write output to a file")
 
+    names = [name.replace("_", "-") for name in QUANTITIES]
+    readers: dict[str, list] = {}
+    for entry in QUANTITIES.values():
+        for param in entry.params:
+            readers.setdefault(param, []).append(entry.name.replace("_", "-"))
+
+    def quantity_flags(p):
+        for param, users in readers.items():
+            p.add_argument(f"--{param}", type=_FLAG_TYPES.get(param, _rational),
+                           help="read by " + ", ".join(users))
+
     p_eval = sub.add_parser("eval", help="evaluate one quantity")
-    p_eval.add_argument("subject", choices=[
-        "agile", "agile-star", "theta", "theta2", "theta3", "eta-paper",
-        "k", "ki", "K", "alpha", "j", "rrcf", "sextic-theta", "multiplier"])
-    for name in ("a", "b", "p", "r", "x", "k", "mult"):
-        p_eval.add_argument(f"--{name}", type=_rational)
-    p_eval.add_argument("--n", type=int, help="multiplier index")
-    p_eval.add_argument("--via", choices=["modulus", "eta"], default="modulus")
-    p_eval.add_argument("--method", choices=["product", "continued_fraction"],
-                        default="product")
+    p_eval.add_argument("subject", choices=names)
+    quantity_flags(p_eval)
     common(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 
@@ -296,11 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=_cmd_analyze)
 
     p_rec = sub.add_parser("recognize", help="recognize a value as algebraic")
-    p_rec.add_argument("--expr", required=True,
-                       help="agile-star | agile-star-ki | rrcf | theta-quotient | "
-                            "periodic-normalized | const")
-    for name in ("a", "p", "r", "x"):
-        p_rec.add_argument(f"--{name}", type=_rational)
+    p_rec.add_argument("--expr", required=True, metavar="NAME",
+                       help="one of " + ", ".join(names + ["const"]))
+    quantity_flags(p_rec)
     p_rec.add_argument("--power", type=int, default=1)
     p_rec.add_argument("--value", help="decimal string for --expr const")
     p_rec.add_argument("--degree", type=int, default=8)

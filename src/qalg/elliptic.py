@@ -33,30 +33,39 @@ class EllipticData:
     j: HPReal
 
 
-def _agm(a: HPReal, b: HPReal):
-    """AGM(a, b) with the iteration count (a, b > 0).
+def _agm_KE(k: HPReal):
+    """(K(k), E(k), iterations) from one AGM of (1, k') at the current
+    working precision (0 <= k < 1).  E comes from the c-sum
+    E/K = 1 - (k^2/2 + sum_n 2^(n-2) d_n^2), d_n = a_n - b_n.
 
     Stops a few ulps early (the difference stalls at rounding noise) and
     takes one extra quadratic step, which lands below working precision.
     """
+    a, b = mp.mpf(1), mp.sqrt(1 - k * k)
     eps = mp.mpf(10) ** (-mp.mp.dps + 3)
+    csum4 = 2 * k * k  # 4 times the c-sum
+    pw = 1
+    d = a - b
     iters = 0
-    while abs(a - b) > eps * a:
+    while abs(d) > eps * a:
         a, b = (a + b) / 2, mp.sqrt(a * b)
+        csum4 += d * d * pw
+        pw *= 2
+        d = a - b
         iters += 1
         if iters > 10_000:
             raise ConvergenceError("AGM failed to converge")
     a, b = (a + b) / 2, mp.sqrt(a * b)
-    return (a + b) / 2, iters + 1
+    csum4 += d * d * pw
+    K = mp.pi / (a + b)
+    return K, K * (1 - csum4 / 4), iters + 1
 
 
 def agm_iterations(k, ctx: PrecisionContext) -> int:
     """Iterations the AGM needs for K(k); exposed for the convergence
     contract (<= ceil(log2(digits)) + 5 away from the endpoints)."""
     with ctx.workdps():
-        k = mp.mpf(k)
-        _, iters = _agm(mp.mpf(1), mp.sqrt(1 - k * k))
-    return iters
+        return _agm_KE(mp.mpf(k))[2]
 
 
 def ellint_K(k, ctx: PrecisionContext) -> HPReal:
@@ -65,8 +74,7 @@ def ellint_K(k, ctx: PrecisionContext) -> HPReal:
         k = mp.mpf(k)
         if k < 0 or k >= 1:
             raise DomainError(f"K requires 0 <= k < 1, got {k}")
-        agm, _ = _agm(mp.mpf(1), mp.sqrt(1 - k * k))
-        return +(mp.pi / (2 * agm))
+        return +_agm_KE(k)[0]
 
 
 def ellint_E(k, ctx: PrecisionContext) -> HPReal:
@@ -75,24 +83,7 @@ def ellint_E(k, ctx: PrecisionContext) -> HPReal:
         k = mp.mpf(k)
         if k < 0 or k >= 1:
             raise DomainError(f"E requires 0 <= k < 1, got {k}")
-        a, b = mp.mpf(1), mp.sqrt(1 - k * k)
-        csum = k * k / 2  # 2^(-1) c_0^2
-        pw = mp.mpf(1)
-        eps = mp.mpf(10) ** (-mp.mp.dps + 3)
-        iters = 0
-        while abs(a - b) > eps * a:
-            c = (a - b) / 2
-            a, b = (a + b) / 2, mp.sqrt(a * b)
-            csum += pw * c * c
-            pw *= 2
-            iters += 1
-            if iters > 10_000:
-                raise ConvergenceError("AGM failed to converge")
-        c = (a - b) / 2
-        a, b = (a + b) / 2, mp.sqrt(a * b)
-        csum += pw * c * c
-        K = mp.pi / (2 * a)
-        return +(K * (1 - csum))
+        return +_agm_KE(k)[1]
 
 
 def _dK_dk(k: HPReal, K: HPReal, E: HPReal) -> HPReal:
@@ -107,26 +98,7 @@ def _singular_modulus_cached(r, ctx: PrecisionContext) -> HPReal:
 
         def g(x):
             kp = mp.sqrt(1 - x * x)
-            return mp.log(_K(kp)) - mp.log(_K(x)) - target
-
-        def _K(k):
-            agm, _ = _agm(mp.mpf(1), mp.sqrt(1 - k * k))
-            return mp.pi / (2 * agm)
-
-        def _E(k):
-            a, b = mp.mpf(1), mp.sqrt(1 - k * k)
-            csum = k * k / 2
-            pw = mp.mpf(1)
-            eps = mp.mpf(10) ** (-mp.mp.dps + 3)
-            while abs(a - b) > eps * a:
-                c = (a - b) / 2
-                a, b = (a + b) / 2, mp.sqrt(a * b)
-                csum += pw * c * c
-                pw *= 2
-            c = (a - b) / 2
-            a, b = (a + b) / 2, mp.sqrt(a * b)
-            csum += pw * c * c
-            return mp.pi / (2 * a) * (1 - csum)
+            return mp.log(_agm_KE(kp)[0]) - mp.log(_agm_KE(x)[0]) - target
 
         # bisection to ~12 digits; g is strictly decreasing with
         # g -> +inf at 0+ and -inf at 1-, so the endpoint signs are known
@@ -146,8 +118,8 @@ def _singular_modulus_cached(r, ctx: PrecisionContext) -> HPReal:
         # Newton on g; quadratic convergence from the 12-digit seed
         for _ in range(int(mp.ceil(mp.log(ctx.dps, 2))) + 3):
             kp = mp.sqrt(1 - x * x)
-            Kx, Ex = _K(x), _E(x)
-            Kp, Ep = _K(kp), _E(kp)
+            Kx, Ex, _ = _agm_KE(x)
+            Kp, Ep, _ = _agm_KE(kp)
             gx = mp.log(Kp) - mp.log(Kx) - target
             gpx = -x * _dK_dk(kp, Kp, Ep) / (kp * Kp) - _dK_dk(x, Kx, Ex) / Kx
             step = gx / gpx
@@ -158,7 +130,7 @@ def _singular_modulus_cached(r, ctx: PrecisionContext) -> HPReal:
                 break
 
         kp = mp.sqrt(1 - x * x)
-        resid = _K(kp) / _K(x) - sqrt_r
+        resid = _agm_KE(kp)[0] / _agm_KE(x)[0] - sqrt_r
         if abs(resid) > mp.mpf(10) ** (-(ctx.digits - ctx.guard)):
             raise ConvergenceError(
                 f"singular modulus residual {mp.nstr(abs(resid), 5)} too large"
@@ -240,13 +212,9 @@ def elliptic_data(r, ctx: PrecisionContext) -> EllipticData:
     """Compute the full bundle (k, k', K, E, alpha, j) at one r."""
     with ctx.workdps():
         k = singular_modulus(r, ctx)
-        kp = mp.sqrt(1 - k * k)
-        K = ellint_K(k, ctx)
-        E = ellint_E(k, ctx)
-        alpha = ellint_E(kp, ctx) / K - mp.pi / (4 * K * K)
-        kp2 = 1 - k * k
-        j = 256 * (k * k + kp2 * kp2) ** 3 / (k * k * kp2) ** 2
-        return EllipticData(r=r, k=+k, k_prime=+kp, K=+K, E=+E, alpha=+alpha, j=+j)
+        K, E, _ = _agm_KE(k)
+        return EllipticData(r=r, k=k, k_prime=+mp.sqrt(1 - k * k), K=+K, E=+E,
+                            alpha=elliptic_alpha(r, ctx), j=j_invariant(r, ctx))
 
 
 def theta_powersum_closed(m: int, r, ctx: PrecisionContext) -> HPReal:

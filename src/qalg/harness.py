@@ -67,6 +67,7 @@ from .moebius import (
     logderiv_representation,
     normalized_value,
     square_character_eta_identity,
+    squarefree_divisors,
     theta_qdlog,
     theta_value,
 )
@@ -81,7 +82,7 @@ from .modular import (
     theorem3_check,
     theorem4_check,
 )
-from .recognize import recognize_expression
+from .recognize import QUANTITIES, recognize_expression
 
 
 # ---------------------------------------------------------------------------
@@ -515,17 +516,9 @@ def _check_eq45_lambert_reading(g: int, r: Fraction):
         with ctx.workdps():
             nome = make_nome(r, ctx)
             lam = lambert_series(JacobiCharacter(g), nome)
-            primes = sorted({p for p in range(2, g + 1) if g % p == 0 and _is_prime(p)})
             bracket = mp.mpf(0)
-            for mask in range(1 << len(primes)):
-                d = 1
-                bits = 0
-                for i, p in enumerate(primes):
-                    if mask >> i & 1:
-                        d *= p
-                        bits += 1
-                sign = -1 if bits % 2 else 1
-                bracket += sign * d * lambert_series(
+            for d, mu in squarefree_divisors(g):
+                bracket += mu * d * lambert_series(
                     JacobiCharacter(1), nome.scaled(Fraction(d)))
             literal = -bracket / nome.q
             match_plain = abs(lam - bracket)
@@ -535,17 +528,6 @@ def _check_eq45_lambert_reading(g: int, r: Fraction):
                 _num(lam), _num(bracket), +match_plain, ctx.eps_check,
                 note=f"matching reading: {reading}; literal-prefactor mismatch {mp.nstr(match_literal, 5)}")
     return run
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---- exact series checks ----
@@ -660,9 +642,9 @@ def _check_eq59_quartic():
 
 def _check_eq58_radical():
     def run(ctx):
-        from .recognize import _eval_agile_star_ki
+        val = QUANTITIES["agile_star_ki"].evaluate({"a": "1", "p": "3", "x": "1/5"}, ctx)
         with ctx.workdps():
-            val = _eval_agile_star_ki({"a": "1", "p": "3", "x": "1/5", "power": 6}, ctx)
+            val = val ** 6
             t = mp.mpf(3) ** (mp.mpf(2) / 3) * mp.cbrt(mp.mpf(10))
             radical = (-182 - mp.sqrt(689224 - 148230 * t)
                        + mp.sqrt(2 * (92571934

@@ -25,9 +25,10 @@ from .qengine import (
     theta3,
     theta_general,
     _qpow,
+    _tail_threshold,
 )
 from .elliptic import j_invariant, singular_modulus, ellint_K, elliptic_alpha, multiplier
-from .moebius import eta_qdlog, theta_qdlog
+from .moebius import eta_qdlog, squarefree_divisors, theta_qdlog
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def rrcf(nome: Nome, method: str = "product") -> HPReal:
         with ctx.workdps():
             q = nome.q
             eps = ctx.eps_tail
-            depth = int(mp.ceil(mp.mpf(ctx.digits + ctx.guard) / (-mp.log10(q)))) + 4
+            depth = _tail_threshold(nome) + 4
             prev = None
             for _ in range(6):
                 t = mp.mpf(1)
@@ -357,7 +358,7 @@ def theorem4_check(p: int, r, ctx: PrecisionContext) -> Residual:
     literal form fails (callers record rather than assert that case).
     """
     p = int(p)
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if p < 2 or squarefree_divisors(p) != [(1, 1), (p, -1)]:
         raise DomainError(f"p must be prime, got {p}")
     r = Fraction(r)
     with ctx.workdps():

@@ -34,6 +34,7 @@ from .qengine import (
     star_exponent,
     theta_general,
     _qpow,
+    _tail_threshold,
 )
 
 # ---------------------------------------------------------------------------
@@ -41,25 +42,36 @@ from .qengine import (
 # ---------------------------------------------------------------------------
 
 
+def squarefree_divisors(n: int) -> list[tuple[int, int]]:
+    """The squarefree divisors d of n >= 1, each paired with mu(d).
+
+    The list starts with (1, 1) and ends with the radical of n (the
+    product of its distinct primes); the divisors that include the i-th
+    prime follow those built from the primes before it.
+    """
+    n = int(n)
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    out = [(1, 1)]
+    m, p = n, 2
+    while p * p <= m:
+        if m % p == 0:
+            out += [(d * p, -mu) for d, mu in out]
+            while m % p == 0:
+                m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out += [(d * m, -mu) for d, mu in out]
+    return out
+
+
 def moebius_mu(n: int) -> int:
     """The Moebius function: 0 unless n is squarefree, else (-1)^(#primes)."""
     n = int(n)
     if n < 1:
         raise DomainError(f"mu is defined for n >= 1, got {n}")
-    if n == 1:
-        return 1
-    count = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            count += 1
-        d += 1 if d == 2 else 2
-    if n > 1:
-        count += 1
-    return -1 if count % 2 else 1
+    radical, mu = squarefree_divisors(n)[-1]
+    return mu if radical == n else 0
 
 
 def _jacobi_odd(n: int, k: int) -> int:
@@ -180,9 +192,18 @@ class TaylorInput:
     @classmethod
     def from_json(cls, text: str) -> "TaylorInput":
         """Parse {"coeffs": ["1/1", "1/2", ...]} (exact rational strings,
-        1-based)."""
-        doc = json.loads(text)
-        return cls(tuple(Fraction(s) for s in doc["coeffs"]))
+        1-based); malformed input is a DomainError."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"series input is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict) or "coeffs" not in doc:
+            raise DomainError('series input needs a "coeffs" list')
+        try:
+            coeffs = tuple(Fraction(s) for s in doc["coeffs"])
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"coefficients must be exact rationals: {exc}") from None
+        return cls(coeffs)
 
     def to_json(self) -> str:
         return json.dumps({"coeffs": [str(c) for c in self.coeffs]})
@@ -410,7 +431,7 @@ def theta_qdlog(spec: ThetaSpec, nome: Nome) -> HPReal:
     ctx = nome.ctx
     with ctx.workdps():
         q = nome.q
-        stop = int(mp.ceil(mp.mpf(ctx.digits + ctx.guard) / (-mp.log10(q))))
+        stop = _tail_threshold(nome)
         num = mp.mpf(0)
         den = mp.mpf(1)
         n = 1
@@ -471,28 +492,10 @@ def square_character_eta_identity(g: int, order: int) -> SeriesIdentityReport:
     char = JacobiCharacter(g)
     lhs = exponent_product(lambda n: char.value(n), order)
 
-    # squarefree divisors of the radical of g
-    primes = []
-    m = g
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.append(m)
     rhs = None
-    for mask in range(1 << len(primes)):
-        dd = 1
-        bits = 0
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                dd *= p
-                bits += 1
-        s = eta_qexpansion(dd, order)
-        s = s if bits % 2 == 0 else s.inverse()
+    for d, mu in squarefree_divisors(g):
+        s = eta_qexpansion(d, order)
+        s = s if mu == 1 else s.inverse()
         rhs = s if rhs is None else rhs * s
     for n in range(order + 1):
         if lhs[n] != rhs[n]:

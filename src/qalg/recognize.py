@@ -13,7 +13,7 @@ returned polynomial has minimal degree among the passing candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -21,10 +21,26 @@ import mpmath as mp
 
 from .errors import DegenerateBasis, DomainError, InsufficientPrecision
 from .precision import HPReal, PrecisionContext, to_mpf
-from .qengine import AgileSpec, ThetaSpec, agile_star, make_nome, theta_general
-from .elliptic import inverse_singular_modulus, singular_modulus
-from .moebius import detect_period, normalized_value
-from .modular import Residual, rrcf
+from .qengine import (
+    AgileSpec,
+    ThetaSpec,
+    agile,
+    agile_star,
+    eta_paper,
+    make_nome,
+    theta2,
+    theta3,
+    theta_general,
+)
+from .elliptic import (
+    elliptic_alpha,
+    ellint_K,
+    inverse_singular_modulus,
+    j_invariant,
+    multiplier,
+    singular_modulus,
+)
+from .modular import Residual, rrcf, sextic_theta
 
 
 # ---------------------------------------------------------------------------
@@ -300,83 +316,122 @@ def recognize(
 
 
 # ---------------------------------------------------------------------------
-# named evaluation pipelines
+# the named quantities
 # ---------------------------------------------------------------------------
 
-def _eval_agile_star(params: dict, ctx: PrecisionContext) -> HPReal:
-    a, p, r = Fraction(params["a"]), Fraction(params["p"]), Fraction(params["r"])
-    power = int(params.get("power", 1))
-    nome = make_nome(r, ctx)
-    with ctx.workdps():
-        return +(agile_star(AgileSpec(a, p), nome) ** power)
+class _Params(dict):
+    """A quantity's parameters; reading a missing one names its flag."""
+
+    def __init__(self, quantity: str, values: dict):
+        super().__init__(values)
+        self.quantity = quantity
+
+    def __missing__(self, name):
+        raise DomainError(f"{self.quantity} needs --{name}")
 
 
-def _eval_agile_star_ki(params: dict, ctx: PrecisionContext) -> HPReal:
-    a, p, x = Fraction(params["a"]), Fraction(params["p"]), Fraction(params["x"])
-    power = int(params.get("power", 1))
-    with ctx.workdps():
-        r = inverse_singular_modulus(x, ctx)
-        nome = make_nome(r, ctx)
-        return +(agile_star(AgileSpec(a, p), nome) ** power)
+@dataclass(frozen=True)
+class Quantity:
+    """A named quantity: the parameters it reads and its evaluator.
+
+    ``params`` lists the parameter names in the order they are reported;
+    ``defaults`` gives the value of each one that may be left out.  Values
+    are written as on the command line - exact rationals as ``"n/d"``
+    strings, though numbers are accepted too - and ``compute(params, ctx)``
+    parses them and returns the quantity at ctx precision.
+    """
+
+    name: str
+    params: tuple
+    compute: Callable[[dict, PrecisionContext], HPReal]
+    defaults: dict = field(default_factory=dict)
+
+    def complete(self, given: dict) -> dict:
+        """The given parameters this quantity reads, in report order, with
+        the defaults filled in."""
+        return {name: value for name in self.params
+                if (value := given.get(name, self.defaults.get(name))) is not None}
+
+    def evaluate(self, params: dict, ctx: PrecisionContext) -> HPReal:
+        """The value at ctx precision; a missing parameter is a DomainError."""
+        with ctx.workdps():
+            return +self.compute(_Params(self.name, self.complete(params)), ctx)
 
 
-def _eval_periodic(params: dict, ctx: PrecisionContext) -> HPReal:
-    values = [Fraction(v) for v in params["values"]]
-    r = Fraction(params["r"])
-    xs = values * 3
-    pc = detect_period(xs, len(values))
-    if pc is None:
-        raise DomainError("the values are not catoptric-periodic")
-    nome = make_nome(r, ctx)
-    return normalized_value(pc, nome)
+def _nome(p: dict, ctx: PrecisionContext):
+    return make_nome(Fraction(p["r"]), ctx)
 
 
-def _eval_rrcf(params: dict, ctx: PrecisionContext) -> HPReal:
-    r = Fraction(params["r"])
-    power = int(params.get("power", 1))
-    nome = make_nome(r, ctx)
-    with ctx.workdps():
-        return +(rrcf(nome) ** power)
+def _agile_spec(p: dict) -> AgileSpec:
+    return AgileSpec(Fraction(p["a"]), Fraction(p["p"]))
 
 
-def _eval_theta_quotient(params: dict, ctx: PrecisionContext) -> HPReal:
-    a1, b1 = Fraction(params["a1"]), Fraction(params["b1"])
-    a2, b2 = Fraction(params["a2"]), Fraction(params["b2"])
-    r = Fraction(params["r"])
-    nome = make_nome(r, ctx)
-    with ctx.workdps():
-        return +(theta_general(ThetaSpec(a1, b1), nome)
-                 / theta_general(ThetaSpec(a2, b2), nome))
+def _ellint_K(p: dict, ctx: PrecisionContext) -> HPReal:
+    if "k" in p:
+        return ellint_K(to_mpf(Fraction(p["k"])), ctx)
+    return ellint_K(singular_modulus(Fraction(p["r"]), ctx), ctx)
 
 
-EXPRESSION_EVALUATORS: dict[str, Callable[[dict, PrecisionContext], HPReal]] = {
-    "agile_star": _eval_agile_star,
-    "agile_star_ki": _eval_agile_star_ki,
-    "periodic_normalized": _eval_periodic,
-    "rrcf": _eval_rrcf,
-    "theta_quotient": _eval_theta_quotient,
-}
+def _agile_star_ki(p: dict, ctx: PrecisionContext) -> HPReal:
+    r = inverse_singular_modulus(Fraction(p["x"]), ctx)
+    return agile_star(_agile_spec(p), make_nome(r, ctx))
+
+
+QUANTITIES: dict[str, Quantity] = {q.name: q for q in (
+    Quantity("agile", ("a", "p", "r"),
+             lambda p, ctx: agile(_agile_spec(p), _nome(p, ctx))),
+    Quantity("agile_star", ("a", "p", "r"),
+             lambda p, ctx: agile_star(_agile_spec(p), _nome(p, ctx))),
+    Quantity("agile_star_ki", ("a", "p", "x"), _agile_star_ki),
+    Quantity("theta", ("a", "b", "r"),
+             lambda p, ctx: theta_general(ThetaSpec(Fraction(p["a"]), Fraction(p["b"])),
+                                          _nome(p, ctx))),
+    Quantity("theta2", ("r",), lambda p, ctx: theta2(_nome(p, ctx))),
+    Quantity("theta3", ("r",), lambda p, ctx: theta3(_nome(p, ctx))),
+    Quantity("eta_paper", ("mult", "r"),
+             lambda p, ctx: eta_paper(Fraction(p["mult"]), _nome(p, ctx)),
+             defaults={"mult": "1"}),
+    Quantity("k", ("r",), lambda p, ctx: singular_modulus(Fraction(p["r"]), ctx)),
+    Quantity("ki", ("x",), lambda p, ctx: inverse_singular_modulus(Fraction(p["x"]), ctx)),
+    Quantity("K", ("k", "r"), _ellint_K),
+    Quantity("alpha", ("r",), lambda p, ctx: elliptic_alpha(Fraction(p["r"]), ctx)),
+    Quantity("j", ("via", "r"),
+             lambda p, ctx: j_invariant(Fraction(p["r"]), ctx, via=p["via"]),
+             defaults={"via": "modulus"}),
+    Quantity("rrcf", ("method", "r"),
+             lambda p, ctx: rrcf(_nome(p, ctx), method=p["method"]),
+             defaults={"method": "product"}),
+    Quantity("sextic_theta", ("r",), lambda p, ctx: sextic_theta(_nome(p, ctx))),
+    Quantity("multiplier", ("r", "n"),
+             lambda p, ctx: multiplier(Fraction(p["r"]), int(p["n"]), ctx)),
+)}
 
 
 def recognize_expression(
-    pipeline: str,
+    name: str,
     params: dict,
     max_degree: int,
     height_digits: int,
     ctx: PrecisionContext,
 ) -> RecognitionResult:
-    """Evaluate a named quantity at ctx precision and recognize it, with
-    the doubled-precision re-verification wired to the same evaluator."""
+    """Evaluate a named quantity, raised to the integer ``params["power"]``
+    (default 1), at ctx precision and recognize it, with the
+    doubled-precision re-verification wired to the same evaluation."""
     try:
-        evaluator = EXPRESSION_EVALUATORS[pipeline]
+        entry = QUANTITIES[name]
     except KeyError:
         raise DomainError(
-            f"unknown pipeline {pipeline!r}; choose from {sorted(EXPRESSION_EVALUATORS)}"
-        ) from None
-    value = evaluator(params, ctx)
-    prov = pipeline + "(" + ", ".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
-    return recognize(value, max_degree, height_digits, ctx,
-                     recompute=lambda c: evaluator(params, c), provenance=prov)
+            f"unknown quantity {name!r}; choose from {sorted(QUANTITIES)}") from None
+    power = int(params.get("power", 1))
+
+    def value(c: PrecisionContext) -> HPReal:
+        x = entry.evaluate(params, c)
+        with c.workdps():
+            return +(x ** power)
+
+    prov = entry.name + "(" + ", ".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
+    return recognize(value(ctx), max_degree, height_digits, ctx,
+                     recompute=value, provenance=prov)
 
 
 # ---------------------------------------------------------------------------
@@ -404,23 +459,24 @@ def probe_Q_function(
     value^48 = 4(1-x)^4 (2+x-2 sqrt(1+x))^12 / (x^13 (1+x)^2) - the
     closed form is evaluated alongside as a residual pair."""
     a, p = Fraction(a), Fraction(p)
+    entry = QUANTITIES["agile_star_ki"]
     out = []
     for xr in x_values:
         xr = Fraction(xr)
         if not (0 < xr < 1):
             raise DomainError(f"x must lie in (0,1), got {xr}")
-        params = {"a": str(a), "p": str(p), "x": str(xr)}
+        params = {"a": a, "p": p, "x": xr}
+        val = entry.evaluate(params, ctx)
         rec = recognize(
-            _eval_agile_star_ki(params, ctx),
+            val,
             max_degree,
             height_digits,
             ctx,
-            recompute=lambda c, prm=params: _eval_agile_star_ki(prm, c),
+            recompute=lambda c, prm=params: entry.evaluate(prm, c),
             provenance=f"agile_star_ki(a={a}, p={p}, x={xr})",
         )
         closed = None
         with ctx.workdps():
-            val = _eval_agile_star_ki(params, ctx)
             xm = to_mpf(xr)
             if (a, p) == (Fraction(1), Fraction(4)):
                 closed = Residual(+(val ** 12), +(4 * (1 - xm * xm) / xm),

@@ -7,10 +7,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
+import pytest
 
 import qalg
 from qalg import PrecisionContext, agile_star, AgileSpec, make_nome
 from qalg.cli import main
+from qalg.recognize import QUANTITIES
 
 from oracles import close
 
@@ -67,6 +69,38 @@ class TestEval:
         assert out.startswith("3.6125473612")
 
 
+# one value for every parameter a quantity can read
+SAMPLE_PARAMS = {"a": "1", "b": "1/2", "p": "4", "r": "2", "x": "1/5", "k": "1/3",
+                 "mult": "2", "n": "2", "via": "eta", "method": "continued_fraction"}
+
+
+def sample_flags(name):
+    return [arg for param in QUANTITIES[name].params
+            for arg in (f"--{param}", SAMPLE_PARAMS[param])]
+
+
+class TestQuantityTable:
+    @pytest.mark.parametrize("name", list(QUANTITIES))
+    def test_eval(self, capsys, name):
+        subject = name.replace("_", "-")
+        code, out, err = run_cli(capsys, "eval", subject, *sample_flags(name),
+                                 "--digits", "40", "--json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["subject"] == subject
+        assert doc["params"] == {p: SAMPLE_PARAMS[p] for p in QUANTITIES[name].params}
+        with mp.workdps(50):
+            assert mp.isfinite(mp.mpf(doc["value"]))
+
+    @pytest.mark.parametrize("name", list(QUANTITIES))
+    def test_recognize(self, capsys, name):
+        code, out, err = run_cli(capsys, "recognize", "--expr", name.replace("_", "-"),
+                                 *sample_flags(name), "--degree", "2",
+                                 "--digits", "60", "--json")
+        assert code in (0, 3), err
+        assert json.loads(out)["status"] in ("recognized", "refuted-at-bounds")
+
+
 class TestAnalyze:
     def test_rrcf_pattern(self, tmp_path, capsys):
         # Taylor coefficients with X = the 5-periodic symbol pattern
@@ -107,6 +141,18 @@ class TestAnalyze:
         assert "degenerate" in out
         assert "(1-q^1)^(1)" in out
 
+    @pytest.mark.parametrize("text", [
+        '{"c": ["1"]}',               # no "coeffs"
+        '{"coeffs": ["1", "x/2"]}',   # not a rational
+        '{"coeffs": [',               # not JSON
+    ])
+    def test_malformed_input(self, tmp_path, capsys, text):
+        f = tmp_path / "series.json"
+        f.write_text(text)
+        code, _, err = run_cli(capsys, "analyze", str(f))
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_not_periodic(self, tmp_path, capsys):
         cs = [Fraction(n * n + 1) for n in range(1, 31)]
         f = tmp_path / "series.json"
@@ -134,6 +180,22 @@ class TestRecognize:
         doc = json.loads(out)
         assert doc["status"] == "recognized"
         assert doc["poly"] == [-2, 0, 0, 0, 1]
+
+    def test_singular_modulus_quadratic(self, capsys):
+        code, out, _ = run_cli(capsys, "recognize", "--expr", "k", "--r", "2",
+                               "--degree", "4", "--json")
+        assert code == 0
+        assert json.loads(out)["poly"] == [-1, 2, 1]  # k_2 = sqrt(2) - 1
+
+    @pytest.mark.parametrize("expr, message", [
+        ("agile-star", "needs --a"),
+        ("theta-quotient", "unknown quantity"),
+        ("periodic-normalized", "unknown quantity"),
+    ])
+    def test_unusable_expression_is_a_domain_error(self, capsys, expr, message):
+        code, _, err = run_cli(capsys, "recognize", "--expr", expr, "--r", "2")
+        assert code == 2
+        assert err.startswith("error:") and message in err
 
     def test_insufficient_digits_guidance(self, capsys):
         code, _, err = run_cli(capsys, "recognize", "--expr", "const",

@@ -29,7 +29,13 @@ from qalg import (
     represent_theta,
     square_character_eta_identity,
 )
-from qalg.moebius import PeriodicCoeffs, coeffs_from_X, product_value, theta_value
+from qalg.moebius import (
+    PeriodicCoeffs,
+    coeffs_from_X,
+    product_value,
+    squarefree_divisors,
+    theta_value,
+)
 
 from oracles import close
 
@@ -47,6 +53,18 @@ class TestMu:
         for n in range(1, 1001):
             total = sum(moebius_mu(d) for d in range(1, n + 1) if n % d == 0)
             assert total == (1 if n == 1 else 0)
+
+    def test_squarefree_divisors_by_brute_force(self):
+        for n in range(1, 201):
+            expected = []
+            for d in range(1, n + 1):
+                if n % d == 0 and all(d % (m * m) for m in range(2, d + 1)):
+                    primes = [p for p in range(2, d + 1)
+                              if d % p == 0 and all(p % q for q in range(2, p))]
+                    expected.append((d, (-1) ** len(primes)))
+            got = squarefree_divisors(n)
+            assert sorted(got) == expected
+            assert got[-1] == expected[-1]  # the radical of n comes last
 
 
 class TestJacobiSymbol:

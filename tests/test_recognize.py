@@ -183,6 +183,13 @@ class TestExpressions:
         assert rec.status == "recognized"
         assert rec.poly.coefficients == (-2, 0, 0, 0, 1)  # fourth root of 2
 
+    def test_power_applied_before_recognition(self):
+        ctx = PrecisionContext(120)
+        rec = recognize_expression("agile_star", {"a": "1", "p": "4", "r": "2", "power": 4},
+                                   max_degree=8, height_digits=4, ctx=ctx)
+        assert rec.status == "recognized"
+        assert rec.poly.coefficients == (-2, 1)
+
     def test_rrcf_r4(self):
         ctx = PrecisionContext(120)
         rec = recognize_expression("rrcf", {"r": "4"}, max_degree=6,
