@@ -191,14 +191,19 @@ class TaylorInput:
 
     @classmethod
     def from_json(cls, text: str) -> "TaylorInput":
-        """Parse {"coeffs": ["1/1", "1/2", ...]} (exact rational strings,
-        1-based); malformed input is a DomainError."""
+        """Parse {"coeffs": ["1/1", "1/2", ...]} (exact rational strings or
+        integers, 1-based); malformed input is a DomainError.  JSON floats
+        and booleans are refused: a binary float is not an exact rational."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DomainError(f"series input is not valid JSON: {exc}") from None
-        if not isinstance(doc, dict) or "coeffs" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("coeffs"), list):
             raise DomainError('series input needs a "coeffs" list')
+        for s in doc["coeffs"]:
+            if isinstance(s, bool) or not isinstance(s, (str, int)):
+                raise DomainError(
+                    f"coefficients must be exact rational strings or integers, got {s!r}")
         try:
             coeffs = tuple(Fraction(s) for s in doc["coeffs"])
         except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -197,6 +197,7 @@ class RecognitionResult:
     digits_used: int
     status: str  # recognized | refuted-at-bounds | inconclusive
     provenance: str = ""
+    lattice_digits: int = 0  # log10 of the scale of the last lattice reduced
 
     def to_json_dict(self) -> dict:
         return {
@@ -206,6 +207,7 @@ class RecognitionResult:
                                   if self.verified_residual is not None else None),
             "status": self.status,
             "digits": self.digits_used,
+            "lattice_digits": self.lattice_digits,
             "provenance": self.provenance,
         }
 
@@ -238,14 +240,20 @@ def recognize(
     """Search for an integer polynomial of degree <= max_degree and
     coefficient height < 10^height_digits annihilating x.
 
-    The lattice is scaled by 10^(digits - guard); a candidate passes at
-    degree d only if |P(x)| < 10^-(digits - d*height_digits - guard), and
-    is *recognized* only if the residual also survives the second tier:
-    with a `recompute` callback the value is rebuilt at doubled precision
-    and |P| must fall below 10^-(2*digits - d*height_digits - guard);
-    without one, P is re-evaluated on x in exact rational arithmetic
-    against the first-tier bound (guarding against evaluation round-off,
-    not against short inputs - supply recompute when possible).
+    The degree-d lattice is scaled by 10^s(d), where
+    s(d) = min(digits - guard, (d+1)*(height_digits+1) + 2*guard): enough
+    digits to single out a relation of height < 10^height_digits, with
+    one digit per row to spare for LLL's approximation factor and the
+    relation's own norm, and no more, since LLL's cost grows with the
+    size of the entries.  The scale only proposes candidates; the gate
+    reads the full-precision x.  A candidate passes at degree d only if
+    |P(x)| < 10^-(digits - d*height_digits - guard), and is *recognized*
+    only if the residual also survives the second tier: with a
+    `recompute` callback the value is rebuilt at doubled precision and
+    |P| must fall below 10^-(2*digits - d*height_digits - guard); without
+    one, P is re-evaluated on x in exact rational arithmetic against the
+    first-tier bound (guarding against evaluation round-off, not against
+    short inputs - supply recompute when possible).
     """
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
@@ -264,13 +272,15 @@ def recognize(
         xv = mp.mpf(x)
         if not mp.isfinite(xv):
             raise DomainError("value must be finite")
-        scale = mp.mpf(10) ** (digits - ctx.guard)
         powers = [mp.mpf(1)]
         for _ in range(max_degree):
             powers.append(powers[-1] * xv)
 
         best = None
         for d in range(1, max_degree + 1):
+            lattice_digits = min(digits - ctx.guard,
+                                 (d + 1) * (height_digits + 1) + 2 * ctx.guard)
+            scale = mp.mpf(10) ** lattice_digits
             rows = []
             for i in range(d + 1):
                 row = [0] * (d + 1) + [int(mp.nint(scale * powers[i]))]
@@ -295,7 +305,7 @@ def recognize(
 
         if best is None:
             return RecognitionResult(None, None, None, digits, "refuted-at-bounds",
-                                     provenance)
+                                     provenance, lattice_digits)
 
     d, poly, resid, tier1 = best
     if recompute is not None:
@@ -312,7 +322,8 @@ def recognize(
             v = abs(to_mpf(exact.numerator) / to_mpf(exact.denominator)) if exact else mp.mpf(0)
             status = "recognized" if v < tier1 else "inconclusive"
     with ctx.workdps():
-        return RecognitionResult(poly, +resid, +v, digits, status, provenance)
+        return RecognitionResult(poly, +resid, +v, digits, status, provenance,
+                                 lattice_digits)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,8 @@ class TestAnalyze:
         '{"c": ["1"]}',               # no "coeffs"
         '{"coeffs": ["1", "x/2"]}',   # not a rational
         '{"coeffs": [',               # not JSON
+        '{"coeffs": [0.1, 0.2, 0.3]}',  # binary floats
+        '{"coeffs": [true, "1/2"]}',  # a boolean
     ])
     def test_malformed_input(self, tmp_path, capsys, text):
         f = tmp_path / "series.json"
@@ -180,6 +182,8 @@ class TestRecognize:
         doc = json.loads(out)
         assert doc["status"] == "recognized"
         assert doc["poly"] == [-2, 0, 0, 0, 1]
+        # found at degree 4: s(4) = (4+1)*(4+1) + 2*guard, below 120 - guard
+        assert doc["lattice_digits"] == 5 * 5 + 2 * 20
 
     def test_singular_modulus_quadratic(self, capsys):
         code, out, _ = run_cli(capsys, "recognize", "--expr", "k", "--r", "2",

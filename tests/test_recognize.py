@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qalg import (
     DegenerateBasis,
@@ -78,6 +79,70 @@ class TestLatticeReduce:
     def test_delta_domain(self):
         with pytest.raises(DomainError):
             lattice_reduce([[1, 0], [0, 1]], delta=Fraction(2))
+
+
+def gram_schmidt(rows):
+    """Exact Gram-Schmidt: the mu coefficients and the squared norms of
+    the orthogonalized rows, as Fractions.  A row that depends on the
+    rows before it gets norm 0."""
+    n = len(rows)
+    ortho, norms = [], []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for k, row in enumerate(rows):
+        v = [Fraction(c) for c in row]
+        for j in range(k):
+            if not norms[j]:
+                continue
+            mu[k][j] = sum(a * b for a, b in zip(row, ortho[j])) / norms[j]
+            v = [a - mu[k][j] * b for a, b in zip(v, ortho[j])]
+        ortho.append(v)
+        norms.append(sum(a * a for a in v))
+    return mu, norms
+
+
+@st.composite
+def random_bases(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(n, 6))
+    row = st.lists(st.integers(-50, 50), min_size=m, max_size=m)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@st.composite
+def knapsack_bases(draw):
+    """Identity rows with one scaled column, as recognize builds them."""
+    n = draw(st.integers(2, 7))
+    bound = 10 ** draw(st.integers(1, 40))
+    column = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+    return [[int(i == j) for j in range(n)] + [c] for i, c in enumerate(column)]
+
+
+class TestLatticeReduceProperties:
+    """On any basis, the output spans the same lattice, is size-reduced and
+    satisfies the Lovasz condition for delta = 99/100; linearly dependent
+    rows are a DegenerateBasis."""
+
+    def check_reduced(self, rows):
+        if not all(gram_schmidt(rows)[1]):
+            with pytest.raises(DegenerateBasis):
+                lattice_reduce(rows)
+            return
+        red = lattice_reduce(rows)
+        assert gram_det(red) == gram_det(rows)
+        mu, norms = gram_schmidt(red)
+        for k in range(1, len(red)):
+            assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
+            assert Fraction(99, 100) * norms[k - 1] <= norms[k] + mu[k][k - 1] ** 2 * norms[k - 1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_bases())
+    def test_random_bases(self, rows):
+        self.check_reduced(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(knapsack_bases())
+    def test_knapsack_bases(self, rows):
+        self.check_reduced(rows)
 
 
 class TestIntegerPolynomial:
@@ -165,6 +230,29 @@ class TestPlantedPolynomials:
             rec = recognize(value, 6, 6, ctx, recompute=compute)
             assert rec.status != "recognized", \
                 f"control {i} spuriously recognized as {rec.poly}"
+
+
+class TestLatticeScale:
+    """The lattice is scaled to (d+1)*(height_digits+1) + 2*guard digits,
+    not to the working precision.  With guard=0 these planted relations
+    are lost at (d+1)*height_digits digits: the digit per row is the
+    margin, and it must not depend on the guard digits."""
+
+    @pytest.mark.parametrize("guard", [20, 0], ids=lambda g: f"guard{g}")
+    @pytest.mark.parametrize("degree", [20, 24], ids=lambda d: f"degree{d}")
+    def test_planted_high_degree(self, degree, guard):
+        coeffs, root = random_planted_poly(random.Random(degree), degree=degree,
+                                           height=10 ** 4 - 1)
+
+        def compute(c):
+            return newton_refine_root(coeffs, root, c.dps)
+
+        ctx = PrecisionContext(300, guard=guard)
+        rec = recognize(compute(ctx), degree, 4, ctx, recompute=compute)
+        assert rec.status == "recognized"
+        assert poly_divides(rec.poly.coefficients, tuple(coeffs))
+        assert rec.lattice_digits == min(300 - guard,
+                                         (rec.poly.degree + 1) * 5 + 2 * guard)
 
 
 class TestExpressions:
