@@ -35,9 +35,7 @@ from .qengine import (
     theta_qexpansion,
 )
 from .elliptic import (
-    EllipticData,
     elliptic_alpha,
-    elliptic_data,
     ellint_E,
     ellint_K,
     inverse_singular_modulus,

@@ -9,7 +9,6 @@ value is checked against its defining residual before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,19 +17,6 @@ import mpmath as mp
 from .errors import ConvergenceError, DomainError
 from .precision import HPReal, PrecisionContext, to_mpf
 from .qengine import eta_paper, make_nome, _qpow
-
-
-@dataclass(frozen=True)
-class EllipticData:
-    """Bundle of elliptic quantities attached to one parameter r."""
-
-    r: object
-    k: HPReal
-    k_prime: HPReal
-    K: HPReal
-    E: HPReal
-    alpha: HPReal
-    j: HPReal
 
 
 def _agm_KE(k: HPReal):
@@ -206,15 +192,6 @@ def j_invariant(r, ctx: PrecisionContext, via: str = "modulus") -> HPReal:
             u = _qpow(q, Fraction(1, 24)) * e2 / e1
             return +((t ** 16 + 16 * u ** 8) ** 3)
         raise DomainError(f"unknown j-invariant route {via!r}")
-
-
-def elliptic_data(r, ctx: PrecisionContext) -> EllipticData:
-    """Compute the full bundle (k, k', K, E, alpha, j) at one r."""
-    with ctx.workdps():
-        k = singular_modulus(r, ctx)
-        K, E, _ = _agm_KE(k)
-        return EllipticData(r=r, k=k, k_prime=+mp.sqrt(1 - k * k), K=+K, E=+E,
-                            alpha=elliptic_alpha(r, ctx), j=j_invariant(r, ctx))
 
 
 def theta_powersum_closed(m: int, r, ctx: PrecisionContext) -> HPReal:

@@ -30,6 +30,7 @@ from typing import Callable, Optional
 
 import mpmath as mp
 
+from .errors import DomainError
 from .precision import PrecisionContext, to_mpf
 from .series import FormalSeries, exponent_product
 from .qengine import (
@@ -806,7 +807,7 @@ def checks_for_suite(suite: str) -> list[IdentityCheck]:
     if suite == "all":
         return list(REGISTRY.values())
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+        raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
     return [c for c in REGISTRY.values() if suite in c.suites]
 
 
@@ -847,7 +848,7 @@ def run_suite(name: str, digits: Optional[int] = None,
     runner itself never aborts."""
     digits = digits or DEFAULT_DIGITS.get(name, 120)
     if digits < 50:
-        raise ValueError("suite runs need digits >= 50")
+        raise DomainError("suite runs need digits >= 50")
     checks = checks_for_suite(name)
     ids = [c.id for c in checks]
     if parallelism and parallelism > 1:

@@ -34,7 +34,7 @@ from .qengine import (
     star_exponent,
     theta_general,
     _qpow,
-    _tail_threshold,
+    _theta_terms,
 )
 
 # ---------------------------------------------------------------------------
@@ -432,25 +432,12 @@ def eta_qdlog(multiplier: int, nome: Nome) -> HPReal:
 
 def theta_qdlog(spec: ThetaSpec, nome: Nome) -> HPReal:
     """q (d theta/dq) / theta for the alternating theta sum."""
-    a, b = spec.a, spec.b
-    ctx = nome.ctx
-    with ctx.workdps():
-        q = nome.q
-        stop = _tail_threshold(nome)
-        num = mp.mpf(0)
-        den = mp.mpf(1)
-        n = 1
-        while True:
-            ep = a * n * n + b * n
-            em = a * n * n - b * n
-            tp = _qpow(q, ep)
-            tm = _qpow(q, em)
-            sign = -1 if n % 2 else 1
-            num += sign * (to_mpf(ep) * tp + to_mpf(em) * tm)
-            den += sign * (tp + tm)
-            if min(ep, em) > stop and n >= 2:
-                break
-            n += 1
+    with nome.ctx.workdps():
+        a, b = to_mpf(spec.a), to_mpf(spec.b)
+        terms = list(enumerate(_theta_terms(spec.a, spec.b, nome), 1))
+        num = mp.fsum((-1) ** n * n * ((a * n + b) * tp + (a * n - b) * tm)
+                      for n, (tp, tm) in terms)
+        den = 1 + mp.fsum((-1) ** n * (tp + tm) for n, (tp, tm) in terms)
         return +(num / den)
 
 

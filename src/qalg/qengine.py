@@ -10,20 +10,23 @@ theta(a,b;q) = sum_{n in Z} (-1)^n q^(a n^2 + b n), the classical theta2,
 theta3, and the prefactor-free eta product eta(m) = prod (1 - q^(m*n)).
 
 All parameters a, p, r are exact rationals; q = exp(-pi*sqrt(r)).
-Truncation: products stop at the first index whose factor differs from 1
-by less than 10^-(digits+guard), plus one extra term; theta sums are cut
-symmetrically with the same bound.  The discarded tails are dominated by
-geometric series far below the visible precision.
+Truncation: one rule for every q-product and theta sum.  With X the tail
+threshold (q^x < 10^-(digits+guard) for all x > X), a product keeps every
+factor whose exponent is at most X, plus one; a theta sum keeps the pairs
+n, -n until the smaller exponent exceeds X.  The count comes in closed
+form, each term follows from the last by multiplication, and a count above
+ten million (q too close to 1) raises ConvergenceError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import DomainError, OrderError
+from .errors import ConvergenceError, DomainError, OrderError
 from .precision import HPReal, PrecisionContext, to_mpf
 from .series import FormalSeries, one_minus_power_product
 
@@ -109,6 +112,9 @@ def star_exponent(a, p) -> Fraction:
 # internal truncation helpers (run under an active workdps)
 # ---------------------------------------------------------------------------
 
+_MAX_TERMS = 10_000_000
+
+
 def _tail_threshold(nome: Nome) -> int:
     """Integer X such that q**x < 10^-(digits+guard) for all x > X."""
     ctx = nome.ctx
@@ -119,26 +125,68 @@ def _qpow(q: HPReal, e: Fraction) -> HPReal:
     return mp.power(q, to_mpf(Fraction(e)))
 
 
+def _term_count(e0, a, b, stop) -> int:
+    """Smallest n >= 2 with a*n^2 + b*n + e0 > stop (a >= 0, and b > 0
+    when a == 0), in closed form.  Raises ConvergenceError when it
+    exceeds the term budget _MAX_TERMS."""
+    e0, a, b = Fraction(e0), Fraction(a), Fraction(b)
+
+    def above(n: int) -> bool:
+        return a * n * n + b * n + e0 > stop
+
+    if above(2):
+        return 2
+    if a:
+        # the larger root is sqrt(c^2 + (stop-e0)/a) - c; the integer
+        # square root puts it within one of the answer
+        c = b / (2 * a)
+        n = math.floor(math.isqrt(math.floor(c * c + (stop - e0) / a)) - c) + 1
+        if not above(n):
+            n += 1
+    else:
+        n = math.floor((stop - e0) / b) + 1
+    if n > _MAX_TERMS:
+        raise ConvergenceError(
+            f"truncation needs {n} terms, over the budget of {_MAX_TERMS}; "
+            f"the nome is too close to 1")
+    return n
+
+
+def _progression_product(e0, step, t, qstep: HPReal, nome: Nome) -> HPReal:
+    """prod_{n=0}^{N} (1 - q^(e0 + n*step)) given t = q^e0 and
+    qstep = q^step: every factor up to the tail threshold, plus one."""
+    prod = mp.mpf(1)
+    for _ in range(_term_count(e0, 0, step, _tail_threshold(nome)) + 1):
+        prod *= 1 - t
+        t *= qstep
+    return prod
+
+
+def _theta_terms(a, b, nome: Nome, margin=0) -> list:
+    """The pairs (q^(a n^2 + b n), q^(a n^2 - b n)) for n = 1..N, up to
+    the tail threshold plus margin on the smaller exponent, advanced by
+    multiplication: term(n+1)/term(n) = q^(a(2n+1) +- b)."""
+    count = _term_count(0, a, -abs(b), _tail_threshold(nome) + margin)
+    qa, qb = _qpow(nome.q, a), _qpow(nome.q, b)
+    q2a = qa * qa
+    tp, tm = qa * qb, qa / qb
+    step_p, step_m = tp * q2a, tm * q2a
+    terms = []
+    for _ in range(count):
+        terms.append((tp, tm))
+        tp *= step_p
+        tm *= step_m
+        step_p *= q2a
+        step_m *= q2a
+    return terms
+
+
 def _agile_raw(a: Fraction, p: Fraction, nome: Nome) -> HPReal:
     """The two-sided product for any positive rational a (also a >= p,
     where early factors may be negative); used by the shift symmetries."""
-    q = nome.q
-    stop = _tail_threshold(nome)
-    t1 = _qpow(q, a)
-    t2 = _qpow(q, p - a) if p != a else mp.mpf(1)  # q^(p-a); may exceed 1
-    qp = _qpow(q, p)
-    prod = mp.mpf(1)
-    e1, e2 = Fraction(a), p - a
-    n = 0
-    while min(e1, e2) <= stop or n == 0:
-        prod *= (1 - t1) * (1 - t2)
-        t1 *= qp
-        t2 *= qp
-        e1 += p
-        e2 += p
-        n += 1
-    prod *= (1 - t1) * (1 - t2)  # one extra term past the bound
-    return prod
+    qa, qp = _qpow(nome.q, a), _qpow(nome.q, p)
+    return (_progression_product(a, p, qa, qp, nome)
+            * _progression_product(p - a, p, qp / qa, qp, nome))
 
 
 def agile(spec: AgileSpec, nome: Nome) -> HPReal:
@@ -156,91 +204,35 @@ def agile_star(spec: AgileSpec, nome: Nome) -> HPReal:
 
 def theta_general(spec: ThetaSpec, nome: Nome) -> HPReal:
     """sum_{n=-inf}^{inf} (-1)^n q^(a n^2 + b n), symmetric truncation."""
-    a, b = spec.a, spec.b
-    q = nome.q
     with nome.ctx.workdps():
-        stop = _tail_threshold(nome)
-        s = mp.mpf(1)
-        # walk n = 1, 2, ... and n = -1, -2, ... together; exponents are
-        # advanced multiplicatively: e(n+1) - e(n) = a(2n+1) + b.
-        tp = _qpow(q, a + b)      # q^(a+b) = term at n=1
-        tm = _qpow(q, a - b)      # term at n=-1
-        step_p = _qpow(q, 3 * a + b)   # e(2)-e(1)
-        step_m = _qpow(q, 3 * a - b)
-        q2a = _qpow(q, 2 * a)
-        ep, em = a + b, a - b     # exact exponents, for the stop test
-        n = 1
-        while True:
-            s += (-1) ** n * (tp + tm)
-            if min(ep, em) > stop and n >= 2:
-                break
-            tp *= step_p
-            tm *= step_m
-            step_p *= q2a
-            step_m *= q2a
-            ep += a * (2 * n + 1) + b
-            em += a * (2 * n + 1) - b
-            n += 1
-        return +s
+        terms = _theta_terms(spec.a, spec.b, nome)
+        return +(1 + mp.fsum((-1) ** n * (tp + tm)
+                             for n, (tp, tm) in enumerate(terms, 1)))
 
 
 def theta2(nome: Nome) -> HPReal:
-    """theta_2(q) = sum q^((n+1/2)^2) = 2 q^(1/4) sum_{n>=0} q^(n^2+n)."""
-    q = nome.q
+    """theta_2(q) = sum q^((n+1/2)^2) = q^(1/4) sum_{n in Z} q^(n^2+n)."""
     with nome.ctx.workdps():
-        stop = _tail_threshold(nome)
-        s = mp.mpf(1)
-        t = mp.mpf(1)
-        n = 0
-        while n * n + n <= stop or n < 2:
-            t *= _qpow(q, 2 * (n + 1))  # q^((n+1)^2+(n+1)) / q^(n^2+n) = q^(2n+2)
-            s += t
-            n += 1
-        return +(2 * _qpow(q, Fraction(1, 4)) * s)
+        return +(_qpow(nome.q, Fraction(1, 4)) * theta_powersum(1, nome))
 
 
 def theta3(nome: Nome) -> HPReal:
-    """theta_3(q) = 1 + 2 sum_{n>=1} q^(n^2)."""
-    q = nome.q
-    with nome.ctx.workdps():
-        stop = _tail_threshold(nome)
-        s = mp.mpf(0)
-        t = mp.mpf(1)
-        n = 0
-        while n * n <= stop or n < 2:
-            t *= _qpow(q, 2 * n + 1)
-            s += t
-            n += 1
-        return +(1 + 2 * s)
+    """theta_3(q) = sum_{n in Z} q^(n^2)."""
+    return theta_powersum(0, nome)
 
 
 def theta_powersum(m: int, nome: Nome) -> HPReal:
     """sum_{n=-inf}^{inf} q^(n^2 + m*n), computed by direct summation.
 
+    The smallest exponent is -m^2/4, so the cut sits m^2/4 + 1 further
+    out to keep the tail below the threshold relative to the sum.
     (Closed forms in terms of K and the singular modulus live in
     :mod:`qalg.elliptic`; the harness compares the two.)
     """
     m = int(m)
-    q = nome.q
     with nome.ctx.workdps():
-        stop = _tail_threshold(nome) + abs(m) ** 2 / 4 + 1
-        s = mp.mpf(1)
-        tp = _qpow(q, 1 + m)
-        tm = _qpow(q, 1 - m)
-        step_p = _qpow(q, 3 + m)
-        step_m = _qpow(q, 3 - m)
-        q2 = _qpow(q, 2)
-        n = 1
-        while True:
-            s += tp + tm
-            if n * n - abs(m) * n > stop and n >= 2:
-                break
-            tp *= step_p
-            tm *= step_m
-            step_p *= q2
-            step_m *= q2
-            n += 1
-        return +s
+        terms = _theta_terms(1, m, nome, Fraction(m * m, 4) + 1)
+        return +(1 + mp.fsum(tp + tm for tp, tm in terms))
 
 
 def eta_paper(multiplier, nome: Nome) -> HPReal:
@@ -252,19 +244,9 @@ def eta_paper(multiplier, nome: Nome) -> HPReal:
     m = Fraction(multiplier)
     if m <= 0:
         raise DomainError(f"multiplier must be positive, got {m}")
-    q = nome.q
     with nome.ctx.workdps():
-        stop = _tail_threshold(nome)
-        qm = _qpow(q, m)
-        t = qm
-        prod = mp.mpf(1)
-        e = Fraction(m)
-        while e <= stop or e == m:
-            prod *= 1 - t
-            t *= qm
-            e += m
-        prod *= 1 - t
-        return +prod
+        qm = _qpow(nome.q, m)
+        return +_progression_product(m, m, qm, qm, nome)
 
 
 def m_series(c: HPReal, nome_power: HPReal, ctx: PrecisionContext) -> HPReal:
@@ -291,8 +273,8 @@ def m_series(c: HPReal, nome_power: HPReal, ctx: PrecisionContext) -> HPReal:
             n += 1
             if abs(term) < eps and abs(c * wn * w) < 1:
                 break
-            if n > 10_000_000:
-                raise DomainError("series failed to converge")
+            if n > _MAX_TERMS:
+                raise ConvergenceError("series failed to converge")
         return +s
 
 

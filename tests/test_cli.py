@@ -68,6 +68,13 @@ class TestEval:
         assert code == 0
         assert out.startswith("3.6125473612")
 
+    def test_nome_too_close_to_one(self, capsys):
+        # about 7e7 factors per side: over the term budget, refused at once
+        code, _, err = run_cli(capsys, "eval", "agile", "--a", "1", "--p", "5",
+                               "--r", "1/100000000000000", "--digits", "30")
+        assert code == 2
+        assert err.startswith("error:")
+
 
 # one value for every parameter a quantity can read
 SAMPLE_PARAMS = {"a": "1", "b": "1/2", "p": "4", "r": "2", "x": "1/5", "k": "1/3",
@@ -229,6 +236,12 @@ class TestVerify:
     def test_bad_suite(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "everything")
         assert code == 1
+
+    def test_digits_floor(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--suite", "paper-core",
+                               "--digits", "40")
+        assert code == 2
+        assert err.strip() == "error: suite runs need digits >= 50"
 
 
 def run_module(*argv, **env):

@@ -9,7 +9,6 @@ from qalg import (
     DomainError,
     PrecisionContext,
     elliptic_alpha,
-    elliptic_data,
     ellint_E,
     ellint_K,
     inverse_singular_modulus,
@@ -79,6 +78,11 @@ class TestSingularModulus:
     def test_r1_is_inverse_sqrt2(self):
         with CTX.workdps():
             assert close(singular_modulus(1, CTX), 1 / mp.sqrt(mp.mpf(2)), 55,
+                         dps=CTX.dps)
+
+    def test_r2_is_sqrt2_minus_1(self):
+        with CTX.workdps():
+            assert close(singular_modulus(2, CTX), mp.sqrt(mp.mpf(2)) - 1, 55,
                          dps=CTX.dps)
 
     def test_r_four_fifths_nested_radical(self):
@@ -172,16 +176,6 @@ class TestJInvariant:
     def test_unknown_route(self):
         with pytest.raises(DomainError):
             j_invariant(1, CTX, via="what")
-
-
-class TestBundle:
-    def test_elliptic_data_consistency(self):
-        d = elliptic_data(2, CTX)
-        with CTX.workdps():
-            assert close(d.k ** 2 + d.k_prime ** 2, 1, 55, dps=CTX.dps)
-            assert d.K > 0 and d.E > 0
-            assert close(d.j, 8000, 40, dps=CTX.dps)
-            assert close(d.k, mp.sqrt(mp.mpf(2)) - 1, 40, dps=CTX.dps)
 
 
 class TestPrecisionStability:

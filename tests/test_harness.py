@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qalg import harness
+from qalg import DomainError, harness
 
 
 class TestRegistry:
@@ -21,7 +21,7 @@ class TestRegistry:
         assert reachable == set(harness.REGISTRY)
 
     def test_unknown_suite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             harness.checks_for_suite("nope")
 
 
@@ -82,7 +82,7 @@ class TestSuiteRun:
         assert [r.abs_difference for r in seq] == [r.abs_difference for r in par]
 
     def test_digits_floor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             harness.run_suite("series-exact", 30)
 
 

@@ -1,6 +1,7 @@
 """Nome, agiles, theta sums, eta products and their exact expansions."""
 
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,6 +9,7 @@ import pytest
 
 from qalg import (
     AgileSpec,
+    ConvergenceError,
     DomainError,
     PrecisionContext,
     ThetaSpec,
@@ -28,6 +30,7 @@ from qalg import (
     theta_qexpansion,
 )
 from qalg.elliptic import ellint_K, singular_modulus, theta_powersum_closed
+from qalg.moebius import theta_qdlog
 
 from oracles import close, machin_pi
 
@@ -306,7 +309,40 @@ class TestThetaProductGrid:
                     assert close(lhs, rhs, 20, dps=ctx.dps), (a, p, r)
 
 
+class TestTermBudget:
+    @pytest.mark.parametrize("walk", [
+        lambda nome: agile(AgileSpec(1, 5), nome),
+        lambda nome: eta_paper(5, nome),
+    ], ids=["agile", "eta_paper"])
+    def test_nome_too_close_to_one(self, walk):
+        # r = 10^-14 needs about 7e7 factors per product: refused up front
+        nome = make_nome(Fraction(1, 10 ** 14), PrecisionContext(30))
+        start = time.monotonic()
+        with pytest.raises(ConvergenceError):
+            walk(nome)
+        assert time.monotonic() - start < 1
+
+
+# every caller of the shared product and theta walks not covered above
+WALKS = {
+    "eta_paper5": lambda nome: eta_paper(5, nome),
+    "theta2": theta2,
+    "theta3": theta3,
+    "theta_powersum3": lambda nome: theta_powersum(3, nome),
+    "theta_qdlog": lambda nome: theta_qdlog(
+        ThetaSpec(Fraction(5, 2), Fraction(1, 2)), nome),
+    "tau_star_shifted": lambda nome: tau_star(Fraction(23, 2), 5, nome),
+}
+
+
 class TestPrecisionStability:
+    @pytest.mark.parametrize("r", [Fraction(1, 100), Fraction(2)], ids=["r1/100", "r2"])
+    @pytest.mark.parametrize("walk", list(WALKS.values()), ids=list(WALKS))
+    def test_walk_digits_monotone(self, walk, r):
+        lo = walk(make_nome(r, PrecisionContext(40)))
+        hi = walk(make_nome(r, PrecisionContext(80)))
+        assert close(lo, hi, 39, dps=100)
+
     def test_agile_digits_monotone(self):
         lo = agile(AgileSpec(1, 5), make_nome(2, PrecisionContext(40)))
         hi = agile(AgileSpec(1, 5), make_nome(2, PrecisionContext(80)))
