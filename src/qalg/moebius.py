@@ -34,6 +34,8 @@ from .qengine import (
     star_exponent,
     theta_general,
     _qpow,
+    _tail_threshold,
+    _term_count,
     _theta_terms,
 )
 
@@ -392,6 +394,7 @@ def lambert_series(X: XLike, nome: Nome) -> HPReal:
     xf = _x_callable(X)
     ctx = nome.ctx
     with ctx.workdps():
+        _term_count(0, 0, 1, _tail_threshold(nome))  # refuse a nome too close to 1
         q = nome.q
         eps = mp.mpf(10) ** -(ctx.digits + ctx.guard)
         one_minus_q = 1 - q
@@ -414,6 +417,7 @@ def eta_qdlog(multiplier: int, nome: Nome) -> HPReal:
     m = int(multiplier)
     ctx = nome.ctx
     with ctx.workdps():
+        _term_count(0, 0, m, _tail_threshold(nome))  # refuse a nome too close to 1
         q = nome.q
         qm = _qpow(q, Fraction(m))
         eps = mp.mpf(10) ** -(ctx.digits + ctx.guard)

@@ -298,6 +298,9 @@ def tau_star(a, p, nome: Nome) -> HPReal:
     a, p = Fraction(a), Fraction(p)
     if a <= 0 or p <= 0:
         raise DomainError("a and p must be positive")
+    if (a / p).denominator == 1:
+        raise DomainError(f"a must not be a multiple of p (the factor 1 - q^0 "
+                          f"vanishes), got a={a}, p={p}")
     nome2 = nome.scaled(Fraction(2))
     with nome.ctx.workdps():
         e = star_exponent(a, p)

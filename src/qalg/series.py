@@ -1,10 +1,11 @@
 """Exact formal power series over the rationals.
 
-Dense coefficient storage up to a truncation order N; every operation is
-carried out in exact Fraction arithmetic, so series identities checked at
-order N are genuine integer/rational equalities rather than float
-comparisons.  Binary operations on series of different orders truncate to
-the smaller order.
+Dense coefficient storage up to a truncation order N.  Each coefficient is
+an int, or a Fraction where the value is not an integer; floats are
+refused.  Every operation is exact, so series identities checked at order N
+are genuine integer/rational equalities rather than float comparisons.
+Binary operations on series of different orders truncate to the smaller
+order.
 """
 
 from __future__ import annotations
@@ -19,6 +20,15 @@ from .errors import OrderError
 Coeff = Union[int, Fraction]
 
 
+def _exact(c) -> Coeff:
+    """c as an int when it is integral, else as a Fraction."""
+    if isinstance(c, int):
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise OrderError(f"series coefficients must be int or Fraction, got {c!r}")
+
+
 class FormalSeries:
     """A truncated power series  c0 + c1*q + ... + cN*q^N  with exact
     rational coefficients."""
@@ -28,7 +38,7 @@ class FormalSeries:
     def __init__(self, coeffs: Sequence[Coeff]):
         if not coeffs:
             raise OrderError("a series needs at least a constant term")
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(map(_exact, coeffs))
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -41,10 +51,10 @@ class FormalSeries:
 
     @classmethod
     def from_terms(cls, terms: dict[int, Coeff], order: int) -> "FormalSeries":
-        c = [Fraction(0)] * (order + 1)
+        c = [0] * (order + 1)
         for e, v in terms.items():
             if 0 <= e <= order:
-                c[e] += Fraction(v)
+                c[e] += _exact(v)
         return cls(c)
 
     # -- basic protocol ----------------------------------------------
@@ -52,7 +62,7 @@ class FormalSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> Coeff:
         return self.coeffs[n]
 
     def __len__(self) -> int:
@@ -87,13 +97,13 @@ class FormalSeries:
         return FormalSeries([-c for c in self.coeffs])
 
     def scale(self, c: Coeff) -> "FormalSeries":
-        c = Fraction(c)
+        c = _exact(c)
         return FormalSeries([c * x for x in self.coeffs])
 
     def __mul__(self, other: "FormalSeries") -> "FormalSeries":
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i in range(min(len(a) - 1, n) + 1):
             ai = a[i]
             if not ai:
@@ -108,14 +118,14 @@ class FormalSeries:
         if e < 0:
             raise OrderError("negative shifts are not representable")
         return FormalSeries(
-            tuple([Fraction(0)] * e) + self.coeffs[: max(0, len(self.coeffs) - e)]
+            (0,) * e + self.coeffs[: max(0, len(self.coeffs) - e)]
         )
 
     def mul_one_minus(self, e: int, c: Coeff = 1) -> "FormalSeries":
         """Multiply by (1 - c*q**e) in O(N)."""
         if e <= 0:
             raise OrderError("exponent must be positive")
-        c = Fraction(c)
+        c = _exact(c)
         out = list(self.coeffs)
         for i in range(len(out) - 1, e - 1, -1):
             out[i] -= c * self.coeffs[i - e]
@@ -125,10 +135,11 @@ class FormalSeries:
         a = self.coeffs
         if a[0] == 0:
             raise OrderError("cannot invert a series with zero constant term")
-        inv0 = 1 / a[0]
-        out = [inv0] + [Fraction(0)] * self.order
+        # a unit constant term keeps integer coefficients integral
+        inv0 = a[0] if a[0] in (1, -1) else 1 / Fraction(a[0])
+        out = [inv0] + [0] * self.order
         for n in range(1, self.order + 1):
-            s = Fraction(0)
+            s = 0
             for k in range(1, n + 1):
                 if k < len(a) and a[k]:
                     s += a[k] * out[n - k]
@@ -161,13 +172,13 @@ class FormalSeries:
             raise OrderError("series log requires constant term 1")
         f = self.coeffs
         n_ord = self.order
-        out = [Fraction(0)] * (n_ord + 1)
+        out = [0] * (n_ord + 1)
         for n in range(1, n_ord + 1):
-            s = Fraction(n) * f[n]
+            s = n * f[n]
             for k in range(1, n):
                 if out[k] and f[n - k]:
                     s -= k * out[k] * f[n - k]
-            out[n] = s / n
+            out[n] = _exact(Fraction(s, n))
         return FormalSeries(out)
 
     def exp(self) -> "FormalSeries":
@@ -175,13 +186,13 @@ class FormalSeries:
             raise OrderError("series exp requires constant term 0")
         l = self.coeffs
         n_ord = self.order
-        out = [Fraction(1)] + [Fraction(0)] * n_ord
+        out = [1] + [0] * n_ord
         for n in range(1, n_ord + 1):
-            s = Fraction(0)
+            s = 0
             for k in range(1, n + 1):
                 if l[k]:
                     s += k * l[k] * out[n - k]
-            out[n] = s / n
+            out[n] = _exact(Fraction(s, n))
         return FormalSeries(out)
 
     # -- numeric bridge -----------------------------------------------
@@ -193,12 +204,37 @@ class FormalSeries:
         return acc
 
 
+def _times_one_minus(c: list, e: int) -> None:
+    """Multiply the coefficient list c by (1 - q^e) in place; i runs
+    downwards so that c[i - e] is still the old coefficient."""
+    if e <= 0:
+        raise OrderError("exponent must be positive")
+    for i in range(len(c) - 1, e - 1, -1):
+        c[i] -= c[i - e]
+
+
+def _over_one_minus(c: list, e: int) -> None:
+    """Divide the coefficient list c by (1 - q^e) in place: a running sum,
+    i upwards so that c[i - e] is already the new coefficient."""
+    for i in range(e, len(c)):
+        c[i] += c[i - e]
+
+
 def exponent_product(x_of_n: Callable[[int], Coeff], order: int) -> FormalSeries:
     """The exact expansion of  prod_{n>=1} (1 - q^n)^(x(n))  to the given
-    order, via log/exp: log of the product is -sum_j q^j/j * sum_{d|j} d*x(d).
+    order.  Integer exponents take |x(n)| in-place passes per factor;
+    otherwise log/exp: log of the product is -sum_j q^j/j * sum_{d|j} d*x(d).
     """
-    logs = [Fraction(0)] * (order + 1)
     xs = [Fraction(0)] + [Fraction(x_of_n(n)) for n in range(1, order + 1)]
+    if all(x.denominator == 1 for x in xs):
+        out = [1] + [0] * order
+        for n in range(1, order + 1):
+            for _ in range(xs[n].numerator):
+                _times_one_minus(out, n)
+            for _ in range(-xs[n].numerator):
+                _over_one_minus(out, n)
+        return FormalSeries(out)
+    logs = [Fraction(0)] * (order + 1)
     for d in range(1, order + 1):
         xd = xs[d]
         if not xd:
@@ -212,8 +248,8 @@ def exponent_product(x_of_n: Callable[[int], Coeff], order: int) -> FormalSeries
 
 def one_minus_power_product(exponents: Sequence[int], order: int) -> FormalSeries:
     """prod (1 - q^e) over the listed exponents (each clipped at the order)."""
-    s = FormalSeries.one(order)
+    out = [1] + [0] * order
     for e in exponents:
         if e <= order:
-            s = s.mul_one_minus(e)
-    return s
+            _times_one_minus(out, e)
+    return FormalSeries(out)

@@ -1,6 +1,7 @@
 """Moebius inversion, period detection, representations, Lambert series."""
 
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qalg import (
+    ConvergenceError,
     DomainError,
     FormalSeries,
     InsufficientData,
@@ -32,6 +34,7 @@ from qalg import (
 from qalg.moebius import (
     PeriodicCoeffs,
     coeffs_from_X,
+    eta_qdlog,
     product_value,
     squarefree_divisors,
     theta_value,
@@ -318,6 +321,52 @@ class TestLambert:
 
             numeric = q * (theta_at(q + h) - theta_at(q - h)) / (2 * h) / theta_at(q)
             assert close(theta_qdlog(spec, nome), numeric, 35, dps=ctx.dps)
+
+
+LOGDERIV_WALKS = {
+    "lambert_series": lambda nome: lambert_series(JacobiCharacter(5), nome),
+    "eta_qdlog": lambda nome: eta_qdlog(5, nome),
+}
+
+
+class TestLogDerivativeWalks:
+    # values of the epsilon-stopped loops, pinned to every digit asked for
+    PINNED = {
+        ("lambert_series", "1/100", 40): "0.1999999978244745988169126381552801860389",
+        ("eta_qdlog", "1/100", 40): "-1.950117234774788772189587530365420557013",
+        ("lambert_series", "2", 40): "0.01162043958968534133337157400930958650241",
+        ("eta_qdlog", "2", 40): "-0.000000001125569420616580155752390688361413444775",
+        ("lambert_series", "1/100", 120):
+            "0.1999999978244745988169126381552801860388862681752458372716"
+            "243461143475632273620947364781157655492963273392679782456017"
+            "84",
+        ("eta_qdlog", "1/100", 120):
+            "-1.950117234774788772189587530365420557012910846634086580802"
+            "824591917775623142503161701857312795443472583347096548236972"
+            "49",
+        ("lambert_series", "2", 120):
+            "0.0116204395896853413333715740093095865024075487812354278108"
+            "108702181994370494700724823945998584837811223274276369586495"
+            "172",
+        ("eta_qdlog", "2", 120):
+            "-0.000000001125569420616580155752390688361413444774584262316"
+            "935743695036556610256498893007672803473274813158899640504501"
+            "31321866825",
+    }
+
+    @pytest.mark.parametrize("walk", sorted(LOGDERIV_WALKS))
+    def test_nome_too_close_to_one(self, walk):
+        # r = 10^-14 needs over 10^7 terms: refused up front
+        nome = make_nome(Fraction(1, 10 ** 14), PrecisionContext(30))
+        start = time.monotonic()
+        with pytest.raises(ConvergenceError):
+            LOGDERIV_WALKS[walk](nome)
+        assert time.monotonic() - start < 1
+
+    @pytest.mark.parametrize("walk,r,digits", sorted(PINNED))
+    def test_pinned_values(self, walk, r, digits):
+        value = LOGDERIV_WALKS[walk](make_nome(Fraction(r), PrecisionContext(digits)))
+        assert mp.nstr(value, digits) == self.PINNED[walk, r, digits]
 
 
 class TestSquareCharacterIdentity:

@@ -248,6 +248,13 @@ class TestDuplicationRatio:
         with pytest.raises(DomainError):
             tau_star(Fraction(-1, 2), 5, nome)
 
+    @pytest.mark.parametrize("multiple", [1, 2])
+    def test_multiple_of_p_refused(self, multiple):
+        # a in pZ puts the factor 1 - q^0 = 0 in both products
+        nome = make_nome(2, PrecisionContext(40))
+        with pytest.raises(DomainError):
+            tau_star(5 * multiple, 5, nome)
+
     def test_shift_and_mirror_symmetry(self):
         rng = random.Random(20240817)
         nome = make_nome(2, CTX)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qalg import FormalSeries, OrderError, exponent_product
+from qalg.series import one_minus_power_product
 
 rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6)
@@ -68,6 +69,72 @@ class TestBasics:
         assert (a + b).order == 4
 
 
+class TestExactCoefficients:
+    def test_non_unit_inverse_is_rational(self):
+        c0 = FormalSeries([2, 1]).inverse()[0]
+        assert c0 == Fraction(1, 2) and type(c0) is Fraction
+
+    def test_int_and_fraction_coefficients_agree(self):
+        a, b = FormalSeries([1, 2]), FormalSeries([Fraction(1), Fraction(2)])
+        assert a == b and hash(a) == hash(b)
+
+    def test_float_refused(self):
+        with pytest.raises(OrderError):
+            FormalSeries([0.5])
+
+
+def _log_exp_product(xs, order):
+    """prod (1 - q^n)^(xs[n-1]) through its rational log:
+    -sum_j q^j/j * sum_{d|j} d*x(d), then exp."""
+    logs = [Fraction(0)] * (order + 1)
+    for d in range(1, order + 1):
+        for j in range(d, order + 1, d):
+            logs[j] -= xs[d - 1] * d
+    return FormalSeries([0] + [logs[j] / j for j in range(1, order + 1)]).exp()
+
+
+def _repeated_product(s, k):
+    out = FormalSeries.one(s.order)
+    for _ in range(k):
+        out = out * s
+    return out
+
+
+integer_exponents = st.integers(1, 60).flatmap(
+    lambda n: st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+
+
+class TestIntegerPaths:
+    @settings(max_examples=40, deadline=None)
+    @given(integer_exponents)
+    def test_exponent_product_matches_log_exp(self, xs):
+        order = len(xs)
+        assert (exponent_product(lambda n: xs[n - 1], order)
+                == _log_exp_product(xs, order))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60), st.lists(st.integers(1, 70), max_size=40))
+    def test_one_minus_power_product_matches_chained(self, order, exps):
+        ref = FormalSeries.one(order)
+        for e in exps:
+            if e <= order:
+                ref = ref.mul_one_minus(e)
+        assert one_minus_power_product(exps, order) == ref
+
+    @pytest.mark.parametrize("c0", [1, -1, 2, -3])
+    @settings(max_examples=30, deadline=None)
+    @given(cs=st.lists(st.integers(-5, 5), min_size=10, max_size=10),
+           k=st.integers(-4, 4))
+    def test_pow_int_matches_repeated_product(self, c0, cs, k):
+        s = FormalSeries([c0] + cs)
+        power = _repeated_product(s, abs(k))
+        if k >= 0:
+            assert s.pow_int(k) == power
+        else:
+            assert s.pow_int(k) == power.inverse()
+            assert s.pow_int(k) * power == FormalSeries.one(s.order)
+
+
 class TestRoundTrips:
     def test_periodic_product_log_exp_roundtrip(self):
         # prod (1-q^n)^(X(n)) for the 5-periodic symbol pattern, order 60
@@ -75,6 +142,12 @@ class TestRoundTrips:
         pattern = [1, -1, -1, 1, 0]
         s = exponent_product(lambda k: pattern[(k - 1) % 5], n)
         assert s.log().exp() == s
+
+    def test_fractional_exponents_square_to_integer_ones(self):
+        # the log/exp route (proper fractions) against the integer passes
+        n = 30
+        half = exponent_product(lambda k: Fraction(k % 3, 2), n)
+        assert half * half == exponent_product(lambda k: k % 3, n)
 
     def test_rational_power_roundtrip(self):
         n = 24
