@@ -43,7 +43,7 @@ from .elliptic import (
     multiplier,
     singular_modulus,
 )
-from .hpcore import exp_hp, integrate, log_hp, nth_root, pi_const, pow_rational
+from .hpcore import integrate, pow_rational
 from .moebius import (
     JacobiCharacter,
     PeriodicCoeffs,

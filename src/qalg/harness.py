@@ -14,6 +14,11 @@ against its tolerance:
 * recorded checks:  measurements around a known ambiguity; they never
   pass or fail, they carry data.
 
+A check is a function of the ``PrecisionContext``.  A two-sided check
+returns a ``Residual`` (tolerance ``ctx.eps_check``); a check with any
+other measure returns a ``CheckOutcome``.  The runner sets the working
+precision around the check and formats its report at that precision.
+
 Suites: ``paper-core`` (the numeric identity grid), ``conjectures``
 (recognition-based checks), ``series-exact`` (coefficientwise identities),
 ``all``.
@@ -26,6 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 import mpmath as mp
@@ -67,12 +73,15 @@ from .moebius import (
     lambert_series,
     logderiv_representation,
     normalized_value,
+    product_value,
+    represent_product,
     square_character_eta_identity,
     squarefree_divisors,
     theta_qdlog,
     theta_value,
 )
 from .modular import (
+    Residual,
     eq43_derivative_check,
     klein_j_from_R,
     modular5_check,
@@ -105,7 +114,7 @@ class IdentityCheck:
     suites: tuple
     anchors: tuple
     kind: str  # numeric | exact | recorded
-    run: Callable[[PrecisionContext], CheckOutcome]
+    run: Callable[[PrecisionContext], Residual | CheckOutcome]
     min_digits: int = 0  # floor for checks that need headroom (recognition)
 
 
@@ -139,27 +148,6 @@ def _num(v) -> str:
     return mp.nstr(mp.mpf(v), 40)
 
 
-def _residual_outcome(res, ctx: PrecisionContext, note: str = "") -> CheckOutcome:
-    return CheckOutcome(
-        lhs=_num(res.lhs),
-        rhs=_num(res.rhs),
-        diff=abs(res.lhs - res.rhs),
-        tolerance=ctx.eps_check,
-        note=note or res.note,
-    )
-
-
-def _pair_outcome(lhs, rhs, ctx: PrecisionContext, note: str = "",
-                  tolerance=None) -> CheckOutcome:
-    return CheckOutcome(
-        lhs=_num(lhs),
-        rhs=_num(rhs),
-        diff=abs(lhs - rhs),
-        tolerance=ctx.eps_check if tolerance is None else tolerance,
-        note=note,
-    )
-
-
 def _series_outcome(lhs: FormalSeries, rhs: FormalSeries, note: str = "") -> CheckOutcome:
     n = min(lhs.order, rhs.order)
     mismatches = sum(1 for i in range(n + 1) if lhs[i] != rhs[i])
@@ -183,416 +171,277 @@ def _kron5(n: int) -> int:
     return _KRON5[(n - 1) % 5]
 
 
-def _check_modular5(r: Fraction, which: int):
-    def run(ctx):
+def _modulus_theta(ctx, r: Fraction):
+    nome = make_nome(r, ctx)
+    return Residual(singular_modulus(r, ctx), theta2(nome) ** 2 / theta3(nome) ** 2,
+                    note="root-finding vs theta quotient")
+
+
+def _modulus25_theta(ctx, r: Fraction):
+    nome5 = make_nome(r, ctx).scaled(Fraction(5))
+    return Residual(singular_modulus(25 * r, ctx), theta2(nome5) ** 2 / theta3(nome5) ** 2)
+
+
+def _klein(ctx, r: Fraction):
+    R = rrcf(make_nome(4 * r, ctx))
+    return Residual(klein_j_from_R(R, ctx), j_invariant(r, ctx),
+                    note="j from the continued fraction vs modulus form")
+
+
+def _eta_power(ctx, r: Fraction):
+    nome = make_nome(r, ctx)
+    k = singular_modulus(r, ctx)
+    kp = mp.sqrt(1 - k * k)
+    K = ellint_K(k, ctx)
+    lhs = eta_paper(1, nome) ** 8
+    rhs = (2 ** (mp.mpf(8) / 3) / mp.pi ** 4 * _qpow(nome.q, Fraction(-1, 3))
+           * k ** (mp.mpf(2) / 3) * kp ** (mp.mpf(8) / 3) * K ** 4)
+    return Residual(lhs, rhs)
+
+
+def _theta_eta_agile_grid(ctx, rs, pmax: int):
+    worst = mp.mpf(0)
+    worst_at = ""
+    for r in rs:
         nome = make_nome(r, ctx)
-        first, second = modular5_check(nome)
-        return _residual_outcome((first, second)[which], ctx)
-    return run
+        for p in range(3, pmax + 1):
+            ep = eta_paper(p, nome)
+            for a in range(1, (p + 1) // 2 + 1):
+                lhs = ep * agile(AgileSpec(a, p), nome)
+                rhs = theta_general(
+                    ThetaSpec(Fraction(p, 2), Fraction(p - 2 * a, 2)), nome)
+                d = abs(lhs - rhs)
+                if d > worst:
+                    worst, worst_at = d, f"a={a},p={p},r={r}"
+    return CheckOutcome(
+        lhs="eta(p)*[a,p;q] (grid)", rhs="theta(p/2,(p-2a)/2;q) (grid)",
+        diff=worst, tolerance=ctx.eps_check,
+        note=f"worst pair {worst_at}")
 
 
-def _check_modulus_theta(r: Fraction):
-    def run(ctx):
-        with ctx.workdps():
-            nome = make_nome(r, ctx)
-            lhs = singular_modulus(r, ctx)
-            rhs = theta2(nome) ** 2 / theta3(nome) ** 2
-            return _pair_outcome(lhs, rhs, ctx, note="root-finding vs theta quotient")
-    return run
+def _eq28(ctx, a: int, p: int, r: Fraction):
+    nome = make_nome(r, ctx)
+    spec = AgileSpec(a, p)
+    return Residual(agile(spec, nome), agile_via_triangular(spec, nome),
+                    note="direct product vs triangular-number series")
 
 
-def _check_modulus25_theta(r: Fraction):
-    def run(ctx):
-        with ctx.workdps():
-            nome5 = make_nome(r, ctx).scaled(Fraction(5))
-            lhs = singular_modulus(25 * r, ctx)
-            rhs = theta2(nome5) ** 2 / theta3(nome5) ** 2
-            return _pair_outcome(lhs, rhs, ctx)
-    return run
-
-
-def _check_klein(r: Fraction):
-    def run(ctx):
-        with ctx.workdps():
-            R = rrcf(make_nome(4 * r, ctx))
-            lhs = klein_j_from_R(R, ctx)
-            rhs = j_invariant(r, ctx)
-            return _pair_outcome(lhs, rhs, ctx, note="j from the continued fraction vs modulus form")
-    return run
-
-
-def _check_eq09(r: Fraction):
-    def run(ctx):
-        return _residual_outcome(ramanujan_modular5_check(make_nome(r, ctx)), ctx)
-    return run
-
-
-def _check_j_eta_route(r: Fraction):
-    def run(ctx):
-        with ctx.workdps():
-            return _pair_outcome(j_invariant(r, ctx, via="modulus"),
-                                 j_invariant(r, ctx, via="eta"), ctx)
-    return run
-
-
-def _check_eta_power(r: Fraction):
-    def run(ctx):
-        with ctx.workdps():
-            nome = make_nome(r, ctx)
-            k = singular_modulus(r, ctx)
-            kp = mp.sqrt(1 - k * k)
-            K = ellint_K(k, ctx)
-            lhs = eta_paper(1, nome) ** 8
-            rhs = (2 ** (mp.mpf(8) / 3) / mp.pi ** 4 * _qpow(nome.q, Fraction(-1, 3))
-                   * k ** (mp.mpf(2) / 3) * kp ** (mp.mpf(8) / 3) * K ** 4)
-            return _pair_outcome(lhs, rhs, ctx)
-    return run
-
-
-def _check_theta_eta_agile_grid(rs, pmax: int):
-    def run(ctx):
-        worst = mp.mpf(0)
-        worst_at = ""
-        with ctx.workdps():
-            for r in rs:
-                nome = make_nome(r, ctx)
-                for p in range(3, pmax + 1):
-                    ep = eta_paper(p, nome)
-                    for a in range(1, (p + 1) // 2 + 1):
-                        if a >= p:
-                            continue
-                        lhs = ep * agile(AgileSpec(a, p), nome)
-                        rhs = theta_general(
-                            ThetaSpec(Fraction(p, 2), Fraction(p - 2 * a, 2)), nome)
-                        d = abs(lhs - rhs)
-                        if d > worst:
-                            worst, worst_at = d, f"a={a},p={p},r={r}"
-            return CheckOutcome(
-                lhs="eta(p)*[a,p;q] (grid)", rhs="theta(p/2,(p-2a)/2;q) (grid)",
-                diff=+worst, tolerance=ctx.eps_check,
-                note=f"worst pair {worst_at}")
-    return run
-
-
-def _check_eq28(a: int, p: int, r: Fraction):
-    def run(ctx):
-        with ctx.workdps():
-            nome = make_nome(r, ctx)
-            spec = AgileSpec(a, p)
-            return _pair_outcome(agile(spec, nome), agile_via_triangular(spec, nome),
-                                 ctx, note="direct product vs triangular-number series")
-    return run
-
-
-def _check_duplication(r: Fraction):
+def _duplication(ctx, r: Fraction):
     # shift/mirror invariance of the squared-nome ratio
     cases = [(Fraction(1, 3), 4), (Fraction(2, 7), 3), (Fraction(5, 4), 7),
              (Fraction(3, 5), 5), (Fraction(7, 6), 9)]
-
-    def run(ctx):
-        worst = mp.mpf(0)
-        with ctx.workdps():
-            nome = make_nome(r, ctx)
-            for a, p in cases:
-                base = tau_star(a, p, nome)
-                for shifted in (p - a, p + a, 2 * p - a, 2 * p + a):
-                    worst = max(worst, abs(tau_star(shifted, p, nome) - base))
-            return CheckOutcome("tau*(a,p)", "tau*(np+-a,p)", +worst, ctx.eps_check,
-                                note=f"{len(cases)} rational a, shifts n=1,2")
-    return run
+    worst = mp.mpf(0)
+    nome = make_nome(r, ctx)
+    for a, p in cases:
+        base = tau_star(a, p, nome)
+        for shifted in (p - a, p + a, 2 * p - a, 2 * p + a):
+            worst = max(worst, abs(tau_star(shifted, p, nome) - base))
+    return CheckOutcome("tau*(a,p)", "tau*(np+-a,p)", worst, ctx.eps_check,
+                        note=f"{len(cases)} rational a, shifts n=1,2")
 
 
-def _check_eq35(r: Fraction):
-    def run(ctx):
-        with ctx.workdps():
-            nome = make_nome(r, ctx)
-            lhs = lambert_series(JacobiCharacter(5), nome)
-            rhs = (theta_qdlog(ThetaSpec(Fraction(5, 2), Fraction(1, 2)), nome)
-                   - theta_qdlog(ThetaSpec(Fraction(5, 2), Fraction(3, 2)), nome))
-            return _pair_outcome(lhs, rhs, ctx,
-                                 note="Jacobi-symbol Lambert sum vs theta quotient log-derivative")
-    return run
+def _eq35(ctx, r: Fraction):
+    nome = make_nome(r, ctx)
+    lhs = lambert_series(JacobiCharacter(5), nome)
+    rhs = (theta_qdlog(ThetaSpec(Fraction(5, 2), Fraction(1, 2)), nome)
+           - theta_qdlog(ThetaSpec(Fraction(5, 2), Fraction(3, 2)), nome))
+    return Residual(lhs, rhs, note="Jacobi-symbol Lambert sum vs theta quotient log-derivative")
 
 
-def _check_eq36(r: Fraction):
-    def run(ctx):
-        with ctx.workdps():
-            nome = make_nome(r, ctx)
-            L1 = lambert_series(JacobiCharacter(1), nome)
-            L5 = lambert_series(JacobiCharacter(1), nome.scaled(Fraction(5)))
-            lhs = L1 - 5 * L5
-            rhs = -(theta_qdlog(ThetaSpec(Fraction(5, 2), Fraction(1, 2)), nome)
-                    + theta_qdlog(ThetaSpec(Fraction(5, 2), Fraction(3, 2)), nome)
-                    - 2 * eta_qdlog(5, nome))
-            return _pair_outcome(lhs, rhs, ctx)
-    return run
+def _eq36(ctx, r: Fraction):
+    nome = make_nome(r, ctx)
+    L1 = lambert_series(JacobiCharacter(1), nome)
+    L5 = lambert_series(JacobiCharacter(1), nome.scaled(Fraction(5)))
+    lhs = L1 - 5 * L5
+    rhs = -(theta_qdlog(ThetaSpec(Fraction(5, 2), Fraction(1, 2)), nome)
+            + theta_qdlog(ThetaSpec(Fraction(5, 2), Fraction(3, 2)), nome)
+            - 2 * eta_qdlog(5, nome))
+    return Residual(lhs, rhs)
 
 
-def _check_thm2(values, r: Fraction):
-    def run(ctx):
-        pc = detect_period([Fraction(v) for v in values] * 3, len(values))
-        nome = make_nome(r, ctx)
-        with ctx.workdps():
-            return _pair_outcome(lambert_series(pc, nome),
-                                 logderiv_representation(pc, nome), ctx,
-                                 note=f"period {pc.period} Lambert sum vs termwise log-derivative")
-    return run
+def _thm2(ctx, values, r: Fraction):
+    pc = detect_period([Fraction(v) for v in values] * 3, len(values))
+    nome = make_nome(r, ctx)
+    return Residual(lambert_series(pc, nome), logderiv_representation(pc, nome),
+                    note=f"period {pc.period} Lambert sum vs termwise log-derivative")
 
 
-def _check_thm1_consistency(values, r: Fraction):
-    def run(ctx):
-        pc = detect_period([Fraction(v) for v in values] * 3, len(values))
-        nome = make_nome(r, ctx)
-        with ctx.workdps():
-            from .moebius import product_value
-            return _pair_outcome(product_value(pc, nome), theta_value(pc, nome), ctx,
-                                 note="q-product form vs eta/theta form")
-    return run
+def _thm1_consistency(ctx, values, r: Fraction):
+    pc = detect_period([Fraction(v) for v in values] * 3, len(values))
+    nome = make_nome(r, ctx)
+    return Residual(product_value(pc, nome), theta_value(pc, nome),
+                    note="q-product form vs eta/theta form")
 
 
-def _check_eq39_numeric(r: Fraction):
-    def run(ctx):
-        nome = make_nome(r, ctx)
-        with ctx.workdps():
-            return _pair_outcome(sextic_theta(nome, via="theta"),
-                                 sextic_theta(nome, via="rrcf"), ctx)
-    return run
+def _eq39_numeric(ctx, r: Fraction):
+    nome = make_nome(r, ctx)
+    return Residual(sextic_theta(nome, via="theta"), sextic_theta(nome, via="rrcf"))
 
 
-def _check_eq39_worked(ctx_r=Fraction(1, 5)):
-    def run(ctx):
-        nome = make_nome(ctx_r, ctx)
-        with ctx.workdps():
-            return _pair_outcome(sextic_theta(nome), 5 * mp.sqrt(mp.mpf(5)), ctx,
-                                 note="bridge value at r=1/5 is 5*sqrt(5)")
-    return run
+def _eq39_worked(ctx):
+    return Residual(sextic_theta(make_nome(Fraction(1, 5), ctx)), 5 * mp.sqrt(mp.mpf(5)),
+                    note="bridge value at r=1/5 is 5*sqrt(5)")
 
 
-def _check_thm3(r: Fraction):
-    def run(ctx):
-        return _residual_outcome(theorem3_check(r, ctx), ctx)
-    return run
+def _k45_radical(ctx):
+    s = mp.sqrt(2 - 4 * mp.sqrt(-2 + mp.sqrt(mp.mpf(5))))
+    radical = (2 - s) / (2 + s)
+    return Residual(singular_modulus(Fraction(4, 5), ctx), radical,
+                    note="nested radical for the modulus at 4/5")
 
 
-def _check_k45_radical():
-    def run(ctx):
-        with ctx.workdps():
-            s = mp.sqrt(2 - 4 * mp.sqrt(-2 + mp.sqrt(mp.mpf(5))))
-            radical = (2 - s) / (2 + s)
-            return _pair_outcome(singular_modulus(Fraction(4, 5), ctx), radical, ctx,
-                                 note="nested radical for the modulus at 4/5")
-    return run
+def _eq43(ctx, r: Fraction):
+    res = eq43_derivative_check(r, ctx)
+    tol = mp.mpf(10) ** -(ctx.digits // 4 - 4)
+    return CheckOutcome(_num(res.lhs), _num(res.rhs), res.diff / abs(res.rhs), tol,
+                        note="relative difference; finite-difference tolerance 1e-(digits/4-4)")
 
 
-def _check_eq43(r: Fraction):
-    def run(ctx):
-        res = eq43_derivative_check(r, ctx)
-        with ctx.workdps():
-            tol = mp.mpf(10) ** -(ctx.digits // 4 - 4)
-            rel = abs(res.lhs - res.rhs) / abs(res.rhs)
-            return CheckOutcome(_num(res.lhs), _num(res.rhs), +rel, +tol,
-                                note="relative difference; finite-difference tolerance 1e-(digits/4-4)")
-    return run
+def _eq46(ctx, r: Fraction):
+    nome = make_nome(r, ctx)
+    lhs = 1 - 24 * lambert_series(JacobiCharacter(1), nome)
+    k = singular_modulus(r, ctx)
+    K = ellint_K(k, ctx)
+    sr = mp.sqrt(to_mpf(r))
+    rhs = (6 / (mp.pi * sr)
+           + 4 * K * K * (-6 * elliptic_alpha(r, ctx) + sr * (1 + k * k))
+           / (mp.pi ** 2 * sr))
+    return Residual(lhs, rhs)
 
 
-def _check_eq46(r: Fraction):
-    def run(ctx):
-        with ctx.workdps():
-            nome = make_nome(r, ctx)
-            lhs = 1 - 24 * lambert_series(JacobiCharacter(1), nome)
-            k = singular_modulus(r, ctx)
-            K = ellint_K(k, ctx)
-            sr = mp.sqrt(to_mpf(r))
-            rhs = (6 / (mp.pi * sr)
-                   + 4 * K * K * (-6 * elliptic_alpha(r, ctx) + sr * (1 + k * k))
-                   / (mp.pi ** 2 * sr))
-            return _pair_outcome(lhs, rhs, ctx)
-    return run
+def _powersum(ctx, r: Fraction, ms: tuple):
+    nome = make_nome(r, ctx)
+    worst = max(abs(theta_powersum(m, nome) - theta_powersum_closed(m, r, ctx))
+                for m in ms)
+    return CheckOutcome("sum q^(n^2+mn) (direct)", "closed form", worst,
+                        ctx.eps_check, note=f"m in {list(ms)}")
 
 
-def _check_powersum(r: Fraction, ms: tuple):
-    def run(ctx):
-        worst = mp.mpf(0)
-        with ctx.workdps():
-            nome = make_nome(r, ctx)
-            for m in ms:
-                worst = max(worst, abs(theta_powersum(m, nome)
-                                       - theta_powersum_closed(m, r, ctx)))
-            return CheckOutcome("sum q^(n^2+mn) (direct)", "closed form", +worst,
-                                ctx.eps_check, note=f"m in {list(ms)}")
-    return run
+def _q14(ctx, r: Fraction):
+    nome = make_nome(r, ctx)
+    k = singular_modulus(r, ctx)
+    lhs = agile_star(AgileSpec(1, 4), nome) ** 12
+    return Residual(lhs, 4 * (1 - k * k) / k, note="12th power of the (1,4) starred product")
 
 
-def _check_q14(r: Fraction):
-    def run(ctx):
-        with ctx.workdps():
-            nome = make_nome(r, ctx)
-            k = singular_modulus(r, ctx)
-            lhs = agile_star(AgileSpec(1, 4), nome) ** 12
-            return _pair_outcome(lhs, 4 * (1 - k * k) / k, ctx,
-                                 note="12th power of the (1,4) starred product")
-    return run
+def _q12_4(ctx, r: Fraction):
+    nome = make_nome(r, ctx)
+    k = singular_modulus(r, ctx)
+    lhs = agile_star(AgileSpec(Fraction(1, 2), 4), nome) ** 48
+    rhs = (4 * (1 - k) ** 4 * (2 + k - 2 * mp.sqrt(1 + k)) ** 12
+           / (k ** 13 * (1 + k) ** 2))
+    return Residual(lhs, rhs, note="48th power of the (1/2,4) starred product")
 
 
-def _check_q12_4(r: Fraction):
-    def run(ctx):
-        with ctx.workdps():
-            nome = make_nome(r, ctx)
-            k = singular_modulus(r, ctx)
-            lhs = agile_star(AgileSpec(Fraction(1, 2), 4), nome) ** 48
-            rhs = (4 * (1 - k) ** 4 * (2 + k - 2 * mp.sqrt(1 + k)) ** 12
-                   / (k ** 13 * (1 + k) ** 2))
-            return _pair_outcome(lhs, rhs, ctx,
-                                 note="48th power of the (1/2,4) starred product")
-    return run
+def _thm4_p2(ctx):
+    res = theorem4_check(2, Fraction(1), ctx)
+    return Residual(res.lhs, res.rhs,
+                    note="literal form at p=2 (empty theta product); measured, not asserted")
 
 
-def _check_thm4(p: int, r: Fraction):
-    def run(ctx):
-        return _residual_outcome(theorem4_check(p, r, ctx), ctx)
-    return run
+def _example2(ctx):
+    pc = detect_period([Fraction(v) for v in (1, 1, 0)] * 4, 3)
+    lhs = normalized_value(pc, make_nome(Fraction(1), ctx))
+    inner = 81 * (885 + 511 * mp.sqrt(mp.mpf(3))
+                  - 3 * mp.sqrt(174033 + 100478 * mp.sqrt(mp.mpf(3))))
+    return Residual(lhs, mp.root(inner, 12), note=f"A={pc.A}")
 
 
-def _check_example2():
-    def run(ctx):
-        pc = detect_period([Fraction(v) for v in (1, 1, 0)] * 4, 3)
-        nome = make_nome(Fraction(1), ctx)
-        with ctx.workdps():
-            lhs = normalized_value(pc, nome)
-            inner = 81 * (885 + 511 * mp.sqrt(mp.mpf(3))
-                          - 3 * mp.sqrt(174033 + 100478 * mp.sqrt(mp.mpf(3))))
-            rhs = mp.root(inner, 12)
-            return _pair_outcome(lhs, rhs, ctx, note=f"A={pc.A}")
-    return run
+def _example3i(ctx):
+    nome = make_nome(Fraction(2), ctx)
+    y6 = eta_paper(1, nome) ** 6 / (eta_paper(5, nome) ** 6 * nome.q)
+    lhs = 3125 + 250 * y6 + y6 * y6
+    rhs = 20 * y6 ** (mp.mpf(5) / 3)
+    return Residual(lhs, rhs, note="sextic with cube root of j equal to 20")
 
 
-def _check_example3i():
-    def run(ctx):
-        nome = make_nome(Fraction(2), ctx)
-        with ctx.workdps():
-            y6 = eta_paper(1, nome) ** 6 / (eta_paper(5, nome) ** 6 * nome.q)
-            lhs = 3125 + 250 * y6 + y6 * y6
-            rhs = 20 * y6 ** (mp.mpf(5) / 3)
-            return _pair_outcome(lhs, rhs, ctx, note="sextic with cube root of j equal to 20")
-    return run
+def _example3ii(ctx):
+    pc = detect_period([Fraction(v) for v in (1, 1, 1, 1, 0)] * 3, 5)
+    lhs = normalized_value(pc, make_nome(Fraction(4), ctx))
+    rhs = mp.sqrt(mp.mpf(5) / 2 + 5 * mp.sqrt(mp.mpf(5)) / 2)
+    return Residual(lhs, rhs, note=f"A={pc.A}")
 
 
-def _check_example3ii():
-    def run(ctx):
-        pc = detect_period([Fraction(v) for v in (1, 1, 1, 1, 0)] * 3, 5)
-        nome = make_nome(Fraction(4), ctx)
-        with ctx.workdps():
-            lhs = normalized_value(pc, nome)
-            rhs = mp.sqrt(mp.mpf(5) / 2 + 5 * mp.sqrt(mp.mpf(5)) / 2)
-            return _pair_outcome(lhs, rhs, ctx, note=f"A={pc.A}")
-    return run
+def _sextic_index(ctx, r: Fraction):
+    res = sextic_Y_check(make_nome(r, ctx))
+    worst = min(res.residuals.values(), key=abs)
+    return CheckOutcome(
+        lhs="argument candidates {r, 4r, r/4}",
+        rhs="sextic relation residuals",
+        diff=abs(worst),
+        tolerance=res.tolerance,
+        note="satisfied by: " + ", ".join(res.satisfied)
+             + " (quarter argument is the identity; coincidences possible)",
+    )
 
 
-def _check_sextic_index(r: Fraction):
-    def run(ctx):
-        res = sextic_Y_check(make_nome(r, ctx))
-        worst = min(res.residuals.values(), key=abs)
-        return CheckOutcome(
-            lhs="argument candidates {r, 4r, r/4}",
-            rhs="sextic relation residuals",
-            diff=+abs(worst),
-            tolerance=res.tolerance,
-            note="satisfied by: " + ", ".join(res.satisfied)
-                 + " (quarter argument is the identity; coincidences possible)",
-        )
-    return run
-
-
-def _check_thm4_p2():
-    def run(ctx):
-        res = theorem4_check(2, Fraction(1), ctx)
-        return CheckOutcome(
-            _num(res.lhs), _num(res.rhs), +abs(res.lhs - res.rhs), ctx.eps_check,
-            note="literal form at p=2 (empty theta product); measured, not asserted")
-    return run
-
-
-def _check_eq45_lambert_reading(g: int, r: Fraction):
-    def run(ctx):
-        with ctx.workdps():
-            nome = make_nome(r, ctx)
-            lam = lambert_series(JacobiCharacter(g), nome)
-            bracket = mp.mpf(0)
-            for d, mu in squarefree_divisors(g):
-                bracket += mu * d * lambert_series(
-                    JacobiCharacter(1), nome.scaled(Fraction(d)))
-            literal = -bracket / nome.q
-            match_plain = abs(lam - bracket)
-            match_literal = abs(lam - literal)
-            reading = "bracket itself" if match_plain < match_literal else "-q^-1 * bracket"
-            return CheckOutcome(
-                _num(lam), _num(bracket), +match_plain, ctx.eps_check,
-                note=f"matching reading: {reading}; literal-prefactor mismatch {mp.nstr(match_literal, 5)}")
-    return run
+def _eq45_lambert_reading(ctx, g: int, r: Fraction):
+    nome = make_nome(r, ctx)
+    lam = lambert_series(JacobiCharacter(g), nome)
+    bracket = mp.mpf(0)
+    for d, mu in squarefree_divisors(g):
+        bracket += mu * d * lambert_series(
+            JacobiCharacter(1), nome.scaled(Fraction(d)))
+    literal = -bracket / nome.q
+    match_plain = abs(lam - bracket)
+    match_literal = abs(lam - literal)
+    reading = "bracket itself" if match_plain < match_literal else "-q^-1 * bracket"
+    return Residual(
+        lam, bracket,
+        note=f"matching reading: {reading}; literal-prefactor mismatch {mp.nstr(match_literal, 5)}")
 
 
 # ---- exact series checks ----
 
-def _check_eq25_series(values, order: int):
-    def run(ctx):
-        pc = detect_period([Fraction(v) for v in values] * 3, len(values))
-        xs = [pc.value(n) for n in range(1, order + 1)]
-        coeffs = coeffs_from_X(xs, order)
-        target = FormalSeries([Fraction(0)] + [-c for c in coeffs]).exp()
-        from .moebius import represent_product
-        prod = FormalSeries.one(order)
-        for spec, w in represent_product(pc):
-            base = agile_qexpansion(int(spec.a), int(spec.p), order)
-            prod = prod * base.pow_rational(w)
-        return _series_outcome(target, prod,
-                               note=f"period {pc.period}: exp(-sum c_n q^n) vs q-product expansion")
-    return run
+def _eq25_series(ctx, values, order: int):
+    pc = detect_period([Fraction(v) for v in values] * 3, len(values))
+    xs = [pc.value(n) for n in range(1, order + 1)]
+    coeffs = coeffs_from_X(xs, order)
+    target = FormalSeries([Fraction(0)] + [-c for c in coeffs]).exp()
+    prod = FormalSeries.one(order)
+    for spec, w in represent_product(pc):
+        base = agile_qexpansion(int(spec.a), int(spec.p), order)
+        prod = prod * base.pow_rational(w)
+    return _series_outcome(target, prod,
+                           note=f"period {pc.period}: exp(-sum c_n q^n) vs q-product expansion")
 
 
-def _check_eq33_series(a: int, p: int, order: int):
-    def run(ctx):
-        lhs = theta_qexpansion(p, a, order)
-        rhs = eta_qexpansion(p, order) * agile_qexpansion(a, p, order)
-        return _series_outcome(lhs, rhs, note=f"(a,p)=({a},{p})")
-    return run
+def _eq33_series(ctx, a: int, p: int, order: int):
+    lhs = theta_qexpansion(p, a, order)
+    rhs = eta_qexpansion(p, order) * agile_qexpansion(a, p, order)
+    return _series_outcome(lhs, rhs, note=f"(a,p)=({a},{p})")
 
 
-def _check_eq39_series(order: int):
-    def run(ctx):
-        # everything lives in v = q^2
-        lhs = (theta_qexpansion(5, 2, order).pow_int(6)
-               * theta_qexpansion(5, 1, order).pow_int(6)
-               * eta_qexpansion(5, order).pow_int(12).inverse())
-        neg = exponent_product(lambda n: -5 * _kron5(n), order)
-        pos = exponent_product(lambda n: 5 * _kron5(n), order)
-        rhs = neg - FormalSeries.from_terms({1: 11}, order) - pos.shift(2)
-        return _series_outcome(lhs, rhs, note="both sides times v, v = q^2")
-    return run
+def _eq39_series(ctx, order: int):
+    # everything lives in v = q^2
+    lhs = (theta_qexpansion(5, 2, order).pow_int(6)
+           * theta_qexpansion(5, 1, order).pow_int(6)
+           * eta_qexpansion(5, order).pow_int(12).inverse())
+    neg = exponent_product(lambda n: -5 * _kron5(n), order)
+    pos = exponent_product(lambda n: 5 * _kron5(n), order)
+    rhs = neg - FormalSeries.from_terms({1: 11}, order) - pos.shift(2)
+    return _series_outcome(lhs, rhs, note="both sides times v, v = q^2")
 
 
-def _check_eq45_series(g: int, order: int):
-    def run(ctx):
-        rep = square_character_eta_identity(g, order)
-        return CheckOutcome(
-            lhs=f"prod (1-q^n)^((n/{g}))", rhs="inclusion-exclusion eta quotient",
-            diff=0 if rep.identical else 1 + (rep.first_mismatch or 0),
-            tolerance=1,
-            note=f"order {order}")
-    return run
+def _eq45_series(ctx, g: int, order: int):
+    rep = square_character_eta_identity(g, order)
+    return CheckOutcome(
+        lhs=f"prod (1-q^n)^((n/{g}))", rhs="inclusion-exclusion eta quotient",
+        diff=0 if rep.identical else 1 + (rep.first_mismatch or 0),
+        tolerance=1,
+        note=f"order {order}")
 
 
-def _check_eq09_series(order: int):
-    def run(ctx):
-        lhs = exponent_product(lambda n: 5 * _kron5(n), order).shift(1)
-        R = exponent_product(lambda n: _kron5(n // 5) if n % 5 == 0 else 0,
-                             order).shift(1)
-        num = (FormalSeries.one(order) - R.scale(2) + R.pow_int(2).scale(4)
-               - R.pow_int(3).scale(3) + R.pow_int(4))
-        den = (FormalSeries.one(order) + R.scale(3) + R.pow_int(2).scale(4)
-               + R.pow_int(3).scale(2) + R.pow_int(4))
-        rhs = R * num * den.inverse()
-        return _series_outcome(lhs, rhs, note="fifth-root nome transform as series in u = q^(1/5)")
-    return run
+def _eq09_series(ctx, order: int):
+    lhs = exponent_product(lambda n: 5 * _kron5(n), order).shift(1)
+    R = exponent_product(lambda n: _kron5(n // 5) if n % 5 == 0 else 0,
+                         order).shift(1)
+    num = (FormalSeries.one(order) - R.scale(2) + R.pow_int(2).scale(4)
+           - R.pow_int(3).scale(3) + R.pow_int(4))
+    den = (FormalSeries.one(order) + R.scale(3) + R.pow_int(2).scale(4)
+           + R.pow_int(3).scale(2) + R.pow_int(4))
+    rhs = R * num * den.inverse()
+    return _series_outcome(lhs, rhs, note="fifth-root nome transform as series in u = q^(1/5)")
 
 
 # ---- recognition checks (conjecture suite) ----
@@ -606,68 +455,54 @@ CONJECTURE_TRIPLES = (
 )
 
 
-def _check_eq19_recognition(a: str, p: str, r: str):
-    def run(ctx):
-        rec = recognize_expression(
-            "agile_star", {"a": a, "p": p, "r": r}, max_degree=24,
-            height_digits=4, ctx=ctx)
-        ok = rec.status == "recognized" and rec.poly is not None and rec.poly.degree <= 24
-        return CheckOutcome(
-            lhs=f"[{a},{p}]* at r={r}",
-            rhs=str(rec.poly) if rec.poly else "(no relation within bounds)",
-            diff=0 if ok else 1,
-            tolerance=1,
-            note=f"status={rec.status}"
-                 + (f", degree={rec.poly.degree}, verified_residual={mp.nstr(rec.verified_residual, 5)}"
-                    if rec.poly else ""),
-        )
-    return run
+def _eq19_recognition(ctx, a: str, p: str, r: str):
+    rec = recognize_expression(
+        "agile_star", {"a": a, "p": p, "r": r}, max_degree=24,
+        height_digits=4, ctx=ctx)
+    ok = rec.status == "recognized" and rec.poly is not None and rec.poly.degree <= 24
+    return CheckOutcome(
+        lhs=f"[{a},{p}]* at r={r}",
+        rhs=str(rec.poly) if rec.poly else "(no relation within bounds)",
+        diff=0 if ok else 1,
+        tolerance=1,
+        note=f"status={rec.status}"
+             + (f", degree={rec.poly.degree}, verified_residual={mp.nstr(rec.verified_residual, 5)}"
+                if rec.poly else ""),
+    )
 
 
-def _check_eq59_quartic():
+def _eq59_quartic(ctx):
     target = (-885735, 0, -21870, 364, 45)
-
-    def run(ctx):
-        rec = recognize_expression(
-            "agile_star_ki", {"a": "1", "p": "3", "x": "1/5", "power": 6},
-            max_degree=6, height_digits=7, ctx=ctx)
-        ok = (rec.status == "recognized" and rec.poly is not None
-              and rec.poly.coefficients == target)
-        return CheckOutcome(
-            lhs="sixth power of the (1,3) starred product at r = k_i(1/5)",
-            rhs=str(rec.poly) if rec.poly else "(none)",
-            diff=0 if ok else 1, tolerance=1,
-            note=f"status={rec.status}")
-    return run
+    rec = recognize_expression(
+        "agile_star_ki", {"a": "1", "p": "3", "x": "1/5", "power": 6},
+        max_degree=6, height_digits=7, ctx=ctx)
+    ok = (rec.status == "recognized" and rec.poly is not None
+          and rec.poly.coefficients == target)
+    return CheckOutcome(
+        lhs="sixth power of the (1,3) starred product at r = k_i(1/5)",
+        rhs=str(rec.poly) if rec.poly else "(none)",
+        diff=0 if ok else 1, tolerance=1,
+        note=f"status={rec.status}")
 
 
-def _check_eq58_radical():
-    def run(ctx):
-        val = QUANTITIES["agile_star_ki"].evaluate({"a": "1", "p": "3", "x": "1/5"}, ctx)
-        with ctx.workdps():
-            val = val ** 6
-            t = mp.mpf(3) ** (mp.mpf(2) / 3) * mp.cbrt(mp.mpf(10))
-            radical = (-182 - mp.sqrt(689224 - 148230 * t)
-                       + mp.sqrt(2 * (92571934
-                                      * mp.sqrt(2 / (344612 - 74115 * t))
-                                      + 74115 * t + 689224))) / 90
-            return _pair_outcome(val, radical, ctx,
-                                 note="printed nested radical vs computed sixth power")
-    return run
+def _eq58_radical(ctx):
+    val = QUANTITIES["agile_star_ki"].evaluate({"a": "1", "p": "3", "x": "1/5"}, ctx)
+    t = mp.mpf(3) ** (mp.mpf(2) / 3) * mp.cbrt(mp.mpf(10))
+    radical = (-182 - mp.sqrt(689224 - 148230 * t)
+               + mp.sqrt(2 * (92571934
+                              * mp.sqrt(2 / (344612 - 74115 * t))
+                              + 74115 * t + 689224))) / 90
+    return Residual(val ** 6, radical, note="printed nested radical vs computed sixth power")
 
 
-def _check_ki_roundtrip():
+def _ki_roundtrip(ctx):
     rs = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5))
-
-    def run(ctx):
-        worst = mp.mpf(0)
-        with ctx.workdps():
-            for r in rs:
-                k = singular_modulus(r, ctx)
-                worst = max(worst, abs(inverse_singular_modulus(k, ctx) - to_mpf(r)))
-            return CheckOutcome("k_i(k_r)", "r", +worst, ctx.eps_check,
-                                note=f"grid {[str(r) for r in rs]}")
-    return run
+    worst = mp.mpf(0)
+    for r in rs:
+        k = singular_modulus(r, ctx)
+        worst = max(worst, abs(inverse_singular_modulus(k, ctx) - to_mpf(r)))
+    return CheckOutcome("k_i(k_r)", "r", worst, ctx.eps_check,
+                        note=f"grid {[str(r) for r in rs]}")
 
 
 # ---------------------------------------------------------------------------
@@ -688,99 +523,103 @@ def _build_registry() -> dict:
     for r in (Fraction(1), Fraction(2), Fraction(1, 5)):
         tag = str(r).replace("/", "_")
         add(f"eq03.product-moduli.r{tag}", PC, ("eq03", "eq05", "eq06"), "numeric",
-            _check_modular5(r, 0))
-        add(f"eq04.depressed.r{tag}", PC, ("eq04",), "numeric", _check_modular5(r, 1))
+            lambda ctx, r=r: modular5_check(make_nome(r, ctx))[0])
+        add(f"eq04.depressed.r{tag}", PC, ("eq04",), "numeric",
+            lambda ctx, r=r: modular5_check(make_nome(r, ctx))[1])
     for r in (Fraction(1), Fraction(2)):
         add(f"eq05.modulus-theta.r{r}", PC, ("eq01", "eq02", "eq05"), "numeric",
-            _check_modulus_theta(r))
+            partial(_modulus_theta, r=r))
     add("eq06.modulus25-theta.r1", PC, ("eq06",), "numeric",
-        _check_modulus25_theta(Fraction(1)))
+        partial(_modulus25_theta, r=Fraction(1)))
     for r in (Fraction(1), Fraction(2)):
         add(f"eq08.klein-vs-modulus.r{r}", PC, ("eq07", "eq08", "eq10"), "numeric",
-            _check_klein(r))
+            partial(_klein, r=r))
     for r in (Fraction(25), Fraction(50)):
-        add(f"eq09.degree5-transform.r{r}", PC, ("eq09",), "numeric", _check_eq09(r))
+        add(f"eq09.degree5-transform.r{r}", PC, ("eq09",), "numeric",
+            lambda ctx, r=r: ramanujan_modular5_check(make_nome(r, ctx)))
     for r in (Fraction(1), Fraction(2), Fraction(3)):
         add(f"eq16.j-eta-route.r{r}", PC, ("eq10", "eq15", "eq16"), "numeric",
-            _check_j_eta_route(r))
-        add(f"eq17.eta-power.r{r}", PC, ("eq15", "eq17"), "numeric", _check_eta_power(r))
+            lambda ctx, r=r: Residual(j_invariant(r, ctx, via="modulus"),
+                                      j_invariant(r, ctx, via="eta")))
+        add(f"eq17.eta-power.r{r}", PC, ("eq15", "eq17"), "numeric",
+            partial(_eta_power, r=r))
     add("eq33.bridge.grid", PC, ("eq18", "eq26", "eq32", "eq33", "thm1"), "numeric",
-        _check_theta_eta_agile_grid((Fraction(1), Fraction(2), Fraction(3)), 8))
+        partial(_theta_eta_agile_grid, rs=(Fraction(1), Fraction(2), Fraction(3)), pmax=8))
     add("eq28.triangular.a1p5.r2", PC, ("eq27", "eq28"), "numeric",
-        _check_eq28(1, 5, Fraction(2)))
+        partial(_eq28, a=1, p=5, r=Fraction(2)))
     add("eq30.duplication.r2", PC, ("eq29", "eq30"), "numeric",
-        _check_duplication(Fraction(2)))
+        partial(_duplication, r=Fraction(2)))
     add("eq35.jacobi5-lambert.r1", PC, ("eq34", "eq35", "eq44", "thm2"), "numeric",
-        _check_eq35(Fraction(1)))
-    add("eq36.eisenstein5.r1", PC, ("eq36",), "numeric", _check_eq36(Fraction(1)))
+        partial(_eq35, r=Fraction(1)))
+    add("eq36.eisenstein5.r1", PC, ("eq36",), "numeric", partial(_eq36, r=Fraction(1)))
     add("thm2.lambert-logderiv.rrcf.r2", PC, ("eq34", "thm2"), "numeric",
-        _check_thm2((1, -1, -1, 1, 0), Fraction(2)))
+        partial(_thm2, values=(1, -1, -1, 1, 0), r=Fraction(2)))
     add("thm1.product-vs-theta.rrcf.r2", PC, ("eq32", "thm1"), "numeric",
-        _check_thm1_consistency((1, -1, -1, 1, 0), Fraction(2)))
+        partial(_thm1_consistency, values=(1, -1, -1, 1, 0), r=Fraction(2)))
     for r in (Fraction(1), Fraction(2), Fraction(1, 5)):
         tag = str(r).replace("/", "_")
-        add(f"eq39.bridge.r{tag}", PC, ("eq39",), "numeric", _check_eq39_numeric(r))
-    add("eq39.worked.r1_5", PC, ("eq39",), "numeric", _check_eq39_worked())
+        add(f"eq39.bridge.r{tag}", PC, ("eq39",), "numeric", partial(_eq39_numeric, r=r))
+    add("eq39.worked.r1_5", PC, ("eq39",), "numeric", _eq39_worked)
     for r in (Fraction(1, 5), Fraction(1, 2), Fraction(1)):
         tag = str(r).replace("/", "_")
         add(f"eq40.tail-integral.r{tag}", PC, ("eq40", "eq41", "eq42", "thm3"), "numeric",
-            _check_thm3(r))
-    add("eq40.k45-radical", PC, ("eq40", "eq01"), "numeric", _check_k45_radical())
+            partial(theorem3_check, r))
+    add("eq40.k45-radical", PC, ("eq40", "eq01"), "numeric", _k45_radical)
     for r in (Fraction(1), Fraction(2)):
-        add(f"eq43.beta-derivative.r{r}", PC, ("eq43",), "numeric", _check_eq43(r))
+        add(f"eq43.beta-derivative.r{r}", PC, ("eq43",), "numeric", partial(_eq43, r=r))
     for r in (Fraction(1), Fraction(2), Fraction(3), Fraction(5)):
-        add(f"eq46.eisenstein-alpha.r{r}", PC, ("eq46",), "numeric", _check_eq46(r))
+        add(f"eq46.eisenstein-alpha.r{r}", PC, ("eq46",), "numeric", partial(_eq46, r=r))
     for r in (Fraction(1), Fraction(2)):
         add(f"eq47.powersum-even.r{r}", PC, ("eq47", "eq49"), "numeric",
-            _check_powersum(r, (0, 2, -2)))
+            partial(_powersum, r=r, ms=(0, 2, -2)))
         add(f"eq48.powersum-odd.r{r}", PC, ("eq48", "eq49"), "numeric",
-            _check_powersum(r, (1, -1, 3)))
+            partial(_powersum, r=r, ms=(1, -1, 3)))
     for r in (Fraction(1), Fraction(2), Fraction(3, 2)):
         tag = str(r).replace("/", "_")
         add(f"eq53.q14-closed.r{tag}", ("paper-core", "conjectures"),
-            ("eq52", "eq53", "eq55", "eq57"), "numeric", _check_q14(r))
+            ("eq52", "eq53", "eq55", "eq57"), "numeric", partial(_q14, r=r))
         add(f"eq54.q12-4-closed.r{tag}", ("paper-core", "conjectures"),
-            ("eq54", "eq56"), "numeric", _check_q12_4(r))
-    add("eq50.ki-roundtrip", PC, ("eq50",), "numeric", _check_ki_roundtrip())
-    add("thm4.p3.r1", PC, ("thm4",), "numeric", _check_thm4(3, Fraction(1)))
-    add("thm4.p5.r1", PC, ("thm4",), "numeric", _check_thm4(5, Fraction(1)))
-    add("thm4.p2.r1", PC, ("thm4",), "recorded", _check_thm4_p2())
+            ("eq54", "eq56"), "numeric", partial(_q12_4, r=r))
+    add("eq50.ki-roundtrip", PC, ("eq50",), "numeric", _ki_roundtrip)
+    add("thm4.p3.r1", PC, ("thm4",), "numeric", partial(theorem4_check, 3, Fraction(1)))
+    add("thm4.p5.r1", PC, ("thm4",), "numeric", partial(theorem4_check, 5, Fraction(1)))
+    add("thm4.p2.r1", PC, ("thm4",), "recorded", _thm4_p2)
     add("ex2.t3-closed-form.r1", PC, ("ex2", "eq20", "eq21", "eq22", "thm"), "numeric",
-        _check_example2())
-    add("ex3.sextic-j20.r2", PC, ("ex3", "eq13", "eq14"), "numeric", _check_example3i())
-    add("ex3.value.r4", PC, ("ex3",), "numeric", _check_example3ii())
+        _example2)
+    add("ex3.sextic-j20.r2", PC, ("ex3", "eq13", "eq14"), "numeric", _example3i)
+    add("ex3.value.r4", PC, ("ex3",), "numeric", _example3ii)
     for r in (Fraction(2), Fraction(3)):
         add(f"sexticY.index.r{r}", PC, ("ex3", "eq13"), "recorded",
-            _check_sextic_index(r))
+            partial(_sextic_index, r=r))
 
     # conjectures
     for a, p, r in CONJECTURE_TRIPLES:
         tag = f"{a}_{p}_{r}".replace("/", "o")
         add(f"eq19.recognize.{tag}", CJ, ("eq18", "eq19", "eq20", "eq21"), "numeric",
-            _check_eq19_recognition(a, p, r), min_digits=300)
+            partial(_eq19_recognition, a=a, p=p, r=r), min_digits=300)
     add("eq59.quartic", CJ, ("eq50", "eq52", "eq57", "eq59"), "numeric",
-        _check_eq59_quartic(), min_digits=300)
-    add("eq58.radical", CJ, ("eq58", "eq59"), "numeric", _check_eq58_radical())
+        _eq59_quartic, min_digits=300)
+    add("eq58.radical", CJ, ("eq58", "eq59"), "numeric", _eq58_radical)
     for g in (9, 25, 225):
         add(f"eq45.series.g{g}", ("conjectures", "series-exact"), ("eq44", "eq45"),
-            "exact", _check_eq45_series(g, 200))
+            "exact", partial(_eq45_series, g=g, order=200))
     add("eq45.lambert-reading.g25.r2", CJ, ("eq45",), "recorded",
-        _check_eq45_lambert_reading(25, Fraction(2)))
+        partial(_eq45_lambert_reading, g=25, r=Fraction(2)))
 
     # series-exact
     add("eq25.series.t3", SE, ("eq20", "eq22", "eq23", "eq24", "eq25", "thm"), "exact",
-        _check_eq25_series((1, 1, 0), 100))
+        partial(_eq25_series, values=(1, 1, 0), order=100))
     add("eq25.series.t5-rrcf", SE, ("eq25", "ex1"), "exact",
-        _check_eq25_series((1, -1, -1, 1, 0), 100))
+        partial(_eq25_series, values=(1, -1, -1, 1, 0), order=100))
     add("eq25.series.t4-middle", SE, ("eq25",), "exact",
-        _check_eq25_series((0, 1, 0, 0), 100))
+        partial(_eq25_series, values=(0, 1, 0, 0), order=100))
     add("eq25.series.t8-jacobi", SE, ("eq25", "eq44"), "exact",
-        _check_eq25_series((1, 0, -1, 0, -1, 0, 1, 0), 100))
+        partial(_eq25_series, values=(1, 0, -1, 0, -1, 0, 1, 0), order=100))
     for a, p in ((1, 3), (1, 4), (1, 5), (2, 5), (3, 7), (3, 8)):
         add(f"eq33.series.a{a}p{p}", SE, ("eq26", "eq32", "eq33"), "exact",
-            _check_eq33_series(a, p, 100))
-    add("eq39.series", SE, ("eq39",), "exact", _check_eq39_series(120))
-    add("eq09.series", SE, ("eq09",), "exact", _check_eq09_series(40))
+            partial(_eq33_series, a=a, p=p, order=100))
+    add("eq39.series", SE, ("eq39",), "exact", partial(_eq39_series, order=120))
+    add("eq09.series", SE, ("eq09",), "exact", partial(_eq09_series, order=40))
 
     return {c.id: c for c in checks}
 
@@ -812,27 +651,33 @@ def checks_for_suite(suite: str) -> list[IdentityCheck]:
 
 
 def _execute_check(check_id: str, digits: int) -> IdentityReport:
+    """Run one check and format its report, both at its working precision;
+    a ``Residual`` is judged against ``ctx.eps_check``."""
     check = REGISTRY[check_id]
     ctx = PrecisionContext(max(digits, check.min_digits))
     start = time.monotonic()
-    try:
-        outcome = check.run(ctx)
-        if check.kind == "recorded":
-            verdict = "recorded"
-        else:
-            verdict = "pass" if outcome.diff < outcome.tolerance else "fail"
-        report = IdentityReport(
-            id=check.id, lhs=outcome.lhs, rhs=outcome.rhs,
-            abs_difference=_num(outcome.diff), tolerance=_num(outcome.tolerance),
-            verdict=verdict,
-            wall_time_ms=int((time.monotonic() - start) * 1000),
-            note=outcome.note)
-    except Exception as exc:  # a failing check must not abort the suite
-        report = IdentityReport(
-            id=check.id, lhs="(error)", rhs="(error)", abs_difference="inf",
-            tolerance="0", verdict="recorded" if check.kind == "recorded" else "fail",
-            wall_time_ms=int((time.monotonic() - start) * 1000),
-            note=f"{type(exc).__name__}: {exc}")
+    with ctx.workdps():
+        try:
+            outcome = check.run(ctx)
+            if isinstance(outcome, Residual):
+                outcome = CheckOutcome(_num(outcome.lhs), _num(outcome.rhs), outcome.diff,
+                                       ctx.eps_check, outcome.note)
+            if check.kind == "recorded":
+                verdict = "recorded"
+            else:
+                verdict = "pass" if outcome.diff < outcome.tolerance else "fail"
+            report = IdentityReport(
+                id=check.id, lhs=outcome.lhs, rhs=outcome.rhs,
+                abs_difference=_num(outcome.diff), tolerance=_num(outcome.tolerance),
+                verdict=verdict,
+                wall_time_ms=int((time.monotonic() - start) * 1000),
+                note=outcome.note)
+        except Exception as exc:  # a failing check must not abort the suite
+            report = IdentityReport(
+                id=check.id, lhs="(error)", rhs="(error)", abs_difference="inf",
+                tolerance="0", verdict="recorded" if check.kind == "recorded" else "fail",
+                wall_time_ms=int((time.monotonic() - start) * 1000),
+                note=f"{type(exc).__name__}: {exc}")
     return report
 
 
@@ -845,14 +690,18 @@ def run_suite(name: str, digits: Optional[int] = None,
               parallelism: int = 1) -> list[IdentityReport]:
     """Run every check registered for the suite; returns reports in
     registry order.  Individual check errors become fail verdicts, the
-    runner itself never aborts."""
+    runner itself never aborts.  At most one worker process per check is
+    started."""
     digits = digits or DEFAULT_DIGITS.get(name, 120)
     if digits < 50:
         raise DomainError("suite runs need digits >= 50")
+    if parallelism < 1:
+        raise DomainError(f"parallelism must be >= 1, got {parallelism}")
     checks = checks_for_suite(name)
     ids = [c.id for c in checks]
-    if parallelism and parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    workers = min(parallelism, len(ids))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_execute_check_tuple,
                                     [(i, digits) for i in ids]))
         return [IdentityReport(**results[i]) for i in ids]

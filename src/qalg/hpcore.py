@@ -1,6 +1,6 @@
-"""Elementary high-precision real functions and adaptive quadrature.
+"""Rational powers and adaptive tanh-sinh quadrature at high precision.
 
-All routines compute under the :class:`~qalg.precision.PrecisionContext`
+Both routines compute under the :class:`~qalg.precision.PrecisionContext`
 passed in and return ``mpmath.mpf`` values good to ``ctx.digits`` digits.
 The quadrature handles algebraic endpoint singularities through
 caller-declared power substitutions (the integrator itself stays generic;
@@ -16,38 +16,6 @@ import mpmath as mp
 
 from .errors import ConvergenceError, DomainError
 from .precision import HPReal, PrecisionContext, to_mpf
-
-
-def pi_const(ctx: PrecisionContext) -> HPReal:
-    """pi to ctx.digits decimal digits."""
-    with ctx.workdps():
-        return +mp.pi
-
-
-def exp_hp(x, ctx: PrecisionContext) -> HPReal:
-    with ctx.workdps():
-        return mp.exp(mp.mpf(x))
-
-
-def log_hp(x, ctx: PrecisionContext) -> HPReal:
-    with ctx.workdps():
-        x = mp.mpf(x)
-        if x <= 0:
-            raise DomainError(f"log requires a positive argument, got {x}")
-        return mp.log(x)
-
-
-def nth_root(x, n: int, ctx: PrecisionContext) -> HPReal:
-    """Principal real n-th root; even n requires x >= 0."""
-    if n < 1:
-        raise DomainError(f"root index must be >= 1, got {n}")
-    with ctx.workdps():
-        x = mp.mpf(x)
-        if x < 0:
-            if n % 2 == 0:
-                raise DomainError(f"even root of negative number {x}")
-            return -mp.root(-x, n)
-        return mp.root(x, n)
 
 
 def pow_rational(x, e: Fraction, ctx: PrecisionContext) -> HPReal:

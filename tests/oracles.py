@@ -1,11 +1,10 @@
 """Independent oracles used by the tests.
 
 Everything here deliberately avoids the code paths under test: pi comes
-from a Machin formula summed in exact rationals, roots from Fraction
-Newton iteration, K/E from their hypergeometric series, the beta value
-from a split binomial series, and integrals from composite midpoint
-rules.  Values are computed fresh so the tests never assert against
-numbers produced by the library itself.
+from a Machin formula summed in exact rationals, K/E from their
+hypergeometric series, the beta value from a split binomial series, and
+integrals from composite midpoint rules.  Values are computed fresh so
+the tests never assert against numbers produced by the library itself.
 """
 
 from fractions import Fraction
@@ -44,18 +43,6 @@ def machin_pi(digits: int) -> mp.mpf:
     val = 16 * atan_inv(5, terms) - 4 * atan_inv(239, terms // 2 + 5)
     with mp.workdps(digits + 10):
         return mp.mpf(val.numerator) / val.denominator
-
-
-def newton_nth_root(a: int, n: int, digits: int) -> mp.mpf:
-    """a**(1/n) by Fraction Newton iteration."""
-    x = Fraction(a, 1) if a >= 1 else Fraction(1)
-    target = Fraction(a)
-    for _ in range(digits.bit_length() + 8):
-        x = x - (x ** n - target) / (n * x ** (n - 1))
-        # limit the rational's size to keep iterations cheap
-        x = x.limit_denominator(10 ** (2 * digits + 20))
-    with mp.workdps(digits + 10):
-        return mp.mpf(x.numerator) / x.denominator
 
 
 def hypergeometric_K(k, dps: int) -> mp.mpf:

@@ -243,6 +243,12 @@ class TestVerify:
         assert code == 2
         assert err.strip() == "error: suite runs need digits >= 50"
 
+    def test_parallelism_floor(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--suite", "series-exact",
+                               "--parallelism", "0")
+        assert code == 2
+        assert err.strip() == "error: parallelism must be >= 1, got 0"
+
 
 def run_module(*argv, **env):
     """Run ``python -m qalg.cli`` in a child with a minimal environment.

@@ -1,10 +1,13 @@
 """Identity-check registry, suite runner, report emission."""
 
 import json
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
-from qalg import DomainError, harness
+from qalg import (DomainError, PrecisionContext, Residual, harness, make_nome,
+                  ramanujan_modular5_check)
 
 
 class TestRegistry:
@@ -65,6 +68,39 @@ class TestExecution:
         finally:
             del harness.REGISTRY[bad.id]
 
+    def test_check_runs_at_working_precision(self):
+        # the runner, not the check, sets the precision and builds the outcome
+        from qalg.harness import IdentityCheck
+        seen = []
+
+        def probe(ctx):
+            seen.append((mp.mp.dps, ctx.dps))
+            return Residual(mp.mpf(1) / 3, 1 - mp.mpf(2) / 3, note="synthetic")
+
+        check = IdentityCheck("synthetic.precision", ("paper-core",), (), "numeric", probe)
+        harness.REGISTRY[check.id] = check
+        try:
+            report = harness._execute_check(check.id, 60)
+        finally:
+            del harness.REGISTRY[check.id]
+        assert seen == [(80, 80)]
+        assert report.verdict == "pass"
+        assert report.tolerance == "1.0e-40"
+        assert report.note == "synthetic"
+
+    def test_residual_sides_reported_at_working_precision(self):
+        report = harness._execute_check("eq09.degree5-transform.r25", 120)
+        ctx = PrecisionContext(120)
+        res = ramanujan_modular5_check(make_nome(Fraction(25), ctx))
+        with ctx.workdps():
+            assert report.lhs == mp.nstr(res.lhs, 40)
+            assert report.rhs == mp.nstr(res.rhs, 40)
+
+    def test_tolerance_reported_at_working_precision(self):
+        report = harness._execute_check("eq05.modulus-theta.r1", 120)
+        assert report.verdict == "pass"
+        assert report.tolerance == "1.0e-100"
+
 
 class TestSuiteRun:
     def test_series_exact_suite(self):
@@ -84,6 +120,34 @@ class TestSuiteRun:
     def test_digits_floor(self):
         with pytest.raises(DomainError):
             harness.run_suite("series-exact", 30)
+
+    @pytest.mark.parametrize("parallelism", [0, -2])
+    def test_parallelism_below_one(self, parallelism):
+        with pytest.raises(DomainError):
+            harness.run_suite("series-exact", 50, parallelism=parallelism)
+
+    def test_pool_capped_at_check_count(self, monkeypatch):
+        # a stand-in pool that records its size and maps in this process,
+        # so asking for many workers starts none
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        reports = harness.run_suite("series-exact", 50, parallelism=10_000)
+        assert sizes == [len(reports)] == [len(harness.checks_for_suite("series-exact"))]
+        assert all(r.verdict == "pass" for r in reports)
 
 
 class TestEmit:

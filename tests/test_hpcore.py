@@ -1,22 +1,13 @@
-"""Precision context, elementary functions and quadrature."""
+"""Precision context, rational powers and quadrature."""
 
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from qalg import (
-    DomainError,
-    PrecisionContext,
-    exp_hp,
-    integrate,
-    log_hp,
-    nth_root,
-    pi_const,
-    pow_rational,
-)
+from qalg import DomainError, PrecisionContext, integrate, pow_rational
 
-from oracles import beta_complete_16_23, close, composite_midpoint, machin_pi, newton_nth_root
+from oracles import beta_complete_16_23, close, composite_midpoint
 
 
 class TestPrecisionContext:
@@ -35,36 +26,7 @@ class TestPrecisionContext:
         assert PrecisionContext(50).doubled().digits == 100
 
 
-class TestPi:
-    def test_machin_oracle_30_digits(self):
-        ctx = PrecisionContext(30)
-        oracle = machin_pi(40)
-        assert close(pi_const(ctx), oracle, 29)
-
-    def test_precision_monotonicity(self):
-        lo = pi_const(PrecisionContext(30))
-        hi = pi_const(PrecisionContext(50))
-        assert close(hi, lo, 29)
-
-    def test_below_minimum_errors(self):
-        with pytest.raises(DomainError):
-            pi_const(PrecisionContext(29))
-
-
 class TestElementary:
-    def test_exp_zero(self):
-        assert exp_hp(0, PrecisionContext(30)) == 1
-
-    def test_sqrt2_newton_oracle(self):
-        ctx = PrecisionContext(50)
-        oracle = newton_nth_root(2, 2, 60)
-        assert close(nth_root(2, 2, ctx), oracle, 49)
-
-    def test_cbrt5_newton_oracle(self):
-        ctx = PrecisionContext(40)
-        oracle = newton_nth_root(5, 3, 50)
-        assert close(nth_root(5, 3, ctx), oracle, 39)
-
     def test_pow_rational_exponent_law(self):
         ctx = PrecisionContext(60)
         with ctx.workdps():
@@ -72,19 +34,6 @@ class TestElementary:
             lhs = pow_rational(x, Fraction(1, 5), ctx)
             rhs = mp.exp(-mp.pi / 5)
             assert abs(lhs - rhs) < mp.mpf(10) ** -58
-
-    def test_log_domain(self):
-        with pytest.raises(DomainError):
-            log_hp(0, PrecisionContext(30))
-        with pytest.raises(DomainError):
-            log_hp(-3, PrecisionContext(30))
-
-    def test_even_root_of_negative(self):
-        with pytest.raises(DomainError):
-            nth_root(-2, 2, PrecisionContext(30))
-
-    def test_odd_root_of_negative_ok(self):
-        assert nth_root(-8, 3, PrecisionContext(30)) == -2
 
     def test_pow_rejects_binary_float_via_to_mpf(self):
         # exactness rule: rationals go in as Fractions, not floats
