@@ -2,9 +2,15 @@
 
 K and E are computed by the arithmetic-geometric mean, which converges
 quadratically (iteration count ~ log2(digits)).  The singular modulus
-k_r is the unique x in (0,1) with K(sqrt(1-x^2))/K(x) = sqrt(r); it is
-found by bisection followed by Newton on the logarithmic form, and every
-value is checked against its defining residual before being returned.
+k_r is the unique x in (0,1) with K(sqrt(1-x^2))/K(x) = sqrt(r).  It is
+found by Newton on the logarithmic form, seeded from a 30-digit theta
+quotient theta2^2/theta3^2 and run at precisions doubling toward the
+working precision (Brent-Zimmermann, Modern Computer Arithmetic, 4.2), so
+only the last step and the residual check run at full precision.  For
+r < 1 the solve is for k'_r = k_{1/r}, so the unknown always keeps full
+relative precision.  The theta quotient is only a start: the root is
+that of K'/K, and every value is checked against its defining residual
+before being returned.
 """
 
 from __future__ import annotations
@@ -14,20 +20,24 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, InsufficientPrecision
 from .precision import HPReal, PrecisionContext, to_mpf
 from .qengine import eta_paper, make_nome, _qpow
 
 
-def _agm_KE(k: HPReal):
+def _agm_KE(k: HPReal, kp: HPReal | None = None):
     """(K(k), E(k), iterations) from one AGM of (1, k') at the current
     working precision (0 <= k < 1).  E comes from the c-sum
     E/K = 1 - (k^2/2 + sum_n 2^(n-2) d_n^2), d_n = a_n - b_n.
 
+    Pass the complementary modulus kp when it is known: K(k'_r) is then
+    the AGM of (1, k_r) itself, without the sqrt(1 - (1 - k^2)) round trip
+    that loses 2 |log10 k| digits for small k.
+
     Stops a few ulps early (the difference stalls at rounding noise) and
     takes one extra quadratic step, which lands below working precision.
     """
-    a, b = mp.mpf(1), mp.sqrt(1 - k * k)
+    a, b = mp.mpf(1), mp.sqrt(1 - k * k) if kp is None else kp
     eps = mp.mpf(10) ** (-mp.mp.dps + 3)
     csum4 = 2 * k * k  # 4 times the c-sum
     pw = 1
@@ -72,56 +82,74 @@ def ellint_E(k, ctx: PrecisionContext) -> HPReal:
         return +_agm_KE(k)[1]
 
 
-def _dK_dk(k: HPReal, K: HPReal, E: HPReal) -> HPReal:
-    return (E - (1 - k * k) * K) / (k * (1 - k * k))
+_SEED_DIGITS = 25
+
+
+def _theta_seed(s) -> HPReal:
+    """k_s for s >= 1 to about _SEED_DIGITS digits: theta2^2/theta3^2 at
+    q = exp(-pi sqrt(s)) <= e^-pi, summed to n = 5.  Computed at 30 digits
+    rather than in floats, since k_s underflows a double past s ~ 2e5, and
+    apart from qengine's theta sums, which k_r is checked against."""
+    with mp.workdps(30):
+        rt = mp.sqrt(s)
+        q = mp.exp(-mp.pi * rt)
+        t2 = 2 * mp.exp(-mp.pi * rt / 4) * sum(q ** (n * n + n) for n in range(6))
+        t3 = 1 + 2 * sum(q ** (n * n) for n in range(1, 6))
+        return (t2 / t3) ** 2
+
+
+def _newton_step(x: HPReal, log_rt: HPReal) -> HPReal:
+    """The correction of one Newton step on g(x) = log K(x') - log K(x)
+    - log_rt at the current working precision, x' = sqrt(1 - x^2).  By
+    Legendre's relation g'(x) = -pi / (2 x x'^2 K(x) K(x')), so E is not
+    needed."""
+    xp = mp.sqrt(1 - x * x)
+    K = _agm_KE(x, xp)[0]
+    Kp = _agm_KE(xp, x)[0]
+    return (mp.log(Kp / K) - log_rt) * 2 * x * xp * xp * K * Kp / mp.pi
 
 
 @lru_cache(maxsize=512)
 def _singular_modulus_cached(r, ctx: PrecisionContext) -> HPReal:
+    # Solve for x = k_s, s = max(r, 1/r), the smaller of k_r and
+    # k'_r = k_{1/r}: x then carries full relative precision however small.
     with ctx.workdps():
-        sqrt_r = mp.sqrt(to_mpf(r) if isinstance(r, Fraction) else mp.mpf(r))
-        target = mp.log(sqrt_r)
+        rm = to_mpf(r) if isinstance(r, Fraction) else mp.mpf(r)
+        s = rm if rm >= 1 else 1 / rm
+        x = _theta_seed(s)
+        if rm < 1 and mp.sqrt(1 - x * x) == 1:
+            raise InsufficientPrecision(
+                f"k_r rounds to 1 at {ctx.dps} working digits "
+                f"(1 - k_r ~ {mp.nstr(x * x / 2, 3)})"
+            )
 
-        def g(x):
-            kp = mp.sqrt(1 - x * x)
-            return mp.log(_agm_KE(kp)[0]) - mp.log(_agm_KE(x)[0]) - target
-
-        # bisection to ~12 digits; g is strictly decreasing with
-        # g -> +inf at 0+ and -inf at 1-, so the endpoint signs are known
-        # and never evaluated (at the endpoints 1 - x^2 rounds to 1)
-        eps0 = mp.mpf(10) ** (-ctx.digits)
-        lo, hi = eps0, 1 - eps0
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if g(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < mp.mpf(10) ** (-12):
-                break
-        x = (lo + hi) / 2
-
-        # Newton on g; quadratic convergence from the 12-digit seed
-        for _ in range(int(mp.ceil(mp.log(ctx.dps, 2))) + 3):
-            kp = mp.sqrt(1 - x * x)
-            Kx, Ex, _ = _agm_KE(x)
-            Kp, Ep, _ = _agm_KE(kp)
-            gx = mp.log(Kp) - mp.log(Kx) - target
-            gpx = -x * _dK_dk(kp, Kp, Ep) / (kp * Kp) - _dK_dk(x, Kx, Ex) / Kx
-            step = gx / gpx
-            x = x - step
+    # Newton at precisions doubling toward ctx.dps: each step doubles the
+    # correct digits, so only the last runs at full precision.  The +5
+    # covers the 2-4 digits a step loses to the conditioning of g at tiny
+    # x.  A full step is final once its correction is below half the
+    # working digits, since the error after it is about the square.
+    precs, p = [], ctx.dps
+    while p > 2 * _SEED_DIGITS:
+        p = p // 2 + 5
+        precs.insert(0, p)
+    for dps in precs + [ctx.dps] * (int(mp.ceil(mp.log(ctx.dps, 2))) + 3):
+        with mp.workdps(dps):
+            step = _newton_step(+x, mp.log(s) / 2)
+            x += step
             if x <= 0 or x >= 1:
                 raise ConvergenceError("Newton left the unit interval")
-            if abs(step) < mp.mpf(10) ** (-ctx.dps):
+            if dps == ctx.dps and abs(step) < x * mp.mpf(10) ** (-(dps // 2)):
                 break
 
-        kp = mp.sqrt(1 - x * x)
-        resid = _agm_KE(kp)[0] / _agm_KE(x)[0] - sqrt_r
+    with ctx.workdps():
+        xp = mp.sqrt(1 - x * x)
+        K, Kp = _agm_KE(x, xp)[0], _agm_KE(xp, x)[0]
+        resid = (Kp / K if rm >= 1 else K / Kp) - mp.sqrt(rm)
         if abs(resid) > mp.mpf(10) ** (-(ctx.digits - ctx.guard)):
             raise ConvergenceError(
                 f"singular modulus residual {mp.nstr(abs(resid), 5)} too large"
             )
-        return +x
+        return +x if rm >= 1 else xp
 
 
 def singular_modulus(r, ctx: PrecisionContext) -> HPReal:
@@ -142,8 +170,8 @@ def inverse_singular_modulus(x, ctx: PrecisionContext) -> HPReal:
         x = to_mpf(x) if isinstance(x, (Fraction, int, str)) else mp.mpf(x)
         if not (0 < x < 1):
             raise DomainError(f"argument must lie in (0,1), got {x}")
-        kp = mp.sqrt(1 - x * x)
-        return +((ellint_K(kp, ctx) / ellint_K(x, ctx)) ** 2)
+        xp = mp.sqrt(1 - x * x)
+        return +((_agm_KE(xp, x)[0] / _agm_KE(x, xp)[0]) ** 2)
 
 
 def elliptic_alpha(r, ctx: PrecisionContext) -> HPReal:
@@ -151,8 +179,8 @@ def elliptic_alpha(r, ctx: PrecisionContext) -> HPReal:
     with ctx.workdps():
         k = singular_modulus(r, ctx)
         kp = mp.sqrt(1 - k * k)
-        K = ellint_K(k, ctx)
-        return +(ellint_E(kp, ctx) / K - mp.pi / (4 * K * K))
+        K = _agm_KE(k, kp)[0]
+        return +(_agm_KE(kp, k)[1] / K - mp.pi / (4 * K * K))
 
 
 def multiplier(r, n: int, ctx: PrecisionContext) -> HPReal:

@@ -8,6 +8,7 @@ import pytest
 from qalg import (
     DomainError,
     PrecisionContext,
+    QalgError,
     elliptic_alpha,
     ellint_E,
     ellint_K,
@@ -16,7 +17,10 @@ from qalg import (
     make_nome,
     multiplier,
     singular_modulus,
+    theta2,
+    theta3,
 )
+from qalg import elliptic
 from qalg.elliptic import agm_iterations
 from qalg.moebius import JacobiCharacter, lambert_series
 
@@ -122,6 +126,82 @@ class TestSingularModulus:
     def test_inverse_domain(self):
         with pytest.raises(DomainError):
             inverse_singular_modulus(Fraction(3, 2), CTX)
+
+
+class TestExtremeParameters:
+    """k_r is tiny for large r (about 4 exp(-pi sqrt(r)/2)) and close to 1
+    for small r; both must come out at full precision."""
+
+    CTX = PrecisionContext(120)
+
+    @pytest.mark.parametrize("r", [400, 1000, 10**4])
+    def test_large_r_matches_theta_quotient(self, r):
+        ctx = self.CTX
+        nome = make_nome(r, ctx)
+        k = singular_modulus(r, ctx)
+        with ctx.workdps():
+            quotient = theta2(nome) ** 2 / theta3(nome) ** 2
+            assert abs(k / quotient - 1) <= ctx.eps_check
+
+    @pytest.mark.parametrize("r", [400, 10**4])
+    def test_alpha_matches_legendre_route(self, r):
+        # the eval-ladder's second route: Legendre's relation turns E(k')
+        # into E(k), alpha = pi/(4K^2) - sqrt(r) (E/K - 1)
+        ctx = self.CTX
+        k = singular_modulus(r, ctx)
+        K, E = ellint_K(k, ctx), ellint_E(k, ctx)
+        with ctx.workdps():
+            legendre = mp.pi / (4 * K * K) - mp.sqrt(r) * (E / K - 1)
+            assert abs(elliptic_alpha(r, ctx) - legendre) <= ctx.eps_check
+
+    @pytest.mark.parametrize("r", [400, 10**4])
+    def test_inverse_round_trip(self, r):
+        ctx = self.CTX
+        k = singular_modulus(r, ctx)
+        with ctx.workdps():
+            assert abs(inverse_singular_modulus(k, ctx) - r) <= ctx.eps_check
+
+    def test_small_r_is_complement_of_reciprocal(self):
+        ctx = self.CTX
+        k_small = singular_modulus(Fraction(1, 400), ctx)
+        k_large = singular_modulus(400, ctx)
+        with ctx.workdps():
+            assert abs(k_small ** 2 + k_large ** 2 - 1) <= ctx.eps_check
+
+    def test_modulus_rounding_to_one_is_refused(self):
+        # k_{1e-6} = 1 - 1e-1364 or so: 1 at 50 digits.  Refused at once
+        # with a typed error, not after the AGM's iteration cap.
+        with pytest.raises(QalgError) as info:
+            singular_modulus(Fraction(1, 10**6), PrecisionContext(50))
+        assert "AGM" not in str(info.value)
+
+
+class TestSingularModulusCost:
+    def test_full_precision_agms(self, monkeypatch):
+        # Newton runs at doubling precisions, so only the last step and the
+        # residual check pay for full-precision AGMs
+        ctx = PrecisionContext(120)
+        full = []
+        agm = elliptic._agm_KE
+
+        def counting(*args):
+            full.append(mp.mp.dps >= ctx.dps)
+            return agm(*args)
+
+        monkeypatch.setattr(elliptic, "_agm_KE", counting)
+        elliptic._singular_modulus_cached.cache_clear()
+        singular_modulus(2, ctx)
+        assert 0 < sum(full) <= 8
+
+    def test_closed_forms_at_1000_digits(self):
+        ctx = PrecisionContext(1000)
+        with ctx.workdps():
+            rt2 = mp.sqrt(2)
+            k4 = 3 - 2 * rt2
+            closed = {1: 1 / rt2, 2: rt2 - 1, 4: k4,
+                      Fraction(1, 4): mp.sqrt(1 - k4 * k4)}
+            for r, value in closed.items():
+                assert abs(singular_modulus(r, ctx) - value) <= ctx.eps_check
 
 
 class TestAlpha:
