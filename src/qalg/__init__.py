@@ -43,7 +43,7 @@ from .elliptic import (
     multiplier,
     singular_modulus,
 )
-from .hpcore import integrate, pow_rational
+from .hpcore import integrate
 from .moebius import (
     JacobiCharacter,
     PeriodicCoeffs,

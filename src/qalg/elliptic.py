@@ -110,9 +110,11 @@ def _newton_step(x: HPReal, log_rt: HPReal) -> HPReal:
 
 
 @lru_cache(maxsize=512)
-def _singular_modulus_cached(r, ctx: PrecisionContext) -> HPReal:
+def _singular_modulus_cached(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
     # Solve for x = k_s, s = max(r, 1/r), the smaller of k_r and
-    # k'_r = k_{1/r}: x then carries full relative precision however small.
+    # k'_r = k_{1/r}: x then carries full relative precision however small,
+    # and the pair (k_r, k'_r) is returned so that neither is recomputed
+    # from the other.
     with ctx.workdps():
         rm = to_mpf(r) if isinstance(r, Fraction) else mp.mpf(r)
         s = rm if rm >= 1 else 1 / rm
@@ -149,19 +151,22 @@ def _singular_modulus_cached(r, ctx: PrecisionContext) -> HPReal:
             raise ConvergenceError(
                 f"singular modulus residual {mp.nstr(abs(resid), 5)} too large"
             )
-        return +x if rm >= 1 else xp
+        return (+x, +xp) if rm >= 1 else (+xp, +x)
+
+
+def _modulus_pair(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
+    """(k_r, k'_r), each to full relative precision: for r < 1, k'_r is
+    tiny and sqrt(1 - k_r^2) would keep only its leading digits."""
+    if not isinstance(r, mp.mpf):
+        r = Fraction(r)
+    if r <= 0:
+        raise DomainError(f"r must be positive, got {r}")
+    return _singular_modulus_cached(r, ctx)
 
 
 def singular_modulus(r, ctx: PrecisionContext) -> HPReal:
     """The singular modulus k_r in (0,1) for positive r (rational or mpf)."""
-    if isinstance(r, mp.mpf):
-        if r <= 0:
-            raise DomainError(f"r must be positive, got {r}")
-        return _singular_modulus_cached(r, ctx)
-    r = Fraction(r)
-    if r <= 0:
-        raise DomainError(f"r must be positive, got {r}")
-    return _singular_modulus_cached(r, ctx)
+    return _modulus_pair(r, ctx)[0]
 
 
 def inverse_singular_modulus(x, ctx: PrecisionContext) -> HPReal:
@@ -177,8 +182,7 @@ def inverse_singular_modulus(x, ctx: PrecisionContext) -> HPReal:
 def elliptic_alpha(r, ctx: PrecisionContext) -> HPReal:
     """alpha(r) = E(k'_r)/K(k_r) - pi/(4 K(k_r)^2)."""
     with ctx.workdps():
-        k = singular_modulus(r, ctx)
-        kp = mp.sqrt(1 - k * k)
+        k, kp = _modulus_pair(r, ctx)
         K = _agm_KE(k, kp)[0]
         return +(_agm_KE(kp, k)[1] / K - mp.pi / (4 * K * K))
 
@@ -192,9 +196,9 @@ def multiplier(r, n: int, ctx: PrecisionContext) -> HPReal:
     with ctx.workdps():
         if n == 1:
             return mp.mpf(1)
-        k1 = singular_modulus(r, ctx)
-        k2 = singular_modulus(r * n * n, ctx)
-        return +(ellint_K(k2, ctx) / ellint_K(k1, ctx))
+        K1 = _agm_KE(*_modulus_pair(r, ctx))[0]
+        K2 = _agm_KE(*_modulus_pair(r * n * n, ctx))[0]
+        return +(K2 / K1)
 
 
 def j_invariant(r, ctx: PrecisionContext, via: str = "modulus") -> HPReal:
@@ -208,8 +212,8 @@ def j_invariant(r, ctx: PrecisionContext, via: str = "modulus") -> HPReal:
     """
     with ctx.workdps():
         if via == "modulus":
-            k = singular_modulus(r, ctx)
-            kp2 = 1 - k * k
+            k, kp = _modulus_pair(r, ctx)
+            kp2 = kp * kp
             return +(256 * (k * k + kp2 * kp2) ** 3 / (k * k * kp2) ** 2)
         if via == "eta":
             nome = make_nome(r, ctx)
@@ -234,12 +238,11 @@ def theta_powersum_closed(m: int, r, ctx: PrecisionContext) -> HPReal:
     with ctx.workdps():
         nome = make_nome(r, ctx)
         q = nome.q
-        k11 = singular_modulus(r, ctx)
-        K = ellint_K(k11, ctx)
+        k11, k12 = _modulus_pair(r, ctx)
+        K = _agm_KE(k11, k12)[0]
         if m % 2 == 0:
             t = m // 2
             return +(_qpow(q, Fraction(-t * t)) * mp.sqrt(2 * K / mp.pi))
-        k12 = mp.sqrt(1 - k11 * k11)
         k21 = (2 - k11 * k11 - 2 * k12) / (k11 * k11)
         k22 = mp.sqrt(1 - k21 * k21)
         pref = mp.mpf(2) ** (mp.mpf(5) / 6) * _qpow(q, Fraction(-m * m, 4))

@@ -270,7 +270,12 @@ def solve_sextic(inst: SexticInstance, ctx: PrecisionContext) -> tuple[HPReal, R
 
 def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
     """B(x; p, q) = int_0^x t^(p-1) (1-t)^(q-1) dt for rational p, q > 0
-    and 0 <= x <= 1, by quadrature with endpoint power substitutions."""
+    and 0 <= x <= 1.
+
+    Up to x = 1/2 this is the series x^p/p 2F1(p, 1-q; p+1; x) (DLMF
+    8.17.7), whose terms shrink at least like 2^-n; above 1/2 the
+    reflection B(p, q) - B(1-x; q, p) (DLMF 8.17.4) takes it back there.
+    """
     p, q = Fraction(p), Fraction(q)
     if p <= 0 or q <= 0:
         raise DomainError("p and q must be positive")
@@ -282,27 +287,12 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
             return mp.mpf(0)
         pm, qm = to_mpf(p), to_mpf(q)
 
-        def f(t):
-            return t ** (pm - 1) * (1 - t) ** (qm - 1)
+        def series(z, a, b):
+            return z ** a / a * mp.hyp2f1(a, 1 - b, a + 1, z)
 
-        lo_power = None
-        if p < 1:
-            k = 1
-            while k * p < 1:
-                k += 1
-            lo_power = max(k, p.denominator)
-        hi_power = None
-        f_from_hi = None
-        if x == 1 and q < 1:
-            m = 1
-            while m * q < 1:
-                m += 1
-            hi_power = max(m, q.denominator)
-            # near t = 1 the integrand must be fed the offset s = 1 - t
-            # directly, or the complement cancels to zero
-            f_from_hi = lambda s: (1 - s) ** (pm - 1) * s ** (qm - 1)
-        return integrate(f, 0, x, ctx, lo_power=lo_power, hi_power=hi_power,
-                         f_from_hi=f_from_hi)
+        if 2 * x <= 1:
+            return +series(x, pm, qm)
+        return +(mp.beta(pm, qm) - series(1 - x, qm, pm))
 
 
 def theorem3_check(r, ctx: PrecisionContext) -> Residual:

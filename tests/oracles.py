@@ -86,29 +86,30 @@ def hypergeometric_E(k, dps: int) -> mp.mpf:
         return +(mp.pi / 2 * (1 - acc))
 
 
-def beta_complete_16_23(dps: int) -> mp.mpf:
-    """B(1; 1/6, 2/3) by splitting at 1/2 and expanding (1-t)^(-1/3)
-    resp. (1-u)^(-5/6) binomially; every term integrates to a rational
-    times a power of 1/2."""
-    def half_integral(a: Fraction, b: Fraction, dps: int) -> mp.mpf:
-        # int_0^(1/2) t^(a-1) (1-t)^(b-1) dt, binomial series in t
-        with mp.workdps(dps + 20):
-            coeff = mp.mpf(1)
-            acc = mp.mpf(0)
-            half = mp.mpf(1) / 2
-            eps = mp.mpf(10) ** (-dps - 10)
-            am, bm = mp.mpf(a.numerator) / a.denominator, mp.mpf(b.numerator) / b.denominator
-            k = 0
-            while True:
-                # coeff = (-1)^k C(b-1, k) = prod_{j<k} (j+1-b)/ (j+1)
-                term = coeff * half ** (am + k) / (am + k)
-                acc += term
-                if abs(term) < eps and k > 3:
-                    break
-                coeff *= (k + 1 - bm) / (k + 1)
-                k += 1
-            return +acc
+def half_integral(a: Fraction, b: Fraction, dps: int) -> mp.mpf:
+    """int_0^(1/2) t^(a-1) (1-t)^(b-1) dt = B(1/2; a, b), expanding
+    (1-t)^(b-1) binomially; every term integrates to a rational times a
+    power of 1/2."""
+    with mp.workdps(dps + 20):
+        coeff = mp.mpf(1)
+        acc = mp.mpf(0)
+        half = mp.mpf(1) / 2
+        eps = mp.mpf(10) ** (-dps - 10)
+        am, bm = mp.mpf(a.numerator) / a.denominator, mp.mpf(b.numerator) / b.denominator
+        k = 0
+        while True:
+            # coeff = (-1)^k C(b-1, k) = prod_{j<k} (j+1-b)/ (j+1)
+            term = coeff * half ** (am + k) / (am + k)
+            acc += term
+            if abs(term) < eps and k > 3:
+                break
+            coeff *= (k + 1 - bm) / (k + 1)
+            k += 1
+        return +acc
 
+
+def beta_complete_16_23(dps: int) -> mp.mpf:
+    """B(1; 1/6, 2/3) split at 1/2: B(1/2; 1/6, 2/3) + B(1/2; 2/3, 1/6)."""
     a, b = Fraction(1, 6), Fraction(2, 3)
     with mp.workdps(dps + 20):
         return half_integral(a, b, dps) + half_integral(b, a, dps)

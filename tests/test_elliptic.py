@@ -23,6 +23,7 @@ from qalg import (
 from qalg import elliptic
 from qalg.elliptic import agm_iterations
 from qalg.moebius import JacobiCharacter, lambert_series
+from qalg.precision import to_mpf
 
 from oracles import close, hypergeometric_E, hypergeometric_K
 
@@ -134,7 +135,7 @@ class TestExtremeParameters:
 
     CTX = PrecisionContext(120)
 
-    @pytest.mark.parametrize("r", [400, 1000, 10**4])
+    @pytest.mark.parametrize("r", [400, 1000, 10**4, Fraction(1, 10**4)], ids=str)
     def test_large_r_matches_theta_quotient(self, r):
         ctx = self.CTX
         nome = make_nome(r, ctx)
@@ -143,16 +144,38 @@ class TestExtremeParameters:
             quotient = theta2(nome) ** 2 / theta3(nome) ** 2
             assert abs(k / quotient - 1) <= ctx.eps_check
 
-    @pytest.mark.parametrize("r", [400, 10**4])
+    @pytest.mark.parametrize("r", [400, 10**4, Fraction(1, 10**4)], ids=str)
     def test_alpha_matches_legendre_route(self, r):
         # the eval-ladder's second route: Legendre's relation turns E(k')
-        # into E(k), alpha = pi/(4K^2) - sqrt(r) (E/K - 1)
+        # into E(k), alpha = pi/(4K^2) - sqrt(r) (E/K - 1).  K(k_r) cannot
+        # take k_r within 1e-130 of 1, so for r < 1 the route runs at 1/r
+        # and the reflection alpha(r) = sqrt(r) - r alpha(1/r) brings it back.
         ctx = self.CTX
-        k = singular_modulus(r, ctx)
+        r = Fraction(r)
+        s = max(r, 1 / r)
+        k = singular_modulus(s, ctx)
         K, E = ellint_K(k, ctx), ellint_E(k, ctx)
         with ctx.workdps():
-            legendre = mp.pi / (4 * K * K) - mp.sqrt(r) * (E / K - 1)
+            legendre = mp.pi / (4 * K * K) - mp.sqrt(to_mpf(s)) * (E / K - 1)
+            if r < 1:
+                legendre = mp.sqrt(to_mpf(r)) - to_mpf(r) * legendre
             assert abs(elliptic_alpha(r, ctx) - legendre) <= ctx.eps_check
+
+    @pytest.mark.parametrize("r", [400, 10**4])
+    def test_j_is_invariant_under_reciprocal(self, r):
+        # tau -> -1/tau: j(1/r) = j(r).  At r < 1 the modulus form needs
+        # k'_r to full relative precision, not sqrt(1 - k_r^2).
+        ctx = self.CTX
+        small, large = j_invariant(Fraction(1, r), ctx), j_invariant(r, ctx)
+        with ctx.workdps():
+            assert abs(small / large - 1) <= ctx.eps_check
+
+    def test_multiplier_reflection(self):
+        # K(k_{1/s}) = sqrt(s) K(k_s), so m(1/s, n) m(1, n) = 1/n for s = n^2
+        ctx = self.CTX
+        small, one = multiplier(Fraction(1, 10**4), 100, ctx), multiplier(1, 100, ctx)
+        with ctx.workdps():
+            assert abs(small * one * 100 - 1) <= ctx.eps_check
 
     @pytest.mark.parametrize("r", [400, 10**4])
     def test_inverse_round_trip(self, r):

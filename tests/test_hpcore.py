@@ -1,13 +1,13 @@
-"""Precision context, rational powers and quadrature."""
+"""Precision context and quadrature."""
 
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from qalg import DomainError, PrecisionContext, integrate, pow_rational
+from qalg import DomainError, PrecisionContext, integrate
 
-from oracles import beta_complete_16_23, close, composite_midpoint
+from oracles import composite_midpoint
 
 
 class TestPrecisionContext:
@@ -27,14 +27,6 @@ class TestPrecisionContext:
 
 
 class TestElementary:
-    def test_pow_rational_exponent_law(self):
-        ctx = PrecisionContext(60)
-        with ctx.workdps():
-            x = mp.exp(-mp.pi)
-            lhs = pow_rational(x, Fraction(1, 5), ctx)
-            rhs = mp.exp(-mp.pi / 5)
-            assert abs(lhs - rhs) < mp.mpf(10) ** -58
-
     def test_pow_rejects_binary_float_via_to_mpf(self):
         # exactness rule: rationals go in as Fractions, not floats
         from qalg.precision import to_mpf
@@ -46,15 +38,6 @@ class TestIntegrate:
     def test_constant(self):
         ctx = PrecisionContext(40)
         assert abs(integrate(lambda t: mp.mpf(1), 0, 1, ctx) - 1) < mp.mpf(10) ** -35
-
-    def test_complete_beta_series_oracle(self):
-        ctx = PrecisionContext(40)
-        with ctx.workdps():
-            f = lambda t: t ** (-mp.mpf(5) / 6) * (1 - t) ** (-mp.mpf(1) / 3)
-            g = lambda s: (1 - s) ** (-mp.mpf(5) / 6) * s ** (-mp.mpf(1) / 3)
-            val = integrate(f, 0, 1, ctx, lo_power=6, hi_power=3, f_from_hi=g)
-        oracle = beta_complete_16_23(50)
-        assert close(val, oracle, 30)
 
     def test_infinite_tail_vs_composite_oracle(self):
         ctx = PrecisionContext(30)
@@ -68,18 +51,6 @@ class TestIntegrate:
             g = lambda w: f(theta / w ** 6) * 6 * theta / w ** 7
             crude = composite_midpoint(g, 0, 1, 20000)
             assert abs(val - crude) < mp.mpf(10) ** -4
-
-    def test_substitution_invariance(self):
-        # declared-power route vs direct quadrature on a shifted interval
-        ctx = PrecisionContext(40)
-        with ctx.workdps():
-            f = lambda t: t ** (-mp.mpf(1) / 2)
-            with_hint = integrate(f, 0, 1, ctx, lo_power=2)
-            eps = mp.mpf(10) ** -45
-            direct = integrate(f, eps, 1, ctx)
-            # int_0^eps t^(-1/2) = 2 sqrt(eps)
-            assert abs(with_hint - direct - 2 * mp.sqrt(eps)) < mp.mpf(10) ** -30
-            assert abs(with_hint - 2) < mp.mpf(10) ** -35
 
     def test_empty_interval(self):
         ctx = PrecisionContext(30)

@@ -27,7 +27,7 @@ from qalg import (
     theorem4_check,
 )
 
-from oracles import close
+from oracles import beta_complete_16_23, close, half_integral
 
 CTX = PrecisionContext(60)
 CTX120 = PrecisionContext(120)
@@ -152,6 +152,27 @@ class TestIncompleteBeta:
         with mp.workdps(90):
             truth = mp.gamma(mp.mpf(1) / 6) * mp.gamma(mp.mpf(2) / 3) / mp.gamma(mp.mpf(5) / 6)
             assert close(val, truth, 45, dps=90)
+
+    def test_complete_beta_series_oracle(self):
+        val = incomplete_beta(1, Fraction(1, 6), Fraction(2, 3), CTX)
+        assert close(val, beta_complete_16_23(CTX.dps), 55, dps=CTX.dps)
+
+    @pytest.mark.parametrize("p, q", [(Fraction(1, 6), Fraction(2, 3)),
+                                      (Fraction(2, 3), Fraction(1, 6))])
+    def test_half_vs_binomial_series(self, p, q):
+        val = incomplete_beta(Fraction(1, 2), p, q, CTX)
+        assert close(val, half_integral(p, q, CTX.dps), 55, dps=CTX.dps)
+
+    @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(3, 4)])
+    def test_terminating_case(self, x):
+        # q = 2 integrates in closed form: B(x; p, 2) = x^p/p - x^(p+1)/(p+1);
+        # x = 3/4 goes through the reflection, whose series does not terminate
+        p = Fraction(1, 6)
+        val = incomplete_beta(x, p, 2, CTX)
+        with mp.workdps(CTX.dps):
+            xm, pm = mp.mpf(x.numerator) / x.denominator, mp.mpf(p.numerator) / p.denominator
+            truth = xm ** pm / pm - xm ** (pm + 1) / (pm + 1)
+            assert close(val, truth, 55, dps=CTX.dps)
 
     def test_uniform_case(self):
         assert close(incomplete_beta(Fraction(1, 2), Fraction(1), Fraction(1), CTX),
