@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import BranchError, ConvergenceError, DomainError, SingularError
+from .errors import BranchError, DomainError, SingularError
 from .hpcore import integrate
 from .precision import HPReal, PrecisionContext, to_mpf
 from .qengine import (
@@ -26,8 +26,16 @@ from .qengine import (
     theta_general,
     _qpow,
     _tail_threshold,
+    _term_count,
 )
-from .elliptic import j_invariant, singular_modulus, ellint_K, elliptic_alpha, multiplier
+from .elliptic import (
+    ellint_K,
+    elliptic_alpha,
+    inverse_singular_modulus,
+    j_invariant,
+    multiplier,
+    singular_modulus,
+)
 from .moebius import eta_qdlog, squarefree_divisors, theta_qdlog
 
 
@@ -54,7 +62,10 @@ def rrcf(nome: Nome, method: str = "product") -> HPReal:
 
     method="product" uses the quotient of two-sided q-products;
     method="continued_fraction" evaluates the fraction by backward
-    recurrence, deepening until two evaluations agree.
+    recurrence at a depth fixed in advance.  With T = 1 + q/(1 + q^2/(1 +
+    ...)), the convergents T_n alternate around T and every denominator
+    B_n >= 1, so |T - T_n| <= q^((n+1)(n+2)/2); since T >= 1 the bound is
+    also relative, and n comes from the shared truncation rule.
     """
     ctx = nome.ctx
     if method == "product":
@@ -66,19 +77,11 @@ def rrcf(nome: Nome, method: str = "product") -> HPReal:
     if method == "continued_fraction":
         with ctx.workdps():
             q = nome.q
-            eps = ctx.eps_tail
-            depth = _tail_threshold(nome) + 4
-            prev = None
-            for _ in range(6):
-                t = mp.mpf(1)
-                for k in range(depth, 0, -1):
-                    t = 1 + _qpow(q, Fraction(k)) / t
-                val = _qpow(q, Fraction(1, 5)) / t
-                if prev is not None and abs(val - prev) < eps:
-                    return +val
-                prev = val
-                depth += 8
-            raise ConvergenceError("continued fraction failed to stabilise")
+            depth = _term_count(1, Fraction(1, 2), Fraction(3, 2), _tail_threshold(nome))
+            t = mp.mpf(1)
+            for k in range(depth, 0, -1):
+                t = 1 + _qpow(q, Fraction(k)) / t
+            return +(_qpow(q, Fraction(1, 5)) / t)
     raise DomainError(f"unknown rrcf method {method!r}")
 
 
@@ -213,46 +216,26 @@ class SexticInstance:
 def solve_sextic(inst: SexticInstance, ctx: PrecisionContext) -> tuple[HPReal, Residual]:
     """Solve the sextic on the principal branch: find r >= 1 with
     j(r) = 250 c^3/(a^2 b), then Y = b/(250a) (R(q^2)^-5 - 11 - R(q^2)^5)
-    at q = exp(-pi sqrt(r)).  Returns (Y, residual-of-the-sextic)."""
+    at q = exp(-pi sqrt(r)).  Returns (Y, residual-of-the-sextic).
+
+    With m = k_r^2 k'_r^2 in (0, 1/4], j = 256 (1 - m)^3/m^2, so
+    y = 1/m - 1 is the largest root of the cubic y^3 = p (y + 1),
+    p = j/256 >= 27/4; in trigonometric form
+    y = 2 sqrt(p/3) cos(arccos((3/2) sqrt(3/p))/3).  Then
+    k_r^2 = 2/((1 + y) + sqrt((y - 3)(y + 1))) and r is the inverse
+    singular modulus of k_r.
+    """
     with ctx.workdps():
         target = inst.j_target(ctx)
         if not target >= 1728:
             raise BranchError(
                 f"j target {mp.nstr(target, 10)} below 1728; outside the principal branch"
             )
-        target_log = mp.log(target)
-
-        def g(r):
-            return mp.log(j_invariant(r, ctx)) - target_log
-
-        lo = mp.mpf(1)
-        if g(lo) > mp.mpf(10) ** -(ctx.digits - ctx.guard):
-            raise BranchError("j target below the branch minimum")
-        hi = mp.mpf(2)
-        while g(hi) < 0:
-            lo = hi
-            hi *= 2
-            if hi > 2 ** 40:
-                raise ConvergenceError("failed to bracket the j target")
-        glo, ghi = g(lo), g(hi)
-        # bisection to ~10 digits, then secant
-        for _ in range(40):
-            mid = (lo + hi) / 2
-            gm = g(mid)
-            if gm < 0:
-                lo, glo = mid, gm
-            else:
-                hi, ghi = mid, gm
-        x0, x1, f0, f1 = lo, hi, glo, ghi
-        for _ in range(int(mp.ceil(mp.log(ctx.dps, 2))) + 12):
-            if f1 == f0:
-                break
-            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-            x0, f0, x1 = x1, f1, x2
-            f1 = g(x2)
-            if abs(x1 - x0) < abs(x1) * mp.mpf(10) ** (-ctx.dps + 2):
-                break
-        r = x1
+        p = target / 256
+        # at j = 1728 rounding can push the argument past 1, and y below 3
+        y = 2 * mp.sqrt(p / 3) * mp.cos(mp.acos(min(mp.mpf(1), 3 * mp.sqrt(3 / p) / 2)) / 3)
+        k2 = 2 / ((1 + y) + mp.sqrt(max(y - 3, 0) * (y + 1)))
+        r = inverse_singular_modulus(mp.sqrt(k2), ctx)
         nome = make_nome(+r, ctx)
         a, b, c = mp.mpf(inst.a), mp.mpf(inst.b), mp.mpf(inst.c)
         Y = b / (250 * a) * sextic_theta(nome, via="rrcf")

@@ -177,15 +177,23 @@ class JacobiCharacter:
 
 @dataclass(frozen=True)
 class TaylorInput:
-    """Exact Taylor coefficients coeffs[n-1] = f^(n)(0)/n!, n = 1..N."""
+    """Exact Taylor coefficients coeffs[n-1] = f^(n)(0)/n!, n = 1..N, as
+    ints, Fractions or rational strings; floats and bools are refused."""
 
     coeffs: tuple
 
     def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
+        try:
+            cs = []
+            for c in self.coeffs:
+                if isinstance(c, (bool, float)):
+                    raise DomainError(f"coefficients must be exact rationals, got {c!r}")
+                cs.append(Fraction(c))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"coefficients must be exact rationals: {exc}") from None
         if not cs:
             raise DomainError("need at least one coefficient")
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     @property
     def order(self) -> int:
@@ -194,23 +202,14 @@ class TaylorInput:
     @classmethod
     def from_json(cls, text: str) -> "TaylorInput":
         """Parse {"coeffs": ["1/1", "1/2", ...]} (exact rational strings or
-        integers, 1-based); malformed input is a DomainError.  JSON floats
-        and booleans are refused: a binary float is not an exact rational."""
+        integers, 1-based); malformed input is a DomainError."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DomainError(f"series input is not valid JSON: {exc}") from None
         if not isinstance(doc, dict) or not isinstance(doc.get("coeffs"), list):
             raise DomainError('series input needs a "coeffs" list')
-        for s in doc["coeffs"]:
-            if isinstance(s, bool) or not isinstance(s, (str, int)):
-                raise DomainError(
-                    f"coefficients must be exact rational strings or integers, got {s!r}")
-        try:
-            coeffs = tuple(Fraction(s) for s in doc["coeffs"])
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"coefficients must be exact rationals: {exc}") from None
-        return cls(coeffs)
+        return cls(doc["coeffs"])
 
     def to_json(self) -> str:
         return json.dumps({"coeffs": [str(c) for c in self.coeffs]})

@@ -52,9 +52,6 @@ class PrecisionContext:
     def doubled(self) -> "PrecisionContext":
         return PrecisionContext(2 * self.digits, self.guard)
 
-    def with_digits(self, digits: int) -> "PrecisionContext":
-        return PrecisionContext(digits, self.guard)
-
     # Standard thresholds used across the toolkit.  Truncation tails are
     # pushed below eps_tail; identity checks assert residuals below
     # eps_check, leaving `guard` digits of separation between the two.
@@ -80,8 +77,3 @@ def to_mpf(x) -> HPReal:
         )
     return mp.mpf(x)
 
-
-def require_finite(x: HPReal, what: str = "value") -> HPReal:
-    if not mp.isfinite(x):
-        raise DomainError(f"{what} is not finite: {x}")
-    return x

@@ -15,7 +15,9 @@ threshold (q^x < 10^-(digits+guard) for all x > X), a product keeps every
 factor whose exponent is at most X, plus one; a theta sum keeps the pairs
 n, -n until the smaller exponent exceeds X.  The count comes in closed
 form, each term follows from the last by multiplication, and a count above
-ten million (q too close to 1) raises ConvergenceError.
+ten million (q too close to 1) raises ConvergenceError.  The continued
+fraction in modular.rrcf follows the same rule: its depth n is the
+smallest with (n+1)(n+2)/2 > X, which bounds the convergent's error.
 """
 
 from __future__ import annotations

@@ -79,11 +79,6 @@ class FormalSeries:
         tail = ", ..." if len(self.coeffs) > 6 else ""
         return f"FormalSeries([{head}{tail}], order={self.order})"
 
-    def truncate(self, order: int) -> "FormalSeries":
-        if order >= self.order:
-            return self
-        return FormalSeries(self.coeffs[: order + 1])
-
     # -- ring operations ----------------------------------------------
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
         n = min(self.order, other.order)

@@ -27,6 +27,9 @@ from qalg import (
     theorem4_check,
 )
 
+from qalg import elliptic, modular
+from qalg.qengine import _tail_threshold, _term_count
+
 from oracles import beta_complete_16_23, close, half_integral
 
 CTX = PrecisionContext(60)
@@ -34,11 +37,14 @@ CTX120 = PrecisionContext(120)
 
 
 class TestRRCF:
-    @pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)])
+    @pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4),
+                                   Fraction(1, 100), Fraction(400)])
     def test_product_equals_continued_fraction(self, r):
-        nome = make_nome(r, CTX)
-        assert close(rrcf(nome, "product"), rrcf(nome, "continued_fraction"),
-                     40, dps=CTX.dps)
+        for ctx in (CTX, PrecisionContext(300)):
+            nome = make_nome(r, ctx)
+            prod, cf = rrcf(nome, "product"), rrcf(nome, "continued_fraction")
+            with ctx.workdps():
+                assert abs(cf / prod - 1) < ctx.eps_check
 
     def test_classical_value_at_r4(self):
         nome = make_nome(4, CTX)
@@ -54,6 +60,26 @@ class TestRRCF:
         with CTX.workdps():
             ratio = rrcf(nome) / mp.power(nome.q, mp.mpf(1) / 5)
             assert close(ratio, 1, 20, dps=CTX.dps)
+
+
+class TestContinuedFractionCost:
+    def test_depth_fixed_in_advance(self, monkeypatch):
+        # one backward recurrence at the depth where the convergent bound
+        # q^((n+1)(n+2)/2) drops below the tail threshold: a power per
+        # level plus q^(1/5)
+        nome = make_nome(Fraction(1, 100), CTX120)
+        with CTX120.workdps():
+            depth = _term_count(1, Fraction(1, 2), Fraction(3, 2), _tail_threshold(nome))
+        calls = []
+        qpow = modular._qpow
+
+        def counting(q, e):
+            calls.append(e)
+            return qpow(q, e)
+
+        monkeypatch.setattr(modular, "_qpow", counting)
+        rrcf(nome, "continued_fraction")
+        assert len(calls) <= depth + 2
 
 
 class TestKlein:
@@ -137,10 +163,57 @@ class TestSolveSextic:
             assert close(lhs, 20 * Y ** (mp.mpf(5) / 3), 38, dps=CTX.dps)
 
     def test_below_branch(self):
+        for c in ("10", "11.99999"):
+            with CTX.workdps():
+                inst = SexticInstance(mp.mpf(1), mp.mpf(250), mp.mpf(c))
+            with pytest.raises(BranchError):
+                solve_sextic(inst, CTX)
+
+    @pytest.mark.parametrize("digits", [60, 120, 300])
+    def test_branch_point(self, digits):
+        # c = 12 puts the j target at 1728 = j(1), the end of the branch
+        ctx = PrecisionContext(digits)
+        with ctx.workdps():
+            inst = SexticInstance(mp.mpf(1), mp.mpf(250), mp.mpf(12))
+        Y, _ = solve_sextic(inst, ctx)
+        expected = sextic_theta(make_nome(1, ctx), "rrcf")
+        with ctx.workdps():
+            assert abs(Y / expected - 1) < ctx.eps_check
+
+    @pytest.mark.parametrize("c", [10 ** 4, 10 ** 20])
+    def test_large_target(self, monkeypatch, c):
+        # the r the closed form picks must give back the j target through
+        # the Newton-solved singular modulus
+        found = []
+        inverse = modular.inverse_singular_modulus
+
+        def recording(x, ctx):
+            found.append(inverse(x, ctx))
+            return found[-1]
+
+        monkeypatch.setattr(modular, "inverse_singular_modulus", recording)
         with CTX.workdps():
-            inst = SexticInstance(mp.mpf(1), mp.mpf(250), mp.mpf(10))
-        with pytest.raises(BranchError):
-            solve_sextic(inst, CTX)
+            inst = SexticInstance(mp.mpf(1), mp.mpf(250), mp.mpf(c))
+        solve_sextic(inst, CTX)
+        jr = j_invariant(found[0], CTX)
+        with CTX.workdps():
+            assert abs(jr / inst.j_target(CTX) - 1) < CTX.eps_check
+
+    def test_agm_cost(self, monkeypatch):
+        # k_r in closed form: only the inverse singular modulus runs AGMs
+        calls = []
+        agm = elliptic._agm_KE
+
+        def counting(*args):
+            calls.append(args)
+            return agm(*args)
+
+        monkeypatch.setattr(elliptic, "_agm_KE", counting)
+        elliptic._singular_modulus_cached.cache_clear()
+        with CTX120.workdps():
+            inst = SexticInstance(mp.mpf(2), mp.mpf(100), mp.mpf(20))
+        solve_sextic(inst, CTX120)
+        assert len(calls) <= 4
 
 
 class TestIncompleteBeta:

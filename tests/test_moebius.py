@@ -144,6 +144,12 @@ class TestInversion:
         inp = TaylorInput([Fraction(1, 2), Fraction(-3, 7)])
         assert TaylorInput.from_json(inp.to_json()) == inp
 
+    @pytest.mark.parametrize("coeffs", [[0.1], [True], [Fraction(1, 2), 0.5], [None]])
+    def test_inexact_coefficients_refused(self, coeffs):
+        # a binary float is not an exact rational, and a bool is not a number
+        with pytest.raises(DomainError):
+            TaylorInput(coeffs)
+
 
 class TestDetectPeriod:
     def test_t3(self):
