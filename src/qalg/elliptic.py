@@ -172,10 +172,19 @@ def singular_modulus(r, ctx: PrecisionContext) -> HPReal:
 def inverse_singular_modulus(x, ctx: PrecisionContext) -> HPReal:
     """k_i(x) = (K(sqrt(1-x^2))/K(x))^2, the inverse of r -> k_r."""
     with ctx.workdps():
-        x = to_mpf(x) if isinstance(x, (Fraction, int, str)) else mp.mpf(x)
+        if isinstance(x, (Fraction, int, str)):
+            try:
+                x = Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                raise DomainError(f"not an exact number: {x!r}") from None
+        else:
+            x = mp.mpf(x)
         if not (0 < x < 1):
             raise DomainError(f"argument must lie in (0,1), got {x}")
-        xp = mp.sqrt(1 - x * x)
+        # an exact x gets 1 - x^2 before rounding: near x = 1 that keeps
+        # the digits of x' that rounding x first would cancel away
+        xp = mp.sqrt(to_mpf(1 - x * x))
+        x = to_mpf(x)
         return +((_agm_KE(xp, x)[0] / _agm_KE(x, xp)[0]) ** 2)
 
 

@@ -217,6 +217,7 @@ def solve_sextic(inst: SexticInstance, ctx: PrecisionContext) -> tuple[HPReal, R
     """Solve the sextic on the principal branch: find r >= 1 with
     j(r) = 250 c^3/(a^2 b), then Y = b/(250a) (R(q^2)^-5 - 11 - R(q^2)^5)
     at q = exp(-pi sqrt(r)).  Returns (Y, residual-of-the-sextic).
+    The bracket is positive on that branch, so b/(250a) must be too.
 
     With m = k_r^2 k'_r^2 in (0, 1/4], j = 256 (1 - m)^3/m^2, so
     y = 1/m - 1 is the largest root of the cubic y^3 = p (y + 1),
@@ -227,6 +228,9 @@ def solve_sextic(inst: SexticInstance, ctx: PrecisionContext) -> tuple[HPReal, R
     """
     with ctx.workdps():
         target = inst.j_target(ctx)
+        a, b, c = mp.mpf(inst.a), mp.mpf(inst.b), mp.mpf(inst.c)
+        if not b / a > 0:
+            raise DomainError("need b/(250a) > 0, else Y < 0 and Y^(5/3) is not real")
         if not target >= 1728:
             raise BranchError(
                 f"j target {mp.nstr(target, 10)} below 1728; outside the principal branch"
@@ -237,7 +241,6 @@ def solve_sextic(inst: SexticInstance, ctx: PrecisionContext) -> tuple[HPReal, R
         k2 = 2 / ((1 + y) + mp.sqrt(max(y - 3, 0) * (y + 1)))
         r = inverse_singular_modulus(mp.sqrt(k2), ctx)
         nome = make_nome(+r, ctx)
-        a, b, c = mp.mpf(inst.a), mp.mpf(inst.b), mp.mpf(inst.c)
         Y = b / (250 * a) * sextic_theta(nome, via="rrcf")
         resid = Residual(
             +(b * b / (20 * a) + b * Y + a * Y * Y),

@@ -3,7 +3,9 @@
 Given a value known to hundreds of digits, build the knapsack lattice on
 (1, x, ..., x^d) with the powers scaled to integers, LLL-reduce it with
 exact integer arithmetic (delta = 0.99), and read candidate integer
-relations off the short vectors.  A candidate is only reported as
+relations off the short vectors.  Each degree's lattice is seeded with
+the reduced basis of the degree before it, so the scan never reduces a
+lattice from scratch.  A candidate is only reported as
 *recognized* after a two-tier residual test: small at working precision,
 and - when the value can be recomputed - still consistently small at
 doubled precision.  Degrees are scanned in ascending order, so the
@@ -245,8 +247,18 @@ def recognize(
     digits to single out a relation of height < 10^height_digits, with
     one digit per row to spare for LLL's approximation factor and the
     relation's own norm, and no more, since LLL's cost grows with the
-    size of the entries.  The scale only proposes candidates; the gate
-    reads the full-precision x.  A candidate passes at degree d only if
+    size of the entries.
+
+    The degrees are scanned in ascending order, and each lattice starts
+    from the reduced one before it.  A reduced degree-d row is (u, u.c)
+    with u its integer coordinates and c_i = round(10^s(d) x^i); it enters
+    the degree-(d+1) basis as (u, 0, u.c'), c' the powers rounded at the
+    new scale 10^s(d+1), beside the new row (e_{d+1}, c'_{d+1}).  The
+    coordinate block stays unimodular, so this basis spans the same
+    lattice as the identity basis on c', and it starts nearly reduced.
+
+    The scale only proposes candidates; the gate reads the full-precision
+    x.  A candidate passes at degree d only if
     |P(x)| < 10^-(digits - d*height_digits - guard), and is *recognized*
     only if the residual also survives the second tier: with a
     `recompute` callback the value is rebuilt at doubled precision and
@@ -277,16 +289,15 @@ def recognize(
             powers.append(powers[-1] * xv)
 
         best = None
+        coords = [[1]]  # the coordinate rows of the degree-0 lattice
         for d in range(1, max_degree + 1):
             lattice_digits = min(digits - ctx.guard,
                                  (d + 1) * (height_digits + 1) + 2 * ctx.guard)
             scale = mp.mpf(10) ** lattice_digits
-            rows = []
-            for i in range(d + 1):
-                row = [0] * (d + 1) + [int(mp.nint(scale * powers[i]))]
-                row[i] = 1
-                rows.append(row)
-            reduced = lattice_reduce(rows)
+            c = [int(mp.nint(scale * p)) for p in powers[:d + 1]]
+            coords = [u + [0] for u in coords] + [[0] * d + [1]]
+            reduced = lattice_reduce([u + [sum(a * b for a, b in zip(u, c))] for u in coords])
+            coords = [row[:-1] for row in reduced]
             tier1 = mp.mpf(10) ** -(digits - d * height_digits - ctx.guard)
             for row in _candidate_rows(reduced)[:3]:
                 coeffs = row[:-1]

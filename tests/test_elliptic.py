@@ -128,6 +128,11 @@ class TestSingularModulus:
         with pytest.raises(DomainError):
             inverse_singular_modulus(Fraction(3, 2), CTX)
 
+    @pytest.mark.parametrize("x", ["abc", "inf", "1/0"])
+    def test_inverse_refuses_malformed_strings(self, x):
+        with pytest.raises(DomainError):
+            inverse_singular_modulus(x, CTX)
+
 
 class TestExtremeParameters:
     """k_r is tiny for large r (about 4 exp(-pi sqrt(r)/2)) and close to 1
@@ -183,6 +188,17 @@ class TestExtremeParameters:
         k = singular_modulus(r, ctx)
         with ctx.workdps():
             assert abs(inverse_singular_modulus(k, ctx) - r) <= ctx.eps_check
+
+    @pytest.mark.parametrize("x", [1 - Fraction(1, 10**60), str(1 - Fraction(1, 10**60))],
+                             ids=["Fraction", "str"])
+    def test_inverse_near_one_exact_input(self, x):
+        # 1 - x^2 ~ 2e-60 is formed exactly; from x rounded to working
+        # precision it would keep only 60 of its digits
+        ctx = self.CTX
+        reference = inverse_singular_modulus(x, PrecisionContext(300))
+        value = inverse_singular_modulus(x, ctx)
+        with ctx.workdps():
+            assert abs(value / reference - 1) < ctx.eps_check
 
     def test_small_r_is_complement_of_reciprocal(self):
         ctx = self.CTX

@@ -169,6 +169,14 @@ class TestSolveSextic:
             with pytest.raises(BranchError):
                 solve_sextic(inst, CTX)
 
+    def test_negative_coefficient_ratio(self):
+        # a < 0 < b passes the branch check (j target 8000) but would
+        # give Y < 0, where c Y^(5/3) is not real
+        with CTX.workdps():
+            inst = SexticInstance(mp.mpf(-1), mp.mpf(250), mp.mpf(20))
+        with pytest.raises(DomainError):
+            solve_sextic(inst, PrecisionContext(40))
+
     @pytest.mark.parametrize("digits", [60, 120, 300])
     def test_branch_point(self, digits):
         # c = 12 puts the j target at 1728 = j(1), the end of the branch

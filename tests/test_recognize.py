@@ -1,5 +1,6 @@
 """Exact-integer lattice reduction and algebraic recognition."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -19,7 +20,11 @@ from qalg import (
     recognize_expression,
 )
 
+from qalg.recognize import QUANTITIES
 from oracles import close, newton_refine_root, poly_divides, random_planted_poly
+
+# the package exports the function `recognize` under the module's name
+recognize_module = importlib.import_module("qalg.recognize")
 
 
 def gram_det(rows):
@@ -334,3 +339,98 @@ class TestProbe:
             probe_Q_function(Fraction(1), Fraction(4), [Fraction(2)],
                              max_degree=4, height_digits=4,
                              ctx=PrecisionContext(100))
+
+
+def lattice_digits(d, height_digits, ctx):
+    return min(ctx.digits - ctx.guard, (d + 1) * (height_digits + 1) + 2 * ctx.guard)
+
+
+def scaled_powers(x, d, height_digits, ctx):
+    """round(10^s(d) x^i) for i = 0..d, the powers built as recognize
+    builds them."""
+    with ctx.workdps():
+        xv, powers = mp.mpf(x), [mp.mpf(1)]
+        for _ in range(d):
+            powers.append(powers[-1] * xv)
+        scale = mp.mpf(10) ** lattice_digits(d, height_digits, ctx)
+        return [int(mp.nint(scale * p)) for p in powers]
+
+
+def from_scratch_scan(x, max_degree, height_digits, ctx):
+    """The ascending scan with every degree's lattice built on the identity
+    basis and reduced from scratch: (s(d), coefficients) of the first
+    candidate that passes the first tier, or None."""
+    with ctx.workdps():
+        xv = mp.mpf(x)
+        for d in range(1, max_degree + 1):
+            c = scaled_powers(xv, d, height_digits, ctx)
+            rows = [[int(i == j) for j in range(d + 1)] + [c[i]] for i in range(d + 1)]
+            rows = sorted((r for r in lattice_reduce(rows) if any(r[:-1])),
+                          key=lambda r: sum(v * v for v in r))
+            tier1 = mp.mpf(10) ** -(ctx.digits - d * height_digits - ctx.guard)
+            for row in rows[:3]:
+                if max(abs(v) for v in row[:-1]) >= 10 ** height_digits:
+                    continue
+                poly = IntegerPolynomial(tuple(row[:-1]))
+                if abs(poly.evaluate(xv)) < tier1:
+                    return lattice_digits(d, height_digits, ctx), poly.coefficients
+    return None
+
+
+def planted_root(degree, ctx):
+    coeffs, root = random_planted_poly(random.Random(degree), degree=degree, height=999)
+    return coeffs, newton_refine_root(coeffs, root, ctx.dps)
+
+
+class TestIncrementalBasis:
+    """Each degree's lattice is seeded with the reduced basis of the degree
+    before it; it must be the lattice the identity basis spans, and the
+    scan must find what a from-scratch scan finds."""
+
+    CTX = PrecisionContext(300)
+
+    @pytest.mark.parametrize("case", ["pi", "planted"])
+    def test_same_lattice_at_every_degree(self, monkeypatch, case):
+        if case == "pi":
+            with self.CTX.workdps():
+                x = +mp.pi
+        else:
+            x = planted_root(8, self.CTX)[1]
+        bases = []
+        reduce = recognize_module.lattice_reduce
+
+        def recording(basis):
+            bases.append([list(row) for row in basis])
+            return reduce(basis)
+
+        monkeypatch.setattr(recognize_module, "lattice_reduce", recording)
+        rec = recognize(x, 10, 4, self.CTX)
+        assert [len(b) for b in bases] == list(range(2, len(bases) + 2))
+        for d, basis in enumerate(bases, start=1):
+            coords = [row[:-1] for row in basis]
+            assert all(len(u) == d + 1 for u in coords)
+            assert gram_det(coords) == 1  # det(coords)^2: unimodular
+            c = scaled_powers(x, d, 4, self.CTX)
+            assert [row[-1] for row in basis] == \
+                [sum(a * b for a, b in zip(u, c)) for u in coords]
+        assert len(bases) == (10 if case == "pi" else rec.poly.degree)
+
+    @pytest.mark.parametrize("triple, degree", [
+        (("1", "4", "2"), 4), (("1", "4", "1"), 8), (("1", "8", "2"), 16)],
+        ids=lambda v: ",".join(v) if isinstance(v, tuple) else None)
+    def test_catalog_matches_from_scratch_scan(self, triple, degree):
+        params = dict(zip(("a", "p", "r"), triple))
+        x = QUANTITIES["agile_star"].evaluate(params, self.CTX)
+        rec = recognize_expression("agile_star", params, 24, 4, self.CTX)
+        assert rec.status == "recognized" and rec.poly.degree == degree
+        assert from_scratch_scan(x, 24, 4, self.CTX) == \
+            (rec.lattice_digits, rec.poly.coefficients)
+
+    def test_planted_match_from_scratch_scan(self):
+        for degree in range(2, 12):
+            coeffs, x = planted_root(degree, self.CTX)
+            rec = recognize(x, 12, 4, self.CTX)
+            assert rec.status == "recognized"
+            assert poly_divides(rec.poly.coefficients, tuple(coeffs))
+            assert from_scratch_scan(x, 12, 4, self.CTX) == \
+                (rec.lattice_digits, rec.poly.coefficients)
