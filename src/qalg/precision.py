@@ -52,13 +52,8 @@ class PrecisionContext:
     def doubled(self) -> "PrecisionContext":
         return PrecisionContext(2 * self.digits, self.guard)
 
-    # Standard thresholds used across the toolkit.  Truncation tails are
-    # pushed below eps_tail; identity checks assert residuals below
-    # eps_check, leaving `guard` digits of separation between the two.
-    @property
-    def eps_tail(self) -> HPReal:
-        return mp.mpf(10) ** -(self.digits + self.guard // 2)
-
+    # Identity checks assert residuals below eps_check, `guard` digits
+    # looser than the visible precision `digits`.
     @property
     def eps_check(self) -> HPReal:
         return mp.mpf(10) ** -(self.digits - self.guard)

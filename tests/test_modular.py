@@ -30,7 +30,7 @@ from qalg import (
 from qalg import elliptic, modular
 from qalg.qengine import _tail_threshold, _term_count
 
-from oracles import beta_complete_16_23, close, half_integral
+from oracles import beta_complete_16_23, close, composite_midpoint, half_integral
 
 CTX = PrecisionContext(60)
 CTX120 = PrecisionContext(120)
@@ -270,6 +270,19 @@ class TestIntegralIdentities:
         res = theorem3_check(r, CTX)
         with CTX.workdps():
             assert res.diff < CTX.eps_check
+
+    def test_tail_integral_vs_composite_oracle(self):
+        # brute force on the original integrand, folded by t = theta/w^6 to
+        # a bounded one on (0, 1], then the plain midpoint rule; theta at
+        # r = 1/5 is 5 sqrt(5)
+        ctx = PrecisionContext(30)
+        val = 5 * theorem3_check(Fraction(1, 5), ctx).lhs
+        with ctx.workdps():
+            theta = 5 * mp.sqrt(mp.mpf(5))
+            f = lambda t: 1 / (t ** (mp.mpf(1) / 6) * mp.sqrt(125 + 22 * t + t * t))
+            g = lambda w: f(theta / w ** 6) * 6 * theta / w ** 7
+            crude = composite_midpoint(g, 0, 1, 20000)
+            assert abs(val - crude) < mp.mpf(10) ** -4
 
     @pytest.mark.parametrize("r", [Fraction(1), Fraction(2)])
     def test_beta_derivative(self, r):
