@@ -19,8 +19,11 @@ def integrate(f: Callable[[HPReal], HPReal], lo, hi, ctx: PrecisionContext) -> H
     [lo, hi].
 
     Both limits must be finite numbers with lo <= hi, else DomainError is
-    raised.  The absolute error is brought below 10**-(digits - guard/2),
-    else ConvergenceError is raised.
+    raised.  One pass raises the degree from 1 up to at most 10, each
+    degree adding its new nodes to the sum of the one before (mpmath's
+    rule, with its node cache, as ``mp.quad`` runs it), and stops at the
+    first degree whose error estimate is at most 10**-(digits - guard/2);
+    if degree 10 misses it, ConvergenceError is raised.
     """
     tol_digits = ctx.digits - ctx.guard // 2
     with mp.workdps(ctx.dps + 10):
@@ -33,11 +36,10 @@ def integrate(f: Callable[[HPReal], HPReal], lo, hi, ctx: PrecisionContext) -> H
         if hi == lo:
             return mp.mpf(0)
 
-        for maxdegree in (6, 8, 10):
-            val, err = mp.quad(f, [lo, hi], error=True, maxdegree=maxdegree)
-            if err <= tol:
-                break
-        else:
+        prec = mp.mp.prec
+        with mp.extraprec(20):
+            val, err = mp.mp._tanh_sinh.summation(f, [lo, hi], prec, tol, 10)
+        if err > tol:
             raise ConvergenceError(
                 f"quadrature error estimate {mp.nstr(err, 5)} exceeds tolerance {mp.nstr(tol, 5)}"
             )

@@ -235,14 +235,13 @@ def extract_X(inp: TaylorInput) -> list[Fraction]:
 def coeffs_from_X(X: Sequence[Fraction], order: int) -> list[Fraction]:
     """Inverse direction: c_n = (1/n) sum_{d|n} d X(d) (X may be shorter
     than order only if periodic; here X must cover 1..order)."""
-    out = []
-    for n in range(1, order + 1):
-        s = Fraction(0)
-        for d in range(1, n + 1):
-            if n % d == 0:
-                s += d * Fraction(X[d - 1])
-        out.append(s / n)
-    return out
+    sums = [Fraction(0)] * (order + 1)
+    for d in range(1, order + 1):
+        dx = d * Fraction(X[d - 1])
+        if dx:
+            for n in range(d, order + 1, d):
+                sums[n] += dx
+    return [sums[n] / n for n in range(1, order + 1)]
 
 
 # ---------------------------------------------------------------------------

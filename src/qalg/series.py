@@ -163,30 +163,39 @@ class FormalSeries:
         return self.log().scale(k).exp()
 
     def log(self) -> "FormalSeries":
+        """log(self) by  n*g_n = n*f_n - sum_{k<n} (k*g_k) f_{n-k}.  The
+        weights k*g_k are kept as they are found, so for integer f the
+        O(N^2) loop multiplies ints."""
         if self.coeffs[0] != 1:
             raise OrderError("series log requires constant term 1")
         f = self.coeffs
         n_ord = self.order
         out = [0] * (n_ord + 1)
+        w = [0] * (n_ord + 1)  # w[k] = k * out[k]
         for n in range(1, n_ord + 1):
             s = n * f[n]
             for k in range(1, n):
-                if out[k] and f[n - k]:
-                    s -= k * out[k] * f[n - k]
+                if w[k] and f[n - k]:
+                    s -= w[k] * f[n - k]
+            w[n] = _exact(s)
             out[n] = _exact(Fraction(s, n))
         return FormalSeries(out)
 
     def exp(self) -> "FormalSeries":
+        """exp(self) by  n*e_n = sum_{k<=n} (k*l_k) e_{n-k}.  The weights
+        k*l_k are formed once, before the O(N^2) loop, so where they are
+        integers (the eq25 targets) and e is integral it multiplies ints."""
         if self.coeffs[0] != 0:
             raise OrderError("series exp requires constant term 0")
-        l = self.coeffs
         n_ord = self.order
+        w = [(k, _exact(k * c)) for k, c in enumerate(self.coeffs) if c]
         out = [1] + [0] * n_ord
         for n in range(1, n_ord + 1):
             s = 0
-            for k in range(1, n + 1):
-                if l[k]:
-                    s += k * l[k] * out[n - k]
+            for k, wk in w:
+                if k > n:
+                    break
+                s += wk * out[n - k]
             out[n] = _exact(Fraction(s, n))
         return FormalSeries(out)
 

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: pi comes
 from a Machin formula summed in exact rationals, K/E from their
-hypergeometric series, the beta value from a split binomial series, and
-integrals from composite midpoint rules.  Values are computed fresh so
+hypergeometric series, the beta value from a split binomial series,
+integrals from composite midpoint rules, and series log/exp from their
+textbook recurrences.  Values are computed fresh so
 the tests never assert against numbers produced by the library itself.
 """
 
@@ -113,6 +114,38 @@ def beta_complete_16_23(dps: int) -> mp.mpf:
     a, b = Fraction(1, 6), Fraction(2, 3)
     with mp.workdps(dps + 20):
         return half_integral(a, b, dps) + half_integral(b, a, dps)
+
+
+def _exact(c):
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
+def series_log(f) -> list:
+    """log of the coefficient list f (f[0] = 1) by the textbook recurrence
+    n g_n = n f_n - sum_{k<n} k g_k f_{n-k}, each product formed anew."""
+    n_ord = len(f) - 1
+    out = [0] * (n_ord + 1)
+    for n in range(1, n_ord + 1):
+        s = n * f[n]
+        for k in range(1, n):
+            if out[k] and f[n - k]:
+                s -= k * out[k] * f[n - k]
+        out[n] = _exact(Fraction(s, n))
+    return out
+
+
+def series_exp(l) -> list:
+    """exp of the coefficient list l (l[0] = 0) by the textbook recurrence
+    n e_n = sum_{k<=n} k l_k e_{n-k}, each product formed anew."""
+    n_ord = len(l) - 1
+    out = [1] + [0] * n_ord
+    for n in range(1, n_ord + 1):
+        s = 0
+        for k in range(1, n + 1):
+            if l[k]:
+                s += k * l[k] * out[n - k]
+        out[n] = _exact(Fraction(s, n))
+    return out
 
 
 def composite_midpoint(f, a, b, n: int) -> mp.mpf:

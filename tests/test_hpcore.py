@@ -1,9 +1,12 @@
 """Precision context and quadrature."""
 
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
 
-from qalg import DomainError, PrecisionContext, integrate
+from qalg import ConvergenceError, DomainError, PrecisionContext, integrate
+from qalg import modular
 
 
 class TestPrecisionContext:
@@ -49,3 +52,24 @@ class TestIntegrate:
         ctx = PrecisionContext(30)
         with pytest.raises(DomainError):
             integrate(lambda t: t, lo, hi, ctx)
+
+    def test_one_pass_on_eq40_integrand(self, monkeypatch):
+        # at 120 digits r = 1/5 needs degree 7: integrate may evaluate the
+        # integrand no more often than one mp.quad pass up to degree 7 does
+        ctx = PrecisionContext(120)
+        calls, reference, seen = [], [], {}
+
+        def spy(f, lo, hi, ctx):
+            seen["f"] = f
+            return integrate(lambda w: calls.append(w) or f(w), lo, hi, ctx)
+
+        monkeypatch.setattr(modular, "integrate", spy)
+        modular.theorem3_check(Fraction(1, 5), ctx)
+        with mp.workdps(ctx.dps + 10):
+            mp.quad(lambda w: reference.append(w) or seen["f"](w), [0, 1], maxdegree=7)
+        assert 0 < len(calls) <= len(reference)
+
+    def test_kink_does_not_converge(self):
+        ctx = PrecisionContext(30)
+        with pytest.raises(ConvergenceError):
+            integrate(lambda t: abs(t - mp.mpf(1) / 3), 0, 1, ctx)

@@ -31,6 +31,7 @@ from qalg import (
 )
 from qalg.elliptic import ellint_K, singular_modulus, theta_powersum_closed
 from qalg.moebius import theta_qdlog
+from qalg.qengine import _tail_threshold
 
 from oracles import close, machin_pi
 
@@ -328,6 +329,28 @@ class TestTermBudget:
         with pytest.raises(ConvergenceError):
             walk(nome)
         assert time.monotonic() - start < 1
+
+
+class TestTailThreshold:
+    """The threshold is worked out at 30 digits; its ceiling must be the
+    one the full working precision gives, over r in [10^-4, 10^4] and
+    60-1000 digits."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["Fraction", "mpf"])
+    def test_matches_full_precision(self, exact):
+        rng = random.Random(13)
+        draws = [(-4, 60), (4, 60), (-4, 1000), (4, 1000)] + [
+            (rng.uniform(-4, 4), rng.randint(60, 1000)) for _ in range(40)]
+        for e, digits in draws:
+            ctx = PrecisionContext(digits)
+            with ctx.workdps():
+                if exact:
+                    r = Fraction(10 ** e).limit_denominator(10 ** 6)
+                else:
+                    r = mp.power(10, mp.mpf(e) + mp.sqrt(2) / 10 ** 6)
+                nome = make_nome(r, ctx)
+                full = int(mp.ceil(mp.mpf(ctx.digits + ctx.guard) / (-mp.log10(nome.q))))
+                assert _tail_threshold(nome) == full, (r, digits)
 
 
 # every caller of the shared product and theta walks not covered above

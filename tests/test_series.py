@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from qalg import FormalSeries, OrderError, exponent_product
 from qalg.series import one_minus_power_product
 
+from oracles import series_exp, series_log
+
 rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6)
 
@@ -133,6 +135,33 @@ class TestIntegerPaths:
         else:
             assert s.pow_int(k) == power.inverse()
             assert s.pow_int(k) * power == FormalSeries.one(s.order)
+
+
+tails = st.one_of(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=30),
+    st.lists(rationals, min_size=1, max_size=30))
+
+
+def _same_coeffs(got, ref):
+    assert got == tuple(ref)
+    assert [type(c) for c in got] == [type(c) for c in ref]
+
+
+class TestExpLogAgainstReference:
+    """The hoisted weights give the textbook recurrences' exact values,
+    int where those are ints, on integer and rational series."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tails)
+    def test_exp(self, cs):
+        s = FormalSeries([0] + cs)
+        _same_coeffs(s.exp().coeffs, series_exp(s.coeffs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tails)
+    def test_log(self, cs):
+        s = FormalSeries([1] + cs)
+        _same_coeffs(s.log().coeffs, series_log(s.coeffs))
 
 
 class TestRoundTrips:
