@@ -1,7 +1,9 @@
 """Complete elliptic integrals, singular moduli and the j-invariant.
 
 K and E are computed by the arithmetic-geometric mean, which converges
-quadratically (iteration count ~ log2(digits)).  The singular modulus
+quadratically (iteration count ~ log2(digits)); the loop runs in fixed
+point on Python integers, with math.isqrt for the square roots
+(Brent-Zimmermann, Modern Computer Arithmetic, 3-4).  The singular modulus
 k_r is the unique x in (0,1) with K(sqrt(1-x^2))/K(x) = sqrt(r).  It is
 found by Newton on the logarithmic form, seeded from a 30-digit theta
 quotient theta2^2/theta3^2 and run at precisions doubling toward the
@@ -15,10 +17,12 @@ before being returned.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .errors import ConvergenceError, DomainError, InsufficientPrecision
 from .precision import HPReal, PrecisionContext, to_mpf
@@ -34,52 +38,58 @@ def _agm_KE(k: HPReal, kp: HPReal | None = None):
     the AGM of (1, k_r) itself, without the sqrt(1 - (1 - k^2)) round trip
     that loses 2 |log10 k| digits for small k.
 
-    Stops a few ulps early (the difference stalls at rounding noise) and
-    takes one extra quadratic step, which lands below working precision.
+    The loop runs on integers scaled by 2^prec, square roots by
+    math.isqrt.  prec is the working precision plus 20 guard bits plus
+    the leading zero bits of b = k', so a tiny k' keeps its relative
+    precision.  Stops a few ulps early (the difference stalls at rounding
+    noise) and takes one extra quadratic step, which lands below working
+    precision.
     """
-    a, b = mp.mpf(1), mp.sqrt(1 - k * k) if kp is None else kp
-    eps = mp.mpf(10) ** (-mp.mp.dps + 3)
-    csum4 = 2 * k * k  # 4 times the c-sum
-    pw = 1
+    b = mp.sqrt(1 - k * k) if kp is None else kp
+    prec = mp.mp.prec + 20 + max(0, -mp.mag(b))
+    a, b = 1 << prec, int(to_fixed(b._mpf_, prec))
+    eps = (1 << prec) // 10 ** (mp.mp.dps - 3)
+    kf = int(to_fixed(k._mpf_, prec))
+    csum4 = 2 * kf * kf >> prec  # 4 times the c-sum
     d = a - b
     iters = 0
-    while abs(d) > eps * a:
-        a, b = (a + b) / 2, mp.sqrt(a * b)
-        csum4 += d * d * pw
-        pw *= 2
+    while abs(d) > eps * a >> prec:
+        a, b = (a + b) >> 1, math.isqrt(a * b)
+        csum4 += d * d << iters >> prec  # d_n^2 2^n
         d = a - b
         iters += 1
         if iters > 10_000:
             raise ConvergenceError("AGM failed to converge")
-    a, b = (a + b) / 2, mp.sqrt(a * b)
-    csum4 += d * d * pw
-    K = mp.pi / (a + b)
-    return K, K * (1 - csum4 / 4), iters + 1
+    a, b = (a + b) >> 1, math.isqrt(a * b)
+    csum4 += d * d << iters >> prec
+    K = mp.pi / mp.ldexp(a + b, -prec)
+    return K, K * mp.ldexp((4 << prec) - csum4, -prec - 2), iters + 1
+
+
+def _modulus_agm(k, ctx: PrecisionContext):
+    """_agm_KE(k) at ctx's working precision for an exact or mpf modulus
+    0 <= k < 1 (nan included in the refusal)."""
+    with ctx.workdps():
+        k = to_mpf(k)
+        if not (0 <= k < 1):
+            raise DomainError(f"the modulus must satisfy 0 <= k < 1, got {k}")
+        return _agm_KE(k)
 
 
 def agm_iterations(k, ctx: PrecisionContext) -> int:
     """Iterations the AGM needs for K(k); exposed for the convergence
     contract (<= ceil(log2(digits)) + 5 away from the endpoints)."""
-    with ctx.workdps():
-        return _agm_KE(mp.mpf(k))[2]
+    return _modulus_agm(k, ctx)[2]
 
 
 def ellint_K(k, ctx: PrecisionContext) -> HPReal:
     """Complete elliptic integral of the first kind, K(k) for 0 <= k < 1."""
-    with ctx.workdps():
-        k = mp.mpf(k)
-        if k < 0 or k >= 1:
-            raise DomainError(f"K requires 0 <= k < 1, got {k}")
-        return +_agm_KE(k)[0]
+    return _modulus_agm(k, ctx)[0]
 
 
 def ellint_E(k, ctx: PrecisionContext) -> HPReal:
     """Complete elliptic integral of the second kind via the AGM c-sum."""
-    with ctx.workdps():
-        k = mp.mpf(k)
-        if k < 0 or k >= 1:
-            raise DomainError(f"E requires 0 <= k < 1, got {k}")
-        return +_agm_KE(k)[1]
+    return _modulus_agm(k, ctx)[1]
 
 
 _SEED_DIGITS = 25
@@ -159,6 +169,8 @@ def _modulus_pair(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
     tiny and sqrt(1 - k_r^2) would keep only its leading digits."""
     if not isinstance(r, mp.mpf):
         r = Fraction(r)
+    elif not mp.isfinite(r):
+        raise DomainError(f"r must be finite, got {r}")
     if r <= 0:
         raise DomainError(f"r must be positive, got {r}")
     return _singular_modulus_cached(r, ctx)

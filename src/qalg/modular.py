@@ -78,9 +78,12 @@ def rrcf(nome: Nome, method: str = "product") -> HPReal:
         with ctx.workdps():
             q = nome.q
             depth = _term_count(1, Fraction(1, 2), Fraction(3, 2), _tail_threshold(nome))
+            powers = [q]
+            for _ in range(depth - 1):
+                powers.append(powers[-1] * q)
             t = mp.mpf(1)
-            for k in range(depth, 0, -1):
-                t = 1 + _qpow(q, Fraction(k)) / t
+            for qk in reversed(powers):
+                t = 1 + qk / t
             return +(_qpow(q, Fraction(1, 5)) / t)
     raise DomainError(f"unknown rrcf method {method!r}")
 
@@ -260,7 +263,10 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
 
     Up to x = 1/2 this is the series x^p/p 2F1(p, 1-q; p+1; x) (DLMF
     8.17.7), whose terms shrink at least like 2^-n; above 1/2 the
-    reflection B(p, q) - B(1-x; q, p) (DLMF 8.17.4) takes it back there.
+    reflection B(p, q) - B(1-x; q, p) (DLMF 8.17.4) takes it back there,
+    with the complete B(p, q) = B(1/2; p, q) + B(1/2; q, p) from the same
+    series: mpmath's beta goes through Gamma, whose first call at a new
+    precision costs seconds at 1000 digits.
     """
     p, q = Fraction(p), Fraction(q)
     if p <= 0 or q <= 0:
@@ -278,7 +284,9 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
 
         if 2 * x <= 1:
             return +series(x, pm, qm)
-        return +(mp.beta(pm, qm) - series(1 - x, qm, pm))
+        half = mp.mpf(1) / 2
+        complete = series(half, pm, qm) + series(half, qm, pm)
+        return +(complete - series(1 - x, qm, pm))
 
 
 def theorem3_check(r, ctx: PrecisionContext) -> Residual:

@@ -15,7 +15,10 @@ threshold (q^x < 10^-(digits+guard) for all x > X), a product keeps every
 factor whose exponent is at most X, plus one; a theta sum keeps the pairs
 n, -n until the smaller exponent exceeds X.  The count comes in closed
 form, each term follows from the last by multiplication, and a count above
-ten million (q too close to 1) raises ConvergenceError.  The continued
+ten million (q too close to 1) raises ConvergenceError.  A product is
+formed in fixed point, on integers scaled by 2^prec with guard bits for
+its factor count (Brent-Zimmermann, Modern Computer Arithmetic, 3-4);
+the factors are the same ones.  The continued
 fraction in modular.rrcf follows the same rule: its depth n is the
 smallest with (n+1)(n+2)/2 > X, which bounds the convergent's error.
 """
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .errors import ConvergenceError, DomainError, OrderError
 from .precision import HPReal, PrecisionContext, to_mpf
@@ -91,6 +95,8 @@ class ThetaSpec:
 
 def make_nome(r, ctx: PrecisionContext) -> Nome:
     if isinstance(r, mp.mpf):
+        if not mp.isfinite(r):
+            raise DomainError(f"r must be finite, got {r}")
         if r <= 0:
             raise DomainError(f"r must be positive, got {r}")
         with ctx.workdps():
@@ -160,12 +166,35 @@ def _term_count(e0, a, b, stop) -> int:
 
 def _progression_product(e0, step, t, qstep: HPReal, nome: Nome) -> HPReal:
     """prod_{n=0}^{N} (1 - q^(e0 + n*step)) given t = q^e0 and
-    qstep = q^step: every factor up to the tail threshold, plus one."""
-    prod = mp.mpf(1)
-    for _ in range(_term_count(e0, 0, step, _tail_threshold(nome)) + 1):
-        prod *= 1 - t
+    qstep = q^step: every factor up to the tail threshold, plus one.
+
+    Leading factors with t >= 1 (e0 <= 0) are taken in mpf; the rest run
+    on integers scaled by 2^prec, with log2 of the factor count plus ten
+    guard bits for the one-ulp truncation each step makes in man and T.
+    man is renormalised to at least half scale (ex counts the shifts), so
+    a product near 0 keeps its relative precision.  Once T truncates to 0
+    every later factor is exactly 1."""
+    count = _term_count(e0, 0, step, _tail_threshold(nome)) + 1
+    head = mp.mpf(1)
+    while count and t >= 1:
+        head *= 1 - t
         t *= qstep
-    return prod
+        count -= 1
+    prec = mp.mp.prec + count.bit_length() + 10
+    half = 1 << (prec - 1)
+    T = int(to_fixed(t._mpf_, prec))
+    S = int(to_fixed(qstep._mpf_, prec))
+    man, ex = 1 << prec, 0
+    for _ in range(count):
+        if not T:
+            break
+        man -= man * T >> prec
+        T = T * S >> prec
+        if man < half:
+            shift = prec - man.bit_length()
+            man <<= shift
+            ex += shift
+    return head * mp.ldexp(man, -prec - ex)
 
 
 def _theta_terms(a, b, nome: Nome, margin=0) -> list:

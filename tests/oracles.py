@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: pi comes
 from a Machin formula summed in exact rationals, K/E from their
 hypergeometric series, the beta value from a split binomial series,
-integrals from composite midpoint rules, and series log/exp from their
-textbook recurrences.  Values are computed fresh so
+integrals from composite midpoint rules, series log/exp from their
+textbook recurrences, and the q-product and AGM kernels from plain mpf
+loops.  Values are computed fresh so
 the tests never assert against numbers produced by the library itself.
 """
 
@@ -85,6 +86,44 @@ def hypergeometric_E(k, dps: int) -> mp.mpf:
             if n > 20 * dps:
                 raise RuntimeError("series too slow for this k")
         return +(mp.pi / 2 * (1 - acc))
+
+
+def mpf_progression_product(t, qstep, count: int) -> mp.mpf:
+    """prod_{n<count} (1 - t qstep^n) by the plain mpf loop, ten digits
+    above the current working precision: the reference for the
+    fixed-point product kernel."""
+    with mp.workdps(mp.mp.dps + 10):
+        prod = mp.mpf(1)
+        for _ in range(count):
+            prod *= 1 - t
+            t *= qstep
+        return prod
+
+
+def mpf_agm_KE(k, kp=None):
+    """(K(k), E(k), iterations) by the plain mpf AGM of (1, k') with the
+    c-sum E/K = 1 - (k^2/2 + sum_n 2^(n-2) (a_n - b_n)^2): the reference
+    for the fixed-point AGM kernel.  k' and the stopping rule
+    |a - b| <= 10^(3 - dps) a come from the current working precision;
+    the loop runs ten digits above it."""
+    b = mp.sqrt(1 - k * k) if kp is None else kp
+    eps = mp.mpf(10) ** (-mp.mp.dps + 3)
+    with mp.workdps(mp.mp.dps + 10):
+        a = mp.mpf(1)
+        csum4 = 2 * k * k
+        pw = 1
+        iters = 0
+        while True:
+            d = a - b
+            done = abs(d) <= eps * a
+            a, b = (a + b) / 2, mp.sqrt(a * b)
+            csum4 += d * d * pw
+            pw *= 2
+            iters += 1
+            if done:
+                break
+        K = mp.pi / (a + b)
+        return K, K * (1 - csum4 / 4), iters
 
 
 def half_integral(a: Fraction, b: Fraction, dps: int) -> mp.mpf:

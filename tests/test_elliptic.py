@@ -25,7 +25,7 @@ from qalg.elliptic import agm_iterations
 from qalg.moebius import JacobiCharacter, lambert_series
 from qalg.precision import to_mpf
 
-from oracles import close, hypergeometric_E, hypergeometric_K
+from oracles import close, hypergeometric_E, hypergeometric_K, mpf_agm_KE
 
 CTX = PrecisionContext(60)
 
@@ -57,6 +57,28 @@ class TestK:
         for k in ("0.000001", "0.3", "0.999999"):
             with CTX.workdps():
                 assert agm_iterations(mp.mpf(k), CTX) <= budget
+
+
+class TestFixedPointAGM:
+    """The fixed-point AGM kernel against the plain mpf loop: K and E to
+    10^-(dps-3) relative and the same iteration count.  Each modulus is
+    run without k', with k', and (k' given as the second argument) for
+    K(k'), where b = k is tiny for k = 10^-300."""
+
+    @pytest.mark.parametrize("digits", [60, 300, 1000])
+    @pytest.mark.parametrize("k", ["1e-300", "0.3", "0.999999"])
+    def test_matches_mpf_loop(self, k, digits):
+        ctx = PrecisionContext(digits)
+        with ctx.workdps():
+            k = mp.mpf(k)
+            kp = mp.sqrt((1 - k) * (1 + k))
+            for args in ((k,), (k, kp), (kp, k)):
+                K, E, iters = elliptic._agm_KE(*args)
+                K0, E0, iters0 = mpf_agm_KE(*args)
+                assert iters == iters0, args
+                for x, ref in ((K, K0), (E, E0)):
+                    with mp.workdps(ctx.dps + 10):
+                        assert abs(x - ref) <= abs(ref) * mp.mpf(10) ** (3 - ctx.dps), args
 
 
 class TestE:
@@ -132,6 +154,26 @@ class TestSingularModulus:
     def test_inverse_refuses_malformed_strings(self, x):
         with pytest.raises(DomainError):
             inverse_singular_modulus(x, CTX)
+
+
+class TestNonFinite:
+    """nan and inf are refused up front with a DomainError, rather than
+    returning nan or running the Newton solve until it gives up."""
+
+    @pytest.mark.parametrize("r", [mp.nan, mp.inf], ids=["nan", "inf"])
+    def test_singular_modulus(self, r):
+        with pytest.raises(DomainError):
+            singular_modulus(r, CTX)
+
+    @pytest.mark.parametrize("integral", [ellint_K, ellint_E], ids=["K", "E"])
+    def test_integrals_refuse_nan(self, integral):
+        with pytest.raises(DomainError):
+            integral(mp.nan, CTX)
+
+    def test_K_takes_a_fraction(self):
+        with mp.workdps(90):
+            truth = hypergeometric_K(mp.mpf(1) / 3, 90)
+        assert close(ellint_K(Fraction(1, 3), CTX), truth, 55, dps=90)
 
 
 class TestExtremeParameters:

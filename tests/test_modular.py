@@ -65,8 +65,8 @@ class TestRRCF:
 class TestContinuedFractionCost:
     def test_depth_fixed_in_advance(self, monkeypatch):
         # one backward recurrence at the depth where the convergent bound
-        # q^((n+1)(n+2)/2) drops below the tail threshold: a power per
-        # level plus q^(1/5)
+        # q^((n+1)(n+2)/2) drops below the tail threshold; q, q^2, ...
+        # come by multiplication, so q^(1/5) is the only power taken
         nome = make_nome(Fraction(1, 100), CTX120)
         with CTX120.workdps():
             depth = _term_count(1, Fraction(1, 2), Fraction(3, 2), _tail_threshold(nome))
@@ -78,8 +78,9 @@ class TestContinuedFractionCost:
             return qpow(q, e)
 
         monkeypatch.setattr(modular, "_qpow", counting)
+        assert depth > 10
         rrcf(nome, "continued_fraction")
-        assert len(calls) <= depth + 2
+        assert calls == [Fraction(1, 5)]
 
 
 class TestKlein:
@@ -233,6 +234,18 @@ class TestIncompleteBeta:
         with mp.workdps(90):
             truth = mp.gamma(mp.mpf(1) / 6) * mp.gamma(mp.mpf(2) / 3) / mp.gamma(mp.mpf(5) / 6)
             assert close(val, truth, 45, dps=90)
+
+    @pytest.mark.parametrize("p, q", [(Fraction(2, 3), Fraction(1, 6)),
+                                      (Fraction(1, 2), Fraction(5, 2)),
+                                      (Fraction(3), Fraction(7, 3))])
+    def test_complete_against_gamma_route(self, p, q):
+        # the reflection takes B(p, q) from the series at 1/2; mpmath's
+        # beta gets it from Gamma, as test_complete_value does for (1/6, 2/3)
+        val = incomplete_beta(1, p, q, CTX)
+        with mp.workdps(90):
+            truth = mp.beta(mp.mpf(p.numerator) / p.denominator,
+                            mp.mpf(q.numerator) / q.denominator)
+            assert close(val, truth, 55, dps=90)
 
     def test_complete_beta_series_oracle(self):
         val = incomplete_beta(1, Fraction(1, 6), Fraction(2, 3), CTX)

@@ -30,10 +30,11 @@ from qalg import (
     theta_qexpansion,
 )
 from qalg.elliptic import ellint_K, singular_modulus, theta_powersum_closed
+from qalg import qengine
 from qalg.moebius import theta_qdlog
-from qalg.qengine import _tail_threshold
+from qalg.qengine import _tail_threshold, _term_count
 
-from oracles import close, machin_pi
+from oracles import close, machin_pi, mpf_progression_product
 
 CTX = PrecisionContext(60)
 CTX100 = PrecisionContext(100)
@@ -74,6 +75,12 @@ class TestNome:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             make_nome(0, CTX)
+
+    @pytest.mark.parametrize("r", [mp.nan, mp.inf], ids=["nan", "inf"])
+    def test_rejects_nonfinite(self, r):
+        # a nan nome used to surface as a bare ValueError in the products
+        with pytest.raises(DomainError):
+            eta_paper(1, make_nome(r, CTX))
 
 
 class TestAgile:
@@ -383,3 +390,40 @@ class TestPrecisionStability:
         lo = theta_general(spec, make_nome(1, PrecisionContext(40)))
         hi = theta_general(spec, make_nome(1, PrecisionContext(80)))
         assert close(lo, hi, 39, dps=100)
+
+
+# every caller of the product kernel: eta_paper, agile_star (both
+# progressions of a two-sided product) and tau_star with a > p, whose
+# leading factors 1 - q^e with e <= 0 stay out of the fixed-point loop
+PRODUCTS = (
+    [lambda nome, m=m: eta_paper(m, nome) for m in (1, Fraction(1, 2), 10)]
+    + [lambda nome, s=s: agile_star(AgileSpec(*s), nome)
+       for s in ((1, 5), (Fraction(1, 2), 4), (5, 12))]
+    + [lambda nome, s=s: tau_star(*s, nome)
+       for s in ((7, 5), (13, 5), (Fraction(9, 2), 2))])
+
+
+def _reference_product(e0, step, t, qstep, nome):
+    count = _term_count(e0, 0, step, _tail_threshold(nome)) + 1
+    return mpf_progression_product(t, qstep, count)
+
+
+class TestFixedPointProduct:
+    """The fixed-point product kernel against the plain mpf loop over the
+    same factors, to 10^-(dps-3) relative.  At r = 10^-4 eta(1) is about
+    1e-23, so the running product must keep its relative precision."""
+
+    @pytest.mark.parametrize("digits, r", [
+        pytest.param(digits, r, id=f"{digits}-r{r}") for digits in (60, 300, 1000)
+        for r in (Fraction(1, 10 ** 4), Fraction(1, 100), Fraction(1, 5), Fraction(1),
+                  Fraction(37, 10), Fraction(100), Fraction(400))
+        if digits < 1000 or r >= Fraction(1, 100)])
+    def test_matches_mpf_loop(self, digits, r, monkeypatch):
+        ctx = PrecisionContext(digits)
+        nome = make_nome(r, ctx)
+        fixed = [walk(nome) for walk in PRODUCTS]
+        monkeypatch.setattr(qengine, "_progression_product", _reference_product)
+        reference = [walk(nome) for walk in PRODUCTS]
+        with mp.workdps(ctx.dps + 10):
+            for i, (x, ref) in enumerate(zip(fixed, reference)):
+                assert abs(x - ref) <= abs(ref) * mp.mpf(10) ** (3 - ctx.dps), i
