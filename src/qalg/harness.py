@@ -563,7 +563,7 @@ def _build_registry() -> dict:
     for r in (Fraction(1, 5), Fraction(1, 2), Fraction(1)):
         tag = str(r).replace("/", "_")
         add(f"eq40.tail-integral.r{tag}", PC, ("eq40", "eq41", "eq42", "thm3"), "numeric",
-            partial(theorem3_check, r))
+            lambda ctx, r=r: theorem3_check(r, ctx))
     add("eq40.k45-radical", PC, ("eq40", "eq01"), "numeric", _k45_radical)
     for r in (Fraction(1), Fraction(2)):
         add(f"eq43.beta-derivative.r{r}", PC, ("eq43",), "numeric", partial(_eq43, r=r))
@@ -581,8 +581,9 @@ def _build_registry() -> dict:
         add(f"eq54.q12-4-closed.r{tag}", ("paper-core", "conjectures"),
             ("eq54", "eq56"), "numeric", partial(_q12_4, r=r))
     add("eq50.ki-roundtrip", PC, ("eq50",), "numeric", _ki_roundtrip)
-    add("thm4.p3.r1", PC, ("thm4",), "numeric", partial(theorem4_check, 3, Fraction(1)))
-    add("thm4.p5.r1", PC, ("thm4",), "numeric", partial(theorem4_check, 5, Fraction(1)))
+    for p in (3, 5):
+        add(f"thm4.p{p}.r1", PC, ("thm4",), "numeric",
+            lambda ctx, p=p: theorem4_check(p, Fraction(1), ctx))
     add("thm4.p2.r1", PC, ("thm4",), "recorded", _thm4_p2)
     add("ex2.t3-closed-form.r1", PC, ("ex2", "eq20", "eq21", "eq22", "thm"), "numeric",
         _example2)

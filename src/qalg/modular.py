@@ -6,10 +6,13 @@ function of the singular modulus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .errors import BranchError, DomainError, SingularError
 from .hpcore import integrate
@@ -257,6 +260,19 @@ def solve_sextic(inst: SexticInstance, ctx: PrecisionContext) -> tuple[HPReal, R
 # incomplete beta and the integral identities
 # ---------------------------------------------------------------------------
 
+def _beta_series(z, a, b):
+    """B(z; a, b) = z^a/a 2F1(a, 1-b; a+1; z) (DLMF 8.17.7)."""
+    return z ** a / a * mp.hyp2f1(a, 1 - b, a + 1, z)
+
+
+@lru_cache(maxsize=64)
+def _complete_beta(p: Fraction, q: Fraction, dps: int) -> HPReal:
+    """B(p, q) = B(1/2; p, q) + B(1/2; q, p) at dps digits."""
+    with mp.workdps(dps):
+        half, pm, qm = mp.mpf(1) / 2, to_mpf(p), to_mpf(q)
+        return _beta_series(half, pm, qm) + _beta_series(half, qm, pm)
+
+
 def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
     """B(x; p, q) = int_0^x t^(p-1) (1-t)^(q-1) dt for rational p, q > 0
     and 0 <= x <= 1.
@@ -265,8 +281,8 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
     8.17.7), whose terms shrink at least like 2^-n; above 1/2 the
     reflection B(p, q) - B(1-x; q, p) (DLMF 8.17.4) takes it back there,
     with the complete B(p, q) = B(1/2; p, q) + B(1/2; q, p) from the same
-    series: mpmath's beta goes through Gamma, whose first call at a new
-    precision costs seconds at 1000 digits.
+    series, cached per (p, q, dps): mpmath's beta goes through Gamma,
+    whose first call at a new precision costs seconds at 1000 digits.
     """
     p, q = Fraction(p), Fraction(q)
     if p <= 0 or q <= 0:
@@ -278,15 +294,9 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
         if x == 0:
             return mp.mpf(0)
         pm, qm = to_mpf(p), to_mpf(q)
-
-        def series(z, a, b):
-            return z ** a / a * mp.hyp2f1(a, 1 - b, a + 1, z)
-
         if 2 * x <= 1:
-            return +series(x, pm, qm)
-        half = mp.mpf(1) / 2
-        complete = series(half, pm, qm) + series(half, qm, pm)
-        return +(complete - series(1 - x, qm, pm))
+            return +_beta_series(x, pm, qm)
+        return +(_complete_beta(p, q, ctx.dps) - _beta_series(1 - x, qm, pm))
 
 
 def theorem3_check(r, ctx: PrecisionContext) -> Residual:
@@ -298,6 +308,10 @@ def theorem3_check(r, ctx: PrecisionContext) -> Residual:
     By t = theta/w^6 the tail is int_0^1 6 theta^(5/6) dw / sqrt(theta^2
     + 22 theta w^6 + 125 w^12), analytic on [0, 1]: a change of variable,
     not the identity, so quadrature still stands against the beta series.
+    The integrand is fixed point, as ``integrate`` takes it: w and the
+    value are integers scaled by 2^prec, the three constants 6
+    theta^(5/6), theta^2 and 22 theta are scaled once per prec, w^6 comes
+    from shifts and the square root from math.isqrt.
 
     The beta argument is the *square* of the singular modulus at 4r; the
     unsquared argument fails by O(0.1).
@@ -306,11 +320,18 @@ def theorem3_check(r, ctx: PrecisionContext) -> Residual:
     with ctx.workdps():
         nome = make_nome(r, ctx)
         th = sextic_theta(nome)
-        c, th2, b = 6 * th ** (mp.mpf(5) / 6), th * th, 22 * th
+        consts = (6 * th ** (mp.mpf(5) / 6), th * th, 22 * th)
 
-        def f(w):
-            w6 = w ** 6
-            return c / mp.sqrt(th2 + (b + 125 * w6) * w6)
+        @lru_cache(maxsize=1)
+        def scaled(prec):
+            return [int(to_fixed(v._mpf_, prec)) for v in consts]
+
+        def f(w, prec):
+            c, th2, b = scaled(prec)
+            w2 = w * w >> prec
+            w6 = w2 * w2 * w2 >> 2 * prec
+            den = th2 + ((b + 125 * w6) * w6 >> prec)
+            return (c << prec) // math.isqrt(den << prec)
 
         lhs = integrate(f, 0, 1, ctx) / 5
         k4r = singular_modulus(4 * r, ctx)

@@ -4,9 +4,10 @@ Everything here deliberately avoids the code paths under test: pi comes
 from a Machin formula summed in exact rationals, K/E from their
 hypergeometric series, the beta value from a split binomial series,
 integrals from composite midpoint rules, series log/exp from their
-textbook recurrences, and the q-product and AGM kernels from plain mpf
-loops.  Values are computed fresh so
-the tests never assert against numbers produced by the library itself.
+textbook recurrences, the q-product and AGM kernels from plain mpf
+loops, and the fixed-point quadrature from mpmath's tanh-sinh in mpf.
+Values are computed fresh so the tests never assert against numbers
+produced by the library itself.
 """
 
 from fractions import Fraction
@@ -124,6 +125,28 @@ def mpf_agm_KE(k, kp=None):
                 break
         K = mp.pi / (a + b)
         return K, K * (1 - csum4 / 4), iters
+
+
+def mpf_tanh_sinh(f, lo, hi, dps: int, tol_digits: int):
+    """(value, integrand evaluations) of mpmath's tanh-sinh rule on
+    [lo, hi] in mpf: one ``TanhSinh.summation`` pass of ``mp.mp``'s rule
+    (the instance and node cache ``mp.quad`` uses) over degrees 1..10
+    under 20 extra bits, at dps + 10 digits, stopping at an error
+    estimate of 10^-tol_digits.  The reference for the fixed-point
+    quadrature; f takes and returns mpf."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    with mp.workdps(dps + 10):
+        tol = mp.mpf(10) ** (-tol_digits)
+        prec = mp.mp.prec
+        with mp.extraprec(20):
+            val, _ = mp.mp._tanh_sinh.summation(
+                counted, [mp.mpf(lo), mp.mpf(hi)], prec, tol, 10)
+        return +val, len(calls)
 
 
 def half_integral(a: Fraction, b: Fraction, dps: int) -> mp.mpf:

@@ -5,8 +5,12 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from mpmath.libmp import to_fixed
+
 from qalg import ConvergenceError, DomainError, PrecisionContext, integrate
-from qalg import modular
+from qalg import hpcore, modular
+
+from oracles import mpf_tanh_sinh
 
 
 class TestPrecisionContext:
@@ -33,25 +37,62 @@ class TestElementary:
             to_mpf(0.1)
 
 
+def as_mpf(f):
+    """An mpf function evaluating the fixed-point integrand f 20 bits
+    above the current working precision."""
+    def g(x):
+        prec = mp.mp.prec + 20
+        return mp.ldexp(f(int(to_fixed(mp.mpf(x)._mpf_, prec)), prec), -prec)
+    return g
+
+
+def as_fixed(g):
+    """A fixed-point integrand from the mpf function g, evaluated 10 bits
+    above the precision it is asked for."""
+    def f(x, prec):
+        with mp.workprec(prec + 10):
+            return int(to_fixed(g(mp.ldexp(x, -prec))._mpf_, prec))
+    return f
+
+
+class _Captured(Exception):
+    pass
+
+
+def eq40_integrand(r, ctx):
+    """The fixed-point integrand theorem3_check hands to integrate."""
+    seen = {}
+
+    def capture(f, lo, hi, ctx):
+        seen["f"] = f
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modular, "integrate", capture)
+        with pytest.raises(_Captured):
+            modular.theorem3_check(r, ctx)
+    return seen["f"]
+
+
 class TestIntegrate:
     def test_constant(self):
         ctx = PrecisionContext(40)
-        assert abs(integrate(lambda t: mp.mpf(1), 0, 1, ctx) - 1) < mp.mpf(10) ** -35
+        assert abs(integrate(lambda x, prec: 1 << prec, 0, 1, ctx) - 1) < mp.mpf(10) ** -35
 
     def test_empty_interval(self):
         ctx = PrecisionContext(30)
-        assert integrate(lambda t: t, 1, 1, ctx) == 0
+        assert integrate(lambda x, prec: x, 1, 1, ctx) == 0
 
     def test_infinite_needs_decay(self):
         ctx = PrecisionContext(30)
         with pytest.raises(DomainError):
-            integrate(lambda t: 1 / t ** 2, 1, None, ctx)
+            integrate(lambda x, prec: (1 << 3 * prec) // (x * x), 1, None, ctx)
 
     @pytest.mark.parametrize("lo, hi", [(1, 0), (0, mp.inf)], ids=["reversed", "infinite"])
     def test_reversed_or_infinite_limit(self, lo, hi):
         ctx = PrecisionContext(30)
         with pytest.raises(DomainError):
-            integrate(lambda t: t, lo, hi, ctx)
+            integrate(lambda x, prec: x, lo, hi, ctx)
 
     def test_one_pass_on_eq40_integrand(self, monkeypatch):
         # at 120 digits r = 1/5 needs degree 7: integrate may evaluate the
@@ -61,15 +102,53 @@ class TestIntegrate:
 
         def spy(f, lo, hi, ctx):
             seen["f"] = f
-            return integrate(lambda w: calls.append(w) or f(w), lo, hi, ctx)
+            return integrate(lambda w, prec: calls.append(w) or f(w, prec), lo, hi, ctx)
 
         monkeypatch.setattr(modular, "integrate", spy)
         modular.theorem3_check(Fraction(1, 5), ctx)
+        g = as_mpf(seen["f"])
         with mp.workdps(ctx.dps + 10):
-            mp.quad(lambda w: reference.append(w) or seen["f"](w), [0, 1], maxdegree=7)
+            mp.quad(lambda w: reference.append(w) or g(w), [0, 1], maxdegree=7)
         assert 0 < len(calls) <= len(reference)
 
     def test_kink_does_not_converge(self):
         ctx = PrecisionContext(30)
         with pytest.raises(ConvergenceError):
-            integrate(lambda t: abs(t - mp.mpf(1) / 3), 0, 1, ctx)
+            integrate(lambda x, prec: abs(3 * x - (1 << prec)) // 3, 0, 1, ctx)
+
+
+class TestFixedPointQuadrature:
+    """The fixed-point rule against mpmath's tanh-sinh run in mpf on the
+    same integrand: the same degrees, the same number of integrand
+    evaluations, and values within 10^-(dps-3) relative."""
+
+    @pytest.mark.parametrize("digits, case", [
+        pytest.param(digits, r, id=f"eq40-{digits}-r{r}")
+        for digits in (60, 300, 1000)
+        for r in (Fraction(1, 5), Fraction(1, 2), Fraction(1))
+        if digits < 1000 or r == 1] + [
+        # int_{-1}^{2} e^x dx = e^2 - e^-1 exercises the affine map
+        pytest.param(60, "exp", id="exp-60")])
+    def test_matches_mpf_rule(self, digits, case, monkeypatch):
+        ctx = PrecisionContext(digits)
+        if case == "exp":
+            f, lo, hi = as_fixed(mp.exp), -1, 2
+        else:
+            f, lo, hi = eq40_integrand(case, ctx), 0, 1
+        degrees, calls = [], []
+        nodes = hpcore._nodes
+
+        def spy(degree, P):
+            degrees.append(degree)
+            return nodes(degree, P)
+
+        monkeypatch.setattr(hpcore, "_nodes", spy)
+        value = integrate(lambda x, prec: calls.append(x) or f(x, prec), lo, hi, ctx)
+        ref, evaluations = mpf_tanh_sinh(
+            as_mpf(f), lo, hi, ctx.dps, ctx.digits - ctx.guard // 2)
+        assert degrees == list(range(1, len(degrees) + 1))
+        assert len(calls) == evaluations
+        with mp.workdps(ctx.dps + 10):
+            assert abs(value - ref) <= abs(ref) * mp.mpf(10) ** (3 - ctx.dps)
+            if case == "exp":
+                assert abs(value - (mp.e ** 2 - 1 / mp.e)) < mp.mpf(10) ** -(digits - 5)

@@ -276,6 +276,18 @@ class TestIncompleteBeta:
         with pytest.raises(DomainError):
             incomplete_beta(Fraction(3, 2), Fraction(1, 6), Fraction(2, 3), CTX)
 
+    def test_complete_value_cached(self, monkeypatch):
+        # a reflected call at a precision seen before sums one series, not three
+        modular._complete_beta.cache_clear()
+        calls, series = [], modular._beta_series
+        monkeypatch.setattr(modular, "_beta_series", lambda *a: calls.append(a) or series(*a))
+        x, p, q = Fraction(3, 4), Fraction(1, 6), Fraction(2, 3)
+        first = incomplete_beta(x, p, q, CTX)
+        assert len(calls) == 3
+        assert incomplete_beta(x, p, q, CTX) == first and len(calls) == 4
+        incomplete_beta(x, p, q, CTX120)
+        assert len(calls) == 7
+
 
 class TestIntegralIdentities:
     @pytest.mark.parametrize("r", [Fraction(1, 5), Fraction(1, 2), Fraction(1)])
