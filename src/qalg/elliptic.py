@@ -25,34 +25,41 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from .errors import ConvergenceError, DomainError, InsufficientPrecision
-from .precision import HPReal, PrecisionContext, to_mpf
+from .precision import HPReal, PrecisionContext, exact, to_mpf
 from .qengine import eta_paper, make_nome, _qpow
 
 
-def _agm_KE(k: HPReal, kp: HPReal | None = None):
+def _agm_KE(k: HPReal, kp: HPReal):
     """(K(k), E(k), iterations) from one AGM of (1, k') at the current
-    working precision (0 <= k < 1).  E comes from the c-sum
+    working precision, 0 <= k < 1, with kp = k' at full relative
+    precision: for K(k'_r) that is k_r itself, which sqrt(1 - k'^2) would
+    leave 2 |log10 k_r| digits short.  E comes from the c-sum
     E/K = 1 - (k^2/2 + sum_n 2^(n-2) d_n^2), d_n = a_n - b_n.
 
-    Pass the complementary modulus kp when it is known: K(k'_r) is then
-    the AGM of (1, k_r) itself, without the sqrt(1 - (1 - k^2)) round trip
-    that loses 2 |log10 k| digits for small k.
-
     The loop runs on integers scaled by 2^prec, square roots by
-    math.isqrt.  prec is the working precision plus 20 guard bits plus
-    the leading zero bits of b = k', so a tiny k' keeps its relative
-    precision.  Stops a few ulps early (the difference stalls at rounding
-    noise) and takes one extra quadratic step, which lands below working
-    precision.
+    math.isqrt.  prec is the working precision wp plus 20 guard bits plus
+    the leading zero bits of b, so a tiny b keeps its relative precision.
+    k_r has about 2.27 sqrt(r) zero bits, so while b/a < 2^-wp the steps
+    run in mpf instead, each halving b's zero bits; E = K(1 - csum/4)
+    then cancels log2 K bits, about the bit length of the zero count,
+    which go into the guard.  Stops a few ulps early (the difference
+    stalls at rounding noise) and takes one extra quadratic step, which
+    lands below working precision.
     """
-    b = mp.sqrt(1 - k * k) if kp is None else kp
-    prec = mp.mp.prec + 20 + max(0, -mp.mag(b))
-    a, b = 1 << prec, int(to_fixed(b._mpf_, prec))
+    wp, zeros = mp.mp.prec, -mp.mag(kp)
+    prec, a, b, head, iters = wp + 20, mp.mpf(1), kp, mp.mpf(0), 0
+    if zeros > wp:
+        prec += zeros.bit_length()
+        with mp.workprec(prec):
+            while mp.mag(a) - mp.mag(b) > wp + 1:
+                head += mp.ldexp((a - b) ** 2, iters)
+                a, b = (a + b) / 2, mp.sqrt(a * b)
+                iters += 1
+    prec += max(0, -mp.mag(b))
+    a, b, kf, head = (int(to_fixed(v._mpf_, prec)) for v in (a, b, k, head))
     eps = (1 << prec) // 10 ** (mp.mp.dps - 3)
-    kf = int(to_fixed(k._mpf_, prec))
-    csum4 = 2 * kf * kf >> prec  # 4 times the c-sum
+    csum4 = (2 * kf * kf >> prec) + head  # 4 times the c-sum
     d = a - b
-    iters = 0
     while abs(d) > eps * a >> prec:
         a, b = (a + b) >> 1, math.isqrt(a * b)
         csum4 += d * d << iters >> prec  # d_n^2 2^n
@@ -66,14 +73,19 @@ def _agm_KE(k: HPReal, kp: HPReal | None = None):
     return K, K * mp.ldexp((4 << prec) - csum4, -prec - 2), iters + 1
 
 
+def _exact_modulus(k) -> tuple[HPReal, HPReal]:
+    """(k, k') at the working precision for an exact modulus 0 <= k < 1
+    (see precision.exact).  1 - k^2 is formed before rounding: near k = 1
+    that keeps the digits of k' that rounding k first would cancel away."""
+    k = exact(k)
+    if not (0 <= k < 1):
+        raise DomainError(f"the modulus must satisfy 0 <= k < 1, got {k}")
+    return to_mpf(k), mp.sqrt(to_mpf(1 - k * k))
+
+
 def _modulus_agm(k, ctx: PrecisionContext):
-    """_agm_KE(k) at ctx's working precision for an exact or mpf modulus
-    0 <= k < 1 (nan included in the refusal)."""
     with ctx.workdps():
-        k = to_mpf(k)
-        if not (0 <= k < 1):
-            raise DomainError(f"the modulus must satisfy 0 <= k < 1, got {k}")
-        return _agm_KE(k)
+        return _agm_KE(*_exact_modulus(k))
 
 
 def agm_iterations(k, ctx: PrecisionContext) -> int:
@@ -126,7 +138,7 @@ def _singular_modulus_cached(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
     # and the pair (k_r, k'_r) is returned so that neither is recomputed
     # from the other.
     with ctx.workdps():
-        rm = to_mpf(r) if isinstance(r, Fraction) else mp.mpf(r)
+        rm = to_mpf(r)
         s = rm if rm >= 1 else 1 / rm
         x = _theta_seed(s)
         if rm < 1 and mp.sqrt(1 - x * x) == 1:
@@ -167,36 +179,29 @@ def _singular_modulus_cached(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
 def _modulus_pair(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
     """(k_r, k'_r), each to full relative precision: for r < 1, k'_r is
     tiny and sqrt(1 - k_r^2) would keep only its leading digits."""
-    if not isinstance(r, mp.mpf):
-        r = Fraction(r)
-    elif not mp.isfinite(r):
-        raise DomainError(f"r must be finite, got {r}")
+    r = exact(r)
     if r <= 0:
         raise DomainError(f"r must be positive, got {r}")
     return _singular_modulus_cached(r, ctx)
 
 
 def singular_modulus(r, ctx: PrecisionContext) -> HPReal:
-    """The singular modulus k_r in (0,1) for positive r (rational or mpf)."""
+    """The singular modulus k_r in (0,1) for positive r (see precision.exact)."""
     return _modulus_pair(r, ctx)[0]
+
+
+def singular_K(r, ctx: PrecisionContext) -> HPReal:
+    """K(k_r), from the pair (k_r, k'_r) rather than from k_r alone."""
+    with ctx.workdps():
+        return _agm_KE(*_modulus_pair(r, ctx))[0]
 
 
 def inverse_singular_modulus(x, ctx: PrecisionContext) -> HPReal:
     """k_i(x) = (K(sqrt(1-x^2))/K(x))^2, the inverse of r -> k_r."""
     with ctx.workdps():
-        if isinstance(x, (Fraction, int, str)):
-            try:
-                x = Fraction(x)
-            except (ValueError, ZeroDivisionError):
-                raise DomainError(f"not an exact number: {x!r}") from None
-        else:
-            x = mp.mpf(x)
-        if not (0 < x < 1):
-            raise DomainError(f"argument must lie in (0,1), got {x}")
-        # an exact x gets 1 - x^2 before rounding: near x = 1 that keeps
-        # the digits of x' that rounding x first would cancel away
-        xp = mp.sqrt(to_mpf(1 - x * x))
-        x = to_mpf(x)
+        x, xp = _exact_modulus(x)
+        if not x:
+            raise DomainError("argument must lie in (0,1), got 0")
         return +((_agm_KE(xp, x)[0] / _agm_KE(x, xp)[0]) ** 2)
 
 
@@ -204,7 +209,7 @@ def elliptic_alpha(r, ctx: PrecisionContext) -> HPReal:
     """alpha(r) = E(k'_r)/K(k_r) - pi/(4 K(k_r)^2)."""
     with ctx.workdps():
         k, kp = _modulus_pair(r, ctx)
-        K = _agm_KE(k, kp)[0]
+        K = singular_K(r, ctx)
         return +(_agm_KE(kp, k)[1] / K - mp.pi / (4 * K * K))
 
 
@@ -213,13 +218,11 @@ def multiplier(r, n: int, ctx: PrecisionContext) -> HPReal:
     n = int(n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    r = Fraction(r) if not isinstance(r, mp.mpf) else r
+    r = exact(r)
     with ctx.workdps():
         if n == 1:
             return mp.mpf(1)
-        K1 = _agm_KE(*_modulus_pair(r, ctx))[0]
-        K2 = _agm_KE(*_modulus_pair(r * n * n, ctx))[0]
-        return +(K2 / K1)
+        return +(singular_K(r * n * n, ctx) / singular_K(r, ctx))
 
 
 def j_invariant(r, ctx: PrecisionContext, via: str = "modulus") -> HPReal:
@@ -260,7 +263,7 @@ def theta_powersum_closed(m: int, r, ctx: PrecisionContext) -> HPReal:
         nome = make_nome(r, ctx)
         q = nome.q
         k11, k12 = _modulus_pair(r, ctx)
-        K = _agm_KE(k11, k12)[0]
+        K = singular_K(r, ctx)
         if m % 2 == 0:
             t = m // 2
             return +(_qpow(q, Fraction(-t * t)) * mp.sqrt(2 * K / mp.pi))

@@ -59,9 +59,9 @@ from .qengine import (
 )
 from .elliptic import (
     elliptic_alpha,
-    ellint_K,
     inverse_singular_modulus,
     j_invariant,
+    singular_K,
     singular_modulus,
     theta_powersum_closed,
 )
@@ -192,7 +192,7 @@ def _eta_power(ctx, r: Fraction):
     nome = make_nome(r, ctx)
     k = singular_modulus(r, ctx)
     kp = mp.sqrt(1 - k * k)
-    K = ellint_K(k, ctx)
+    K = singular_K(r, ctx)
     lhs = eta_paper(1, nome) ** 8
     rhs = (2 ** (mp.mpf(8) / 3) / mp.pi ** 4 * _qpow(nome.q, Fraction(-1, 3))
            * k ** (mp.mpf(2) / 3) * kp ** (mp.mpf(8) / 3) * K ** 4)
@@ -301,7 +301,7 @@ def _eq46(ctx, r: Fraction):
     nome = make_nome(r, ctx)
     lhs = 1 - 24 * lambert_series(JacobiCharacter(1), nome)
     k = singular_modulus(r, ctx)
-    K = ellint_K(k, ctx)
+    K = singular_K(r, ctx)
     sr = mp.sqrt(to_mpf(r))
     rhs = (6 / (mp.pi * sr)
            + 4 * K * K * (-6 * elliptic_alpha(r, ctx) + sr * (1 + k * k))

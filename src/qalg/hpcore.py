@@ -18,11 +18,10 @@ from functools import lru_cache
 from typing import Callable
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
 from mpmath.libmp.libelefun import exp_fixed, pi_fixed
 
 from .errors import ConvergenceError, DomainError
-from .precision import HPReal, PrecisionContext
+from .precision import HPReal, PrecisionContext, exact, to_mpf
 
 _MAX_DEGREE = 10
 # Each level makes at most 2 (20 * 2^m + 1) evaluations, so a pass adds
@@ -70,7 +69,8 @@ def integrate(f: Callable[[int, int], int], lo, hi, ctx: PrecisionContext) -> HP
 
     ``f(x, prec)`` is fixed point: it takes x as the integer x 2^prec and
     returns f(x) 2^prec, rounded, likewise as an int.  Both limits must be
-    finite numbers with lo <= hi, else DomainError is raised.
+    exact finite numbers (see precision.exact) with lo <= hi, else
+    DomainError is raised.
 
     One pass raises the degree from 1 up to at most 10.  Level m keeps
     the sum of the level before: I_m = I_{m-1}/2 + 2^-m sum w f(x) over
@@ -86,23 +86,20 @@ def integrate(f: Callable[[int, int], int], lo, hi, ctx: PrecisionContext) -> HP
     nodes stop at 1 - x <= 2^-(prec + 10), as mpmath's do, and are kept
     in an lru_cache on (degree, P).
     """
+    lo, hi = exact(lo), exact(hi)
+    if hi < lo:
+        raise DomainError("hi < lo")
+    if hi == lo:
+        return mp.mpf(0)
     tol_digits = ctx.digits - ctx.guard // 2
     with mp.workdps(ctx.dps + 10):
         tol = mp.mpf(10) ** (-tol_digits)
-        lo, hi = (mp.nan if x is None else mp.mpf(x) for x in (lo, hi))
-        if not (mp.isfinite(lo) and mp.isfinite(hi)):
-            raise DomainError("integrate takes finite limits only")
-        if hi < lo:
-            raise DomainError("hi < lo")
-        if hi == lo:
-            return mp.mpf(0)
-
         prec = mp.mp.prec
         P = prec + _GUARD
         # x in [-1, 1] maps to (lo + hi)/2 + x (hi - lo)/2
-        a, b = (int(to_fixed(v._mpf_, P)) for v in (lo, hi))
+        a, b = ((v.numerator << P) // v.denominator for v in (lo, hi))
         both, width = a + b, b - a
-        half_width = (hi - lo) / 2
+        half_width = to_mpf((hi - lo) / 2)
         level, results, err = 0, [], mp.mpf(0)
         with mp.extraprec(20):
             for degree in range(1, _MAX_DEGREE + 1):

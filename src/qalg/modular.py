@@ -16,7 +16,7 @@ from mpmath.libmp import to_fixed
 
 from .errors import BranchError, DomainError, SingularError
 from .hpcore import integrate
-from .precision import HPReal, PrecisionContext, to_mpf
+from .precision import HPReal, PrecisionContext, exact, to_mpf
 from .qengine import (
     AgileSpec,
     Nome,
@@ -32,11 +32,11 @@ from .qengine import (
     _term_count,
 )
 from .elliptic import (
-    ellint_K,
     elliptic_alpha,
     inverse_singular_modulus,
     j_invariant,
     multiplier,
+    singular_K,
     singular_modulus,
 )
 from .moebius import eta_qdlog, squarefree_divisors, theta_qdlog
@@ -186,8 +186,6 @@ def sextic_Y_check(nome: Nome) -> SexticYResult:
     can share the same j value, so callers should treat the outcome as a
     measurement rather than a uniqueness assertion."""
     ctx = nome.ctx
-    if not isinstance(nome.r, Fraction):
-        raise DomainError("the candidate scan needs a rational r")
     with ctx.workdps():
         y6 = eta_paper(1, nome) ** 6 / (eta_paper(5, nome) ** 6 * nome.q)
         tol = ctx.eps_check
@@ -284,19 +282,18 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
     series, cached per (p, q, dps): mpmath's beta goes through Gamma,
     whose first call at a new precision costs seconds at 1000 digits.
     """
-    p, q = Fraction(p), Fraction(q)
+    p, q, x = Fraction(p), Fraction(q), exact(x)
     if p <= 0 or q <= 0:
         raise DomainError("p and q must be positive")
+    if x < 0 or x > 1:
+        raise DomainError(f"x must lie in [0,1], got {x}")
+    if x == 0:
+        return mp.mpf(0)
     with ctx.workdps():
-        x = to_mpf(x) if isinstance(x, (Fraction, int, str)) else mp.mpf(x)
-        if x < 0 or x > 1:
-            raise DomainError(f"x must lie in [0,1], got {x}")
-        if x == 0:
-            return mp.mpf(0)
         pm, qm = to_mpf(p), to_mpf(q)
         if 2 * x <= 1:
-            return +_beta_series(x, pm, qm)
-        return +(_complete_beta(p, q, ctx.dps) - _beta_series(1 - x, qm, pm))
+            return +_beta_series(to_mpf(x), pm, qm)
+        return +(_complete_beta(p, q, ctx.dps) - _beta_series(to_mpf(1 - x), qm, pm))
 
 
 def theorem3_check(r, ctx: PrecisionContext) -> Residual:
@@ -316,7 +313,7 @@ def theorem3_check(r, ctx: PrecisionContext) -> Residual:
     The beta argument is the *square* of the singular modulus at 4r; the
     unsquared argument fails by O(0.1).
     """
-    r = Fraction(r)
+    r = exact(r)
     with ctx.workdps():
         nome = make_nome(r, ctx)
         th = sextic_theta(nome)
@@ -344,7 +341,7 @@ def eq43_derivative_check(r, ctx: PrecisionContext) -> Residual:
     """Central difference of r -> B(k_r^2; 1/6, 2/3) against the closed
     form -(pi/2) 4^(1/3) q^(1/6) eta(1)^4 / sqrt(r); the step is
     10^-(digits/4), so agreement is to roughly half the working digits."""
-    r = Fraction(r)
+    r = exact(r)
     with ctx.workdps():
         h = mp.mpf(10) ** -(ctx.digits // 4)
         rm = to_mpf(r)
@@ -371,7 +368,7 @@ def theorem4_check(p: int, r, ctx: PrecisionContext) -> Residual:
     p = int(p)
     if p < 2 or squarefree_divisors(p) != [(1, 1), (p, -1)]:
         raise DomainError(f"p must be prime, got {p}")
-    r = Fraction(r)
+    r = exact(r)
     with ctx.workdps():
         nome = make_nome(r, ctx)
         sr = mp.sqrt(to_mpf(r))
@@ -379,7 +376,7 @@ def theorem4_check(p: int, r, ctx: PrecisionContext) -> Residual:
         for j in range(1, (p - 1) // 2 + 1):
             qd += theta_qdlog(ThetaSpec(Fraction(p, 2), Fraction(p - 2 * j, 2)), nome)
         k = singular_modulus(r, ctx)
-        K = ellint_K(k, ctx)
+        K = singular_K(r, ctx)
         lhs = mp.pi ** 2 * sr / (4 * K * K) * (-1 + p - 24 * qd)
         kp2 = singular_modulus(p * p * r, ctx)
         m = multiplier(r, p, ctx)

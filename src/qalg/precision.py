@@ -1,10 +1,15 @@
-"""Precision management.
+"""Precision management and the input boundary.
 
 Every numeric routine in qalg takes a :class:`PrecisionContext` telling it
 how many decimal digits the caller wants to be correct, plus a number of
 guard digits carried internally.  Results are plain ``mpmath.mpf`` values
 (aliased ``HPReal``); they are immutable and keep their bits once created,
 so they can be shared freely after the computation returns.
+
+A number from outside - the parameter r, a modulus k, an argument x, an
+integration limit - enters through :func:`exact` as a Fraction (an mpf
+converts bit for bit) and is rounded only where it is used, by
+:func:`to_mpf`, so 1 - k^2 and c^2 r are formed before any rounding.
 """
 
 from __future__ import annotations
@@ -13,12 +18,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_rational, mpf_shift, round_nearest
 
 from .errors import DomainError
 
 HPReal = mp.mpf
 
 MIN_DIGITS = 30
+
+# exact() takes an mpf m 2^e only for |e| <= this, a 2 MB integer
+_EXACT_EXPONENT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -59,16 +68,33 @@ class PrecisionContext:
         return mp.mpf(10) ** -(self.digits - self.guard)
 
 
-def to_mpf(x) -> HPReal:
-    """Convert an exact number (int, Fraction, str, mpf) to mpf at the
-    current working precision."""
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-    if isinstance(x, (int, str)):
-        return mp.mpf(x)
-    if isinstance(x, float):
-        raise DomainError(
-            "refusing to convert a binary float; pass an int, Fraction or string"
-        )
-    return mp.mpf(x)
+def exact(x) -> Fraction:
+    """x as an exact rational: an int, a Fraction, an "n/d" string, or a
+    finite mpf, bit for bit.  Anything else - a binary float, a bool, nan,
+    inf, None, an mpf of binary exponent beyond +-2^24 - raises
+    DomainError."""
+    if isinstance(x, mp.mpf):
+        # no mp.mpf() re-wrap here: that would round x to the *current*
+        # working precision and silently discard its stored bits
+        if not mp.isfinite(x):
+            raise DomainError(f"not a finite number: {x}")
+        sign, man, exp, _ = x._mpf_
+        man, exp = int(-man if sign else man), int(exp)  # man may be a gmpy2 mpz
+        if abs(exp) > _EXACT_EXPONENT:  # k_r at r = 1e20 is 2^-(2.3e10)
+            raise DomainError(f"{mp.nstr(x, 5)} is too far from 1 to take exactly")
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    if isinstance(x, (float, bool)):
+        raise DomainError(f"refusing {x!r}: pass an int, Fraction, n/d string or mpf")
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise DomainError(f"not an exact number: {x!r}") from None
 
+
+def to_mpf(x) -> HPReal:
+    """exact(x) rounded once to the current working precision."""
+    x = exact(x)
+    # a 2^n in the denominator goes to the exponent: mpmath strips it in O(n^2)
+    twos = (x.denominator & -x.denominator).bit_length() - 1
+    v = from_rational(x.numerator, x.denominator >> twos, mp.mp.prec, round_nearest)
+    return mp.make_mpf(mpf_shift(v, -twos))

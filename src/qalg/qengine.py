@@ -9,7 +9,8 @@ called *agiles*, their normalised companions
 theta(a,b;q) = sum_{n in Z} (-1)^n q^(a n^2 + b n), the classical theta2,
 theta3, and the prefactor-free eta product eta(m) = prod (1 - q^(m*n)).
 
-All parameters a, p, r are exact rationals; q = exp(-pi*sqrt(r)).
+All parameters a, p, r are exact rationals (r enters through
+precision.exact, so an mpf r is taken bit for bit); q = exp(-pi*sqrt(r)).
 Truncation: one rule for every q-product and theta sum.  With X the tail
 threshold (q^x < 10^-(digits+guard) for all x > X), a product keeps every
 factor whose exponent is at most X, plus one; a theta sum keeps the pairs
@@ -33,7 +34,7 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from .errors import ConvergenceError, DomainError, OrderError
-from .precision import HPReal, PrecisionContext, to_mpf
+from .precision import HPReal, PrecisionContext, exact, to_mpf
 from .series import FormalSeries, one_minus_power_product
 
 
@@ -43,24 +44,22 @@ from .series import FormalSeries, one_minus_power_product
 
 @dataclass(frozen=True)
 class Nome:
-    """q = exp(-pi*sqrt(r)), 0 < q < 1.
+    """q = exp(-pi*sqrt(r)), 0 < q < 1, for an exact positive rational r.
 
-    r is normally an exact positive rational; a high-precision real is
-    also accepted (needed when r comes out of the inverse singular
-    modulus), in which case it must carry the context's full precision.
+    An mpf r (one that comes out of the inverse singular modulus) is
+    stored as the dyadic rational it is, so scaling it loses nothing.
     """
 
-    r: object  # Fraction or mpf
+    r: Fraction
     q: HPReal
     ctx: PrecisionContext
 
     def scaled(self, c: Fraction) -> "Nome":
         """The nome q**c, i.e. parameter c^2 * r."""
-        c = Fraction(c)
+        c = exact(c)
         if c <= 0:
             raise DomainError("scale factor must be positive")
-        return make_nome(self.r * c * c if isinstance(self.r, Fraction)
-                         else self.r * to_mpf(c * c), self.ctx)
+        return make_nome(self.r * c * c, self.ctx)
 
 
 @dataclass(frozen=True)
@@ -94,15 +93,7 @@ class ThetaSpec:
 
 
 def make_nome(r, ctx: PrecisionContext) -> Nome:
-    if isinstance(r, mp.mpf):
-        if not mp.isfinite(r):
-            raise DomainError(f"r must be finite, got {r}")
-        if r <= 0:
-            raise DomainError(f"r must be positive, got {r}")
-        with ctx.workdps():
-            q = mp.exp(-mp.pi * mp.sqrt(r))
-        return Nome(r, q, ctx)
-    r = Fraction(r)
+    r = exact(r)
     if r <= 0:
         raise DomainError(f"r must be positive, got {r}")
     with ctx.workdps():

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 
 from .errors import DegenerateBasis, DomainError, InsufficientPrecision
-from .precision import HPReal, PrecisionContext, to_mpf
+from .precision import HPReal, PrecisionContext, exact, to_mpf
 from .qengine import (
     AgileSpec,
     ThetaSpec,
@@ -40,6 +40,7 @@ from .elliptic import (
     inverse_singular_modulus,
     j_invariant,
     multiplier,
+    singular_K,
     singular_modulus,
 )
 from .modular import Residual, rrcf, sextic_theta
@@ -165,14 +166,10 @@ class IntegerPolynomial:
     def height(self) -> int:
         return max(abs(c) for c in self.coefficients)
 
-    def evaluate(self, x) -> HPReal:
-        acc = mp.mpf(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def evaluate_exact(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
+    def evaluate(self, x):
+        """The value at x by Horner's rule: an mpf at an mpf x, exact at
+        a Fraction x."""
+        acc = 0
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
@@ -212,17 +209,6 @@ class RecognitionResult:
             "lattice_digits": self.lattice_digits,
             "provenance": self.provenance,
         }
-
-
-def _mpf_to_fraction(x: HPReal) -> Fraction:
-    # no mp.mpf() re-wrap here: that would round x to the *current*
-    # working precision and silently discard its stored bits
-    sign, man, exp, _ = x._mpf_
-    man, exp = int(man), int(exp)  # the mantissa may be a gmpy2 mpz
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man, 1) * (Fraction(2) ** exp)
-    return -v if sign else v
 
 
 def _candidate_rows(reduced: list[list[int]]):
@@ -327,10 +313,8 @@ def recognize(
             tier2 = mp.mpf(10) ** -(2 * digits - d * height_digits - ctx.guard)
             status = "recognized" if v < tier2 else "inconclusive"
     else:
-        xq = _mpf_to_fraction(x)
-        exact = poly.evaluate_exact(xq)
         with ctx.doubled().workdps():
-            v = abs(to_mpf(exact.numerator) / to_mpf(exact.denominator)) if exact else mp.mpf(0)
+            v = abs(to_mpf(poly.evaluate(exact(x))))
             status = "recognized" if v < tier1 else "inconclusive"
     with ctx.workdps():
         return RecognitionResult(poly, +resid, +v, digits, status, provenance,
@@ -381,7 +365,7 @@ class Quantity:
 
 
 def _nome(p: dict, ctx: PrecisionContext):
-    return make_nome(Fraction(p["r"]), ctx)
+    return make_nome(p["r"], ctx)
 
 
 def _agile_spec(p: dict) -> AgileSpec:
@@ -390,12 +374,12 @@ def _agile_spec(p: dict) -> AgileSpec:
 
 def _ellint_K(p: dict, ctx: PrecisionContext) -> HPReal:
     if "k" in p:
-        return ellint_K(to_mpf(Fraction(p["k"])), ctx)
-    return ellint_K(singular_modulus(Fraction(p["r"]), ctx), ctx)
+        return ellint_K(p["k"], ctx)
+    return singular_K(p["r"], ctx)
 
 
 def _agile_star_ki(p: dict, ctx: PrecisionContext) -> HPReal:
-    r = inverse_singular_modulus(Fraction(p["x"]), ctx)
+    r = inverse_singular_modulus(p["x"], ctx)
     return agile_star(_agile_spec(p), make_nome(r, ctx))
 
 
@@ -413,19 +397,19 @@ QUANTITIES: dict[str, Quantity] = {q.name: q for q in (
     Quantity("eta_paper", ("mult", "r"),
              lambda p, ctx: eta_paper(Fraction(p["mult"]), _nome(p, ctx)),
              defaults={"mult": "1"}),
-    Quantity("k", ("r",), lambda p, ctx: singular_modulus(Fraction(p["r"]), ctx)),
-    Quantity("ki", ("x",), lambda p, ctx: inverse_singular_modulus(Fraction(p["x"]), ctx)),
+    Quantity("k", ("r",), lambda p, ctx: singular_modulus(p["r"], ctx)),
+    Quantity("ki", ("x",), lambda p, ctx: inverse_singular_modulus(p["x"], ctx)),
     Quantity("K", ("k", "r"), _ellint_K),
-    Quantity("alpha", ("r",), lambda p, ctx: elliptic_alpha(Fraction(p["r"]), ctx)),
+    Quantity("alpha", ("r",), lambda p, ctx: elliptic_alpha(p["r"], ctx)),
     Quantity("j", ("via", "r"),
-             lambda p, ctx: j_invariant(Fraction(p["r"]), ctx, via=p["via"]),
+             lambda p, ctx: j_invariant(p["r"], ctx, via=p["via"]),
              defaults={"via": "modulus"}),
     Quantity("rrcf", ("method", "r"),
              lambda p, ctx: rrcf(_nome(p, ctx), method=p["method"]),
              defaults={"method": "product"}),
     Quantity("sextic_theta", ("r",), lambda p, ctx: sextic_theta(_nome(p, ctx))),
     Quantity("multiplier", ("r", "n"),
-             lambda p, ctx: multiplier(Fraction(p["r"]), int(p["n"]), ctx)),
+             lambda p, ctx: multiplier(p["r"], int(p["n"]), ctx)),
 )}
 
 

@@ -101,13 +101,13 @@ def mpf_progression_product(t, qstep, count: int) -> mp.mpf:
         return prod
 
 
-def mpf_agm_KE(k, kp=None):
+def mpf_agm_KE(k, kp):
     """(K(k), E(k), iterations) by the plain mpf AGM of (1, k') with the
     c-sum E/K = 1 - (k^2/2 + sum_n 2^(n-2) (a_n - b_n)^2): the reference
-    for the fixed-point AGM kernel.  k' and the stopping rule
-    |a - b| <= 10^(3 - dps) a come from the current working precision;
+    for the fixed-point AGM kernel.  The stopping rule
+    |a - b| <= 10^(3 - dps) a comes from the current working precision;
     the loop runs ten digits above it."""
-    b = mp.sqrt(1 - k * k) if kp is None else kp
+    b = kp
     eps = mp.mpf(10) ** (-mp.mp.dps + 3)
     with mp.workdps(mp.mp.dps + 10):
         a = mp.mpf(1)

@@ -29,6 +29,14 @@ class TestEval:
         assert code == 0
         assert out.startswith("0.7071067811865475244")
 
+    def test_modulus_r1e20(self, capsys):
+        # k_r ~ 2^-(2.3e10): the AGM's working precision must not grow with
+        # its zero bits
+        code, out, _ = run_cli(capsys, "eval", "k", "--r", "100000000000000000000",
+                               "--digits", "50")
+        assert code == 0
+        assert out.startswith("2.47088910192228196664") and out.strip().endswith("e-6821881769")
+
     def test_rrcf_r4(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "rrcf", "--r", "4", "--digits", "80")
         assert code == 0

@@ -1,5 +1,6 @@
 """Elliptic integrals, singular moduli, alpha and the j-invariant."""
 
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -24,6 +25,7 @@ from qalg import elliptic
 from qalg.elliptic import agm_iterations
 from qalg.moebius import JacobiCharacter, lambert_series
 from qalg.precision import to_mpf
+from qalg.recognize import QUANTITIES
 
 from oracles import close, hypergeometric_E, hypergeometric_K, mpf_agm_KE
 
@@ -62,8 +64,9 @@ class TestK:
 class TestFixedPointAGM:
     """The fixed-point AGM kernel against the plain mpf loop: K and E to
     10^-(dps-3) relative and the same iteration count.  Each modulus is
-    run without k', with k', and (k' given as the second argument) for
-    K(k'), where b = k is tiny for k = 10^-300."""
+    run with k', and (k' given as the second argument) for K(k'), where
+    b = k is tiny for k = 10^-300: below 2^-prec at 60 digits, so the
+    first steps run in mpf there."""
 
     @pytest.mark.parametrize("digits", [60, 300, 1000])
     @pytest.mark.parametrize("k", ["1e-300", "0.3", "0.999999"])
@@ -72,7 +75,7 @@ class TestFixedPointAGM:
         with ctx.workdps():
             k = mp.mpf(k)
             kp = mp.sqrt((1 - k) * (1 + k))
-            for args in ((k,), (k, kp), (kp, k)):
+            for args in ((k, kp), (kp, k)):
                 K, E, iters = elliptic._agm_KE(*args)
                 K0, E0, iters0 = mpf_agm_KE(*args)
                 assert iters == iters0, args
@@ -175,6 +178,17 @@ class TestNonFinite:
             truth = hypergeometric_K(mp.mpf(1) / 3, 90)
         assert close(ellint_K(Fraction(1, 3), CTX), truth, 55, dps=90)
 
+    @pytest.mark.parametrize("k", [1 - Fraction(1, 10**60), str(1 - Fraction(1, 10**60))],
+                             ids=["Fraction", "str"])
+    def test_K_near_one_exact_input(self, k):
+        # 1 - k^2 ~ 2e-60 is formed before rounding, as for the inverse
+        # singular modulus
+        ctx = PrecisionContext(120)
+        reference = ellint_K(k, PrecisionContext(300))
+        value = ellint_K(k, ctx)
+        with ctx.workdps():
+            assert abs(value / reference - 1) < ctx.eps_check
+
 
 class TestExtremeParameters:
     """k_r is tiny for large r (about 4 exp(-pi sqrt(r)/2)) and close to 1
@@ -182,16 +196,21 @@ class TestExtremeParameters:
 
     CTX = PrecisionContext(120)
 
-    @pytest.mark.parametrize("r", [400, 1000, 10**4, Fraction(1, 10**4)], ids=str)
+    # k_r has about 2.27 sqrt(r) leading zero bits: 2.3e10 at r = 1e20
+    @pytest.mark.parametrize("r", [400, 1000, 10**4, 10**6, 10**10, 10**20,
+                                   Fraction(1, 10**4)], ids=str)
     def test_large_r_matches_theta_quotient(self, r):
         ctx = self.CTX
-        nome = make_nome(r, ctx)
+        start = time.perf_counter()
+        elliptic._singular_modulus_cached.cache_clear()
         k = singular_modulus(r, ctx)
+        assert time.perf_counter() - start < 2
+        nome = make_nome(r, ctx)
         with ctx.workdps():
             quotient = theta2(nome) ** 2 / theta3(nome) ** 2
             assert abs(k / quotient - 1) <= ctx.eps_check
 
-    @pytest.mark.parametrize("r", [400, 10**4, Fraction(1, 10**4)], ids=str)
+    @pytest.mark.parametrize("r", [400, 10**4, 10**6, 10**10, Fraction(1, 10**4)], ids=str)
     def test_alpha_matches_legendre_route(self, r):
         # the eval-ladder's second route: Legendre's relation turns E(k')
         # into E(k), alpha = pi/(4K^2) - sqrt(r) (E/K - 1).  K(k_r) cannot
@@ -200,13 +219,40 @@ class TestExtremeParameters:
         ctx = self.CTX
         r = Fraction(r)
         s = max(r, 1 / r)
+        start = time.perf_counter()
+        elliptic._singular_modulus_cached.cache_clear()
         k = singular_modulus(s, ctx)
         K, E = ellint_K(k, ctx), ellint_E(k, ctx)
+        alpha = elliptic_alpha(r, ctx)
+        assert time.perf_counter() - start < 2
         with ctx.workdps():
             legendre = mp.pi / (4 * K * K) - mp.sqrt(to_mpf(s)) * (E / K - 1)
             if r < 1:
                 legendre = mp.sqrt(to_mpf(r)) - to_mpf(r) * legendre
-            assert abs(elliptic_alpha(r, ctx) - legendre) <= ctx.eps_check
+            assert abs(alpha - legendre) <= ctx.eps_check
+
+    @pytest.mark.parametrize("name, extra", [("k", {}), ("alpha", {}), ("multiplier", {"n": 2})],
+                             ids=["k", "alpha", "multiplier"])
+    def test_huge_r_value_or_typed_error(self, name, extra):
+        # at r = 1e300 k_r has about 2.3e150 zero bits
+        ctx = PrecisionContext(50)
+        start = time.perf_counter()
+        try:
+            value = QUANTITIES[name].evaluate({"r": 10**300, **extra}, ctx)
+        except QalgError:
+            pass
+        else:
+            assert mp.isfinite(value)
+        assert time.perf_counter() - start < 2
+
+    def test_K_reflection(self):
+        # K(k_{1/r}) = K(k'_r) = sqrt(r) K(k_r): the K quantity at r < 1
+        # must not rebuild the tiny k'_r as sqrt(1 - k_r^2)
+        ctx = self.CTX
+        K = QUANTITIES["K"]
+        small, large = K.evaluate({"r": Fraction(1, 10**4)}, ctx), K.evaluate({"r": 10**4}, ctx)
+        with ctx.workdps():
+            assert abs(small / (100 * large) - 1) <= ctx.eps_check
 
     @pytest.mark.parametrize("r", [400, 10**4])
     def test_j_is_invariant_under_reciprocal(self, r):

@@ -9,6 +9,7 @@ from mpmath.libmp import to_fixed
 
 from qalg import ConvergenceError, DomainError, PrecisionContext, integrate
 from qalg import hpcore, modular
+from qalg.precision import exact
 
 from oracles import mpf_tanh_sinh
 
@@ -35,6 +36,28 @@ class TestElementary:
         from qalg.precision import to_mpf
         with pytest.raises(DomainError):
             to_mpf(0.1)
+
+    @pytest.mark.parametrize("x", [3, Fraction(-7, 3), "22/7"], ids=str)
+    def test_exact_takes_rationals(self, x):
+        assert exact(x) == Fraction(x)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_exact_takes_an_mpf_bit_for_bit(self, sign):
+        with mp.workdps(300):
+            x = sign * mp.pi / 10**40
+            y = sign * mp.mpf(2) ** 200 * 3
+        for v in (x, y):
+            assert mp.sign(exact(v)) == sign
+            with mp.workdps(400):
+                assert mp.mpf(exact(v).numerator) / exact(v).denominator == v
+
+    # the last one is 2^-(2^30): written out exactly, a 128 MB integer
+    @pytest.mark.parametrize("x", [0.5, True, None, mp.nan, -mp.inf, "1.5.1",
+                                   mp.ldexp(1, -(1 << 30))],
+                             ids=["float", "bool", "None", "nan", "-inf", "malformed", "tiny"])
+    def test_exact_refuses(self, x):
+        with pytest.raises(DomainError):
+            exact(x)
 
 
 def as_mpf(f):

@@ -229,6 +229,16 @@ class TestIncompleteBeta:
     def test_zero(self):
         assert incomplete_beta(0, Fraction(1, 6), Fraction(2, 3), CTX) == 0
 
+    def test_near_one_exact_input(self):
+        # 1 - x = 1e-135 is formed before rounding: from x rounded to 140
+        # digits it would keep 5 digits, and B(1 - x; 2/3, 1/6) ~ 1e-90
+        # would be off by about 1e-95
+        x, p, q = 1 - Fraction(1, 10**135), Fraction(1, 6), Fraction(2, 3)
+        ctx = PrecisionContext(120)
+        reference = incomplete_beta(x, p, q, PrecisionContext(300))
+        with ctx.workdps():
+            assert abs(incomplete_beta(x, p, q, ctx) - reference) < ctx.eps_check
+
     def test_complete_value(self):
         val = incomplete_beta(1, Fraction(1, 6), Fraction(2, 3), CTX)
         with mp.workdps(90):

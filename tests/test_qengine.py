@@ -32,6 +32,7 @@ from qalg import (
 from qalg.elliptic import ellint_K, singular_modulus, theta_powersum_closed
 from qalg import qengine
 from qalg.moebius import theta_qdlog
+from qalg.precision import exact
 from qalg.qengine import _tail_threshold, _term_count
 
 from oracles import close, machin_pi, mpf_progression_product
@@ -250,6 +251,15 @@ class TestDuplicationRatio:
             direct = (agile_star(spec, nome.scaled(Fraction(2)))
                       / agile_star(spec, nome))
             assert close(tau_star(1, 5, nome), direct, 55, dps=CTX.dps)
+
+    def test_mpf_r_is_taken_exactly(self):
+        # an mpf r is the dyadic rational it stores: the nome at 4r that
+        # tau_star takes must not round it to the caller's 53 bits
+        with CTX.workdps():
+            r = mp.mpf(1) / 3
+        nome = make_nome(r, CTX)
+        assert nome.r == exact(r)
+        assert tau_star(1, 5, nome) == tau_star(1, 5, make_nome(exact(r), CTX))
 
     def test_positive_parameters_required(self):
         nome = make_nome(1, CTX)
