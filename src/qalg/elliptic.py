@@ -25,7 +25,7 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from .errors import ConvergenceError, DomainError, InsufficientPrecision
-from .precision import HPReal, PrecisionContext, exact, to_mpf
+from .precision import HPReal, PrecisionContext, exact, integer, to_mpf
 from .qengine import eta_paper, make_nome, _qpow
 
 
@@ -215,7 +215,7 @@ def elliptic_alpha(r, ctx: PrecisionContext) -> HPReal:
 
 def multiplier(r, n: int, ctx: PrecisionContext) -> HPReal:
     """m_{n^2 r} = K(k_{n^2 r}) / K(k_r) for a positive integer n."""
-    n = int(n)
+    n = integer(n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     r = exact(r)
@@ -258,7 +258,7 @@ def theta_powersum_closed(m: int, r, ctx: PrecisionContext) -> HPReal:
     with k11 = k_r, k12 = k'_r, k21 = (2 - k11^2 - 2 k12)/k11^2 (= k_{4r})
     and k22 = sqrt(1 - k21^2).
     """
-    m = int(m)
+    m = integer(m)
     with ctx.workdps():
         nome = make_nome(r, ctx)
         q = nome.q

@@ -28,7 +28,6 @@ from .qengine import (
     theta3,
     theta_general,
     _qpow,
-    _tail_threshold,
     _term_count,
 )
 from .elliptic import (
@@ -80,7 +79,7 @@ def rrcf(nome: Nome, method: str = "product") -> HPReal:
     if method == "continued_fraction":
         with ctx.workdps():
             q = nome.q
-            depth = _term_count(1, Fraction(1, 2), Fraction(3, 2), _tail_threshold(nome))
+            depth = _term_count(1, Fraction(1, 2), Fraction(3, 2), nome.tail)
             powers = [q]
             for _ in range(depth - 1):
                 powers.append(powers[-1] * q)

@@ -17,14 +17,14 @@ computed here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import mpmath as mp
 
 from .errors import DomainError, InsufficientData
-from .precision import HPReal, to_mpf
+from .precision import HPReal, integer, to_mpf
 from .qengine import (
     AgileSpec,
     Nome,
@@ -34,7 +34,6 @@ from .qengine import (
     star_exponent,
     theta_general,
     _qpow,
-    _tail_threshold,
     _term_count,
     _theta_terms,
 )
@@ -92,37 +91,39 @@ def _jacobi_odd(n: int, k: int) -> int:
     return t if k == 1 else 0
 
 
-def jacobi_symbol(n: int, G: int) -> int:
-    """The quadratic-residue symbol (n/G), completely multiplicative in n.
-
-    G may be even provided 4 | G (for G = 2*odd the symbol has no
-    consistent completely-multiplicative extension, hence DomainError);
-    the factor for each 2 is 0 on even n and (+1,-1,-1,+1) on
-    n = 1,3,5,7 mod 8.
-    """
-    n, G = int(n), int(G)
+def _two_adic(G: int) -> tuple[int, int]:
+    """(m, odd) with G = 2^m * odd, for a modulus G >= 1 whose power of 2
+    is not exactly 1 (for G = 2*odd the symbol has no consistent
+    completely-multiplicative extension)."""
     if G < 1:
         raise DomainError(f"modulus must be positive, got {G}")
-    m2 = 0
-    odd = G
-    while odd % 2 == 0:
-        odd //= 2
-        m2 += 1
-    if m2 == 1:
+    m = (G & -G).bit_length() - 1
+    if m == 1:
         raise DomainError(f"modulus {G} has exactly one factor of 2")
-    if G == 1:
-        return 1
+    return m, G >> m
+
+
+def _symbol(n: int, m2: int, odd: int) -> int:
     val = 1
     if m2:
         if n % 2 == 0:
             return 0
-        two = 1 if n % 8 in (1, 7) else -1
-        val = two ** m2
+        if m2 % 2 and n % 8 in (3, 5):
+            val = -1
     if odd > 1:
         if n <= 0:
             raise DomainError("n must be positive")
         val *= _jacobi_odd(n, odd)
     return val
+
+
+def jacobi_symbol(n: int, G: int) -> int:
+    """The quadratic-residue symbol (n/G), completely multiplicative in n.
+
+    G may be even provided 4 | G (for G = 2*odd, DomainError); the factor
+    for each 2 is 0 on even n and (+1,-1,-1,+1) on n = 1,3,5,7 mod 8.
+    """
+    return _symbol(int(n), *_two_adic(int(G)))
 
 
 @dataclass(frozen=True)
@@ -135,26 +136,20 @@ class JacobiCharacter:
     """
 
     modulus: int
+    _split: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         G = int(self.modulus)
-        object.__setattr__(self, "modulus", G)
-        if G < 1:
-            raise DomainError(f"modulus must be positive, got {G}")
-        odd = G
-        m2 = 0
-        while odd % 2 == 0:
-            odd //= 2
-            m2 += 1
-        if m2 == 1:
-            raise DomainError(f"modulus {G}: the power of 2 must not be exactly 1")
+        m2, odd = _two_adic(G)
         if odd % 4 == 3:
             raise DomainError(
                 f"modulus {G}: odd part {odd} is 3 mod 4, the symbol is not mirror-symmetric"
             )
+        object.__setattr__(self, "modulus", G)
+        object.__setattr__(self, "_split", (m2, odd))
 
     def value(self, n: int) -> int:
-        return jacobi_symbol(n, self.modulus)
+        return _symbol(n, *self._split)
 
     def values(self, upto: int) -> list[int]:
         return [self.value(n) for n in range(1, upto + 1)]
@@ -376,59 +371,35 @@ def normalized_value(pc: PeriodicCoeffs, nome: Nome) -> HPReal:
 # Lambert series and log-derivatives
 # ---------------------------------------------------------------------------
 
-XLike = Union[PeriodicCoeffs, JacobiCharacter, Callable[[int], Fraction]]
-
-
-def _x_callable(X: XLike) -> Callable[[int], Fraction]:
-    if isinstance(X, PeriodicCoeffs):
-        return X.value
-    if isinstance(X, JacobiCharacter):
-        return lambda n: Fraction(X.value(n))
-    return lambda n: Fraction(X(n))
-
-
-def lambert_series(X: XLike, nome: Nome) -> HPReal:
-    """sum_{n>=1} n X(n) q^n / (1 - q^n)."""
-    xf = _x_callable(X)
-    ctx = nome.ctx
-    with ctx.workdps():
-        _term_count(0, 0, 1, _tail_threshold(nome))  # refuse a nome too close to 1
+def lambert_series(X: PeriodicCoeffs | JacobiCharacter, nome: Nome) -> HPReal:
+    """sum_{n=1}^{N} n X(n) q^n / (1 - q^n) for X a PeriodicCoeffs or a
+    JacobiCharacter (anything with .value(n)), with N the smallest n >
+    nome.tail by the shared truncation rule."""
+    with nome.ctx.workdps():
         q = nome.q
-        eps = mp.mpf(10) ** -(ctx.digits + ctx.guard)
-        one_minus_q = 1 - q
         s = mp.mpf(0)
         qn = mp.mpf(1)
-        n = 1
-        while True:
+        for n in range(1, _term_count(0, 0, 1, nome.tail) + 1):
             qn *= q
-            if n * qn / one_minus_q < eps and n > 2:
-                break
-            x = xf(n)
+            x = X.value(n)
             if x:
-                s += to_mpf(x) * n * qn / (1 - qn)
-            n += 1
+                s += n * x * qn / (1 - qn)
         return +s
 
 
-def eta_qdlog(multiplier: int, nome: Nome) -> HPReal:
-    """q d/dq log prod(1 - q^(m n))  =  -sum m n q^(mn)/(1-q^(mn))."""
-    m = int(multiplier)
-    ctx = nome.ctx
-    with ctx.workdps():
-        _term_count(0, 0, m, _tail_threshold(nome))  # refuse a nome too close to 1
-        q = nome.q
-        qm = _qpow(q, Fraction(m))
-        eps = mp.mpf(10) ** -(ctx.digits + ctx.guard)
+def eta_qdlog(multiplier, nome: Nome) -> HPReal:
+    """q d/dq log prod(1 - q^(m n))  =  -sum m n q^(mn)/(1-q^(mn)) for a
+    positive integer m, over n = 1..N with N the smallest n > tail/m."""
+    m = integer(multiplier)
+    if m < 1:
+        raise DomainError(f"multiplier must be a positive integer, got {m}")
+    with nome.ctx.workdps():
+        qm = _qpow(nome.q, Fraction(m))
         s = mp.mpf(0)
         t = mp.mpf(1)
-        n = 1
-        while True:
+        for n in range(1, _term_count(0, 0, m, nome.tail) + 1):
             t *= qm
-            term = m * n * t / (1 - t)
-            s -= term
-            if term < eps and n > 2:
-                break
-            n += 1
+            s -= m * n * t / (1 - t)
         return +s
 
 

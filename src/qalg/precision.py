@@ -10,6 +10,8 @@ A number from outside - the parameter r, a modulus k, an argument x, an
 integration limit - enters through :func:`exact` as a Fraction (an mpf
 converts bit for bit) and is rounded only where it is used, by
 :func:`to_mpf`, so 1 - k^2 and c^2 r are formed before any rounding.
+An integer parameter (a multiplier, a power) enters through
+:func:`integer`, which refuses a non-integer instead of truncating it.
 """
 
 from __future__ import annotations
@@ -89,6 +91,14 @@ def exact(x) -> Fraction:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError):
         raise DomainError(f"not an exact number: {x!r}") from None
+
+
+def integer(x) -> int:
+    """exact(x) as an int; a non-integer raises DomainError."""
+    x = exact(x)
+    if x.denominator != 1:
+        raise DomainError(f"need an integer, got {x}")
+    return x.numerator
 
 
 def to_mpf(x) -> HPReal:

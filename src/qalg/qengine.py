@@ -11,10 +11,12 @@ theta3, and the prefactor-free eta product eta(m) = prod (1 - q^(m*n)).
 
 All parameters a, p, r are exact rationals (r enters through
 precision.exact, so an mpf r is taken bit for bit); q = exp(-pi*sqrt(r)).
-Truncation: one rule for every q-product and theta sum.  With X the tail
-threshold (q^x < 10^-(digits+guard) for all x > X), a product keeps every
-factor whose exponent is at most X, plus one; a theta sum keeps the pairs
-n, -n until the smaller exponent exceeds X.  The count comes in closed
+Truncation: one rule for every numeric q-series.  make_nome works out the
+tail threshold X (q^x < 10^-(digits+guard) for all x > X) once, as
+Nome.tail.  A product keeps every factor whose exponent is at most X, plus
+one; a theta sum, a Lambert sum and the eta log-derivative (qalg.moebius)
+keep their terms up to the first exponent above X; the triangular series
+of agile_via_triangular keep those up to X.  The count comes in closed
 form, each term follows from the last by multiplication, and a count above
 ten million (q too close to 1) raises ConvergenceError.  A product is
 formed in fixed point, on integers scaled by 2^prec with guard bits for
@@ -34,7 +36,7 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from .errors import ConvergenceError, DomainError, OrderError
-from .precision import HPReal, PrecisionContext, exact, to_mpf
+from .precision import HPReal, PrecisionContext, exact, integer, to_mpf
 from .series import FormalSeries, one_minus_power_product
 
 
@@ -44,7 +46,8 @@ from .series import FormalSeries, one_minus_power_product
 
 @dataclass(frozen=True)
 class Nome:
-    """q = exp(-pi*sqrt(r)), 0 < q < 1, for an exact positive rational r.
+    """q = exp(-pi*sqrt(r)), 0 < q < 1, for an exact positive rational r,
+    and the truncation rule's tail threshold X.
 
     An mpf r (one that comes out of the inverse singular modulus) is
     stored as the dyadic rational it is, so scaling it loses nothing.
@@ -53,6 +56,7 @@ class Nome:
     r: Fraction
     q: HPReal
     ctx: PrecisionContext
+    tail: int
 
     def scaled(self, c: Fraction) -> "Nome":
         """The nome q**c, i.e. parameter c^2 * r."""
@@ -96,9 +100,16 @@ def make_nome(r, ctx: PrecisionContext) -> Nome:
     r = exact(r)
     if r <= 0:
         raise DomainError(f"r must be positive, got {r}")
+    # q's relative error is x's absolute error: x = pi*sqrt(r) gets as many
+    # extra digits as its integer part has.  X's ceiling is taken at 30
+    # digits; only within about 10^-26 of an integer can that matter.
+    with mp.workdps(ctx.dps + math.ceil(r).bit_length() * 3 // 20 + 1):
+        x = mp.pi * mp.sqrt(to_mpf(r))
+        q = mp.exp(-x)
+    with mp.workdps(30):
+        tail = int(mp.ceil(ctx.dps * mp.ln10 / x))
     with ctx.workdps():
-        q = mp.exp(-mp.pi * mp.sqrt(to_mpf(r)))
-    return Nome(r, q, ctx)
+        return Nome(r, +q, ctx, tail)
 
 
 def star_exponent(a, p) -> Fraction:
@@ -112,16 +123,6 @@ def star_exponent(a, p) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _MAX_TERMS = 10_000_000
-
-
-def _tail_threshold(nome: Nome) -> int:
-    """Integer X such that q**x < 10^-(digits+guard) for all x > X.  The
-    ceiling is taken at 30 digits, where it can differ from the working
-    precision's only within about 10^-26 of an integer; a full-precision
-    log10 costs milliseconds at 1000 digits."""
-    ctx = nome.ctx
-    with mp.workdps(30):
-        return int(mp.ceil(mp.mpf(ctx.digits + ctx.guard) / (-mp.log10(nome.q))))
 
 
 def _qpow(q: HPReal, e: Fraction) -> HPReal:
@@ -165,7 +166,7 @@ def _progression_product(e0, step, t, qstep: HPReal, nome: Nome) -> HPReal:
     man is renormalised to at least half scale (ex counts the shifts), so
     a product near 0 keeps its relative precision.  Once T truncates to 0
     every later factor is exactly 1."""
-    count = _term_count(e0, 0, step, _tail_threshold(nome)) + 1
+    count = _term_count(e0, 0, step, nome.tail) + 1
     head = mp.mpf(1)
     while count and t >= 1:
         head *= 1 - t
@@ -192,7 +193,7 @@ def _theta_terms(a, b, nome: Nome, margin=0) -> list:
     """The pairs (q^(a n^2 + b n), q^(a n^2 - b n)) for n = 1..N, up to
     the tail threshold plus margin on the smaller exponent, advanced by
     multiplication: term(n+1)/term(n) = q^(a(2n+1) +- b)."""
-    count = _term_count(0, a, -abs(b), _tail_threshold(nome) + margin)
+    count = _term_count(0, a, -abs(b), nome.tail + margin)
     qa, qb = _qpow(nome.q, a), _qpow(nome.q, b)
     q2a = qa * qa
     tp, tm = qa * qb, qa / qb
@@ -255,7 +256,7 @@ def theta_powersum(m: int, nome: Nome) -> HPReal:
     (Closed forms in terms of K and the singular modulus live in
     :mod:`qalg.elliptic`; the harness compares the two.)
     """
-    m = int(m)
+    m = integer(m)
     with nome.ctx.workdps():
         terms = _theta_terms(1, m, nome, Fraction(m * m, 4) + 1)
         return +(1 + mp.fsum(tp + tm for tp, tm in terms))
@@ -275,46 +276,35 @@ def eta_paper(multiplier, nome: Nome) -> HPReal:
         return +_progression_product(m, m, qm, qm, nome)
 
 
-def m_series(c: HPReal, nome_power: HPReal, ctx: PrecisionContext) -> HPReal:
-    """sum_{n>=0} c^n * w^(n(n+1)/2) for |w| < 1.
+def m_series(c: HPReal, w: HPReal, terms: int) -> HPReal:
+    """sum_{n=0}^{terms-1} c^n * w^(n(n+1)/2) for |w| < 1, at the
+    caller's working precision.
 
     c may exceed 1 in magnitude (the quadratic power of w eventually
-    dominates); summation stops once terms are decreasing and below the
-    tail threshold.
+    dominates); the caller takes the count from the truncation rule.
     """
-    with ctx.workdps():
-        w = mp.mpf(nome_power)
-        if abs(w) >= 1:
-            raise DomainError("the quadratic base must satisfy |w| < 1")
-        c = mp.mpf(c)
-        eps = mp.mpf(10) ** -(ctx.digits + ctx.guard)
-        s = mp.mpf(1)
-        term = mp.mpf(1)
-        wn = mp.mpf(1)
-        n = 0
-        while True:
-            wn *= w                      # w^(n+1)
-            term *= c * wn               # c^(n+1) w^((n+1)(n+2)/2)
-            s += term
-            n += 1
-            if abs(term) < eps and abs(c * wn * w) < 1:
-                break
-            if n > _MAX_TERMS:
-                raise ConvergenceError("series failed to converge")
-        return +s
+    w, c = mp.mpf(w), mp.mpf(c)
+    if abs(w) >= 1:
+        raise DomainError("the quadratic base must satisfy |w| < 1")
+    s = term = wn = mp.mpf(1)
+    for _ in range(terms - 1):
+        wn *= w                      # w^(n+1)
+        term *= c * wn               # c^(n+1) w^((n+1)(n+2)/2)
+        s += term
+    return s
 
 
 def agile_via_triangular(spec: AgileSpec, nome: Nome) -> HPReal:
     """[a,p;q] assembled from the triangular-number series:
-    (M(-q^-a, q^p) - q^a M(-q^a, q^p)) / eta(p)."""
+    (M(-q^-a, q^p) - q^a M(-q^a, q^p)) / eta(p).  The n-th terms are
+    +-q^(p n^2/2 + (p/2 -+ a) n); each series stops before the first n
+    whose exponent exceeds the tail threshold."""
     a, p = spec.a, spec.p
-    ctx = nome.ctx
-    with ctx.workdps():
-        q = nome.q
-        qa = _qpow(q, a)
-        qp = _qpow(q, p)
-        num = m_series(-1 / qa, qp, ctx) - qa * m_series(-qa, qp, ctx)
-        return +(num / eta_paper(p, nome))
+    with nome.ctx.workdps():
+        qa, qp = _qpow(nome.q, a), _qpow(nome.q, p)
+        lo = m_series(-1 / qa, qp, _term_count(0, p / 2, p / 2 - a, nome.tail))
+        hi = m_series(-qa, qp, _term_count(0, p / 2, p / 2 + a, nome.tail))
+        return +((lo - qa * hi) / eta_paper(p, nome))
 
 
 def tau_star(a, p, nome: Nome) -> HPReal:

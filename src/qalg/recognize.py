@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 
 from .errors import DegenerateBasis, DomainError, InsufficientPrecision
-from .precision import HPReal, PrecisionContext, exact, to_mpf
+from .precision import HPReal, PrecisionContext, exact, integer, to_mpf
 from .qengine import (
     AgileSpec,
     ThetaSpec,
@@ -409,7 +409,7 @@ QUANTITIES: dict[str, Quantity] = {q.name: q for q in (
              defaults={"method": "product"}),
     Quantity("sextic_theta", ("r",), lambda p, ctx: sextic_theta(_nome(p, ctx))),
     Quantity("multiplier", ("r", "n"),
-             lambda p, ctx: multiplier(p["r"], int(p["n"]), ctx)),
+             lambda p, ctx: multiplier(p["r"], p["n"], ctx)),
 )}
 
 
@@ -428,7 +428,7 @@ def recognize_expression(
     except KeyError:
         raise DomainError(
             f"unknown quantity {name!r}; choose from {sorted(QUANTITIES)}") from None
-    power = int(params.get("power", 1))
+    power = integer(params.get("power", 1))
 
     def value(c: PrecisionContext) -> HPReal:
         x = entry.evaluate(params, c)

@@ -28,7 +28,7 @@ from qalg import (
 )
 
 from qalg import elliptic, modular
-from qalg.qengine import _tail_threshold, _term_count
+from qalg.qengine import _term_count
 
 from oracles import beta_complete_16_23, close, composite_midpoint, half_integral
 
@@ -69,7 +69,7 @@ class TestContinuedFractionCost:
         # come by multiplication, so q^(1/5) is the only power taken
         nome = make_nome(Fraction(1, 100), CTX120)
         with CTX120.workdps():
-            depth = _term_count(1, Fraction(1, 2), Fraction(3, 2), _tail_threshold(nome))
+            depth = _term_count(1, Fraction(1, 2), Fraction(3, 2), nome.tail)
         calls = []
         qpow = modular._qpow
 

@@ -31,6 +31,7 @@ from qalg import (
     represent_theta,
     square_character_eta_identity,
 )
+import qalg.moebius as moebius
 from qalg.moebius import (
     PeriodicCoeffs,
     coeffs_from_X,
@@ -39,6 +40,8 @@ from qalg.moebius import (
     squarefree_divisors,
     theta_value,
 )
+
+from qalg.qengine import _term_count
 
 from oracles import close
 
@@ -100,6 +103,14 @@ class TestJacobiSymbol:
             JacobiCharacter(2)
         with pytest.raises(DomainError):
             JacobiCharacter(15)  # odd part 3 mod 4: not mirror-symmetric
+
+    def test_character_splits_modulus_once(self, monkeypatch):
+        expected = [jacobi_symbol(n, 40) for n in range(1, 101)]
+        calls = []
+        split = moebius._two_adic
+        monkeypatch.setattr(moebius, "_two_adic", lambda G: calls.append(G) or split(G))
+        assert JacobiCharacter(40).values(100) == expected
+        assert calls == [40]
 
     def test_character_period_detection(self):
         pc = JacobiCharacter(5).as_periodic()
@@ -336,7 +347,8 @@ LOGDERIV_WALKS = {
 
 
 class TestLogDerivativeWalks:
-    # values of the epsilon-stopped loops, pinned to every digit asked for
+    # values of the earlier epsilon-stopped loops, pinned to every digit
+    # asked for: the counted loops must reproduce them
     PINNED = {
         ("lambert_series", "1/100", 40): "0.1999999978244745988169126381552801860389",
         ("eta_qdlog", "1/100", 40): "-1.950117234774788772189587530365420557013",
@@ -373,6 +385,37 @@ class TestLogDerivativeWalks:
     def test_pinned_values(self, walk, r, digits):
         value = LOGDERIV_WALKS[walk](make_nome(Fraction(r), PrecisionContext(digits)))
         assert mp.nstr(value, digits) == self.PINNED[walk, r, digits]
+
+    @pytest.mark.parametrize("digits", [40, 120, 300])
+    @pytest.mark.parametrize("r", ["1/10000", "1/100", "1/5", "1", "25"])
+    @pytest.mark.parametrize("walk", sorted(LOGDERIV_WALKS))
+    def test_relative_accuracy(self, walk, r, digits):
+        # the counted sums against the same call at 2 digits + 20
+        ctx, ref_ctx = PrecisionContext(digits), PrecisionContext(2 * digits + 20)
+        value = LOGDERIV_WALKS[walk](make_nome(Fraction(r), ctx))
+        ref = LOGDERIV_WALKS[walk](make_nome(Fraction(r), ref_ctx))
+        with ref_ctx.workdps():
+            assert abs(value - ref) <= abs(ref) * mp.mpf(10) ** -(digits + ctx.guard // 2)
+
+    def test_lambert_reads_each_value_once(self):
+        class Counting:
+            calls = 0
+
+            def value(self, n):
+                self.calls += 1
+                return jacobi_symbol(n, 5)
+
+        X = Counting()
+        nome = make_nome(Fraction(1, 100), CTX)
+        lambert_series(X, nome)
+        assert X.calls == _term_count(0, 0, 1, nome.tail)
+
+    @pytest.mark.parametrize("m", [0, -1, Fraction(5, 2), "5/2"],
+                             ids=["0", "-1", "Fraction5/2", "str5/2"])
+    def test_eta_qdlog_needs_positive_integer(self, m):
+        # 0 divided by zero, -1 never stopped, 5/2 was truncated to 2
+        with pytest.raises(DomainError):
+            eta_qdlog(m, make_nome(1, CTX))
 
 
 class TestSquareCharacterIdentity:

@@ -31,9 +31,9 @@ from qalg import (
 )
 from qalg.elliptic import ellint_K, singular_modulus, theta_powersum_closed
 from qalg import qengine
-from qalg.moebius import theta_qdlog
+from qalg.moebius import JacobiCharacter, eta_qdlog, lambert_series, theta_qdlog
 from qalg.precision import exact
-from qalg.qengine import _tail_threshold, _term_count
+from qalg.qengine import _term_count
 
 from oracles import close, machin_pi, mpf_progression_product
 
@@ -82,6 +82,16 @@ class TestNome:
         # a nan nome used to surface as a bare ValueError in the products
         with pytest.raises(DomainError):
             eta_paper(1, make_nome(r, CTX))
+
+    @pytest.mark.parametrize("r", [10 ** 6, 10 ** 20, 10 ** 60], ids=["1e6", "1e20", "1e60"])
+    def test_large_r_keeps_relative_precision(self, r):
+        # exp(-x) has the relative error of x's absolute error, so
+        # x = pi sqrt(r) needs log10(pi sqrt(r)) more digits than q
+        ctx = PrecisionContext(50)
+        q = make_nome(r, ctx).q
+        ref = make_nome(r, PrecisionContext(200)).q
+        with mp.workdps(220):
+            assert abs(q / ref - 1) < mp.mpf(10) ** (2 - ctx.dps)
 
 
 class TestAgile:
@@ -192,6 +202,13 @@ class TestThetaPowersum:
                 oracle += q ** (n * n + 3 * n)
             assert close(theta_powersum(3, nome), oracle, 55, dps=CTX.dps)
 
+    def test_rejects_non_integer_m(self):
+        # m = 3/2 used to be truncated to 1
+        with pytest.raises(DomainError):
+            theta_powersum(Fraction(3, 2), make_nome(1, CTX))
+        with pytest.raises(DomainError):
+            theta_powersum_closed("3/2", 1, CTX)
+
 
 class TestEta:
     def test_tiny_q(self):
@@ -222,11 +239,11 @@ class TestEta:
 class TestTriangularSeries:
     def test_c_zero(self):
         with CTX.workdps():
-            assert m_series(0, mp.mpf(1) / 3, CTX) == 1
+            assert m_series(0, mp.mpf(1) / 3, 10) == 1
 
     def test_direct_summation_oracle(self):
         with CTX.workdps():
-            val = m_series(1, mp.mpf(1) / 2, CTX)
+            val = m_series(1, mp.mpf(1) / 2, 30)
             oracle = mp.mpf(0)
             for n in range(0, 400):
                 oracle += mp.mpf(2) ** (-n * (n + 1) // 2)
@@ -240,7 +257,7 @@ class TestTriangularSeries:
     def test_base_domain(self):
         with CTX.workdps():
             with pytest.raises(DomainError):
-                m_series(mp.mpf(1) / 2, mp.mpf(1), CTX)
+                m_series(mp.mpf(1) / 2, mp.mpf(1), 10)
 
 
 class TestDuplicationRatio:
@@ -338,7 +355,8 @@ class TestTermBudget:
     @pytest.mark.parametrize("walk", [
         lambda nome: agile(AgileSpec(1, 5), nome),
         lambda nome: eta_paper(5, nome),
-    ], ids=["agile", "eta_paper"])
+        lambda nome: agile_via_triangular(AgileSpec(1, 5), nome),
+    ], ids=["agile", "eta_paper", "agile_via_triangular"])
     def test_nome_too_close_to_one(self, walk):
         # r = 10^-14 needs about 7e7 factors per product: refused up front
         nome = make_nome(Fraction(1, 10 ** 14), PrecisionContext(30))
@@ -367,10 +385,10 @@ class TestTailThreshold:
                     r = mp.power(10, mp.mpf(e) + mp.sqrt(2) / 10 ** 6)
                 nome = make_nome(r, ctx)
                 full = int(mp.ceil(mp.mpf(ctx.digits + ctx.guard) / (-mp.log10(nome.q))))
-                assert _tail_threshold(nome) == full, (r, digits)
+                assert nome.tail == full, (r, digits)
 
 
-# every caller of the shared product and theta walks not covered above
+# every caller of the shared truncation rule not covered above
 WALKS = {
     "eta_paper5": lambda nome: eta_paper(5, nome),
     "theta2": theta2,
@@ -379,6 +397,9 @@ WALKS = {
     "theta_qdlog": lambda nome: theta_qdlog(
         ThetaSpec(Fraction(5, 2), Fraction(1, 2)), nome),
     "tau_star_shifted": lambda nome: tau_star(Fraction(23, 2), 5, nome),
+    "lambert_series": lambda nome: lambert_series(JacobiCharacter(5), nome),
+    "eta_qdlog5": lambda nome: eta_qdlog(5, nome),
+    "agile_via_triangular": lambda nome: agile_via_triangular(AgileSpec(1, 5), nome),
 }
 
 
@@ -414,7 +435,7 @@ PRODUCTS = (
 
 
 def _reference_product(e0, step, t, qstep, nome):
-    count = _term_count(e0, 0, step, _tail_threshold(nome)) + 1
+    count = _term_count(e0, 0, step, nome.tail) + 1
     return mpf_progression_product(t, qstep, count)
 
 

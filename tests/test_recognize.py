@@ -290,6 +290,17 @@ class TestExpressions:
         assert rec.status == "recognized"
         assert rec.poly.coefficients == (1, -2, -6, 2, 1)
 
+    @pytest.mark.parametrize("n", ["5/2", 2.5])
+    def test_multiplier_needs_integer_n(self, n):
+        # "5/2" was a bare ValueError, 2.5 was truncated to 2
+        with pytest.raises(DomainError):
+            QUANTITIES["multiplier"].evaluate({"r": "1", "n": n}, PrecisionContext(30))
+
+    def test_power_needs_integer(self):
+        with pytest.raises(DomainError):
+            recognize_expression("agile_star", {"a": "1", "p": "4", "r": "2", "power": "1/2"},
+                                 max_degree=8, height_digits=4, ctx=PrecisionContext(30))
+
     def test_unknown_pipeline(self):
         with pytest.raises(DomainError):
             recognize_expression("nope", {}, 4, 4, PrecisionContext(100))
