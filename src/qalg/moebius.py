@@ -1,17 +1,17 @@
 """Moebius inversion of Taylor coefficients and periodic representations.
 
 Given the Taylor coefficients c_n = f^(n)(0)/n! of a function f with
-f(0) = 0, the inverted sequence
-
-    X(n) = (1/n) * sum_{d|n} mu(n/d) * d * c_d
-
-satisfies exp(-f(q)) = prod (1 - q^n)^X(n).  When X is periodic with
-period T, mirror-symmetric inside each period ("catoptric",
-a_j = a_{T-j}) and a_T = 0, the product collapses to finitely many
-two-sided q-products [j,T;q] and, equivalently, to a quotient of theta
-sums by an eta power; q^A exp(-f(q)) is then an algebraic number at
-q = exp(-pi sqrt(r)) for rational r, with the exact rational exponent A
-computed here.
+f(0) = 0, the inverted sequence X, with n c_n = sum_{d|n} d X(d) (so
+X(n) = (1/n) sum_{d|n} mu(n/d) d c_d), satisfies
+exp(-f(q)) = prod (1 - q^n)^X(n); one divisor sieve runs that relation
+forwards (`coeffs_from_X`) and backwards (`extract_X`).  When X is
+periodic with period T, mirror-symmetric inside each period
+("catoptric", a_j = a_{T-j}) and a_T = 0, the product collapses to
+finitely many two-sided q-products [j,T;q] and, equivalently, to a
+quotient of theta sums by an eta power; q^A exp(-f(q)) is then an
+algebraic number at q = exp(-pi sqrt(r)) for rational r.  A
+`PeriodicCoeffs` holds one such period: its constructor refuses any
+other sequence and works out the exact rational exponent A.
 """
 
 from __future__ import annotations
@@ -19,18 +19,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from typing import Optional, Sequence
 
 import mpmath as mp
 
 from .errors import DomainError, InsufficientData
 from .precision import HPReal, integer, to_mpf
+from .series import FormalSeries, exponent_product
 from .qengine import (
     AgileSpec,
     Nome,
     ThetaSpec,
     agile,
     eta_paper,
+    eta_qexpansion,
     star_exponent,
     theta_general,
     _qpow,
@@ -159,7 +162,7 @@ class JacobiCharacter:
         if self.modulus == 1:
             raise DomainError("the trivial character has no vanishing period point")
         mp_ = max_period or self.modulus
-        pc = detect_period([Fraction(v) for v in self.values(3 * mp_)], mp_)
+        pc = detect_period(self.values(3 * mp_), mp_)
         if pc is None:
             raise DomainError(f"symbol mod {self.modulus} did not present as catoptric")
         return pc
@@ -210,33 +213,30 @@ class TaylorInput:
         return json.dumps({"coeffs": [str(c) for c in self.coeffs]})
 
 
+def _divisor_sieve(ws: list, sign: int) -> list:
+    """In place over ws[n-1], n = 1..N: sign +1 replaces w_n by
+    sum_{d|n} w_d, sign -1 undoes exactly that (Moebius inversion)."""
+    N = len(ws)
+    for d in range(N, 0, -1) if sign > 0 else range(1, N + 1):
+        w = sign * ws[d - 1]
+        if w:
+            for n in range(2 * d, N + 1, d):
+                ws[n - 1] += w
+    return ws
+
+
 def extract_X(inp: TaylorInput) -> list[Fraction]:
-    """Moebius-invert the Taylor coefficients: the returned list has
-    entry n-1 equal to X(n) = (1/n) sum_{d|n} mu(n/d) d c_d."""
-    N = inp.order
-    cs = inp.coeffs
-    out = []
-    for n in range(1, N + 1):
-        s = Fraction(0)
-        for d in range(1, n + 1):
-            if n % d == 0:
-                m = moebius_mu(n // d)
-                if m:
-                    s += m * d * cs[d - 1]
-        out.append(s / n)
-    return out
+    """Moebius-invert the Taylor coefficients: entry n-1 of the returned
+    list is X(n), from n c_n = sum_{d|n} d X(d) solved for n = 1, 2, ..."""
+    sums = _divisor_sieve([n * c for n, c in enumerate(inp.coeffs, 1)], -1)
+    return [s / n for n, s in enumerate(sums, 1)]
 
 
 def coeffs_from_X(X: Sequence[Fraction], order: int) -> list[Fraction]:
-    """Inverse direction: c_n = (1/n) sum_{d|n} d X(d) (X may be shorter
-    than order only if periodic; here X must cover 1..order)."""
-    sums = [Fraction(0)] * (order + 1)
-    for d in range(1, order + 1):
-        dx = d * Fraction(X[d - 1])
-        if dx:
-            for n in range(d, order + 1, d):
-                sums[n] += dx
-    return [sums[n] / n for n in range(1, order + 1)]
+    """Inverse direction: c_n = (1/n) sum_{d|n} d X(d) for n = 1..order;
+    X must cover 1..order (expand a periodic X first)."""
+    sums = _divisor_sieve([d * Fraction(X[d - 1]) for d in range(1, order + 1)], 1)
+    return [s / n for n, s in enumerate(sums, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,47 +244,53 @@ def coeffs_from_X(X: Sequence[Fraction], order: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
+def _weights(values: tuple) -> list[tuple[int, Fraction]]:
+    """Representation weights of one period: a_j on [j,T] for j < T/2,
+    and a_{T/2}/2 on the self-mirrored middle product when T is even
+    (its two factor families coincide, so it enters with half the
+    exponent)."""
+    T = len(values)
+    out = [(j, values[j - 1]) for j in range(1, (T - 1) // 2 + 1) if values[j - 1]]
+    if T % 2 == 0 and values[T // 2 - 1]:
+        out.append((T // 2, values[T // 2 - 1] / 2))
+    return out
+
+
 @dataclass(frozen=True)
 class PeriodicCoeffs:
-    """A detected period-T, catoptric, rational exponent sequence."""
+    """One period a_1 .. a_T of a catoptric exponent sequence, as exact
+    rationals: a_T = 0 and a_j = a_{T-j}, else DomainError.
 
-    period: int
-    values: tuple  # a_1 .. a_T, exact Fractions, a_T = 0
-    catoptric: bool
-    A: Fraction
+    ``period`` is T and ``A`` the exact exponent with q^A exp(-f(q))
+    algebraic, A = sum_j (-j/2 + j^2/(2T) + T/12) w_j over the
+    representation weights w_j.
+    """
+
+    values: tuple
+    period: int = field(init=False)
+    A: Fraction = field(init=False)
+
+    def __post_init__(self):
+        try:
+            vs = tuple(Fraction(v) for v in self.values)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"period values must be exact rationals: {exc}") from None
+        if not vs or vs[-1] != 0 or vs[:-1] != vs[:-1][::-1]:
+            raise DomainError("a period must end in a_T = 0 and mirror, a_j = a_(T-j); "
+                              f"got ({', '.join(map(str, vs))})")
+        T = len(vs)
+        object.__setattr__(self, "values", vs)
+        object.__setattr__(self, "period", T)
+        object.__setattr__(self, "A", sum(
+            (star_exponent(j, T) * w for j, w in _weights(vs)), Fraction(0)))
 
     def value(self, n: int) -> Fraction:
         return self.values[(n - 1) % self.period]
 
 
-def _weights(period: int, values: Sequence[Fraction]):
-    """Representation weights: a_j on [j,T] for j < T/2, and a_{T/2}/2 on
-    the self-mirrored middle product when T is even (its two factor
-    families coincide, so it enters with half the exponent)."""
-    T = period
-    out = []
-    for j in range(1, (T - 1) // 2 + 1):
-        if values[j - 1]:
-            out.append((j, Fraction(values[j - 1])))
-    if T % 2 == 0 and values[T // 2 - 1]:
-        out.append((T // 2, Fraction(values[T // 2 - 1]) / 2))
-    return out
-
-
-def exponent_A(pc: PeriodicCoeffs) -> Fraction:
-    """The exact rational exponent A with q^A exp(-f(q)) algebraic:
-    A = sum_j (-j/2 + j^2/(2T) + T/12) a_j over the representation
-    weights."""
-    if not pc.catoptric:
-        raise DomainError("exponent formula requires a catoptric sequence")
-    T = pc.period
-    return sum((star_exponent(j, T) * w for j, w in _weights(T, pc.values)),
-               Fraction(0))
-
-
 def detect_period(X: Sequence, max_period: int) -> Optional[PeriodicCoeffs]:
-    """Smallest T <= max_period such that X repeats with period T,
-    X(T) = 0 and the values mirror inside the period; None otherwise.
+    """The PeriodicCoeffs of the smallest T <= max_period such that X
+    repeats with period T and one period is catoptric; None otherwise.
 
     Needs at least 3*max_period observed values (two full periods to
     confirm, one of margin).
@@ -299,13 +305,10 @@ def detect_period(X: Sequence, max_period: int) -> Optional[PeriodicCoeffs]:
     for T in range(1, max_period + 1):
         if any(xs[k + T] != xs[k] for k in range(len(xs) - T)):
             continue
-        values = tuple(xs[:T])
-        if values[T - 1] != 0:
+        try:
+            return PeriodicCoeffs(xs[:T])
+        except DomainError:
             continue
-        if any(values[j - 1] != values[T - j - 1] for j in range(1, T)):
-            continue
-        pc = PeriodicCoeffs(T, values, True, Fraction(0))
-        return PeriodicCoeffs(T, values, True, exponent_A(pc))
     return None
 
 
@@ -317,10 +320,7 @@ def detect_period(X: Sequence, max_period: int) -> Optional[PeriodicCoeffs]:
 def represent_product(pc: PeriodicCoeffs) -> list[tuple[AgileSpec, Fraction]]:
     """exp(-f) as a finite product of two-sided q-products:
     prod [j,T;q]^(w_j) over the representation weights."""
-    if not pc.catoptric:
-        raise DomainError("product representation requires a catoptric sequence")
-    return [(AgileSpec(Fraction(j), Fraction(pc.period)), w)
-            for j, w in _weights(pc.period, pc.values)]
+    return [(AgileSpec(Fraction(j), Fraction(pc.period)), w) for j, w in _weights(pc.values)]
 
 
 @dataclass(frozen=True)
@@ -332,10 +332,8 @@ class ThetaRepresentation:
 
 def represent_theta(pc: PeriodicCoeffs) -> ThetaRepresentation:
     """exp(-f) = eta(T)^(-sum w_j) * prod theta(T/2, (T-2j)/2; q)^(w_j)."""
-    if not pc.catoptric:
-        raise DomainError("theta representation requires a catoptric sequence")
     T = pc.period
-    ws = _weights(T, pc.values)
+    ws = _weights(pc.values)
     factors = tuple(
         (ThetaSpec(Fraction(T, 2), Fraction(T - 2 * j, 2)), w) for j, w in ws
     )
@@ -388,19 +386,13 @@ def lambert_series(X: PeriodicCoeffs | JacobiCharacter, nome: Nome) -> HPReal:
 
 
 def eta_qdlog(multiplier, nome: Nome) -> HPReal:
-    """q d/dq log prod(1 - q^(m n))  =  -sum m n q^(mn)/(1-q^(mn)) for a
-    positive integer m, over n = 1..N with N the smallest n > tail/m."""
+    """q d/dq log prod(1 - q^(m n)) = -m L(q^m) for a positive integer m,
+    L(q) = sum n q^n/(1-q^n) the Lambert series of the constant 1."""
     m = integer(multiplier)
     if m < 1:
         raise DomainError(f"multiplier must be a positive integer, got {m}")
     with nome.ctx.workdps():
-        qm = _qpow(nome.q, Fraction(m))
-        s = mp.mpf(0)
-        t = mp.mpf(1)
-        for n in range(1, _term_count(0, 0, m, nome.tail) + 1):
-            t *= qm
-            s -= m * n * t / (1 - t)
-        return +s
+        return -m * lambert_series(JacobiCharacter(1), nome.scaled(m))
 
 
 def theta_qdlog(spec: ThetaSpec, nome: Nome) -> HPReal:
@@ -415,17 +407,12 @@ def theta_qdlog(spec: ThetaSpec, nome: Nome) -> HPReal:
 
 
 def logderiv_representation(pc: PeriodicCoeffs, nome: Nome) -> HPReal:
-    """-q d/dq log( eta(T)^(-S) prod theta^(w_j) ), each factor
+    """-q d/dq log of the theta representation, each factor
     differentiated termwise; equals lambert_series(pc, nome)."""
-    if not pc.catoptric:
-        raise DomainError("log-derivative form requires a catoptric sequence")
-    T = pc.period
-    ws = _weights(T, pc.values)
-    S = sum((w for _, w in ws), Fraction(0))
+    rep = represent_theta(pc)
     with nome.ctx.workdps():
-        acc = to_mpf(S) * eta_qdlog(T, nome)
-        for j, w in ws:
-            spec = ThetaSpec(Fraction(T, 2), Fraction(T - 2 * j, 2))
+        acc = -to_mpf(rep.eta_exponent) * eta_qdlog(rep.period, nome)
+        for spec, w in rep.factors:
             acc -= to_mpf(w) * theta_qdlog(spec, nome)
         return +acc
 
@@ -435,34 +422,17 @@ def logderiv_representation(pc: PeriodicCoeffs, nome: Nome) -> HPReal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesIdentityReport:
-    identical: bool
-    order: int
-    first_mismatch: Optional[int] = None
-
-
-def square_character_eta_identity(g: int, order: int) -> SeriesIdentityReport:
-    """For a perfect square g: compare prod (1-q^n)^((n/g)) against the
-    inclusion-exclusion eta quotient prod_{d | rad(g)} eta(d)^mu(d),
-    coefficientwise to the given order."""
-    from math import isqrt
-
-    from .series import exponent_product
-    from .qengine import eta_qexpansion
-
+def square_character_eta_identity(g: int, order: int) -> tuple[FormalSeries, FormalSeries]:
+    """For a perfect square g, the two sides of prod (1-q^n)^((n/g)) =
+    prod_{d | rad(g)} eta(d)^mu(d) (the inclusion-exclusion eta quotient)
+    as exact series to the given order."""
     g = int(g)
     if isqrt(g) ** 2 != g:
         raise DomainError(f"g must be a perfect square, got {g}")
-    char = JacobiCharacter(g)
-    lhs = exponent_product(lambda n: char.value(n), order)
-
+    lhs = exponent_product(JacobiCharacter(g).value, order)
     rhs = None
     for d, mu in squarefree_divisors(g):
         s = eta_qexpansion(d, order)
         s = s if mu == 1 else s.inverse()
         rhs = s if rhs is None else rhs * s
-    for n in range(order + 1):
-        if lhs[n] != rhs[n]:
-            return SeriesIdentityReport(False, order, n)
-    return SeriesIdentityReport(True, order)
+    return lhs, rhs

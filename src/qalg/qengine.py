@@ -298,13 +298,26 @@ def agile_via_triangular(spec: AgileSpec, nome: Nome) -> HPReal:
     """[a,p;q] assembled from the triangular-number series:
     (M(-q^-a, q^p) - q^a M(-q^a, q^p)) / eta(p).  The n-th terms are
     +-q^(p n^2/2 + (p/2 -+ a) n); each series stops before the first n
-    whose exponent exceeds the tail threshold."""
+    whose exponent exceeds the tail threshold.
+
+    The numerator, about exp(-pi/(2p sqrt r)), is summed from terms of
+    size 1; once the digits that cancellation costs exceed half the guard
+    digits, the sums and eta(p) run on a nome with those digits added."""
     a, p = spec.a, spec.p
+    ctx = nome.ctx
+    with mp.workdps(30):
+        lost = int(mp.pi / (2 * to_mpf(p) * mp.sqrt(to_mpf(nome.r)) * mp.ln10))
+    if lost > ctx.guard // 2:
+        # the term budget is checked before a nome of that precision is built
+        _term_count(p, 0, p, nome.tail * (ctx.dps + lost) // ctx.dps)
+        nome = make_nome(nome.r, PrecisionContext(ctx.digits + lost, ctx.guard))
     with nome.ctx.workdps():
         qa, qp = _qpow(nome.q, a), _qpow(nome.q, p)
         lo = m_series(-1 / qa, qp, _term_count(0, p / 2, p / 2 - a, nome.tail))
         hi = m_series(-qa, qp, _term_count(0, p / 2, p / 2 + a, nome.tail))
-        return +((lo - qa * hi) / eta_paper(p, nome))
+        value = (lo - qa * hi) / eta_paper(p, nome)
+    with ctx.workdps():
+        return +value
 
 
 def tau_star(a, p, nome: Nome) -> HPReal:

@@ -5,7 +5,8 @@ from a Machin formula summed in exact rationals, K/E from their
 hypergeometric series, the beta value from a split binomial series,
 integrals from composite midpoint rules, series log/exp from their
 textbook recurrences, the q-product and AGM kernels from plain mpf
-loops, and the fixed-point quadrature from mpmath's tanh-sinh in mpf.
+loops, the fixed-point quadrature from mpmath's tanh-sinh in mpf, and the
+divisor sieve of the Moebius inversion from the Moebius-function formula.
 Values are computed fresh so the tests never assert against numbers
 produced by the library itself.
 """
@@ -207,6 +208,21 @@ def series_exp(l) -> list:
             if l[k]:
                 s += k * l[k] * out[n - k]
         out[n] = _exact(Fraction(s, n))
+    return out
+
+
+def moebius_extract_X(coeffs) -> list:
+    """X(n) = (1/n) sum_{d|n} mu(n/d) d c_d, one mu per divisor pair:
+    the reference for the sieve that inverts the Taylor coefficients."""
+    from qalg import moebius_mu
+
+    out = []
+    for n in range(1, len(coeffs) + 1):
+        s = Fraction(0)
+        for d in range(1, n + 1):
+            if n % d == 0:
+                s += moebius_mu(n // d) * d * Fraction(coeffs[d - 1])
+        out.append(s / n)
     return out
 
 

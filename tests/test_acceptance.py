@@ -12,6 +12,7 @@ import os
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -177,12 +178,10 @@ def test_criterion_09_conjecture_recognitions():
     start = time.monotonic()
     workers = min(8, os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = dict(pool.map(harness._execute_check_tuple,
-                                [(i, 300) for i in ids]))
+        reports = list(pool.map(partial(harness._execute_check, digits=300), ids))
     elapsed = time.monotonic() - start
-    good = [i for i in ids if results[i]["verdict"] == "pass"]
-    refuted = [(i, results[i]["note"]) for i in ids
-               if results[i]["verdict"] != "pass"]
+    good = [r.id for r in reports if r.verdict == "pass"]
+    refuted = [(r.id, r.note) for r in reports if r.verdict != "pass"]
     ok = len(good) >= 10
     announce("criterion 9: >= 10 starred-product recognitions at 300 digits, degree <= 24",
              ok, f"{len(good)}/{len(ids)} recognized in {elapsed:.0f}s"

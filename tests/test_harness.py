@@ -1,6 +1,7 @@
 """Identity-check registry, suite runner, report emission."""
 
 import json
+from dataclasses import asdict
 from fractions import Fraction
 
 import mpmath as mp
@@ -46,8 +47,8 @@ class TestExecution:
         assert report.verdict == "recorded"
 
     def test_determinism(self):
-        a = harness._execute_check("eq05.modulus-theta.r1", 60).to_dict()
-        b = harness._execute_check("eq05.modulus-theta.r1", 60).to_dict()
+        a = asdict(harness._execute_check("eq05.modulus-theta.r1", 60))
+        b = asdict(harness._execute_check("eq05.modulus-theta.r1", 60))
         a.pop("wall_time_ms")
         b.pop("wall_time_ms")
         assert a == b

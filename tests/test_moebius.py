@@ -19,7 +19,6 @@ from qalg import (
     TaylorInput,
     agile_qexpansion,
     detect_period,
-    exponent_A,
     extract_X,
     jacobi_symbol,
     lambert_series,
@@ -43,7 +42,7 @@ from qalg.moebius import (
 
 from qalg.qengine import _term_count
 
-from oracles import close
+from oracles import close, moebius_extract_X
 
 CTX = PrecisionContext(60)
 
@@ -114,7 +113,7 @@ class TestJacobiSymbol:
 
     def test_character_period_detection(self):
         pc = JacobiCharacter(5).as_periodic()
-        assert pc.period == 5 and pc.catoptric and pc.A == Fraction(1, 5)
+        assert pc.period == 5 and pc.A == Fraction(1, 5)
         pc8 = JacobiCharacter(8).as_periodic()
         assert pc8.period == 8
         assert list(pc8.values) == [1, 0, -1, 0, -1, 0, 1, 0]
@@ -144,6 +143,13 @@ class TestInversion:
         X = extract_X(inp)
         assert coeffs_from_X(X, 40) == list(inp.coeffs)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.fractions(min_value=Fraction(-5), max_value=Fraction(5),
+                                 max_denominator=12),
+                    min_size=1, max_size=200))
+    def test_sieve_matches_moebius_formula(self, cs):
+        assert extract_X(TaylorInput(cs)) == moebius_extract_X(cs)
+
     def test_linearity(self):
         a = TaylorInput([Fraction(1, n) for n in range(1, 15)])
         b = TaylorInput([Fraction(n, n + 1) for n in range(1, 15)])
@@ -165,7 +171,7 @@ class TestInversion:
 class TestDetectPeriod:
     def test_t3(self):
         pc = detect_period([Fraction(v) for v in (1, 1, 0) * 5], 3)
-        assert pc.period == 3 and pc.catoptric
+        assert pc.period == 3
         assert pc.A == Fraction(-1, 12)
 
     def test_t5_all_ones(self):
@@ -192,6 +198,38 @@ class TestDetectPeriod:
             detect_period([Fraction(1), Fraction(0)], 6)
 
 
+# one period: any short tuple of small rationals, or one built to mirror
+# with a_T = 0 (which a random tuple seldom is)
+_SMALL = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)])
+_PERIODS = st.one_of(
+    st.lists(_SMALL, min_size=1, max_size=9).map(tuple),
+    st.lists(_SMALL, min_size=0, max_size=5).flatmap(lambda half: st.sampled_from([
+        tuple(half + half[::-1] + [Fraction(0)]),
+        tuple(half + half[-2::-1] + [Fraction(0)]) if half else (Fraction(0),)])))
+
+
+class TestPeriodicCoeffs:
+    @settings(max_examples=200, deadline=None)
+    @given(_PERIODS)
+    def test_accepts_exactly_the_catoptric_periods(self, v):
+        catoptric = v[-1] == 0 and all(v[j - 1] == v[len(v) - j - 1]
+                                       for j in range(1, len(v)))
+        if not catoptric:
+            with pytest.raises(DomainError):
+                PeriodicCoeffs(v)
+            return
+        pc = PeriodicCoeffs(v)
+        assert pc.period == len(v) and pc.values == v
+        # detect_period finds the shortest block that repeats to v
+        T = min(d for d in range(1, len(v) + 1)
+                if len(v) % d == 0 and v == v[:d] * (len(v) // d))
+        assert detect_period(list(v) * 3, len(v)) == PeriodicCoeffs(v[:T])
+
+    def test_values_taken_exactly(self):
+        pc = PeriodicCoeffs([1, "-1", Fraction(-1), 1, 0])
+        assert pc.values == (1, -1, -1, 1, 0) and pc.A == Fraction(1, 5)
+
+
 class TestExponent:
     def test_all_zero(self):
         pc = detect_period([Fraction(0)] * 9, 3)
@@ -205,10 +243,11 @@ class TestExponent:
         assert pc.A == Fraction(-1, 12)
 
     def test_exponent_requires_catoptric(self):
-        bad = PeriodicCoeffs(3, (Fraction(1), Fraction(0), Fraction(0)), False,
-                             Fraction(0))
-        with pytest.raises(DomainError):
-            exponent_A(bad)
+        # A exists only for a catoptric period: the constructor refuses
+        # a period that does not mirror or whose last value is not 0
+        for bad in ((1, 0, 0), (1, 1, 1), (), ("x",)):
+            with pytest.raises(DomainError):
+                PeriodicCoeffs(bad)
 
 
 class TestRepresentations:
@@ -421,8 +460,8 @@ class TestLogDerivativeWalks:
 class TestSquareCharacterIdentity:
     @pytest.mark.parametrize("g", [9, 25, 225])
     def test_exact(self, g):
-        rep = square_character_eta_identity(g, 200)
-        assert rep.identical
+        lhs, rhs = square_character_eta_identity(g, 200)
+        assert lhs == rhs and lhs.order == 200
 
     def test_non_square_rejected(self):
         with pytest.raises(DomainError):

@@ -254,6 +254,17 @@ class TestTriangularSeries:
         spec = AgileSpec(1, 5)
         assert close(agile(spec, nome), agile_via_triangular(spec, nome), 80, dps=130)
 
+    @pytest.mark.parametrize("e", [4, 5, 6])
+    def test_agile_assembly_small_r(self, e):
+        # the numerator cancels about pi/(2p sqrt r ln 10) digits (136 at
+        # r = 1e-6, where the value is 1.3e-91): the result keeps all 40
+        r = Fraction(1, 10 ** e)
+        spec = AgileSpec(1, 5)
+        value = agile_via_triangular(spec, make_nome(r, PrecisionContext(40)))
+        ref = agile(spec, make_nome(r, PrecisionContext(100)))
+        with mp.workdps(130):
+            assert abs(value - ref) < abs(ref) * mp.mpf(10) ** -40
+
     def test_base_domain(self):
         with CTX.workdps():
             with pytest.raises(DomainError):
