@@ -61,7 +61,6 @@ from .moebius import (
 )
 from .modular import (
     Residual,
-    SexticInstance,
     incomplete_beta,
     klein_j_from_R,
     modular5_check,

@@ -26,7 +26,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import harness
-from .errors import InsufficientPrecision, QalgError
+from .errors import DomainError, InsufficientPrecision, QalgError
 from .precision import PrecisionContext
 from .moebius import TaylorInput, detect_period, extract_X, represent_product, represent_theta
 from .recognize import QUANTITIES, recognize, recognize_expression
@@ -56,14 +56,8 @@ def _display(value, digits: int) -> str:
     return mp.nstr(value, shown, strip_zeros=False)
 
 
-def _emit(payload: dict, value, args) -> None:
-    digits = payload["digits"]
-    if args.json:
-        payload = dict(payload)
-        payload["value"] = _display(value, digits)
-        text = json.dumps(payload, indent=2)
-    else:
-        text = _display(value, digits)
+def _write(text: str, args) -> None:
+    """A command's output: to the --out file when given, else to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -81,8 +75,11 @@ def _cmd_eval(args) -> int:
     ctx = PrecisionContext(args.digits)
     entry = QUANTITIES[args.subject.replace("-", "_")]
     params = entry.complete(_given(args, entry))
-    value = entry.evaluate(params, ctx)
-    _emit({"subject": args.subject, "params": params, "digits": args.digits}, value, args)
+    text = _display(entry.evaluate(params, ctx), args.digits)
+    if args.json:
+        text = json.dumps({"subject": args.subject, "params": params,
+                           "digits": args.digits, "value": text}, indent=2)
+    _write(text, args)
     return EXIT_OK
 
 
@@ -111,40 +108,37 @@ def _cmd_analyze(args) -> int:
                 "degenerate": True, "period": 1, "catoptric": True, "A": "0",
                 "product": [[f"(1-q^{n})", str(X[n - 1])] for n in support],
             })
-            if args.json:
-                print(json.dumps(payload, indent=2))
-            else:
-                print("degenerate: finitely many nonzero exponents; period 1, A = 0")
-                print("product:", " * ".join(f"(1-q^{n})^({X[n-1]})" for n in support))
-            return EXIT_OK
-        if args.json:
-            payload["period"] = None
-            print(json.dumps(payload, indent=2))
+            lines = ["degenerate: finitely many nonzero exponents; period 1, A = 0",
+                     "product: " + " * ".join(f"(1-q^{n})^({X[n-1]})" for n in support)]
+            code = EXIT_OK
         else:
-            print("not periodic within the scanned range")
-        return EXIT_NOT_PERIODIC
-    prod = represent_product(pc)
-    theta = represent_theta(pc)
-    payload.update({
-        "period": pc.period,
-        "catoptric": True,
-        "A": str(pc.A),
-        "values": [str(v) for v in pc.values],
-        "product": [[f"[{spec.a},{spec.p}]", str(w)] for spec, w in prod],
-        "theta": {
-            "eta_exponent": str(theta.eta_exponent),
-            "factors": [[f"theta({s.a},{s.b})", str(w)] for s, w in theta.factors],
-        },
-    })
-    if args.json:
-        print(json.dumps(payload, indent=2))
+            payload["period"] = None
+            lines = ["not periodic within the scanned range"]
+            code = EXIT_NOT_PERIODIC
     else:
-        print(f"period T = {pc.period}, catoptric = True, A = {pc.A}")
-        print("values:", ", ".join(str(v) for v in pc.values))
-        print("product:", " * ".join(f"[{s.a},{s.p}]^({w})" for s, w in prod))
-        print(f"theta form: eta({pc.period})^({theta.eta_exponent}) * "
-              + " * ".join(f"theta({s.a},{s.b})^({w})" for s, w in theta.factors))
-    return EXIT_OK
+        prod = represent_product(pc)
+        theta = represent_theta(pc)
+        payload.update({
+            "period": pc.period,
+            "catoptric": True,
+            "A": str(pc.A),
+            "values": [str(v) for v in pc.values],
+            "product": [[f"[{spec.a},{spec.p}]", str(w)] for spec, w in prod],
+            "theta": {
+                "eta_exponent": str(theta.eta_exponent),
+                "factors": [[f"theta({s.a},{s.b})", str(w)] for s, w in theta.factors],
+            },
+        })
+        lines = [
+            f"period T = {pc.period}, catoptric = True, A = {pc.A}",
+            "values: " + ", ".join(str(v) for v in pc.values),
+            "product: " + " * ".join(f"[{s.a},{s.p}]^({w})" for s, w in prod),
+            f"theta form: eta({pc.period})^({theta.eta_exponent}) * "
+            + " * ".join(f"theta({s.a},{s.b})^({w})" for s, w in theta.factors),
+        ]
+        code = EXIT_OK
+    _write(json.dumps(payload, indent=2) if args.json else "\n".join(lines), args)
+    return code
 
 
 def _cmd_recognize(args) -> int:
@@ -152,8 +146,11 @@ def _cmd_recognize(args) -> int:
     if args.expr == "const":
         if args.value is None:
             raise QalgError("const recognition needs --value")
-        with ctx.workdps():
-            x = mp.mpf(args.value)
+        try:
+            with ctx.workdps():
+                x = mp.mpf(args.value)
+        except ValueError:
+            raise DomainError(f"--value {args.value!r} is not a decimal number") from None
         rec = recognize(x, args.degree, args.height_digits, ctx,
                         provenance="const")
     else:
@@ -175,11 +172,7 @@ def _cmd_recognize(args) -> int:
             lines.append(f"verified_residual: {doc['verified_residual']}")
         lines.append(f"digits: {rec.digits_used}")
         text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(text, args)
     return EXIT_OK if rec.status == "recognized" else EXIT_VERIFY_FAIL
 
 
@@ -187,13 +180,7 @@ def _cmd_verify(args) -> int:
     digits = args.digits or harness.DEFAULT_DIGITS.get(args.suite, 120)
     reports = harness.run_suite(args.suite, digits, parallelism=args.parallelism)
     fmt = "json" if args.json else "text"
-    text = harness.emit_report(reports, fmt, suite=args.suite, digits=digits)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+    _write(harness.emit_report(reports, fmt, suite=args.suite, digits=digits), args)
     failed = harness.summarize(reports)["fail"]
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAIL
 

@@ -136,43 +136,49 @@ def _singular_modulus_cached(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
     # Solve for x = k_s, s = max(r, 1/r), the smaller of k_r and
     # k'_r = k_{1/r}: x then carries full relative precision however small,
     # and the pair (k_r, k'_r) is returned so that neither is recomputed
-    # from the other.
-    with ctx.workdps():
+    # from the other.  x moves by about pi sqrt(s)/2 times the relative
+    # error of K'/K; the guard digits absorb that up to 10^(guard/2), and
+    # past it the solve runs at the digits it costs, then rounds to ctx.
+    log10_s = abs(math.log10(r.numerator) - math.log10(r.denominator))
+    lost = int(math.log10(math.pi / 2) + log10_s / 2)
+    wctx = PrecisionContext(ctx.digits + max(0, lost - ctx.guard // 2), ctx.guard)
+    with wctx.workdps():
         rm = to_mpf(r)
         s = rm if rm >= 1 else 1 / rm
         x = _theta_seed(s)
         if rm < 1 and mp.sqrt(1 - x * x) == 1:
             raise InsufficientPrecision(
-                f"k_r rounds to 1 at {ctx.dps} working digits "
+                f"k_r rounds to 1 at {wctx.dps} working digits "
                 f"(1 - k_r ~ {mp.nstr(x * x / 2, 3)})"
             )
 
-    # Newton at precisions doubling toward ctx.dps: each step doubles the
+    # Newton at precisions doubling toward wctx.dps: each step doubles the
     # correct digits, so only the last runs at full precision.  The +5
     # covers the 2-4 digits a step loses to the conditioning of g at tiny
     # x.  A full step is final once its correction is below half the
     # working digits, since the error after it is about the square.
-    precs, p = [], ctx.dps
+    precs, p = [], wctx.dps
     while p > 2 * _SEED_DIGITS:
         p = p // 2 + 5
         precs.insert(0, p)
-    for dps in precs + [ctx.dps] * (int(mp.ceil(mp.log(ctx.dps, 2))) + 3):
+    for dps in precs + [wctx.dps] * (int(mp.ceil(mp.log(wctx.dps, 2))) + 3):
         with mp.workdps(dps):
             step = _newton_step(+x, mp.log(s) / 2)
             x += step
             if x <= 0 or x >= 1:
                 raise ConvergenceError("Newton left the unit interval")
-            if dps == ctx.dps and abs(step) < x * mp.mpf(10) ** (-(dps // 2)):
+            if dps == wctx.dps and abs(step) < x * mp.mpf(10) ** (-(dps // 2)):
                 break
 
-    with ctx.workdps():
+    with wctx.workdps():
         xp = mp.sqrt(1 - x * x)
         K, Kp = _agm_KE(x, xp)[0], _agm_KE(xp, x)[0]
         resid = (Kp / K if rm >= 1 else K / Kp) - mp.sqrt(rm)
-        if abs(resid) > mp.mpf(10) ** (-(ctx.digits - ctx.guard)):
+        if abs(resid) > mp.mpf(10) ** (-(wctx.digits - wctx.guard)):
             raise ConvergenceError(
                 f"singular modulus residual {mp.nstr(abs(resid), 5)} too large"
             )
+    with ctx.workdps():
         return (+x, +xp) if rm >= 1 else (+xp, +x)
 
 

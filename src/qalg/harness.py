@@ -92,7 +92,7 @@ from .modular import (
     theorem3_check,
     theorem4_check,
 )
-from .recognize import QUANTITIES, recognize_expression
+from .recognize import QUANTITIES, STAR_CLOSED_FORMS, recognize_expression
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +156,6 @@ def _modulus_theta(ctx, r: Fraction):
     nome = make_nome(r, ctx)
     return Residual(singular_modulus(r, ctx), theta2(nome) ** 2 / theta3(nome) ** 2,
                     note="root-finding vs theta quotient")
-
-
-def _modulus25_theta(ctx, r: Fraction):
-    nome5 = make_nome(r, ctx).scaled(Fraction(5))
-    return Residual(singular_modulus(25 * r, ctx), theta2(nome5) ** 2 / theta3(nome5) ** 2)
 
 
 def _klein(ctx, r: Fraction):
@@ -298,20 +293,11 @@ def _powersum(ctx, r: Fraction, ms: tuple):
                         ctx.eps_check, note=f"m in {list(ms)}")
 
 
-def _q14(ctx, r: Fraction):
-    nome = make_nome(r, ctx)
-    k = singular_modulus(r, ctx)
-    lhs = agile_star(AgileSpec(1, 4), nome) ** 12
-    return Residual(lhs, 4 * (1 - k * k) / k, note="12th power of the (1,4) starred product")
-
-
-def _q12_4(ctx, r: Fraction):
-    nome = make_nome(r, ctx)
-    k = singular_modulus(r, ctx)
-    lhs = agile_star(AgileSpec(Fraction(1, 2), 4), nome) ** 48
-    rhs = (4 * (1 - k) ** 4 * (2 + k - 2 * mp.sqrt(1 + k)) ** 12
-           / (k ** 13 * (1 + k) ** 2))
-    return Residual(lhs, rhs, note="48th power of the (1/2,4) starred product")
+def _star_closed_form(ctx, a: Fraction, p: Fraction, r: Fraction):
+    N, f = STAR_CLOSED_FORMS[a, p]
+    lhs = agile_star(AgileSpec(a, p), make_nome(r, ctx)) ** N
+    return Residual(lhs, f(singular_modulus(r, ctx)),
+                    note=f"{N}th power of the ({a},{p}) starred product")
 
 
 def _thm4_p2(ctx):
@@ -344,14 +330,14 @@ def _example3ii(ctx):
 
 
 def _sextic_index(ctx, r: Fraction):
-    res = sextic_Y_check(make_nome(r, ctx))
-    worst = min(res.residuals.values(), key=abs)
+    residuals = sextic_Y_check(make_nome(r, ctx))
+    satisfied = [label for label, resid in residuals.items() if resid < ctx.eps_check]
     return CheckOutcome(
         lhs="argument candidates {r, 4r, r/4}",
         rhs="sextic relation residuals",
-        diff=abs(worst),
-        tolerance=res.tolerance,
-        note="satisfied by: " + ", ".join(res.satisfied)
+        diff=min(residuals.values()),
+        tolerance=ctx.eps_check,
+        note="satisfied by: " + ", ".join(satisfied)
              + " (quarter argument is the identity; coincidences possible)",
     )
 
@@ -509,7 +495,7 @@ def _build_registry() -> dict:
         add(f"eq05.modulus-theta.r{r}", PC, ("eq01", "eq02", "eq05"), "numeric",
             partial(_modulus_theta, r=r))
     add("eq06.modulus25-theta.r1", PC, ("eq06",), "numeric",
-        partial(_modulus25_theta, r=Fraction(1)))
+        partial(_modulus_theta, r=Fraction(25)))
     for r in (Fraction(1), Fraction(2)):
         add(f"eq08.klein-vs-modulus.r{r}", PC, ("eq07", "eq08", "eq10"), "numeric",
             partial(_klein, r=r))
@@ -555,10 +541,10 @@ def _build_registry() -> dict:
             partial(_powersum, r=r, ms=(1, -1, 3)))
     for r in (Fraction(1), Fraction(2), Fraction(3, 2)):
         tag = str(r).replace("/", "_")
-        add(f"eq53.q14-closed.r{tag}", ("paper-core", "conjectures"),
-            ("eq52", "eq53", "eq55", "eq57"), "numeric", partial(_q14, r=r))
-        add(f"eq54.q12-4-closed.r{tag}", ("paper-core", "conjectures"),
-            ("eq54", "eq56"), "numeric", partial(_q12_4, r=r))
+        for name, anchors, a in (("eq53.q14-closed", ("eq52", "eq53", "eq55", "eq57"), 1),
+                                 ("eq54.q12-4-closed", ("eq54", "eq56"), Fraction(1, 2))):
+            add(f"{name}.r{tag}", ("paper-core", "conjectures"), anchors, "numeric",
+                partial(_star_closed_form, a=Fraction(a), p=Fraction(4), r=r))
     add("eq50.ki-roundtrip", PC, ("eq50",), "numeric", _ki_roundtrip)
     for p in (3, 5):
         add(f"thm4.p{p}.r1", PC, ("thm4",), "numeric",

@@ -168,56 +168,27 @@ def sextic_theta(nome: Nome, via: str = "theta") -> HPReal:
         raise DomainError(f"unknown route {via!r}")
 
 
-@dataclass(frozen=True)
-class SexticYResult:
-    """Outcome of testing 3125 + 250 Y^6 + Y^12 = j^(1/3) Y^10 with
-    Y^6 = q^-1 (eta(1)/eta(5))^6 against several candidate j-arguments."""
-
-    y6: HPReal
-    residuals: dict
-    satisfied: tuple
-    tolerance: HPReal
-
-
-def sextic_Y_check(nome: Nome) -> SexticYResult:
-    """Try the j-argument candidates {r, 4r, r/4}.  The quarter argument
-    satisfies the relation identically; at special r several arguments
-    can share the same j value, so callers should treat the outcome as a
+def sextic_Y_check(nome: Nome) -> dict:
+    """Residuals of 3125 + 250 Y^6 + Y^12 = j^(1/3) Y^10, with
+    Y^6 = q^-1 (eta(1)/eta(5))^6, for the j-argument candidates
+    {r, 4r, r/4}, as {label: residual}.  The quarter argument satisfies
+    the relation identically; at special r several arguments can share
+    the same j value, so callers should treat the outcome as a
     measurement rather than a uniqueness assertion."""
     ctx = nome.ctx
     with ctx.workdps():
         y6 = eta_paper(1, nome) ** 6 / (eta_paper(5, nome) ** 6 * nome.q)
-        tol = ctx.eps_check
         residuals = {}
-        satisfied = []
         for label, arg in (("r", nome.r), ("4r", 4 * nome.r), ("r/4", nome.r / 4)):
             jv = j_invariant(arg, ctx)
-            resid = abs(3125 + 250 * y6 + y6 ** 2
-                        - mp.cbrt(jv) * y6 ** (mp.mpf(5) / 3))
-            residuals[label] = +resid
-            if resid < tol:
-                satisfied.append(label)
-        return SexticYResult(+y6, residuals, tuple(satisfied), +tol)
+            residuals[label] = +abs(3125 + 250 * y6 + y6 ** 2
+                                    - mp.cbrt(jv) * y6 ** (mp.mpf(5) / 3))
+        return residuals
 
 
-@dataclass(frozen=True)
-class SexticInstance:
-    """Coefficients of  b^2/(20a) + b Y + a Y^2 = c Y^(5/3)."""
-
-    a: HPReal
-    b: HPReal
-    c: HPReal
-
-    def j_target(self, ctx: PrecisionContext) -> HPReal:
-        with ctx.workdps():
-            a, b, c = mp.mpf(self.a), mp.mpf(self.b), mp.mpf(self.c)
-            if a == 0 or b == 0:
-                raise DomainError("need a != 0 and b != 0")
-            return +(250 * c ** 3 / (a * a * b))
-
-
-def solve_sextic(inst: SexticInstance, ctx: PrecisionContext) -> tuple[HPReal, Residual]:
-    """Solve the sextic on the principal branch: find r >= 1 with
+def solve_sextic(a, b, c, ctx: PrecisionContext) -> tuple[HPReal, Residual]:
+    """Solve the sextic  b^2/(20a) + b Y + a Y^2 = c Y^(5/3), a != 0 and
+    b != 0, on the principal branch: find r >= 1 with
     j(r) = 250 c^3/(a^2 b), then Y = b/(250a) (R(q^2)^-5 - 11 - R(q^2)^5)
     at q = exp(-pi sqrt(r)).  Returns (Y, residual-of-the-sextic).
     The bracket is positive on that branch, so b/(250a) must be too.
@@ -230,8 +201,10 @@ def solve_sextic(inst: SexticInstance, ctx: PrecisionContext) -> tuple[HPReal, R
     singular modulus of k_r.
     """
     with ctx.workdps():
-        target = inst.j_target(ctx)
-        a, b, c = mp.mpf(inst.a), mp.mpf(inst.b), mp.mpf(inst.c)
+        a, b, c = mp.mpf(a), mp.mpf(b), mp.mpf(c)
+        if a == 0 or b == 0:
+            raise DomainError("need a != 0 and b != 0")
+        target = 250 * c ** 3 / (a * a * b)
         if not b / a > 0:
             raise DomainError("need b/(250a) > 0, else Y < 0 and Y^(5/3) is not real")
         if not target >= 1728:

@@ -26,7 +26,7 @@ import mpmath as mp
 
 from .errors import DomainError, InsufficientData
 from .precision import HPReal, integer, to_mpf
-from .series import FormalSeries, exponent_product
+from .series import FormalSeries, _divisor_sieve, exponent_product
 from .qengine import (
     AgileSpec,
     Nome,
@@ -193,10 +193,6 @@ class TaylorInput:
             raise DomainError("need at least one coefficient")
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
-
     @classmethod
     def from_json(cls, text: str) -> "TaylorInput":
         """Parse {"coeffs": ["1/1", "1/2", ...]} (exact rational strings or
@@ -211,18 +207,6 @@ class TaylorInput:
 
     def to_json(self) -> str:
         return json.dumps({"coeffs": [str(c) for c in self.coeffs]})
-
-
-def _divisor_sieve(ws: list, sign: int) -> list:
-    """In place over ws[n-1], n = 1..N: sign +1 replaces w_n by
-    sum_{d|n} w_d, sign -1 undoes exactly that (Moebius inversion)."""
-    N = len(ws)
-    for d in range(N, 0, -1) if sign > 0 else range(1, N + 1):
-        w = sign * ws[d - 1]
-        if w:
-            for n in range(2 * d, N + 1, d):
-                ws[n - 1] += w
-    return ws
 
 
 def extract_X(inp: TaylorInput) -> list[Fraction]:

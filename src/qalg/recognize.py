@@ -50,19 +50,14 @@ from .modular import Residual, rrcf, sextic_theta
 # exact integer LLL
 # ---------------------------------------------------------------------------
 
-def lattice_reduce(basis: Sequence[Sequence[int]],
-                   delta: Fraction = Fraction(99, 100)) -> list[list[int]]:
+def lattice_reduce(basis: Sequence[Sequence[int]]) -> list[list[int]]:
     """LLL-reduce an integer basis (rows), entirely in integer arithmetic.
 
     Uses the integral Gram-Schmidt bookkeeping d_i, lambda_{i,j}; the
-    Lovasz test for delta = num/den is
-    den*d[k+1]*d[k-1] < num*d[k]^2 - den*lambda^2.
+    Lovasz test for delta = 99/100 is
+    100*d[k+1]*d[k-1] < 99*d[k]^2 - 100*lambda^2.
     Raises DegenerateBasis on linearly dependent rows.
     """
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise DomainError("delta must lie in (1/4, 1)")
-    num, den = delta.numerator, delta.denominator
     b = [list(map(int, row)) for row in basis]
     n = len(b)
     if n == 0 or any(len(row) != len(b[0]) for row in b):
@@ -121,7 +116,7 @@ def lattice_reduce(basis: Sequence[Sequence[int]],
                     d[k + 1] = u
         while True:
             reduce_row(k, k - 1)
-            if den * d[k + 1] * d[k - 1] < num * d[k] * d[k] - den * lam[k][k - 1] ** 2:
+            if 100 * d[k + 1] * d[k - 1] < 99 * d[k] * d[k] - 100 * lam[k][k - 1] ** 2:
                 swap_rows(k, kmax)
                 k = max(1, k - 1)
             else:
@@ -161,10 +156,6 @@ class IntegerPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    @property
-    def height(self) -> int:
-        return max(abs(c) for c in self.coefficients)
 
     def evaluate(self, x):
         """The value at x by Horner's rule: an mpf at an mpf x, exact at
@@ -252,6 +243,12 @@ def recognize(
     one, P is re-evaluated on x in exact rational arithmetic against the
     first-tier bound (guarding against evaluation round-off, not against
     short inputs - supply recompute when possible).
+
+    Two exact rules come before any residual.  With H = 10^height_digits,
+    every root of a candidate lies below H in absolute value (Cauchy's
+    bound) and at |x| >= 2H every candidate has |P(x)| > 1, so such an x
+    is refuted before any lattice is built.  For x != 0 a candidate with
+    c0 = 0 is skipped: it is x^k Q(x), and Q's lower degree decides.
     """
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
@@ -270,6 +267,9 @@ def recognize(
         xv = mp.mpf(x)
         if not mp.isfinite(xv):
             raise DomainError("value must be finite")
+        if abs(xv) >= 2 * height_bound:
+            return RecognitionResult(None, None, None, digits, "refuted-at-bounds",
+                                     provenance)
         powers = [mp.mpf(1)]
         for _ in range(max_degree):
             powers.append(powers[-1] * xv)
@@ -289,6 +289,8 @@ def recognize(
                 coeffs = row[:-1]
                 if max(abs(c) for c in coeffs) >= height_bound:
                     continue
+                if xv and not coeffs[0]:
+                    continue  # x^k Q(x), x != 0: Q's own degree decides
                 try:
                     poly = IntegerPolynomial(tuple(coeffs))
                 except DomainError:
@@ -444,6 +446,16 @@ def recognize_expression(
 # algebraic-function probing over the inverse singular modulus
 # ---------------------------------------------------------------------------
 
+# The starred products with a closed form in the singular modulus k = k_r:
+# (a, p) -> (N, f) with ([a,p;q]*)^N = f(k) at q = exp(-pi sqrt(r)).
+STAR_CLOSED_FORMS: dict[tuple[Fraction, Fraction], tuple[int, Callable]] = {
+    (Fraction(1), Fraction(4)): (12, lambda k: 4 * (1 - k * k) / k),
+    (Fraction(1, 2), Fraction(4)): (
+        48, lambda k: (4 * (1 - k) ** 4 * (2 + k - 2 * mp.sqrt(1 + k)) ** 12
+                       / (k ** 13 * (1 + k) ** 2))),
+}
+
+
 @dataclass(frozen=True)
 class ProbeResult:
     x: Fraction
@@ -460,10 +472,9 @@ def probe_Q_function(
     ctx: PrecisionContext,
 ) -> list[ProbeResult]:
     """For each rational x in (0,1): set r = k_i(x), evaluate [a,p;q]* at
-    q = exp(-pi sqrt(r)) and recognize it.  For the two parameter pairs
-    with known closed forms - (1,4): value^12 = 4(1-x^2)/x, and (1/2,4):
-    value^48 = 4(1-x)^4 (2+x-2 sqrt(1+x))^12 / (x^13 (1+x)^2) - the
-    closed form is evaluated alongside as a residual pair."""
+    q = exp(-pi sqrt(r)) and recognize it.  Where (a, p) has a closed form
+    in STAR_CLOSED_FORMS, value^N against f(x) (k_r = x) is evaluated
+    alongside as a residual pair."""
     a, p = Fraction(a), Fraction(p)
     entry = QUANTITIES["agile_star_ki"]
     out = []
@@ -482,14 +493,10 @@ def probe_Q_function(
             provenance=f"agile_star_ki(a={a}, p={p}, x={xr})",
         )
         closed = None
-        with ctx.workdps():
-            xm = to_mpf(xr)
-            if (a, p) == (Fraction(1), Fraction(4)):
-                closed = Residual(+(val ** 12), +(4 * (1 - xm * xm) / xm),
-                                  note="twelfth power closed form")
-            elif (a, p) == (Fraction(1, 2), Fraction(4)):
-                rhs = (4 * (1 - xm) ** 4 * (2 + xm - 2 * mp.sqrt(1 + xm)) ** 12
-                       / (xm ** 13 * (1 + xm) ** 2))
-                closed = Residual(+(val ** 48), +rhs, note="48th power closed form")
+        if (a, p) in STAR_CLOSED_FORMS:
+            N, f = STAR_CLOSED_FORMS[a, p]
+            with ctx.workdps():
+                closed = Residual(+(val ** N), +f(to_mpf(xr)),
+                                  note=f"{N}th power closed form")
         out.append(ProbeResult(xr, rec, closed))
     return out

@@ -6,6 +6,10 @@ refused.  Every operation is exact, so series identities checked at order N
 are genuine integer/rational equalities rather than float comparisons.
 Binary operations on series of different orders truncate to the smaller
 order.
+
+The divisor sum w_n -> sum_{d|n} w_d and its Moebius inverse are one
+sieve, `_divisor_sieve`, shared by `exponent_product` here and by the
+Taylor-coefficient inversion in `moebius` (`extract_X`, `coeffs_from_X`).
 """
 
 from __future__ import annotations
@@ -42,10 +46,6 @@ class FormalSeries:
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, order: int) -> "FormalSeries":
-        return cls([0] * (order + 1))
-
-    @classmethod
     def one(cls, order: int) -> "FormalSeries":
         return cls([1] + [0] * order)
 
@@ -64,9 +64,6 @@ class FormalSeries:
 
     def __getitem__(self, n: int) -> Coeff:
         return self.coeffs[n]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalSeries) and self.coeffs == other.coeffs
@@ -115,16 +112,6 @@ class FormalSeries:
         return FormalSeries(
             (0,) * e + self.coeffs[: max(0, len(self.coeffs) - e)]
         )
-
-    def mul_one_minus(self, e: int, c: Coeff = 1) -> "FormalSeries":
-        """Multiply by (1 - c*q**e) in O(N)."""
-        if e <= 0:
-            raise OrderError("exponent must be positive")
-        c = _exact(c)
-        out = list(self.coeffs)
-        for i in range(len(out) - 1, e - 1, -1):
-            out[i] -= c * self.coeffs[i - e]
-        return FormalSeries(out)
 
     def inverse(self) -> "FormalSeries":
         a = self.coeffs
@@ -224,30 +211,34 @@ def _over_one_minus(c: list, e: int) -> None:
         c[i] += c[i - e]
 
 
+def _divisor_sieve(ws: list, sign: int) -> list:
+    """In place over ws[n-1], n = 1..N: sign +1 replaces w_n by
+    sum_{d|n} w_d, sign -1 undoes exactly that (Moebius inversion)."""
+    N = len(ws)
+    for d in range(N, 0, -1) if sign > 0 else range(1, N + 1):
+        w = sign * ws[d - 1]
+        if w:
+            for n in range(2 * d, N + 1, d):
+                ws[n - 1] += w
+    return ws
+
+
 def exponent_product(x_of_n: Callable[[int], Coeff], order: int) -> FormalSeries:
     """The exact expansion of  prod_{n>=1} (1 - q^n)^(x(n))  to the given
     order.  Integer exponents take |x(n)| in-place passes per factor;
     otherwise log/exp: log of the product is -sum_j q^j/j * sum_{d|j} d*x(d).
     """
-    xs = [Fraction(0)] + [Fraction(x_of_n(n)) for n in range(1, order + 1)]
+    xs = [Fraction(x_of_n(n)) for n in range(1, order + 1)]
     if all(x.denominator == 1 for x in xs):
         out = [1] + [0] * order
-        for n in range(1, order + 1):
-            for _ in range(xs[n].numerator):
+        for n, x in enumerate(xs, 1):
+            for _ in range(x.numerator):
                 _times_one_minus(out, n)
-            for _ in range(-xs[n].numerator):
+            for _ in range(-x.numerator):
                 _over_one_minus(out, n)
         return FormalSeries(out)
-    logs = [Fraction(0)] * (order + 1)
-    for d in range(1, order + 1):
-        xd = xs[d]
-        if not xd:
-            continue
-        for j in range(d, order + 1, d):
-            logs[j] -= xd * d
-    for j in range(1, order + 1):
-        logs[j] /= j
-    return FormalSeries(logs).exp()
+    sums = _divisor_sieve([n * x for n, x in enumerate(xs, 1)], 1)
+    return FormalSeries([0] + [-s / n for n, s in enumerate(sums, 1)]).exp()
 
 
 def one_minus_power_product(exponents: Sequence[int], order: int) -> FormalSeries:

@@ -116,28 +116,25 @@ class TestQuantityTable:
         assert json.loads(out)["status"] in ("recognized", "refuted-at-bounds")
 
 
+def series_file(tmp_path):
+    """Taylor coefficients whose exponents are the mod-5 symbol pattern."""
+    from qalg.moebius import coeffs_from_X
+    from qalg import jacobi_symbol
+    cs = coeffs_from_X([Fraction(jacobi_symbol(n, 5)) for n in range(1, 31)], 30)
+    f = tmp_path / "series.json"
+    f.write_text(json.dumps({"coeffs": [str(c) for c in cs]}))
+    return str(f)
+
+
 class TestAnalyze:
     def test_rrcf_pattern(self, tmp_path, capsys):
-        # Taylor coefficients with X = the 5-periodic symbol pattern
-        from qalg.moebius import coeffs_from_X
-        from qalg import jacobi_symbol
-        X = [Fraction(jacobi_symbol(n, 5)) for n in range(1, 31)]
-        cs = coeffs_from_X(X, 30)
-        f = tmp_path / "series.json"
-        f.write_text(json.dumps({"coeffs": [str(c) for c in cs]}))
-        code, out, _ = run_cli(capsys, "analyze", str(f), "--max-period", "8")
+        code, out, _ = run_cli(capsys, "analyze", series_file(tmp_path), "--max-period", "8")
         assert code == 0
         assert "T = 5" in out and "A = 1/5" in out
         assert "[1,5]^(1)" in out and "[2,5]^(-1)" in out
 
     def test_rrcf_pattern_json(self, tmp_path, capsys):
-        from qalg.moebius import coeffs_from_X
-        from qalg import jacobi_symbol
-        X = [Fraction(jacobi_symbol(n, 5)) for n in range(1, 31)]
-        cs = coeffs_from_X(X, 30)
-        f = tmp_path / "series.json"
-        f.write_text(json.dumps({"coeffs": [str(c) for c in cs]}))
-        code, out, _ = run_cli(capsys, "analyze", str(f), "--max-period", "8",
+        code, out, _ = run_cli(capsys, "analyze", series_file(tmp_path), "--max-period", "8",
                                "--json")
         assert code == 0
         doc = json.loads(out)
@@ -216,6 +213,13 @@ class TestRecognize:
         assert code == 2
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("value", ["abc", "1e", ""])
+    def test_malformed_value(self, capsys, value):
+        code, out, err = run_cli(capsys, "recognize", "--expr", "const",
+                                 "--value", value, "--degree", "4")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_insufficient_digits_guidance(self, capsys):
         code, _, err = run_cli(capsys, "recognize", "--expr", "const",
                                "--value", "1.5", "--degree", "20",
@@ -256,6 +260,36 @@ class TestVerify:
                                "--parallelism", "0")
         assert code == 2
         assert err.strip() == "error: parallelism must be >= 1, got 0"
+
+
+class TestOut:
+    """--out writes to the file exactly what stdout shows without it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "k", "--r", "2", "--digits", "40"],
+        ["eval", "j", "--r", "2", "--digits", "40", "--json"],
+        ["analyze", "SERIES", "--max-period", "8"],
+        ["analyze", "SERIES", "--max-period", "8", "--json"],
+        ["recognize", "--expr", "k", "--r", "2", "--degree", "4"],
+        ["recognize", "--expr", "const", "--value", "3.14159", "--degree", "2",
+         "--digits", "60", "--json"],
+        ["verify", "--suite", "series-exact", "--digits", "50", "--parallelism", "1"],
+    ], ids=["eval", "eval-json", "analyze", "analyze-json", "recognize",
+            "recognize-json", "verify"])
+    def test_file_matches_stdout(self, tmp_path, capsys, argv):
+        argv = [series_file(tmp_path) if a == "SERIES" else a for a in argv]
+        code, shown, _ = run_cli(capsys, *argv)
+        out_file = tmp_path / "out.txt"
+        code_out, printed, _ = run_cli(capsys, *argv, "--out", str(out_file))
+        assert code in (0, 3) and code_out == code and printed == ""
+        written = out_file.read_text()
+        if argv[0] == "verify":  # only the timings may differ
+            def strip(text):
+                return [line.split("ms  ")[-1] if "ms  " in line else line
+                        for line in text.splitlines()]
+            assert strip(written) == strip(shown)
+        else:
+            assert written == shown
 
 
 def run_module(*argv, **env):

@@ -210,6 +210,15 @@ class TestExtremeParameters:
             quotient = theta2(nome) ** 2 / theta3(nome) ** 2
             assert abs(k / quotient - 1) <= ctx.eps_check
 
+    @pytest.mark.parametrize("r", [10**40, 10**60], ids=str)
+    def test_large_r_keeps_requested_digits(self, r):
+        # k_r moves by about pi sqrt(r)/2 times the relative error of K'/K,
+        # more than the guard digits absorb once sqrt(r) passes 10^10
+        low = singular_modulus(r, PrecisionContext(50))
+        high = singular_modulus(r, PrecisionContext(200))
+        with mp.workdps(220):
+            assert abs(low / high - 1) < mp.mpf(10) ** -50
+
     @pytest.mark.parametrize("r", [400, 10**4, 10**6, 10**10, Fraction(1, 10**4)], ids=str)
     def test_alpha_matches_legendre_route(self, r):
         # the eval-ladder's second route: Legendre's relation turns E(k')

@@ -9,7 +9,6 @@ from qalg import (
     BranchError,
     DomainError,
     PrecisionContext,
-    SexticInstance,
     SingularError,
     eq43_derivative_check,
     incomplete_beta,
@@ -132,23 +131,26 @@ class TestSexticBridge:
         with CTX.workdps():
             assert close(sextic_theta(nome), 5 * mp.sqrt(mp.mpf(5)), 40, dps=CTX.dps)
 
+    @staticmethod
+    def satisfied(r):
+        residuals = sextic_Y_check(make_nome(r, CTX))
+        return [label for label, resid in residuals.items() if resid < CTX.eps_check]
+
     def test_y_check_quarter_argument(self):
-        res = sextic_Y_check(make_nome(3, CTX))
-        assert res.satisfied == ("r/4",)
+        assert self.satisfied(3) == ["r/4"]
 
     def test_y_check_coincidence_at_r2(self):
         # j(2) = j(1/2), so both the full and the quarter argument satisfy
-        res = sextic_Y_check(make_nome(2, CTX))
-        assert "r/4" in res.satisfied and "r" in res.satisfied
-        assert "4r" not in res.satisfied
+        satisfied = self.satisfied(2)
+        assert "r/4" in satisfied and "r" in satisfied
+        assert "4r" not in satisfied
 
 
 class TestSolveSextic:
     def test_forward_constructed_instance(self):
         # a=1, b=250, c=20: the j target is 250*20^3/250 = 8000, i.e. r=2
         with CTX.workdps():
-            inst = SexticInstance(mp.mpf(1), mp.mpf(250), mp.mpf(20))
-            Y, resid = solve_sextic(inst, CTX)
+            Y, resid = solve_sextic(mp.mpf(1), mp.mpf(250), mp.mpf(20), CTX)
             expected = sextic_theta(make_nome(2, CTX), "rrcf")
             assert close(Y, expected, 40, dps=CTX.dps)
             assert resid.diff < CTX.eps_check
@@ -157,8 +159,7 @@ class TestSolveSextic:
         # a=2, b=100, c=20: j target 250*8000/400 = 5000, r between 1 and 2,
         # and Y carries the b/(250a) = 1/5 scaling
         with CTX.workdps():
-            inst = SexticInstance(mp.mpf(2), mp.mpf(100), mp.mpf(20))
-            Y, resid = solve_sextic(inst, CTX)
+            Y, resid = solve_sextic(mp.mpf(2), mp.mpf(100), mp.mpf(20), CTX)
             assert resid.diff < CTX.eps_check
             lhs = 100 ** 2 / (20 * mp.mpf(2)) + 100 * Y + 2 * Y * Y
             assert close(lhs, 20 * Y ** (mp.mpf(5) / 3), 38, dps=CTX.dps)
@@ -166,25 +167,21 @@ class TestSolveSextic:
     def test_below_branch(self):
         for c in ("10", "11.99999"):
             with CTX.workdps():
-                inst = SexticInstance(mp.mpf(1), mp.mpf(250), mp.mpf(c))
+                c = mp.mpf(c)
             with pytest.raises(BranchError):
-                solve_sextic(inst, CTX)
+                solve_sextic(mp.mpf(1), mp.mpf(250), c, CTX)
 
     def test_negative_coefficient_ratio(self):
         # a < 0 < b passes the branch check (j target 8000) but would
         # give Y < 0, where c Y^(5/3) is not real
-        with CTX.workdps():
-            inst = SexticInstance(mp.mpf(-1), mp.mpf(250), mp.mpf(20))
         with pytest.raises(DomainError):
-            solve_sextic(inst, PrecisionContext(40))
+            solve_sextic(mp.mpf(-1), mp.mpf(250), mp.mpf(20), PrecisionContext(40))
 
     @pytest.mark.parametrize("digits", [60, 120, 300])
     def test_branch_point(self, digits):
         # c = 12 puts the j target at 1728 = j(1), the end of the branch
         ctx = PrecisionContext(digits)
-        with ctx.workdps():
-            inst = SexticInstance(mp.mpf(1), mp.mpf(250), mp.mpf(12))
-        Y, _ = solve_sextic(inst, ctx)
+        Y, _ = solve_sextic(mp.mpf(1), mp.mpf(250), mp.mpf(12), ctx)
         expected = sextic_theta(make_nome(1, ctx), "rrcf")
         with ctx.workdps():
             assert abs(Y / expected - 1) < ctx.eps_check
@@ -201,12 +198,11 @@ class TestSolveSextic:
             return found[-1]
 
         monkeypatch.setattr(modular, "inverse_singular_modulus", recording)
-        with CTX.workdps():
-            inst = SexticInstance(mp.mpf(1), mp.mpf(250), mp.mpf(c))
-        solve_sextic(inst, CTX)
+        a, b = mp.mpf(1), mp.mpf(250)
+        solve_sextic(a, b, mp.mpf(c), CTX)
         jr = j_invariant(found[0], CTX)
         with CTX.workdps():
-            assert abs(jr / inst.j_target(CTX) - 1) < CTX.eps_check
+            assert abs(jr / (250 * mp.mpf(c) ** 3 / (a * a * b)) - 1) < CTX.eps_check
 
     def test_agm_cost(self, monkeypatch):
         # k_r in closed form: only the inverse singular modulus runs AGMs
@@ -219,9 +215,7 @@ class TestSolveSextic:
 
         monkeypatch.setattr(elliptic, "_agm_KE", counting)
         elliptic._singular_modulus_cached.cache_clear()
-        with CTX120.workdps():
-            inst = SexticInstance(mp.mpf(2), mp.mpf(100), mp.mpf(20))
-        solve_sextic(inst, CTX120)
+        solve_sextic(mp.mpf(2), mp.mpf(100), mp.mpf(20), CTX120)
         assert len(calls) <= 4
 
 

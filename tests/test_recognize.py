@@ -81,10 +81,6 @@ class TestLatticeReduce:
                 continue
             assert gram_det(rows) == gram_det(red)
 
-    def test_delta_domain(self):
-        with pytest.raises(DomainError):
-            lattice_reduce([[1, 0], [0, 1]], delta=Fraction(2))
-
 
 def gram_schmidt(rows):
     """Exact Gram-Schmidt: the mu coefficients and the squared norms of
@@ -185,6 +181,46 @@ class TestRecognize:
         ctx = PrecisionContext(50)
         with pytest.raises(InsufficientPrecision):
             recognize(mp.mpf(2), 10, 6, ctx)
+
+    @pytest.mark.parametrize("value", ["3e-30", "1e-300"])
+    def test_small_value_is_not_a_monomial(self, value):
+        # x^3 at 3e-30 is 2.7e-89, below the degree-3 bound 1e-88; but a
+        # candidate with c0 = 0 is x^k Q(x), and x^k vanishes only at 0
+        ctx = PrecisionContext(120)
+        with ctx.workdps():
+            rec = recognize(mp.mpf(value), 4, 4, ctx)
+        assert rec.status == "refuted-at-bounds"
+
+    def test_zero_is_x(self):
+        rec = recognize(mp.mpf(0), 4, 4, PrecisionContext(60))
+        assert rec.status == "recognized" and rec.poly.coefficients == (0, 1)
+
+    def test_monomial_no_longer_ends_the_scan(self):
+        # [1,8;q]* at r = 10^4 is about 5e-32, where x^3 passes the degree-3
+        # bound; the scan must still reduce every degree up to 8
+        rec = recognize_expression("agile_star", {"a": "1", "p": "8", "r": "10000"},
+                                   8, 4, PrecisionContext(120))
+        assert rec.status == "refuted-at-bounds"
+        assert rec.lattice_digits == (8 + 1) * (4 + 1) + 2 * 20
+
+    def test_beyond_cauchy_bound_builds_no_lattice(self, monkeypatch):
+        # every root of an integer polynomial of height < 10^4 lies below
+        # 10^4 in absolute value, and at |x| >= 2*10^4 every such P has
+        # |P(x)| > 1; for 2^1660000 a lattice would hold 6.6-million-bit entries
+        def refuse(basis):
+            raise AssertionError("lattice built")
+
+        monkeypatch.setattr(recognize_module, "lattice_reduce", refuse)
+        ctx = PrecisionContext(120)
+        with ctx.workdps():
+            values = [mp.mpf(20000), mp.mpf(-20000), mp.mpf(2) ** 1660000,
+                      mp.mpf("1e400000000")]
+        for x in values:
+            assert recognize(x, 12, 4, ctx).status == "refuted-at-bounds"
+
+    def test_below_cauchy_bound_still_recognized(self):
+        rec = recognize(mp.mpf(-9999), 4, 4, PrecisionContext(60))
+        assert rec.status == "recognized" and rec.poly.coefficients == (9999, 1)
 
     def test_stability_across_digits(self):
         for digits in (120, 170):

@@ -40,7 +40,7 @@ class TestBasics:
         n = 80
         s = FormalSeries.one(n)
         for e in range(1, n + 1):
-            s = s.mul_one_minus(e)
+            s = s * FormalSeries.from_terms({0: 1, e: -1}, n)
         expected = {0: 1}
         k = 1
         while k * (3 * k - 1) // 2 <= n:
@@ -57,7 +57,7 @@ class TestBasics:
         assert all(lg[k] == Fraction(-1, k) for k in range(1, n + 1))
 
     def test_exp_of_zero(self):
-        assert FormalSeries.zero(8).exp() == FormalSeries.one(8)
+        assert FormalSeries([0] * 9).exp() == FormalSeries.one(8)
 
     def test_shift_and_scale(self):
         s = FormalSeries([1, 2, 3])
@@ -105,6 +105,10 @@ def _repeated_product(s, k):
 integer_exponents = st.integers(1, 60).flatmap(
     lambda n: st.lists(st.integers(-6, 6), min_size=n, max_size=n))
 
+rational_exponents = st.integers(1, 40).flatmap(
+    lambda n: st.lists(rationals, min_size=n, max_size=n)).filter(
+    lambda xs: any(x.denominator > 1 for x in xs))
+
 
 class TestIntegerPaths:
     @settings(max_examples=40, deadline=None)
@@ -115,12 +119,20 @@ class TestIntegerPaths:
                 == _log_exp_product(xs, order))
 
     @settings(max_examples=40, deadline=None)
+    @given(rational_exponents)
+    def test_rational_exponent_product_matches_log_exp(self, xs):
+        # the divisor sieve against the plain double loop of the reference
+        order = len(xs)
+        assert (exponent_product(lambda n: xs[n - 1], order)
+                == _log_exp_product(xs, order))
+
+    @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 60), st.lists(st.integers(1, 70), max_size=40))
     def test_one_minus_power_product_matches_chained(self, order, exps):
         ref = FormalSeries.one(order)
         for e in exps:
             if e <= order:
-                ref = ref.mul_one_minus(e)
+                ref = ref * FormalSeries.from_terms({0: 1, e: -1}, order)
         assert one_minus_power_product(exps, order) == ref
 
     @pytest.mark.parametrize("c0", [1, -1, 2, -3])
