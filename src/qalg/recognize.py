@@ -2,9 +2,9 @@
 
 Given a value known to hundreds of digits, build the knapsack lattice on
 (1, x, ..., x^d) with the powers scaled to integers, LLL-reduce it with
-exact integer arithmetic (delta = 0.99), and read candidate integer
-relations off the short vectors.  Each degree's lattice is seeded with
-the reduced basis of the degree before it, so the scan never reduces a
+exact integer arithmetic (delta = 1/2, then 99/100), and read candidate
+integer relations off the short vectors.  Each degree's lattice is seeded
+with the reduced basis of the degree before it, so the scan never reduces a
 lattice from scratch.  A candidate is only reported as
 *recognized* after a two-tier residual test: small at working precision,
 and - when the value can be recomputed - still consistently small at
@@ -54,8 +54,11 @@ def lattice_reduce(basis: Sequence[Sequence[int]]) -> list[list[int]]:
     """LLL-reduce an integer basis (rows), entirely in integer arithmetic.
 
     Uses the integral Gram-Schmidt bookkeeping d_i, lambda_{i,j}; the
-    Lovasz test for delta = 99/100 is
-    100*d[k+1]*d[k-1] < 99*d[k]^2 - 100*lambda^2.
+    Lovasz test for delta = num/den is
+    den*(d[k+1]*d[k-1] + lambda^2) < num*d[k]^2.
+    A delta = 1/2 stage, whose swaps each at least halve prod d_i, does
+    the bulk; a delta = 99/100 stage then restarts at k = 1 on the same
+    basis, d and lambda, so the output is delta = 99/100-reduced.
     Raises DegenerateBasis on linearly dependent rows.
     """
     b = [list(map(int, row)) for row in basis]
@@ -100,30 +103,31 @@ def lattice_reduce(basis: Sequence[Sequence[int]]) -> list[list[int]]:
     d[1] = dot(b[0], b[0])
     if d[1] == 0:
         raise DegenerateBasis("zero row")
-    k = 1
-    while k < n:
-        if k > kmax:
-            kmax = k
-            for j in range(k + 1):
-                u = dot(b[k], b[j])
-                for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-                if j < k:
-                    lam[k][j] = u
+    for num, den in ((1, 2), (99, 100)):
+        k = 1
+        while k < n:
+            if k > kmax:
+                kmax = k
+                for j in range(k + 1):
+                    u = dot(b[k], b[j])
+                    for i in range(j):
+                        u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                    if j < k:
+                        lam[k][j] = u
+                    else:
+                        if u == 0:
+                            raise DegenerateBasis("rows are linearly dependent")
+                        d[k + 1] = u
+            while True:
+                reduce_row(k, k - 1)
+                if den * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < num * d[k] * d[k]:
+                    swap_rows(k, kmax)
+                    k = max(1, k - 1)
                 else:
-                    if u == 0:
-                        raise DegenerateBasis("rows are linearly dependent")
-                    d[k + 1] = u
-        while True:
-            reduce_row(k, k - 1)
-            if 100 * d[k + 1] * d[k - 1] < 99 * d[k] * d[k] - 100 * lam[k][k - 1] ** 2:
-                swap_rows(k, kmax)
-                k = max(1, k - 1)
-            else:
-                for l in range(k - 2, -1, -1):
-                    reduce_row(k, l)
-                k += 1
-                break
+                    for l in range(k - 2, -1, -1):
+                        reduce_row(k, l)
+                    k += 1
+                    break
     return b
 
 

@@ -27,6 +27,20 @@ from oracles import close, newton_refine_root, poly_divides, random_planted_poly
 recognize_module = importlib.import_module("qalg.recognize")
 
 
+def record_bases(monkeypatch):
+    """Make recognize record every basis it hands lattice_reduce, in the
+    returned list."""
+    bases = []
+    reduce = recognize_module.lattice_reduce
+
+    def recording(basis):
+        bases.append([list(row) for row in basis])
+        return reduce(basis)
+
+    monkeypatch.setattr(recognize_module, "lattice_reduce", recording)
+    return bases
+
+
 def gram_det(rows):
     n = len(rows)
     g = [[sum(x * y for x, y in zip(rows[i], rows[j])) for j in range(n)]
@@ -118,6 +132,20 @@ def knapsack_bases(draw):
     return [[int(i == j) for j in range(n)] + [c] for i, c in enumerate(column)]
 
 
+@st.composite
+def recognition_scale_bases(draw):
+    """The identity basis on round(10^(5n+40) x^i), i < n, for a seeded
+    real x in (-4, 4) at 320 digits: the rows and scale recognize reduces
+    at degrees 8 to 16."""
+    n = draw(st.integers(9, 17))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    with mp.workdps(320):
+        x = mp.mpf(rng.randrange(-4 * 10 ** 320, 4 * 10 ** 320)) / 10 ** 320
+        scale = mp.mpf(10) ** (5 * n + 40)
+        column = [int(mp.nint(scale * x ** i)) for i in range(n)]
+    return [[int(i == j) for j in range(n)] + [c] for i, c in enumerate(column)]
+
+
 class TestLatticeReduceProperties:
     """On any basis, the output spans the same lattice, is size-reduced and
     satisfies the Lovasz condition for delta = 99/100; linearly dependent
@@ -144,6 +172,19 @@ class TestLatticeReduceProperties:
     @given(knapsack_bases())
     def test_knapsack_bases(self, rows):
         self.check_reduced(rows)
+
+    @settings(max_examples=10, deadline=None)
+    @given(recognition_scale_bases())
+    def test_recognition_scale_bases(self, rows):
+        self.check_reduced(rows)
+
+    def test_degree16_hit_basis(self, monkeypatch):
+        """The degree-16 basis the scan hands LLL for [1,8;q]* at r = 2."""
+        bases = record_bases(monkeypatch)
+        rec = recognize_expression("agile_star", {"a": "1", "p": "8", "r": "2"},
+                                   24, 4, PrecisionContext(300))
+        assert rec.poly.degree == 16 and len(bases[-1]) == 17
+        self.check_reduced(bases[-1])
 
 
 class TestIntegerPolynomial:
@@ -443,14 +484,7 @@ class TestIncrementalBasis:
                 x = +mp.pi
         else:
             x = planted_root(8, self.CTX)[1]
-        bases = []
-        reduce = recognize_module.lattice_reduce
-
-        def recording(basis):
-            bases.append([list(row) for row in basis])
-            return reduce(basis)
-
-        monkeypatch.setattr(recognize_module, "lattice_reduce", recording)
+        bases = record_bases(monkeypatch)
         rec = recognize(x, 10, 4, self.CTX)
         assert [len(b) for b in bases] == list(range(2, len(bases) + 2))
         for d, basis in enumerate(bases, start=1):
