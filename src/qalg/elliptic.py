@@ -5,14 +5,16 @@ quadratically (iteration count ~ log2(digits)); the loop runs in fixed
 point on Python integers, with math.isqrt for the square roots
 (Brent-Zimmermann, Modern Computer Arithmetic, 3-4).  The singular modulus
 k_r is the unique x in (0,1) with K(sqrt(1-x^2))/K(x) = sqrt(r).  It is
-found by Newton on the logarithmic form, seeded from a 30-digit theta
-quotient theta2^2/theta3^2 and run at precisions doubling toward the
-working precision (Brent-Zimmermann, Modern Computer Arithmetic, 4.2), so
-only the last step and the residual check run at full precision.  For
-r < 1 the solve is for k'_r = k_{1/r}, so the unknown always keeps full
-relative precision.  The theta quotient is only a start: the root is
-that of K'/K, and every value is checked against its defining residual
-before being returned.
+found by Newton on g(x) = K(x')/K(x) - sqrt(r) itself, whose derivative
+Legendre's relation gives in closed form, so a step takes two AGMs, one
+integer square root for x' and no logarithm.  Newton is seeded from a
+30-digit theta quotient theta2^2/theta3^2 and run at precisions doubling
+toward the working precision (Brent-Zimmermann, Modern Computer
+Arithmetic, 4.2), so only the last step and the residual check run at
+full precision.  For r < 1 the solve is for k'_r = k_{1/r}, so the
+unknown always keeps full relative precision.  The theta quotient is only
+a start: the root is that of K'/K, and every value is checked against its
+defining residual before being returned.
 """
 
 from __future__ import annotations
@@ -88,12 +90,6 @@ def _modulus_agm(k, ctx: PrecisionContext):
         return _agm_KE(*_exact_modulus(k))
 
 
-def agm_iterations(k, ctx: PrecisionContext) -> int:
-    """Iterations the AGM needs for K(k); exposed for the convergence
-    contract (<= ceil(log2(digits)) + 5 away from the endpoints)."""
-    return _modulus_agm(k, ctx)[2]
-
-
 def ellint_K(k, ctx: PrecisionContext) -> HPReal:
     """Complete elliptic integral of the first kind, K(k) for 0 <= k < 1."""
     return _modulus_agm(k, ctx)[0]
@@ -120,15 +116,24 @@ def _theta_seed(s) -> HPReal:
         return (t2 / t3) ** 2
 
 
-def _newton_step(x: HPReal, log_rt: HPReal) -> HPReal:
-    """The correction of one Newton step on g(x) = log K(x') - log K(x)
-    - log_rt at the current working precision, x' = sqrt(1 - x^2).  By
-    Legendre's relation g'(x) = -pi / (2 x x'^2 K(x) K(x')), so E is not
+def _complement(x: HPReal) -> HPReal:
+    """x' = sqrt(1 - x^2) at the working precision for 0 <= x <= 1/sqrt(2),
+    where x' >= 1/sqrt(2) keeps its relative precision in fixed point: one
+    math.isqrt on x scaled by 2^prec, with ten guard bits."""
+    prec = mp.mp.prec + 10
+    X = int(to_fixed(x._mpf_, prec))
+    return +mp.ldexp(math.isqrt((1 << 2 * prec) - X * X), -prec)
+
+
+def _newton_step(x: HPReal, rt: HPReal) -> HPReal:
+    """The correction of one Newton step on g(x) = K(x')/K(x) - rt at the
+    current working precision, x' = sqrt(1 - x^2).  By Legendre's relation
+    g'(x) = -pi / (2 x x'^2 K(x)^2), so neither E nor a logarithm is
     needed."""
-    xp = mp.sqrt(1 - x * x)
+    xp = _complement(x)
     K = _agm_KE(x, xp)[0]
     Kp = _agm_KE(xp, x)[0]
-    return (mp.log(Kp / K) - log_rt) * 2 * x * xp * xp * K * Kp / mp.pi
+    return (Kp / K - rt) * 2 * x * xp * xp * K * K / mp.pi
 
 
 @lru_cache(maxsize=512)
@@ -145,6 +150,7 @@ def _singular_modulus_cached(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
     with wctx.workdps():
         rm = to_mpf(r)
         s = rm if rm >= 1 else 1 / rm
+        rt = mp.sqrt(s)
         x = _theta_seed(s)
         if rm < 1 and mp.sqrt(1 - x * x) == 1:
             raise InsufficientPrecision(
@@ -161,9 +167,9 @@ def _singular_modulus_cached(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
     while p > 2 * _SEED_DIGITS:
         p = p // 2 + 5
         precs.insert(0, p)
-    for dps in precs + [wctx.dps] * (int(mp.ceil(mp.log(wctx.dps, 2))) + 3):
+    for dps in precs + [wctx.dps] * ((wctx.dps - 1).bit_length() + 3):
         with mp.workdps(dps):
-            step = _newton_step(+x, mp.log(s) / 2)
+            step = _newton_step(+x, rt)
             x += step
             if x <= 0 or x >= 1:
                 raise ConvergenceError("Newton left the unit interval")
@@ -171,7 +177,7 @@ def _singular_modulus_cached(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
                 break
 
     with wctx.workdps():
-        xp = mp.sqrt(1 - x * x)
+        xp = _complement(x)
         K, Kp = _agm_KE(x, xp)[0], _agm_KE(xp, x)[0]
         resid = (Kp / K if rm >= 1 else K / Kp) - mp.sqrt(rm)
         if abs(resid) > mp.mpf(10) ** (-(wctx.digits - wctx.guard)):
@@ -247,11 +253,10 @@ def j_invariant(r, ctx: PrecisionContext, via: str = "modulus") -> HPReal:
             return +(256 * (k * k + kp2 * kp2) ** 3 / (k * k * kp2) ** 2)
         if via == "eta":
             nome = make_nome(r, ctx)
-            q = nome.q
             e1 = eta_paper(1, nome)
             e2 = eta_paper(2, nome)
-            t = _qpow(q, Fraction(-1, 24)) * e1 / e2
-            u = _qpow(q, Fraction(1, 24)) * e2 / e1
+            t = _qpow(nome, Fraction(-1, 24)) * e1 / e2
+            u = _qpow(nome, Fraction(1, 24)) * e2 / e1
             return +((t ** 16 + 16 * u ** 8) ** 3)
         raise DomainError(f"unknown j-invariant route {via!r}")
 
@@ -267,14 +272,13 @@ def theta_powersum_closed(m: int, r, ctx: PrecisionContext) -> HPReal:
     m = integer(m)
     with ctx.workdps():
         nome = make_nome(r, ctx)
-        q = nome.q
         k11, k12 = _modulus_pair(r, ctx)
         K = singular_K(r, ctx)
         if m % 2 == 0:
             t = m // 2
-            return +(_qpow(q, Fraction(-t * t)) * mp.sqrt(2 * K / mp.pi))
+            return +(_qpow(nome, Fraction(-t * t)) * mp.sqrt(2 * K / mp.pi))
         k21 = (2 - k11 * k11 - 2 * k12) / (k11 * k11)
         k22 = mp.sqrt(1 - k21 * k21)
-        pref = mp.mpf(2) ** (mp.mpf(5) / 6) * _qpow(q, Fraction(-m * m, 4))
+        pref = mp.mpf(2) ** (mp.mpf(5) / 6) * _qpow(nome, Fraction(-m * m, 4))
         return +(pref * (k11 * k12 * k21) ** (mp.mpf(1) / 6)
                  / k22 ** (mp.mpf(1) / 3) * mp.sqrt(K / mp.pi))

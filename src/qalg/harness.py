@@ -170,7 +170,7 @@ def _eta_power(ctx, r: Fraction):
     kp = mp.sqrt(1 - k * k)
     K = singular_K(r, ctx)
     lhs = eta_paper(1, nome) ** 8
-    rhs = (2 ** (mp.mpf(8) / 3) / mp.pi ** 4 * _qpow(nome.q, Fraction(-1, 3))
+    rhs = (2 ** (mp.mpf(8) / 3) / mp.pi ** 4 * _qpow(nome, Fraction(-1, 3))
            * k ** (mp.mpf(2) / 3) * kp ** (mp.mpf(8) / 3) * K ** 4)
     return Residual(lhs, rhs)
 

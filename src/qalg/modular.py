@@ -72,7 +72,7 @@ def rrcf(nome: Nome, method: str = "product") -> HPReal:
     ctx = nome.ctx
     if method == "product":
         with ctx.workdps():
-            val = (_qpow(nome.q, Fraction(1, 5))
+            val = (_qpow(nome, Fraction(1, 5))
                    * agile(AgileSpec(1, 5), nome)
                    / agile(AgileSpec(2, 5), nome))
             return +val
@@ -86,7 +86,7 @@ def rrcf(nome: Nome, method: str = "product") -> HPReal:
             t = mp.mpf(1)
             for qk in reversed(powers):
                 t = 1 + qk / t
-            return +(_qpow(q, Fraction(1, 5)) / t)
+            return +(_qpow(nome, Fraction(1, 5)) / t)
     raise DomainError(f"unknown rrcf method {method!r}")
 
 
@@ -160,7 +160,7 @@ def sextic_theta(nome: Nome, via: str = "theta") -> HPReal:
         if via == "theta":
             t1 = theta_general(ThetaSpec(5, 1), nome)
             t3 = theta_general(ThetaSpec(5, 3), nome)
-            den = _qpow(nome.q, Fraction(2)) * eta_paper(10, nome) ** 12
+            den = _qpow(nome, Fraction(2)) * eta_paper(10, nome) ** 12
             return +(t1 ** 6 * t3 ** 6 / den)
         if via == "rrcf":
             R = rrcf(nome.scaled(Fraction(2)))
@@ -324,7 +324,7 @@ def eq43_derivative_check(r, ctx: PrecisionContext) -> Residual:
 
         lhs = (B(rm + h) - B(rm - h)) / (2 * h)
         nome = make_nome(r, ctx)
-        rhs = -(mp.pi / 2) * mp.cbrt(mp.mpf(4)) * _qpow(nome.q, Fraction(1, 6)) \
+        rhs = -(mp.pi / 2) * mp.cbrt(mp.mpf(4)) * _qpow(nome, Fraction(1, 6)) \
             * eta_paper(1, nome) ** 4 / mp.sqrt(rm)
         return Residual(+lhs, +rhs, note=f"central difference, h=1e-{ctx.digits // 4}")
 

@@ -346,7 +346,7 @@ def theta_value(pc: PeriodicCoeffs, nome: Nome) -> HPReal:
 def normalized_value(pc: PeriodicCoeffs, nome: Nome) -> HPReal:
     """q^A exp(-f(q)) - the quantity that is algebraic at rational r."""
     with nome.ctx.workdps():
-        return +(_qpow(nome.q, pc.A) * product_value(pc, nome))
+        return +(_qpow(nome, pc.A) * product_value(pc, nome))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ theta3, and the prefactor-free eta product eta(m) = prod (1 - q^(m*n)).
 
 All parameters a, p, r are exact rationals (r enters through
 precision.exact, so an mpf r is taken bit for bit); q = exp(-pi*sqrt(r)).
+A power q^e is q raised to e for an integer e, and otherwise exp(-e x)
+from the nome's unrounded x = pi*sqrt(r), so no logarithm is taken.
 Truncation: one rule for every numeric q-series.  make_nome works out the
 tail threshold X (q^x < 10^-(digits+guard) for all x > X) once, as
 Nome.tail.  A product keeps every factor whose exponent is at most X, plus
@@ -47,7 +49,8 @@ from .series import FormalSeries, one_minus_power_product
 @dataclass(frozen=True)
 class Nome:
     """q = exp(-pi*sqrt(r)), 0 < q < 1, for an exact positive rational r,
-    and the truncation rule's tail threshold X.
+    its exponent x = pi*sqrt(r), unrounded, and the truncation rule's
+    tail threshold X.
 
     An mpf r (one that comes out of the inverse singular modulus) is
     stored as the dyadic rational it is, so scaling it loses nothing.
@@ -57,6 +60,7 @@ class Nome:
     q: HPReal
     ctx: PrecisionContext
     tail: int
+    x: HPReal
 
     def scaled(self, c: Fraction) -> "Nome":
         """The nome q**c, i.e. parameter c^2 * r."""
@@ -109,7 +113,7 @@ def make_nome(r, ctx: PrecisionContext) -> Nome:
     with mp.workdps(30):
         tail = int(mp.ceil(ctx.dps * mp.ln10 / x))
     with ctx.workdps():
-        return Nome(r, +q, ctx, tail)
+        return Nome(r, +q, ctx, tail, x)
 
 
 def star_exponent(a, p) -> Fraction:
@@ -125,8 +129,15 @@ def star_exponent(a, p) -> Fraction:
 _MAX_TERMS = 10_000_000
 
 
-def _qpow(q: HPReal, e: Fraction) -> HPReal:
-    return mp.power(q, to_mpf(Fraction(e)))
+def _qpow(nome: Nome, e) -> HPReal:
+    """q^e: by powering q for an integer e, otherwise as exp(-e x) from
+    the nome's x = pi sqrt(r), with e x formed to the absolute precision
+    the exponential needs."""
+    e = Fraction(e)
+    if e.denominator == 1:
+        return mp.power(nome.q, e.numerator)
+    ex = mp.fmul(nome.x, -e.numerator, exact=True)
+    return mp.exp(mp.fdiv(ex, e.denominator, prec=mp.mp.prec + max(0, mp.mag(ex))))
 
 
 def _term_count(e0, a, b, stop) -> int:
@@ -194,7 +205,7 @@ def _theta_terms(a, b, nome: Nome, margin=0) -> list:
     the tail threshold plus margin on the smaller exponent, advanced by
     multiplication: term(n+1)/term(n) = q^(a(2n+1) +- b)."""
     count = _term_count(0, a, -abs(b), nome.tail + margin)
-    qa, qb = _qpow(nome.q, a), _qpow(nome.q, b)
+    qa, qb = _qpow(nome, a), _qpow(nome, b)
     q2a = qa * qa
     tp, tm = qa * qb, qa / qb
     step_p, step_m = tp * q2a, tm * q2a
@@ -211,7 +222,7 @@ def _theta_terms(a, b, nome: Nome, margin=0) -> list:
 def _agile_raw(a: Fraction, p: Fraction, nome: Nome) -> HPReal:
     """The two-sided product for any positive rational a (also a >= p,
     where early factors may be negative); used by the shift symmetries."""
-    qa, qp = _qpow(nome.q, a), _qpow(nome.q, p)
+    qa, qp = _qpow(nome, a), _qpow(nome, p)
     return (_progression_product(a, p, qa, qp, nome)
             * _progression_product(p - a, p, qp / qa, qp, nome))
 
@@ -226,7 +237,7 @@ def agile_star(spec: AgileSpec, nome: Nome) -> HPReal:
     """q^(p/12 - a/2 + a^2/(2p)) * [a,p;q] (principal positive branch)."""
     with nome.ctx.workdps():
         e = star_exponent(spec.a, spec.p)
-        return +(_qpow(nome.q, e) * _agile_raw(spec.a, spec.p, nome))
+        return +(_qpow(nome, e) * _agile_raw(spec.a, spec.p, nome))
 
 
 def theta_general(spec: ThetaSpec, nome: Nome) -> HPReal:
@@ -240,7 +251,7 @@ def theta_general(spec: ThetaSpec, nome: Nome) -> HPReal:
 def theta2(nome: Nome) -> HPReal:
     """theta_2(q) = sum q^((n+1/2)^2) = q^(1/4) sum_{n in Z} q^(n^2+n)."""
     with nome.ctx.workdps():
-        return +(_qpow(nome.q, Fraction(1, 4)) * theta_powersum(1, nome))
+        return +(_qpow(nome, Fraction(1, 4)) * theta_powersum(1, nome))
 
 
 def theta3(nome: Nome) -> HPReal:
@@ -272,7 +283,7 @@ def eta_paper(multiplier, nome: Nome) -> HPReal:
     if m <= 0:
         raise DomainError(f"multiplier must be positive, got {m}")
     with nome.ctx.workdps():
-        qm = _qpow(nome.q, m)
+        qm = _qpow(nome, m)
         return +_progression_product(m, m, qm, qm, nome)
 
 
@@ -312,7 +323,7 @@ def agile_via_triangular(spec: AgileSpec, nome: Nome) -> HPReal:
         _term_count(p, 0, p, nome.tail * (ctx.dps + lost) // ctx.dps)
         nome = make_nome(nome.r, PrecisionContext(ctx.digits + lost, ctx.guard))
     with nome.ctx.workdps():
-        qa, qp = _qpow(nome.q, a), _qpow(nome.q, p)
+        qa, qp = _qpow(nome, a), _qpow(nome, p)
         lo = m_series(-1 / qa, qp, _term_count(0, p / 2, p / 2 - a, nome.tail))
         hi = m_series(-qa, qp, _term_count(0, p / 2, p / 2 + a, nome.tail))
         value = (lo - qa * hi) / eta_paper(p, nome)
@@ -333,8 +344,8 @@ def tau_star(a, p, nome: Nome) -> HPReal:
     nome2 = nome.scaled(Fraction(2))
     with nome.ctx.workdps():
         e = star_exponent(a, p)
-        top = _qpow(nome2.q, e) * _agile_raw(a, p, nome2)
-        bot = _qpow(nome.q, e) * _agile_raw(a, p, nome)
+        top = _qpow(nome2, e) * _agile_raw(a, p, nome2)
+        bot = _qpow(nome, e) * _agile_raw(a, p, nome)
         return +(top / bot)
 
 

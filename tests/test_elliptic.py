@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath import libmp
+from mpmath.libmp import libelefun
 
 from qalg import (
     DomainError,
@@ -21,8 +23,8 @@ from qalg import (
     theta2,
     theta3,
 )
-from qalg import elliptic
-from qalg.elliptic import agm_iterations
+from qalg import AgileSpec, agile_star, elliptic
+from qalg.modular import rrcf
 from qalg.moebius import JacobiCharacter, lambert_series
 from qalg.precision import to_mpf
 from qalg.recognize import QUANTITIES
@@ -58,7 +60,7 @@ class TestK:
         budget = math.ceil(math.log2(CTX.digits)) + 5
         for k in ("0.000001", "0.3", "0.999999"):
             with CTX.workdps():
-                assert agm_iterations(mp.mpf(k), CTX) <= budget
+                assert elliptic._modulus_agm(mp.mpf(k), CTX)[2] <= budget
 
 
 class TestFixedPointAGM:
@@ -338,6 +340,50 @@ class TestSingularModulusCost:
                       Fraction(1, 4): mp.sqrt(1 - k4 * k4)}
             for r, value in closed.items():
                 assert abs(singular_modulus(r, ctx) - value) <= ctx.eps_check
+
+
+class TestNoLogarithm:
+    """No full-precision logarithm on the evaluation path: q^e for a
+    fractional e comes from the nome's pi sqrt(r), and the k_r solve runs
+    Newton on K'/K - sqrt(s)."""
+
+    CTX = PrecisionContext(1000)
+
+    @pytest.fixture
+    def log_precisions(self, monkeypatch):
+        calls = []
+        mpf_log = libelefun.mpf_log
+
+        def counting(x, prec, *args, **kwargs):
+            calls.append(prec)
+            return mpf_log(x, prec, *args, **kwargs)
+
+        # mpf_pow finds mpf_log in libelefun; mp.ln holds its own reference
+        monkeypatch.setattr(libelefun, "mpf_log", counting)
+        monkeypatch.setattr(mp.mp, "ln", mp.mp._wrap_libmp_function(counting, libmp.mpc_log))
+        return calls
+
+    def test_counter_sees_both_routes(self, log_precisions):
+        with self.CTX.workdps():
+            mp.log(mp.mpf(3))
+            mp.power(mp.mpf(3), mp.mpf(1) / 5)
+        assert len(log_precisions) == 2
+
+    def test_cold_singular_modulus(self, log_precisions):
+        elliptic._singular_modulus_cached.cache_clear()
+        singular_modulus(2, self.CTX)
+        assert log_precisions == []
+
+    @pytest.mark.parametrize("value", [
+        lambda ctx: theta2(make_nome(2, ctx)),
+        lambda ctx: rrcf(make_nome(2, ctx), "product"),
+        lambda ctx: rrcf(make_nome(2, ctx), "continued_fraction"),
+        lambda ctx: j_invariant(2, ctx, via="eta"),
+        lambda ctx: agile_star(AgileSpec(1, 8), make_nome(2, ctx)),
+    ], ids=["theta2", "rrcf-product", "rrcf-cf", "j-eta", "agile_star"])
+    def test_q_series(self, value, log_precisions):
+        value(self.CTX)
+        assert log_precisions == []
 
 
 class TestAlpha:

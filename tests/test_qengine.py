@@ -3,9 +3,12 @@
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qalg import (
     AgileSpec,
@@ -32,8 +35,8 @@ from qalg import (
 from qalg.elliptic import ellint_K, singular_modulus, theta_powersum_closed
 from qalg import qengine
 from qalg.moebius import JacobiCharacter, eta_qdlog, lambert_series, theta_qdlog
-from qalg.precision import exact
-from qalg.qengine import _term_count
+from qalg.precision import exact, to_mpf
+from qalg.qengine import _qpow, _term_count
 
 from oracles import close, machin_pi, mpf_progression_product
 
@@ -469,3 +472,44 @@ class TestFixedPointProduct:
         with mp.workdps(ctx.dps + 10):
             for i, (x, ref) in enumerate(zip(fixed, reference)):
                 assert abs(x - ref) <= abs(ref) * mp.mpf(10) ** (3 - ctx.dps), i
+
+
+@lru_cache(maxsize=None)
+def _nome_pair(r, digits):
+    ctx = PrecisionContext(digits)
+    return make_nome(r, ctx), make_nome(r, ctx.doubled())
+
+
+QPOW_R = [Fraction(1, 100), Fraction(1), Fraction(2), Fraction(10 ** 6),
+          Fraction(10 ** 20), Fraction(10 ** 40)]
+FRACTIONAL = st.one_of(
+    st.sampled_from([Fraction(1, 4), Fraction(1, 5), Fraction(1, 24), Fraction(-1, 24),
+                     Fraction(-1, 3), Fraction(1, 6)]),
+    st.integers(0, 7).map(lambda t: Fraction(-(2 * t + 1) ** 2, 4)),
+    st.integers(2, 12).flatmap(lambda p: st.integers(1, p - 1).map(
+        lambda a: star_exponent(a, p))).filter(lambda e: e.denominator > 1),
+)
+
+
+class TestQPow:
+    """q^e from the nome's x = pi sqrt(r): a fractional e agrees with
+    mpmath's power of q at twice the digits, and an integer e is the
+    same power of q, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(e=FRACTIONAL, r=st.sampled_from(QPOW_R), digits=st.sampled_from([120, 1000]))
+    def test_fractional_matches_doubled_power(self, e, r, digits):
+        nome, nome2 = _nome_pair(r, digits)
+        with nome.ctx.workdps():
+            value = _qpow(nome, e)
+        with nome2.ctx.workdps():
+            ref = mp.power(nome2.q, to_mpf(e))
+            assert abs(value - ref) <= abs(ref) * mp.mpf(10) ** -digits
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(-60, 60), r=st.sampled_from(QPOW_R),
+           digits=st.sampled_from([120, 1000]))
+    def test_integer_is_power_of_q(self, n, r, digits):
+        nome = _nome_pair(r, digits)[0]
+        with nome.ctx.workdps():
+            assert _qpow(nome, Fraction(n))._mpf_ == mp.power(nome.q, n)._mpf_
