@@ -132,7 +132,8 @@ _MAX_TERMS = 10_000_000
 def _qpow(nome: Nome, e) -> HPReal:
     """q^e: by powering q for an integer e, otherwise as exp(-e x) from
     the nome's x = pi sqrt(r), with e x formed to the absolute precision
-    the exponential needs."""
+    the exponential needs (its sign goes into the exact product: negating
+    an mpf would round it to the working precision)."""
     e = Fraction(e)
     if e.denominator == 1:
         return mp.power(nome.q, e.numerator)
