@@ -117,9 +117,9 @@ def _theta_seed(s) -> HPReal:
 
 
 def _complement(x: HPReal) -> HPReal:
-    """x' = sqrt(1 - x^2) at the working precision for 0 <= x <= 1/sqrt(2),
-    where x' >= 1/sqrt(2) keeps its relative precision in fixed point: one
-    math.isqrt on x scaled by 2^prec, with ten guard bits."""
+    """x' = sqrt(1 - x^2) at the working precision, by one math.isqrt on x
+    scaled by 2^prec with ten guard bits.  For x = k_s, s >= 1, x' is at
+    least about 1/sqrt(2), so the fixed point keeps its relative precision."""
     prec = mp.mp.prec + 10
     X = int(to_fixed(x._mpf_, prec))
     return +mp.ldexp(math.isqrt((1 << 2 * prec) - X * X), -prec)
