@@ -266,7 +266,8 @@ def theta_powersum_closed(m: int, r, ctx: PrecisionContext) -> HPReal:
 
     Even m = 2t:  q^(-t^2) sqrt(2 K / pi).
     Odd  m:       2^(5/6) q^(-m^2/4) (k11 k12 k21)^(1/6) / k22^(1/3) sqrt(K/pi)
-    with k11 = k_r, k12 = k'_r, k21 = (2 - k11^2 - 2 k12)/k11^2 (= k_{4r})
+    with k11 = k_r, k12 = k'_r, k21 = k11^2/(1 + k12)^2 (= k_{4r}, the
+    Landen value (1 - k12)/(1 + k12) without its cancellation as k_r -> 0)
     and k22 = sqrt(1 - k21^2).
     """
     m = integer(m)
@@ -277,7 +278,7 @@ def theta_powersum_closed(m: int, r, ctx: PrecisionContext) -> HPReal:
         if m % 2 == 0:
             t = m // 2
             return +(_qpow(nome, Fraction(-t * t)) * mp.sqrt(2 * K / mp.pi))
-        k21 = (2 - k11 * k11 - 2 * k12) / (k11 * k11)
+        k21 = k11 * k11 / (1 + k12) ** 2
         k22 = mp.sqrt(1 - k21 * k21)
         pref = mp.mpf(2) ** (mp.mpf(5) / 6) * _qpow(nome, Fraction(-m * m, 4))
         return +(pref * (k11 * k12 * k21) ** (mp.mpf(1) / 6)

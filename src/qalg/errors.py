@@ -34,7 +34,8 @@ class InsufficientData(QalgError):
 
 class InsufficientPrecision(QalgError):
     """The working precision is too low for the requested recognition
-    bounds; the message suggests how many digits are needed."""
+    bounds, or for an alternating sum that cancels below it; the message
+    says how many digits are needed or were tried."""
 
 
 class DegenerateBasis(QalgError):

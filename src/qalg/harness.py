@@ -596,18 +596,6 @@ SUITES = ("paper-core", "conjectures", "series-exact", "all")
 
 DEFAULT_DIGITS = {"paper-core": 120, "conjectures": 300, "series-exact": 50, "all": 120}
 
-# anchors each suite is required to exercise (registry self-test)
-REQUIRED_ANCHORS = {
-    "paper-core": {
-        "eq03", "eq04", "eq05", "eq06", "eq08", "eq09", "eq10", "eq17",
-        "eq33", "eq35", "eq36", "eq39", "eq40", "eq43", "eq46", "eq47",
-        "eq48", "eq53", "eq54", "thm4", "ex2", "ex3",
-    },
-    "conjectures": {"eq19", "eq45", "eq55", "eq56", "eq57", "eq58", "eq59"},
-    "series-exact": {"eq25", "eq33", "eq39", "eq45"},
-}
-
-
 def checks_for_suite(suite: str) -> list[IdentityCheck]:
     if suite == "all":
         return list(REGISTRY.values())
@@ -695,15 +683,3 @@ def emit_report(reports: list[IdentityReport], fmt: str = "text",
             f"{'summary':<{width}}  pass={s['pass']} fail={s['fail']} recorded={s['recorded']}")
         return "\n".join(lines)
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def registry_self_test() -> list[str]:
-    """Anchors required per suite that no registered check covers."""
-    missing = []
-    for suite, required in REQUIRED_ANCHORS.items():
-        have = set()
-        for c in checks_for_suite(suite):
-            have.update(c.anchors)
-        for anchor in sorted(required - have):
-            missing.append(f"{suite}:{anchor}")
-    return missing

@@ -27,6 +27,7 @@ from .qengine import (
     theta2,
     theta3,
     theta_general,
+    _fixed,
     _qpow,
     _term_count,
 )
@@ -67,7 +68,11 @@ def rrcf(nome: Nome, method: str = "product") -> HPReal:
     recurrence at a depth fixed in advance.  With T = 1 + q/(1 + q^2/(1 +
     ...)), the convergents T_n alternate around T and every denominator
     B_n >= 1, so |T - T_n| <= q^((n+1)(n+2)/2); since T >= 1 the bound is
-    also relative, and n comes from the shared truncation rule.
+    also relative, and n comes from the shared truncation rule.  The
+    recurrence t = 1 + q^k/t runs in tapered fixed point (qalg.qengine),
+    each division at the width of q^k: a step truncates at most 2 ulps
+    and q^k is at most 3k off, and since a step scales the error carried
+    in t by q^k/t^2 < 1 the whole stays under 2 n^2 ulps.
     """
     ctx = nome.ctx
     if method == "product":
@@ -78,15 +83,18 @@ def rrcf(nome: Nome, method: str = "product") -> HPReal:
             return +val
     if method == "continued_fraction":
         with ctx.workdps():
-            q = nome.q
             depth = _term_count(1, Fraction(1, 2), Fraction(3, 2), nome.tail)
-            powers = [q]
-            for _ in range(depth - 1):
-                powers.append(powers[-1] * q)
-            t = mp.mpf(1)
-            for qk in reversed(powers):
-                t = 1 + qk / t
-            return +(_qpow(nome, Fraction(1, 5)) / t)
+            prec = mp.mp.prec + 2 * depth.bit_length() + 10
+            Q = _fixed(nome.q, prec)
+            powers = [Q]
+            while len(powers) < depth and powers[-1]:
+                L = powers[-1].bit_length()
+                powers.append(powers[-1] * (Q >> prec - L) >> L)
+            one = t = 1 << prec
+            for P in reversed(powers):
+                L = P.bit_length()
+                t = one + (P << L) // (t >> prec - L)
+            return +(_qpow(nome, Fraction(1, 5)) / mp.ldexp(t, -prec))
     raise DomainError(f"unknown rrcf method {method!r}")
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import expm1, isqrt, lcm
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -36,8 +36,13 @@ from .qengine import (
     eta_qexpansion,
     star_exponent,
     theta_general,
+    _SLACK,
+    _cancelled,
+    _fixed,
     _qpow,
+    _rerun_if_cancelled,
     _term_count,
+    _theta_shift,
     _theta_terms,
 )
 
@@ -157,16 +162,6 @@ class JacobiCharacter:
     def values(self, upto: int) -> list[int]:
         return [self.value(n) for n in range(1, upto + 1)]
 
-    def as_periodic(self, max_period: Optional[int] = None) -> "PeriodicCoeffs":
-        """Detect the (catoptric) period of the symbol sequence."""
-        if self.modulus == 1:
-            raise DomainError("the trivial character has no vanishing period point")
-        mp_ = max_period or self.modulus
-        pc = detect_period(self.values(3 * mp_), mp_)
-        if pc is None:
-            raise DomainError(f"symbol mod {self.modulus} did not present as catoptric")
-        return pc
-
 
 # ---------------------------------------------------------------------------
 # Taylor input and inversion
@@ -204,9 +199,6 @@ class TaylorInput:
         if not isinstance(doc, dict) or not isinstance(doc.get("coeffs"), list):
             raise DomainError('series input needs a "coeffs" list')
         return cls(doc["coeffs"])
-
-    def to_json(self) -> str:
-        return json.dumps({"coeffs": [str(c) for c in self.coeffs]})
 
 
 def extract_X(inp: TaylorInput) -> list[Fraction]:
@@ -356,17 +348,43 @@ def normalized_value(pc: PeriodicCoeffs, nome: Nome) -> HPReal:
 def lambert_series(X: PeriodicCoeffs | JacobiCharacter, nome: Nome) -> HPReal:
     """sum_{n=1}^{N} n X(n) q^n / (1 - q^n) for X a PeriodicCoeffs or a
     JacobiCharacter (anything with .value(n)), with N the smallest n >
-    nome.tail by the shared truncation rule."""
+    nome.tail by the shared truncation rule.
+
+    Each X(n) is read once.  From the first n = e1 with X(n) != 0 the sum
+    is q^e1 times sum n X(n) q^(n-e1) / (1 - q^n), formed in tapered fixed
+    point over the common denominator D of the X(n), one integer division
+    a term.  With c = max |X(n)| D and i = 1/(1-q), q^k is at most 3i
+    ulps off and the truncations leave the sum at most
+    c (2 N^2 i^2 + 3 (e1 + 1) i^5) + N ulps off; prec carries those bits
+    and _SLACK more."""
     with nome.ctx.workdps():
-        q = nome.q
-        s = mp.mpf(0)
-        qn = mp.mpf(1)
-        for n in range(1, _term_count(0, 0, 1, nome.tail) + 1):
-            qn *= q
-            x = X.value(n)
-            if x:
-                s += n * x * qn / (1 - qn)
-        return +s
+        N = _term_count(0, 0, 1, nome.tail)
+        xs = [X.value(n) for n in range(1, N + 1)]
+        e1 = next((n for n, x in enumerate(xs, 1) if x), None)
+        if e1 is None:
+            return mp.mpf(0)
+        D = lcm(*(x.denominator for x in xs))
+        ws = [x.numerator * (D // x.denominator) for x in xs]
+        c = max(abs(w) for w in ws)
+        inv = int(1 / -expm1(-float(nome.x))) + 1
+        prec = (mp.mp.prec + c.bit_length() + 2 * N.bit_length() + 5 * inv.bit_length()
+                + 3 + _SLACK)
+        one = 1 << prec
+        with mp.workprec(prec):
+            U, V = _fixed(nome.q, prec), _fixed(_qpow(nome, e1), prec)
+        Q = U
+        s = (e1 * ws[e1 - 1] << 2 * prec) // (one - V)
+        for n in range(e1 + 1, N + 1):
+            if not U:
+                break
+            L = V.bit_length()
+            V = V * (Q >> prec - L) >> L
+            w = ws[n - 1]
+            if w:
+                s += (n * w * U << prec) // (one - V)
+            L = U.bit_length()
+            U = U * (Q >> prec - L) >> L
+        return +(_qpow(nome, e1) * mp.ldexp(s, -prec) / D)
 
 
 def eta_qdlog(multiplier, nome: Nome) -> HPReal:
@@ -380,14 +398,43 @@ def eta_qdlog(multiplier, nome: Nome) -> HPReal:
 
 
 def theta_qdlog(spec: ThetaSpec, nome: Nome) -> HPReal:
-    """q (d theta/dq) / theta for the alternating theta sum."""
+    """q (d theta/dq) / theta for the alternating theta sum.
+
+    From the sum's smallest exponent e0 (qengine._theta_shift) this is e0
+    plus the same ratio for theta(a, b'), |b'| < a, whose numerator
+    sum_{n>=1} (-1)^n n ((a n + b') q^(a n^2 + b' n) + (a n - b') q^(a n^2 - b' n))
+    starts at q^e1, e1 = a - |b'|: numerator and denominator come from
+    one run of terms q^(e - e1), the weights over the common denominator
+    of a and b'.  A sum that cancels is summed again wider."""
+    a = spec.a
+    _, b, e0 = _theta_shift(a, spec.b)
+    if b == a:
+        raise DomainError(f"theta({a}, {spec.b}) vanishes identically: "
+                          "b - a is a multiple of 2a")
+    e1 = a - abs(b)
+    D = lcm(a.denominator, b.denominator)
+    A, B = int(a * D), int(b * D)
+
+    def kernel(nm: Nome):
+        with nm.ctx.workdps():
+            prec, terms = _theta_terms(a, b, nm, shift=e1)
+            with mp.workprec(prec):
+                Q1 = _fixed(_qpow(nm, e1), prec)
+            w = [n * ((A * n + B) * tp + (A * n - B) * tm)
+                 for n, (tp, tm) in enumerate(terms, 1)]
+            num = sum(w[1::2]) - sum(w[::2])
+            plain = (sum(tp + tm for tp, tm in terms[1::2])
+                     - sum(tp + tm for tp, tm in terms[::2]))
+            den = (1 << prec) + (Q1 * plain >> prec)
+            N = len(terms)
+            noise = 3 * N.bit_length() + 3
+            lost = max(_cancelled(den, prec + 1, noise, nm),
+                       _cancelled(num, max(abs(x) for x in w).bit_length(),
+                                  noise + (N * (A * N + abs(B))).bit_length(), nm))
+            return _qpow(nm, e1) * mp.mpf(num) / (D * den), lost
+
     with nome.ctx.workdps():
-        a, b = to_mpf(spec.a), to_mpf(spec.b)
-        terms = list(enumerate(_theta_terms(spec.a, spec.b, nome), 1))
-        num = mp.fsum((-1) ** n * n * ((a * n + b) * tp + (a * n - b) * tm)
-                      for n, (tp, tm) in terms)
-        den = 1 + mp.fsum((-1) ** n * (tp + tm) for n, (tp, tm) in terms)
-        return +(num / den)
+        return +(to_mpf(e0) + _rerun_if_cancelled(kernel, nome))
 
 
 def logderiv_representation(pc: PeriodicCoeffs, nome: Nome) -> HPReal:

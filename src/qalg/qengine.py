@@ -20,12 +20,28 @@ one; a theta sum, a Lambert sum and the eta log-derivative (qalg.moebius)
 keep their terms up to the first exponent above X; the triangular series
 of agile_via_triangular keep those up to X.  The count comes in closed
 form, each term follows from the last by multiplication, and a count above
-ten million (q too close to 1) raises ConvergenceError.  A product is
-formed in fixed point, on integers scaled by 2^prec with guard bits for
-its factor count (Brent-Zimmermann, Modern Computer Arithmetic, 3-4);
-the factors are the same ones.  The continued
+ten million (q too close to 1) raises ConvergenceError.  The continued
 fraction in modular.rrcf follows the same rule: its depth n is the
 smallest with (n+1)(n+2)/2 > X, which bounds the convergent's error.
+
+Fixed point: one rule for every numeric q-series loop, the products, the
+theta sums, the Lambert sums and the continued fraction.  The terms are
+the same ones, held as integers scaled by 2^prec (Brent-Zimmermann, Modern
+Computer Arithmetic, 3-4), and each multiplication runs at the width its
+result still needs: for y * T >> prec with T of L = T.bit_length() bits,
+y is first cut to L bits, (y >> (prec - L)) * T >> L.  That step
+truncates at most 2 ulps where the full-width one truncated 1, and its
+cost falls as the terms decay.  prec is the working precision plus guard
+bits for the step count (each kernel states its error bound).  A sum
+whose terms start below 1 is formed as q^e1 times the fixed-point sum of
+q^(e - e1), e1 its leading exponent, so it keeps its relative precision
+however small q^e1 is; a theta sum is taken about its smallest exponent,
+so all its terms are at most 1.  The integer sums are exact, so an
+alternating sum knows the bits it cancelled: the bit length of its
+largest term minus its own.  Past _SLACK of them the sum is taken once
+more on a nome carrying them as extra digits, and a sum that still
+cancels, or never rose above its error bound, raises
+InsufficientPrecision.
 """
 
 from __future__ import annotations
@@ -37,7 +53,7 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.libmp import to_fixed
 
-from .errors import ConvergenceError, DomainError, OrderError
+from .errors import ConvergenceError, DomainError, InsufficientPrecision, OrderError
 from .precision import HPReal, PrecisionContext, exact, integer, to_mpf
 from .series import FormalSeries, one_minus_power_product
 
@@ -123,10 +139,13 @@ def star_exponent(a, p) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# internal truncation helpers (run under an active workdps)
+# internal truncation and fixed-point helpers (run under an active workdps)
 # ---------------------------------------------------------------------------
 
 _MAX_TERMS = 10_000_000
+
+# cancelled bits a fixed-point alternating sum may lose before it is rerun
+_SLACK = 10
 
 
 def _qpow(nome: Nome, e) -> HPReal:
@@ -141,26 +160,30 @@ def _qpow(nome: Nome, e) -> HPReal:
     return mp.exp(mp.fdiv(ex, e.denominator, prec=mp.mp.prec + max(0, mp.mag(ex))))
 
 
+def _fixed(x: HPReal, prec: int) -> int:
+    """x on an integer scaled by 2^prec (truncated)."""
+    return int(to_fixed(x._mpf_, prec))
+
+
 def _term_count(e0, a, b, stop) -> int:
     """Smallest n >= 2 with a*n^2 + b*n + e0 > stop (a >= 0, and b > 0
-    when a == 0), in closed form.  Raises ConvergenceError when it
-    exceeds the term budget _MAX_TERMS."""
-    e0, a, b = Fraction(e0), Fraction(a), Fraction(b)
+    when a == 0), in closed form on integers: over one denominator D the
+    test is A n^2 + B n + E > 0, and the integer square root of the
+    discriminant puts the larger root within one of the answer.  Raises
+    ConvergenceError when it exceeds the term budget _MAX_TERMS."""
+    D = math.lcm(e0.denominator, a.denominator, b.denominator, stop.denominator)
+    A = a.numerator * (D // a.denominator)
+    B = b.numerator * (D // b.denominator)
+    E = e0.numerator * (D // e0.denominator) - stop.numerator * (D // stop.denominator)
 
     def above(n: int) -> bool:
-        return a * n * n + b * n + e0 > stop
+        return (A * n + B) * n + E > 0
 
     if above(2):
         return 2
-    if a:
-        # the larger root is sqrt(c^2 + (stop-e0)/a) - c; the integer
-        # square root puts it within one of the answer
-        c = b / (2 * a)
-        n = math.floor(math.isqrt(math.floor(c * c + (stop - e0) / a)) - c) + 1
-        if not above(n):
-            n += 1
-    else:
-        n = math.floor((stop - e0) / b) + 1
+    n = (math.isqrt(B * B - 4 * A * E) - B) // (2 * A) + 1 if A else -E // B + 1
+    while not above(n):
+        n += 1
     if n > _MAX_TERMS:
         raise ConvergenceError(
             f"truncation needs {n} terms, over the budget of {_MAX_TERMS}; "
@@ -173,27 +196,28 @@ def _progression_product(e0, step, t, qstep: HPReal, nome: Nome) -> HPReal:
     qstep = q^step: every factor up to the tail threshold, plus one.
 
     Leading factors with t >= 1 (e0 <= 0) are taken in mpf; the rest run
-    on integers scaled by 2^prec, with log2 of the factor count plus ten
-    guard bits for the one-ulp truncation each step makes in man and T.
-    man is renormalised to at least half scale (ex counts the shifts), so
-    a product near 0 keeps its relative precision.  Once T truncates to 0
-    every later factor is exactly 1."""
+    in tapered fixed point (see the module docstring), with log2 of the
+    factor count plus eleven guard bits for the two ulps each step may
+    truncate in man and T.  man is renormalised to at least half scale
+    (ex counts the shifts), so a product near 0 keeps its relative
+    precision.  Once T truncates to 0 every later factor is exactly 1."""
     count = _term_count(e0, 0, step, nome.tail) + 1
     head = mp.mpf(1)
     while count and t >= 1:
         head *= 1 - t
         t *= qstep
         count -= 1
-    prec = mp.mp.prec + count.bit_length() + 10
+    prec = mp.mp.prec + count.bit_length() + 11
     half = 1 << (prec - 1)
-    T = int(to_fixed(t._mpf_, prec))
-    S = int(to_fixed(qstep._mpf_, prec))
+    T, S = _fixed(t, prec), _fixed(qstep, prec)
     man, ex = 1 << prec, 0
     for _ in range(count):
         if not T:
             break
-        man -= man * T >> prec
-        T = T * S >> prec
+        L = T.bit_length()
+        sh = prec - L
+        man -= (man >> sh) * T >> L
+        T = T * (S >> sh) >> L
         if man < half:
             shift = prec - man.bit_length()
             man <<= shift
@@ -201,23 +225,84 @@ def _progression_product(e0, step, t, qstep: HPReal, nome: Nome) -> HPReal:
     return head * mp.ldexp(man, -prec - ex)
 
 
-def _theta_terms(a, b, nome: Nome, margin=0) -> list:
-    """The pairs (q^(a n^2 + b n), q^(a n^2 - b n)) for n = 1..N, up to
-    the tail threshold plus margin on the smaller exponent, advanced by
-    multiplication: term(n+1)/term(n) = q^(a(2n+1) +- b)."""
+def _theta_terms(a, b, nome: Nome, margin=0, shift=0) -> tuple[int, list]:
+    """(prec, pairs) for |b| <= a: the pairs (q^(a n^2 + b n - shift),
+    q^(a n^2 - b n - shift)) for n = 1..N on integers scaled by 2^prec,
+    up to the tail threshold plus margin on the smaller exponent, advanced
+    by tapered multiplication: term(n+1)/term(n) = q^(a(2n+1) +- b), and
+    each step factor by q^(2a).  The truncations put each pair's term n
+    at most 2n^2 ulps off, all of them together under 4N^3 < 2^(E-1)
+    with E = 3 bit_length(N) + 3; prec carries _SLACK bits more."""
     count = _term_count(0, a, -abs(b), nome.tail + margin)
-    qa, qb = _qpow(nome, a), _qpow(nome, b)
-    q2a = qa * qa
-    tp, tm = qa * qb, qa / qb
-    step_p, step_m = tp * q2a, tm * q2a
+    prec = mp.mp.prec + 3 * count.bit_length() + 3 + _SLACK
+    with mp.workprec(prec):
+        TP, TM, SP, SM, Q2A = (_fixed(_qpow(nome, e), prec) for e in (
+            a + b - shift, a - b - shift, 3 * a + b, 3 * a - b, 2 * a))
     terms = []
     for _ in range(count):
-        terms.append((tp, tm))
-        tp *= step_p
-        tm *= step_m
-        step_p *= q2a
-        step_m *= q2a
-    return terms
+        terms.append((TP, TM))
+        if not (TP or TM):
+            break
+        L = SP.bit_length()
+        sh = prec - L
+        TP = (TP >> sh) * SP >> L
+        SP = SP * (Q2A >> sh) >> L
+        L = SM.bit_length()
+        sh = prec - L
+        TM = (TM >> sh) * SM >> L
+        SM = SM * (Q2A >> sh) >> L
+    return prec, terms
+
+
+def _theta_shift(a, b) -> tuple[int, Fraction, Fraction]:
+    """(n0, b', e0) with a n^2 + b n = a k^2 + b' k + e0 for n = k + n0
+    and -a < b' <= a: e0 = a n0^2 + b n0 is the sum's smallest exponent,
+    so sum (-1)^n q^(a n^2 + b n) = (-1)^n0 q^e0 theta(a, b')."""
+    n0 = math.floor((a - b) / (2 * a))
+    return n0, b + 2 * a * n0, a * n0 * n0 + b * n0
+
+
+def _cancelled(total: int, largest: int, noise: int, nome: Nome) -> int:
+    """The bits an exact integer sum lost to cancellation: the bit length
+    of its largest term (given as largest) minus its own.  A sum that does
+    not rise above the 2^noise ulps its terms may be off by raises
+    InsufficientPrecision."""
+    bits = abs(total).bit_length()
+    if bits <= noise:
+        raise InsufficientPrecision(
+            f"the alternating sum at r = {nome.r} cancels below its error bound "
+            f"at {nome.ctx.digits} digits; ask for more digits")
+    return largest - bits
+
+
+def _rerun_if_cancelled(kernel, nome: Nome) -> HPReal:
+    """kernel(nome) -> (value, cancelled bits).  A sum that lost more than
+    _SLACK bits is summed once more on a nome carrying those bits as
+    extra digits (precision and tail threshold both grow); if it cancels
+    further still, InsufficientPrecision."""
+    value, lost = kernel(nome)
+    if lost > _SLACK:
+        ctx = nome.ctx
+        digits = ctx.digits + math.ceil(lost * math.log10(2)) + 1
+        value, again = kernel(make_nome(nome.r, PrecisionContext(digits, ctx.guard)))
+        if again > lost + _SLACK:
+            raise InsufficientPrecision(
+                f"the alternating sum at r = {nome.r} cancels more than {again} bits; "
+                f"{digits} digits were not enough")
+    return value
+
+
+def _theta_kernel(a, b):
+    """The kernel of theta(a, b) for -a < b < a: 1 + sum_{n>=1} (-1)^n
+    (q^(a n^2 + b n) + q^(a n^2 - b n)), whose largest term is the 1."""
+    def kernel(nome):
+        with nome.ctx.workdps():
+            prec, terms = _theta_terms(a, b, nome)
+            s = ((1 << prec) - sum(tp + tm for tp, tm in terms[::2])
+                 + sum(tp + tm for tp, tm in terms[1::2]))
+            noise = 3 * len(terms).bit_length() + 3
+            return mp.ldexp(s, -prec), _cancelled(s, prec + 1, noise, nome)
+    return kernel
 
 
 def _agile_raw(a: Fraction, p: Fraction, nome: Nome) -> HPReal:
@@ -242,11 +327,17 @@ def agile_star(spec: AgileSpec, nome: Nome) -> HPReal:
 
 
 def theta_general(spec: ThetaSpec, nome: Nome) -> HPReal:
-    """sum_{n=-inf}^{inf} (-1)^n q^(a n^2 + b n), symmetric truncation."""
+    """sum_{n=-inf}^{inf} (-1)^n q^(a n^2 + b n), symmetric truncation
+    about its smallest exponent e0: (-1)^n0 q^e0 theta(a, b') with
+    -a < b' <= a (see _theta_shift).  At b' = a the terms n and -1-n
+    cancel in pairs and the sum is 0.  A sum that cancels is summed again
+    wider (_rerun_if_cancelled)."""
+    n0, b, e0 = _theta_shift(spec.a, spec.b)
     with nome.ctx.workdps():
-        terms = _theta_terms(spec.a, spec.b, nome)
-        return +(1 + mp.fsum((-1) ** n * (tp + tm)
-                             for n, (tp, tm) in enumerate(terms, 1)))
+        if b == spec.a:
+            return mp.mpf(0)
+        s = _rerun_if_cancelled(_theta_kernel(spec.a, b), nome)
+        return +(_qpow(nome, e0) * (-s if n0 % 2 else s))
 
 
 def theta2(nome: Nome) -> HPReal:
@@ -263,15 +354,18 @@ def theta3(nome: Nome) -> HPReal:
 def theta_powersum(m: int, nome: Nome) -> HPReal:
     """sum_{n=-inf}^{inf} q^(n^2 + m*n), computed by direct summation.
 
-    The smallest exponent is -m^2/4, so the cut sits m^2/4 + 1 further
-    out to keep the tail below the threshold relative to the sum.
-    (Closed forms in terms of K and the singular modulus live in
-    :mod:`qalg.elliptic`; the harness compares the two.)
+    With m = 2t + m', m' in {0, 1}, n^2 + m n = k^2 + m' k - t(t + m')
+    for k = n + t, so the sum is q^(-t(t+m')) times the m' sum, whose
+    terms are all positive and at most 1; that sum is cut m'/4 + 1
+    beyond the tail threshold.  (Closed forms in terms of K and the
+    singular modulus live in :mod:`qalg.elliptic`; the harness compares
+    the two.)
     """
-    m = integer(m)
+    t, m1 = divmod(integer(m), 2)
     with nome.ctx.workdps():
-        terms = _theta_terms(1, m, nome, Fraction(m * m, 4) + 1)
-        return +(1 + mp.fsum(tp + tm for tp, tm in terms))
+        prec, terms = _theta_terms(1, m1, nome, Fraction(m1, 4) + 1)
+        s = mp.ldexp((1 << prec) + sum(tp + tm for tp, tm in terms), -prec)
+        return +(_qpow(nome, -t * (t + m1)) * s)
 
 
 def eta_paper(multiplier, nome: Nome) -> HPReal:

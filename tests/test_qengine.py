@@ -14,6 +14,7 @@ from qalg import (
     AgileSpec,
     ConvergenceError,
     DomainError,
+    InsufficientPrecision,
     PrecisionContext,
     ThetaSpec,
     agile,
@@ -34,11 +35,14 @@ from qalg import (
 )
 from qalg.elliptic import ellint_K, singular_modulus, theta_powersum_closed
 from qalg import qengine
-from qalg.moebius import JacobiCharacter, eta_qdlog, lambert_series, theta_qdlog
+from qalg.modular import rrcf
+from qalg.moebius import (JacobiCharacter, PeriodicCoeffs, eta_qdlog, lambert_series,
+                          theta_qdlog)
 from qalg.precision import exact, to_mpf
 from qalg.qengine import _qpow, _term_count
 
-from oracles import close, machin_pi, mpf_progression_product
+import oracles
+from oracles import close, horner, machin_pi, mpf_progression_product
 
 CTX = PrecisionContext(60)
 CTX100 = PrecisionContext(100)
@@ -205,6 +209,16 @@ class TestThetaPowersum:
                 oracle += q ** (n * n + 3 * n)
             assert close(theta_powersum(3, nome), oracle, 55, dps=CTX.dps)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("r", [100, 400, 10 ** 4])
+    def test_odd_closed_form_large_r(self, m, r):
+        # k_{4r} = k^2/(1 + k')^2 keeps its digits as k_r -> 0, where
+        # (2 - k^2 - 2k')/k^2 cancelled about 4 log10(1/k_r) of them
+        nome = make_nome(r, CTX)
+        direct, closed = theta_powersum(m, nome), theta_powersum_closed(m, r, CTX)
+        with mp.workdps(CTX.dps + 10):
+            assert abs(direct - closed) <= CTX.eps_check * abs(direct)
+
     def test_rejects_non_integer_m(self):
         # m = 3/2 used to be truncated to 1
         with pytest.raises(DomainError):
@@ -341,7 +355,7 @@ class TestExactExpansions:
         nome = make_nome(4, CTX)   # q ~ 1.9e-3, order 40 gives ~1e-109 tail
         s = agile_qexpansion(1, 5, 40)
         with CTX.workdps():
-            assert close(s.evaluate(nome.q), agile(AgileSpec(1, 5), nome), 55,
+            assert close(horner(s.coeffs, nome.q), agile(AgileSpec(1, 5), nome), 55,
                          dps=CTX.dps)
 
     def test_requires_integer_parameters(self):
@@ -513,3 +527,151 @@ class TestQPow:
         nome = _nome_pair(r, digits)[0]
         with nome.ctx.workdps():
             assert _qpow(nome, Fraction(n))._mpf_ == mp.power(nome.q, n)._mpf_
+
+
+class TestTermCount:
+    """The closed form on integers against a scan for the smallest n >= 2."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(e0=st.fractions(-50, 50, max_denominator=24),
+           a=st.one_of(st.just(Fraction(0)),
+                       st.fractions(Fraction(1, 24), 20, max_denominator=24)),
+           b=st.fractions(-20, 20, max_denominator=24),
+           stop=st.one_of(st.integers(0, 10 ** 4), st.fractions(0, 10 ** 4, max_denominator=12)))
+    def test_matches_scan(self, e0, a, b, stop):
+        if not a:
+            b = abs(b) + Fraction(1, 2)     # a linear count needs b > 0
+        n = 2
+        while a * n * n + b * n + e0 <= stop:
+            n += 1
+        assert _term_count(e0, a, b, stop) == n
+
+    def test_budget(self):
+        budget = qengine._MAX_TERMS
+        assert _term_count(0, 0, 1, budget - 1) == budget
+        assert _term_count(0, 1, 0, budget * budget - 1) == budget
+        for args in [(0, 0, 1, budget), (0, 1, 0, budget * budget)]:
+            with pytest.raises(ConvergenceError):
+                _term_count(*args)
+
+
+def _with_qpow(e, f):
+    def call(nome):
+        with nome.ctx.workdps():
+            return +(_qpow(nome, e) * f(nome))
+    return call
+
+
+# name -> (library call, the plain mpf loop over the same terms)
+THETA_WIDE = [(Fraction(1), Fraction(5, 2)), (Fraction(1, 2), Fraction(7, 4)),
+              (Fraction(5, 2), Fraction(-13, 2))]
+QDLOG_SPECS = [(Fraction(5, 2), Fraction(1, 2)), (Fraction(5, 2), Fraction(3, 2)),
+               (Fraction(1), Fraction(0)), (Fraction(1), Fraction(5, 2))]
+LAMBERT_X = {"chi1": JacobiCharacter(1), "chi5": JacobiCharacter(5),
+             "rational": PeriodicCoeffs(("1/3", "-2/7", "-2/7", "1/3", "0")),
+             "from_n2": PeriodicCoeffs(("0", "3/2", "1", "3/2", "0", "0"))}
+FIXED_POINT_SUMS = {
+    "eta_paper1": (lambda n: eta_paper(1, n), lambda n: oracles.mpf_eta(1, n)),
+    "agile15": (lambda n: agile(AgileSpec(1, 5), n), lambda n: oracles.mpf_agile(1, 5, n)),
+    "theta2": (theta2, _with_qpow(Fraction(1, 4), lambda n: oracles.mpf_theta_powersum(1, n))),
+    "theta3": (theta3, lambda n: oracles.mpf_theta_powersum(0, n)),
+    "continued_fraction": (lambda n: rrcf(n, "continued_fraction"),
+                           oracles.mpf_continued_fraction),
+    **{f"powersum{m}": (lambda n, m=m: theta_powersum(m, n),
+                        lambda n, m=m: oracles.mpf_theta_powersum(m, n))
+       for m in range(-9, 10)},
+    **{f"theta({a},{b})": (lambda n, a=a, b=b: theta_general(ThetaSpec(a, b), n),
+                           lambda n, a=a, b=b: oracles.mpf_theta_general(a, b, n))
+       for a, b in THETA_WIDE},
+    **{f"lambert_{k}": (lambda n, X=X: lambert_series(X, n),
+                        lambda n, X=X: oracles.mpf_lambert(X, n))
+       for k, X in LAMBERT_X.items()},
+    **{f"theta_qdlog({a},{b})": (lambda n, a=a, b=b: theta_qdlog(ThetaSpec(a, b), n),
+                                 lambda n, a=a, b=b: oracles.mpf_theta_qdlog(a, b, n))
+       for a, b in QDLOG_SPECS},
+}
+SUM_R = [Fraction(1, 100), Fraction(1, 5), Fraction(1), Fraction(2),
+         Fraction(10 ** 6), Fraction(10 ** 20)]
+
+
+class TestFixedPointSums:
+    """Every fixed-point q-series loop against the mpf loop over the same
+    terms at doubled precision, to 10^-digits relative."""
+
+    @pytest.mark.parametrize("digits, r", [
+        pytest.param(digits, r, id=f"{digits}-r{r}") for digits in (30, 120, 300, 1000)
+        for r in SUM_R if digits < 1000 or r >= 1])
+    def test_matches_mpf_loops(self, digits, r):
+        ctx = PrecisionContext(digits)
+        nome, wide = make_nome(r, ctx), make_nome(r, ctx.doubled())
+        off = []
+        for name, (fixed, loop) in FIXED_POINT_SUMS.items():
+            value, ref = fixed(nome), loop(wide)
+            with mp.workdps(2 * ctx.dps):
+                if abs(value - ref) > abs(ref) * mp.mpf(10) ** -digits:
+                    off.append((name, mp.nstr(abs(value / ref - 1), 3)))
+        assert off == []
+
+
+def _theta_reference(a, b, r, dps):
+    """sum (-1)^n q^(a n^2 + b n) by Poisson summation, x = pi sqrt(r):
+    e^(b^2 x/(4a)) sqrt(pi/(a x)) theta_2(pi b/(2a), e^(-pi^2/(a x))),
+    with mpmath's jtheta at the dual nome."""
+    with mp.workdps(dps):
+        a, b = oracles._num(Fraction(a)), oracles._num(Fraction(b))
+        x = mp.pi * mp.sqrt(oracles._num(Fraction(r)))
+        return (mp.exp(b * b * x / (4 * a)) * mp.sqrt(mp.pi / (a * x))
+                * mp.jtheta(2, mp.pi * b / (2 * a), mp.exp(-mp.pi ** 2 / (a * x))))
+
+
+class TestAlternatingCancellation:
+    """At small r an alternating theta sum is far smaller than its terms:
+    the cancelled bits are counted exactly on the integers, and the sum
+    is rerun wider or refused, never returned wrong."""
+
+    @pytest.mark.parametrize("digits", [30, 120, 300])
+    def test_theta4_against_dual_nome(self, digits):
+        value = theta_general(ThetaSpec(1, 0),
+                              make_nome(Fraction(1, 10 ** 4), PrecisionContext(digits)))
+        ref = _theta_reference(1, 0, Fraction(1, 10 ** 4), digits + 40)
+        assert mp.nstr(ref, 20) == "1.5546088997975110232e-33"
+        with mp.workdps(digits + 40):
+            assert abs(value - ref) <= abs(ref) * mp.mpf(10) ** -digits
+
+    @pytest.mark.parametrize("digits", [30, 50, 120, 300])
+    @pytest.mark.parametrize("a, b", [(1, 0), (Fraction(5, 2), Fraction(1, 2))])
+    def test_value_or_refusal(self, a, b, digits):
+        # the values are 5.09e-340 and 1.39e-135, from terms of size 1
+        r = Fraction(1, 10 ** 6)
+        try:
+            value = theta_general(ThetaSpec(a, b), make_nome(r, PrecisionContext(digits)))
+        except InsufficientPrecision:
+            return
+        ref = _theta_reference(a, b, r, digits + 40)
+        with mp.workdps(digits + 40):
+            assert abs(value - ref) <= abs(ref) * mp.mpf(10) ** -digits
+
+    def test_refused_through_qdlog(self):
+        nome = make_nome(Fraction(1, 10 ** 6), PrecisionContext(30))
+        with pytest.raises(InsufficientPrecision):
+            theta_qdlog(ThetaSpec(Fraction(5, 2), Fraction(1, 2)), nome)
+
+    @pytest.mark.parametrize("digits", [30, 120])
+    @pytest.mark.parametrize("r", [Fraction(1, 5), Fraction(1), Fraction(2)], ids=str)
+    def test_no_rerun_from_one_fifth(self, r, digits, monkeypatch):
+        # the harness's theta sums, theta(p/2, (p-2j)/2) for p <= 12, and
+        # their log-derivatives sum once: a rerun would build a new nome
+        nome = make_nome(r, PrecisionContext(digits))
+        monkeypatch.setattr(qengine, "make_nome", lambda *args: pytest.fail("rerun"))
+        specs = [ThetaSpec(1, 0)] + [ThetaSpec(Fraction(p, 2), Fraction(p - 2 * j, 2))
+                                      for p in range(2, 13) for j in range(1, p)]
+        for spec in specs:
+            theta_general(spec, nome)
+            theta_qdlog(spec, nome)
+
+    def test_identically_zero(self):
+        # b - a a multiple of 2a: the terms n and -1-n cancel in pairs
+        nome = make_nome(2, CTX)
+        assert theta_general(ThetaSpec(1, 3), nome) == 0
+        with pytest.raises(DomainError):
+            theta_qdlog(ThetaSpec(1, 3), nome)
