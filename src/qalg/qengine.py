@@ -292,19 +292,6 @@ def _rerun_if_cancelled(kernel, nome: Nome) -> HPReal:
     return value
 
 
-def _theta_kernel(a, b):
-    """The kernel of theta(a, b) for -a < b < a: 1 + sum_{n>=1} (-1)^n
-    (q^(a n^2 + b n) + q^(a n^2 - b n)), whose largest term is the 1."""
-    def kernel(nome):
-        with nome.ctx.workdps():
-            prec, terms = _theta_terms(a, b, nome)
-            s = ((1 << prec) - sum(tp + tm for tp, tm in terms[::2])
-                 + sum(tp + tm for tp, tm in terms[1::2]))
-            noise = 3 * len(terms).bit_length() + 3
-            return mp.ldexp(s, -prec), _cancelled(s, prec + 1, noise, nome)
-    return kernel
-
-
 def _agile_raw(a: Fraction, p: Fraction, nome: Nome) -> HPReal:
     """The two-sided product for any positive rational a (also a >= p,
     where early factors may be negative); used by the shift symmetries."""
@@ -332,11 +319,22 @@ def theta_general(spec: ThetaSpec, nome: Nome) -> HPReal:
     -a < b' <= a (see _theta_shift).  At b' = a the terms n and -1-n
     cancel in pairs and the sum is 0.  A sum that cancels is summed again
     wider (_rerun_if_cancelled)."""
-    n0, b, e0 = _theta_shift(spec.a, spec.b)
+    a = spec.a
+    n0, b, e0 = _theta_shift(a, spec.b)
+
+    def kernel(nm: Nome):
+        # 1 + sum_{n>=1} (-1)^n (q^(a n^2 + b n) + q^(a n^2 - b n)): the 1 is the largest term
+        with nm.ctx.workdps():
+            prec, terms = _theta_terms(a, b, nm)
+            s = ((1 << prec) - sum(tp + tm for tp, tm in terms[::2])
+                 + sum(tp + tm for tp, tm in terms[1::2]))
+            noise = 3 * len(terms).bit_length() + 3
+            return mp.ldexp(s, -prec), _cancelled(s, prec + 1, noise, nm)
+
     with nome.ctx.workdps():
-        if b == spec.a:
+        if b == a:
             return mp.mpf(0)
-        s = _rerun_if_cancelled(_theta_kernel(spec.a, b), nome)
+        s = _rerun_if_cancelled(kernel, nome)
         return +(_qpow(nome, e0) * (-s if n0 % 2 else s))
 
 
