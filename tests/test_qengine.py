@@ -212,8 +212,8 @@ class TestThetaPowersum:
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("r", [100, 400, 10 ** 4])
     def test_odd_closed_form_large_r(self, m, r):
-        # k_{4r} = k^2/(1 + k')^2 keeps its digits as k_r -> 0, where
-        # (2 - k^2 - 2k')/k^2 cancelled about 4 log10(1/k_r) of them
+        # k_{4r} = k^2/(1 + k')^2 keeps its digits as k_r -> 0; the form
+        # (2 - k^2 - 2k')/k^2 cancels about 4 log10(1/k_r) of them
         nome = make_nome(r, CTX)
         direct, closed = theta_powersum(m, nome), theta_powersum_closed(m, r, CTX)
         with mp.workdps(CTX.dps + 10):
