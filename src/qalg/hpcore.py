@@ -41,6 +41,18 @@ def _nodes(degree: int, P: int) -> tuple:
     sinh t) is the node's only exponential, x = (c - 1/c)/(c + 1/c) and
     w = 4 (a + b)/(c + 1/c)^2.  The list stops at 1 - x <= 2^-(P - _GUARD
     + 10), i.e. 2^-(prec + 10) for the working precision prec.
+
+    The exponential is tapered: x = 1 - 2/(c^2 + 1) and w ~ 4 (a + b)/c^2
+    move by about 4 eps/c^2 and 8 (a + b) eps/c^2 for a relative error eps
+    in c, so c needs only about P - 2 log2 c bits.  With lc <= log2 c, c
+    is taken at P - cut bits, cut = 2 (lc - bitlength(lc)) - 8: the margin
+    covers a + b ~ ln c and the argument reduction by n ln 2, n ~ log2 c,
+    of ``exp_fixed``.  Near the centre cut <= 0 and c is taken at full
+    width.  Against full-width nodes, degrees 1-8 at 120 and 300 digits
+    and 1-10 at 1000 keep the same counts, x is unchanged and w is at most
+    one unit of 2^-P off.  Degrees 1-8 build in about 110 against 140 ms
+    at 300 digits, and 1-10 in 3.8 against 4.7 s at 1000 (2-core Xeon,
+    pure-Python mpmath, medians of alternating runs).
     """
     one, one2 = 1 << P, 1 << 2 * P
     pi4 = pi_fixed(P) >> 2
@@ -52,7 +64,14 @@ def _nodes(degree: int, P: int) -> tuple:
     tol = 1 << (_GUARD - 10)
     nodes = [(0, 2 * pi4)] if degree == 1 else []
     for _ in range(20 * 2 ** degree + 1):
-        c = exp_fixed(a - b, P)
+        # 369/256 < 1/ln 2, so lc <= log2 c; c keeps at least _GUARD bits,
+        # enough for the node at which the list stops
+        lc = (a - b) * 369 >> (P + 8)
+        cut = min(2 * (lc - lc.bit_length()) - 8, P - _GUARD)
+        if cut > 0:
+            c = exp_fixed((a - b) >> cut, P - cut) << cut
+        else:
+            c = exp_fixed(a - b, P)
         d = one2 // c
         s = c + d
         x = ((c - d) << P) // s

@@ -6,6 +6,7 @@ function of the singular modulus.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,7 +15,7 @@ from functools import lru_cache
 import mpmath as mp
 from mpmath.libmp import to_fixed
 
-from .errors import BranchError, DomainError, SingularError
+from .errors import BranchError, ConvergenceError, DomainError, SingularError
 from .hpcore import integrate
 from .precision import HPReal, PrecisionContext, exact, to_mpf
 from .qengine import (
@@ -238,29 +239,75 @@ def solve_sextic(a, b, c, ctx: PrecisionContext) -> tuple[HPReal, Residual]:
 # incomplete beta and the integral identities
 # ---------------------------------------------------------------------------
 
-def _beta_series(z, a, b):
-    """B(z; a, b) = z^a/a 2F1(a, 1-b; a+1; z) (DLMF 8.17.7)."""
-    return z ** a / a * mp.hyp2f1(a, 1 - b, a + 1, z)
+def _beta_series(x: Fraction, p: Fraction, q: Fraction) -> HPReal:
+    """B(x; p, q) for 0 < x <= 1/2 at the working precision.
+
+    For q <= 1 this is x^p/p 2F1(p, 1-q; p+1; x) (DLMF 8.17.7); for q > 1
+    that series alternates, and x^p (1-x)^q/p 2F1(p+q, 1; p+1; x) (DLMF
+    8.17.8) is taken instead.  Either way the terms are positive, t_0 = 1
+    and t_(n+1)/t_n = x (n + a)(n + b)/((n + c)(n + 1)) with a, b, c
+    rational, so the 2F1 is summed on integers scaled by 2^P: each step
+    multiplies by the exact rational factor and then by x, tapered to the
+    width of the term (as in qalg.qengine), at most 3 ulps off.  A term
+    carries a relative error of at most 3n ulps while terms exceed 1, and
+    an absolute one of 3n ulps after that; the sum is at least 1, so 2
+    log2 N + 8 guard bits cover N terms.  The sum stops at the first zero
+    term with n >= 2q: every ratio from there on is below 3/4, so the tail
+    is below three times that term's error.
+
+    The term budget is 8 terms per bit of working precision.  For q <= 1
+    each ratio is below x <= 1/2 and a sum takes about prec terms; for
+    q > 1 the terms first grow for about x q/(1 - x) steps.  2q > budget
+    raises ConvergenceError at once, and so does a sum still running at
+    the budget.
+    """
+    budget = 8 * mp.mp.prec
+    if 2 * q > budget:
+        raise ConvergenceError(
+            f"the beta series at q = {q} needs more than its budget of {budget} terms")
+    a, b = (p, 1 - q) if q <= 1 else (p + q, Fraction(1))
+    D = math.lcm(a.denominator, b.denominator, p.denominator)
+    A, B, C = (int(v * D) for v in (a, b, p + 1))
+    P = mp.mp.prec + 2 * budget.bit_length() + 8
+    X = (x.numerator << P) // x.denominator
+    total = t = 1 << P
+    n = 0
+    while t or n < 2 * q:
+        if n > budget:
+            raise ConvergenceError(
+                f"the beta series at x = {x}, q = {q} did not fall below 2^-{P} "
+                f"in {budget} terms")
+        t = t * ((n * D + A) * (n * D + B)) // ((n * D + C) * (n + 1) * D)
+        L = t.bit_length()
+        t = t * X >> P if L >= P else t * (X >> P - L) >> L
+        total += t
+        n += 1
+    xm, pm = to_mpf(x), to_mpf(p)
+    pref = xm ** pm / pm if q <= 1 else xm ** pm * to_mpf(1 - x) ** to_mpf(q) / pm
+    return pref * mp.ldexp(total, -P)
 
 
 @lru_cache(maxsize=64)
 def _complete_beta(p: Fraction, q: Fraction, dps: int) -> HPReal:
     """B(p, q) = B(1/2; p, q) + B(1/2; q, p) at dps digits."""
     with mp.workdps(dps):
-        half, pm, qm = mp.mpf(1) / 2, to_mpf(p), to_mpf(q)
-        return _beta_series(half, pm, qm) + _beta_series(half, qm, pm)
+        half = Fraction(1, 2)
+        return _beta_series(half, p, q) + _beta_series(half, q, p)
 
 
 def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
     """B(x; p, q) = int_0^x t^(p-1) (1-t)^(q-1) dt for rational p, q > 0
     and 0 <= x <= 1.
 
-    Up to x = 1/2 this is the series x^p/p 2F1(p, 1-q; p+1; x) (DLMF
-    8.17.7), whose terms shrink at least like 2^-n; above 1/2 the
-    reflection B(p, q) - B(1-x; q, p) (DLMF 8.17.4) takes it back there,
-    with the complete B(p, q) = B(1/2; p, q) + B(1/2; q, p) from the same
-    series, cached per (p, q, dps): mpmath's beta goes through Gamma,
-    whose first call at a new precision costs seconds at 1000 digits.
+    Up to x = 1/2 this is the integer series of _beta_series, whose terms
+    shrink by a factor 3/4 or less a step once n >= 2q; above 1/2 the reflection
+    B(p, q) - B(1-x; q, p) (DLMF 8.17.4) takes it back there, with the
+    complete B(p, q) = B(1/2; p, q) + B(1/2; q, p) from the same series,
+    cached per (p, q, dps): mpmath's beta goes through Gamma, whose first
+    call at a new precision costs seconds at 1000 digits.  A series past
+    its term budget (8 terms per bit of working precision) raises
+    ConvergenceError; at 120 digits a q above about 1900 is refused at
+    once.
     """
     p, q, x = Fraction(p), Fraction(q), exact(x)
     if p <= 0 or q <= 0:
@@ -270,10 +317,47 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
     if x == 0:
         return mp.mpf(0)
     with ctx.workdps():
-        pm, qm = to_mpf(p), to_mpf(q)
         if 2 * x <= 1:
-            return +_beta_series(to_mpf(x), pm, qm)
-        return +(_complete_beta(p, q, ctx.dps) - _beta_series(to_mpf(1 - x), qm, pm))
+            return +_beta_series(x, p, q)
+        return +(_complete_beta(p, q, ctx.dps) - _beta_series(1 - x, q, p))
+
+
+def _eq40_pieces(theta) -> tuple:
+    """The points that cut [0, 1] for the eq40 quadrature: (0, s, 1) when
+    the zero of theta^2 + 22 theta w^6 + 125 w^12 nearest [0, 1] has its
+    real part inside (0, 1), else (0, 1).
+
+    The zeros lie at w^6 = theta (-22 +- 4i)/250, so at |w| = (theta /
+    sqrt(125))^(1/6) and arguments (+-phi + 2 pi k)/6, phi = pi -
+    atan(2/11); the nearest is at phi/6 = 28.3 degrees.  Tanh-sinh on a
+    piece converges at a rate set by how far the nearest zero lies from
+    the real axis in the rule's variable t, x = tanh(pi/2 sinh t), with x
+    the piece mapped onto [-1, 1] (Bailey, Jeyabalan & Li, "A comparison
+    of three high-precision quadrature schemes", 2005).  s is where that
+    distance is the same for both pieces, found by bisection in floats and
+    rounded to 1/64.  At r = 1/5 (theta = sqrt(125), the zeros on the unit
+    circle) s = 41/64, and each piece stops one degree below [0, 1] at 120,
+    300 and 1000 digits (7 -> 6 + 6, 8 -> 7 + 7, 10 -> 9 + 9); at 60 and
+    200 digits no split point lowers the degree, so there the split only
+    doubles the integrand calls.  r = 1/2 and r = 1 (|w| = 1.39 and 1.90)
+    stay one piece.
+    """
+    phi = math.pi - math.atan(2 / 11)
+    rho = mp.root(theta / mp.sqrt(125), 6)
+    if rho * math.cos(phi / 6) >= 1:
+        return (0, 1)
+    # the other six zeros are the conjugates of these, as far from the axis
+    zeros = [cmath.rect(float(rho), (phi + 2 * math.pi * k) / 6) for k in range(6)]
+
+    def depth(lo, hi):
+        return min(abs(cmath.asinh(2 / math.pi * cmath.atanh((2 * z - lo - hi) / (hi - lo))).imag)
+                   for z in zeros)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(10):
+        s = (lo + hi) / 2
+        lo, hi = (s, hi) if depth(0, s) > depth(s, 1) else (lo, s)
+    return (0, Fraction(round(64 * s), 64), 1)
 
 
 def theorem3_check(r, ctx: PrecisionContext) -> Residual:
@@ -288,7 +372,11 @@ def theorem3_check(r, ctx: PrecisionContext) -> Residual:
     The integrand is fixed point, as ``integrate`` takes it: w and the
     value are integers scaled by 2^prec, the three constants 6
     theta^(5/6), theta^2 and 22 theta are scaled once per prec, w^6 comes
-    from shifts and the square root from math.isqrt.
+    from shifts and the square root from math.isqrt.  When a zero of the
+    denominator lies close to [0, 1] (r = 1/5 among the registered r) the
+    interval is cut in two (_eq40_pieces) and the two quadratures added;
+    each is within the quadrature tolerance 10^-(digits - guard/2), so the
+    sum is within twice that, still far below the check's eps_check.
 
     The beta argument is the *square* of the singular modulus at 4r; the
     unsquared argument fails by O(0.1).
@@ -310,7 +398,8 @@ def theorem3_check(r, ctx: PrecisionContext) -> Residual:
             den = th2 + ((b + 125 * w6) * w6 >> prec)
             return (c << prec) // math.isqrt(den << prec)
 
-        lhs = integrate(f, 0, 1, ctx) / 5
+        pieces = _eq40_pieces(th)
+        lhs = sum(integrate(f, lo, hi, ctx) for lo, hi in zip(pieces, pieces[1:])) / 5
         k4r = singular_modulus(4 * r, ctx)
         rhs = incomplete_beta(k4r * k4r, Fraction(1, 6), Fraction(2, 3), ctx) \
             / (5 * mp.cbrt(mp.mpf(4)))

@@ -248,6 +248,13 @@ def mpf_tanh_sinh(f, lo, hi, dps: int, tol_digits: int):
         return +val, len(calls)
 
 
+def mpf_beta_series(z, a, b) -> mp.mpf:
+    """B(z; a, b) = z^a/a 2F1(a, 1-b; a+1; z) (DLMF 8.17.7) in mpf, through
+    mpmath's hyp2f1, which also takes z up to 1: the reference for the
+    integer series of modular._beta_series."""
+    return z ** a / a * mp.hyp2f1(a, 1 - b, a + 1, z)
+
+
 def half_integral(a: Fraction, b: Fraction, dps: int) -> mp.mpf:
     """int_0^(1/2) t^(a-1) (1-t)^(b-1) dt = B(1/2; a, b), expanding
     (1-t)^(b-1) binomially; every term integrates to a rational times a

@@ -118,21 +118,25 @@ class TestIntegrate:
             integrate(lambda x, prec: x, lo, hi, ctx)
 
     def test_one_pass_on_eq40_integrand(self, monkeypatch):
-        # at 120 digits r = 1/5 needs degree 7: integrate may evaluate the
-        # integrand no more often than one mp.quad pass up to degree 7 does
+        # at 120 digits r = 1/5 is integrated in two pieces, each to degree
+        # 6: on each piece integrate may evaluate the integrand no more
+        # often than one mp.quad pass up to degree 6 does
         ctx = PrecisionContext(120)
-        calls, reference, seen = [], [], {}
+        pieces = []
 
         def spy(f, lo, hi, ctx):
-            seen["f"] = f
+            calls = []
+            pieces.append((f, lo, hi, calls))
             return integrate(lambda w, prec: calls.append(w) or f(w, prec), lo, hi, ctx)
 
         monkeypatch.setattr(modular, "integrate", spy)
         modular.theorem3_check(Fraction(1, 5), ctx)
-        g = as_mpf(seen["f"])
-        with mp.workdps(ctx.dps + 10):
-            mp.quad(lambda w: reference.append(w) or g(w), [0, 1], maxdegree=7)
-        assert 0 < len(calls) <= len(reference)
+        assert len(pieces) == 2
+        for f, lo, hi, calls in pieces:
+            g, reference = as_mpf(f), []
+            with mp.workdps(ctx.dps + 10):
+                mp.quad(lambda w: reference.append(w) or g(w), [lo, hi], maxdegree=6)
+            assert 0 < len(calls) <= len(reference)
 
     def test_kink_does_not_converge(self):
         ctx = PrecisionContext(30)
@@ -175,3 +179,56 @@ class TestFixedPointQuadrature:
             assert abs(value - ref) <= abs(ref) * mp.mpf(10) ** (3 - ctx.dps)
             if case == "exp":
                 assert abs(value - (mp.e ** 2 - 1 / mp.e)) < mp.mpf(10) ** -(digits - 5)
+
+
+class TestEq40Split:
+    """theorem3_check cuts [0, 1] where a zero of the eq40 denominator
+    lies close to it (r = 1/5), and only there."""
+
+    @staticmethod
+    def degrees_of(run, monkeypatch):
+        """(value, highest degree of each integrate call) of run()."""
+        degrees, nodes = [], hpcore._nodes
+
+        def spy(degree, P):
+            if degree == 1:
+                degrees.append(0)
+            degrees[-1] = degree
+            return nodes(degree, P)
+
+        monkeypatch.setattr(hpcore, "_nodes", spy)
+        value = run()
+        monkeypatch.setattr(hpcore, "_nodes", nodes)
+        return value, degrees
+
+    @pytest.mark.parametrize("digits", [120, 300])
+    def test_two_pieces_one_degree_lower(self, digits, monkeypatch):
+        ctx = PrecisionContext(digits)
+        f = eq40_integrand(Fraction(1, 5), ctx)
+        pieces = []
+
+        def spy(f, lo, hi, ctx):
+            pieces.append((lo, hi, integrate(f, lo, hi, ctx)))
+            return pieces[-1][2]
+
+        monkeypatch.setattr(modular, "integrate", spy)
+        _, split_degrees = self.degrees_of(
+            lambda: modular.theorem3_check(Fraction(1, 5), ctx), monkeypatch)
+        whole, whole_degrees = self.degrees_of(lambda: integrate(f, 0, 1, ctx), monkeypatch)
+        (lo0, s, left), (s1, hi1, right) = pieces
+        assert (lo0, hi1) == (0, 1) and s == s1 and 0 < s < 1
+        assert split_degrees == [whole_degrees[0] - 1] * 2
+        with mp.workdps(ctx.dps + 10):
+            assert abs(left + right - whole) <= 2 * mp.mpf(10) ** -(ctx.digits - ctx.guard // 2)
+
+    @pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(1)])
+    def test_far_zeros_one_piece(self, r, monkeypatch):
+        pieces = []
+
+        def spy(f, lo, hi, ctx):
+            pieces.append((lo, hi))
+            return integrate(f, lo, hi, ctx)
+
+        monkeypatch.setattr(modular, "integrate", spy)
+        modular.theorem3_check(r, PrecisionContext(120))
+        assert pieces == [(0, 1)]

@@ -1,5 +1,6 @@
 """Continued fraction, degree-5 relations, sextic bridge, integral identities."""
 
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,6 +8,7 @@ import pytest
 
 from qalg import (
     BranchError,
+    ConvergenceError,
     DomainError,
     PrecisionContext,
     SingularError,
@@ -29,7 +31,8 @@ from qalg import (
 from qalg import elliptic, modular
 from qalg.qengine import _term_count
 
-from oracles import beta_complete_16_23, close, composite_midpoint, half_integral
+from oracles import (beta_complete_16_23, close, composite_midpoint, half_integral,
+                     mpf_beta_series)
 
 CTX = PrecisionContext(60)
 CTX120 = PrecisionContext(120)
@@ -279,6 +282,32 @@ class TestIncompleteBeta:
     def test_domain(self):
         with pytest.raises(DomainError):
             incomplete_beta(Fraction(3, 2), Fraction(1, 6), Fraction(2, 3), CTX)
+
+    @pytest.mark.parametrize("digits, x, p, q", [
+        pytest.param(digits, x, p, q, id=f"{digits}-x{x}-p{p}-q{q}")
+        for digits in (60, 120, 300)
+        for x in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4),
+                  Fraction(9, 10), Fraction(1))
+        for p, q in ((Fraction(1, 6), Fraction(2, 3)), (Fraction(2, 3), Fraction(1, 6)),
+                     (Fraction(1, 4), Fraction(1, 2)), (Fraction(1), Fraction(1)),
+                     (Fraction(3), Fraction(5, 2)))] + [
+        pytest.param(1000, Fraction(1, 4), Fraction(1, 6), Fraction(2, 3), id="1000-x1/4"),
+        pytest.param(1000, Fraction(3, 4), Fraction(3), Fraction(5, 2), id="1000-x3/4")])
+    def test_integer_series_matches_hyp2f1(self, digits, x, p, q):
+        ctx = PrecisionContext(digits)
+        val = incomplete_beta(x, p, q, ctx)
+        with mp.workdps(ctx.dps + 10):
+            ref = mpf_beta_series(*(mp.mpf(v.numerator) / v.denominator for v in (x, p, q)))
+            assert abs(val - ref) <= abs(ref) * mp.mpf(10) ** (3 - ctx.dps)
+
+    @pytest.mark.parametrize("x, q", [(Fraction(1, 3), 10 ** 9), (Fraction(9, 10), 10 ** 6)])
+    def test_large_q_refused_in_time(self, x, q):
+        # mpmath's hyp2f1 gave up here after seconds with a bare
+        # NoConvergence; the series refuses at once, past its term budget
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError):
+            incomplete_beta(x, Fraction(1, 2), q, CTX)
+        assert time.perf_counter() - start < 1
 
     def test_complete_value_cached(self, monkeypatch):
         # a reflected call at a precision seen before sums one series, not three
