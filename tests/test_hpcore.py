@@ -181,6 +181,21 @@ class TestFixedPointQuadrature:
                 assert abs(value - (mp.e ** 2 - 1 / mp.e)) < mp.mpf(10) ** -(digits - 5)
 
 
+    def test_nodes_match_mpf(self):
+        # each node's exponential is tapered; x and w stay within 2^8 units
+        # of 2^-P of tanh(pi/2 sinh t) and pi/2 cosh t/cosh(pi/2 sinh t)^2
+        # (the parent's full-width nodes were within 68 and 141 here)
+        with mp.workdps(300 + 30):
+            P = mp.mp.prec + hpcore._GUARD
+        with mp.workprec(P + 40):
+            for degree in range(1, 8):
+                h = mp.ldexp(1, -degree)
+                for k, (x, w) in enumerate(hpcore._nodes(degree, P)):
+                    t = k * h if degree == 1 else (2 * k + 1) * h
+                    s = mp.pi / 2 * mp.sinh(t)
+                    assert abs(x - mp.ldexp(mp.tanh(s), P)) < 2 ** 8
+                    assert abs(w - mp.ldexp(mp.pi / 2 * mp.cosh(t) / mp.cosh(s) ** 2, P)) < 2 ** 8
+
 class TestEq40Split:
     """theorem3_check cuts [0, 1] where a zero of the eq40 denominator
     lies close to it (r = 1/5), and only there."""

@@ -154,8 +154,9 @@ def main(argv=None) -> int:
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
                 sides[side].append(run(trees[side], cmd, args, pair))
+            wall = "trace.wall_s" if args.trace else "wall_s"
             print(f"pair {pair}: " + ", ".join(
-                f"{side} {sides[side][-1]['result']['metrics']['wall_s']['value']:.4g} s"
+                f"{side} {sides[side][-1]['result']['metrics'][wall]['value']:.4g} s"
                 for side in order), flush=True)
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
     if args.description:
