@@ -180,11 +180,11 @@ class TestFixedPointQuadrature:
             if case == "exp":
                 assert abs(value - (mp.e ** 2 - 1 / mp.e)) < mp.mpf(10) ** -(digits - 5)
 
-
     def test_nodes_match_mpf(self):
         # each node's exponential is tapered; x and w stay within 2^8 units
         # of 2^-P of tanh(pi/2 sinh t) and pi/2 cosh t/cosh(pi/2 sinh t)^2
-        # (the parent's full-width nodes were within 68 and 141 here)
+        # (full-width exponentials give 68 and 141 here, from the stepping
+        # of a and b)
         with mp.workdps(300 + 30):
             P = mp.mp.prec + hpcore._GUARD
         with mp.workprec(P + 40):
@@ -195,6 +195,7 @@ class TestFixedPointQuadrature:
                     s = mp.pi / 2 * mp.sinh(t)
                     assert abs(x - mp.ldexp(mp.tanh(s), P)) < 2 ** 8
                     assert abs(w - mp.ldexp(mp.pi / 2 * mp.cosh(t) / mp.cosh(s) ** 2, P)) < 2 ** 8
+
 
 class TestEq40Split:
     """theorem3_check cuts [0, 1] where a zero of the eq40 denominator

@@ -302,8 +302,8 @@ class TestIncompleteBeta:
 
     @pytest.mark.parametrize("x, q", [(Fraction(1, 3), 10 ** 9), (Fraction(9, 10), 10 ** 6)])
     def test_large_q_refused_in_time(self, x, q):
-        # mpmath's hyp2f1 gave up here after seconds with a bare
-        # NoConvergence; the series refuses at once, past its term budget
+        # mpmath's hyp2f1 raises a bare NoConvergence here after seconds;
+        # the series refuses at once, past its term budget
         start = time.perf_counter()
         with pytest.raises(ConvergenceError):
             incomplete_beta(x, Fraction(1, 2), q, CTX)
