@@ -16,7 +16,7 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from .errors import BranchError, ConvergenceError, DomainError, SingularError
-from .hpcore import integrate
+from .hpcore import integrate, split_point
 from .precision import HPReal, PrecisionContext, exact, to_mpf
 from .qengine import (
     AgileSpec,
@@ -239,6 +239,10 @@ def solve_sextic(a, b, c, ctx: PrecisionContext) -> tuple[HPReal, Residual]:
 # incomplete beta and the integral identities
 # ---------------------------------------------------------------------------
 
+# the most terms _beta_series sums; its guard bits cover this many
+_BETA_TERMS = 1 << 18
+
+
 def _beta_series(x: Fraction, p: Fraction, q: Fraction) -> HPReal:
     """B(x; p, q) for 0 < x <= 1/2 at the working precision.
 
@@ -255,20 +259,25 @@ def _beta_series(x: Fraction, p: Fraction, q: Fraction) -> HPReal:
     term with n >= 2q: every ratio from there on is below 3/4, so the tail
     is below three times that term's error.
 
-    The term budget is 8 terms per bit of working precision.  For q <= 1
-    each ratio is below x <= 1/2 and a sum takes about prec terms; for
-    q > 1 the terms first grow for about x q/(1 - x) steps.  2q > budget
-    raises ConvergenceError at once, and so does a sum still running at
-    the budget.
+    The term budget is 4 ceil(q) + 2P.  For q <= 1 each ratio is below
+    x <= 1/2, so P + 1 terms fall below 2^-P.  For q > 1, t_n <= C(n + Q,
+    Q) 2^-n with Q = ceil(q), and at n = 4Q + 2P the binomial is below
+    2^(4Q + P) (its entropy bound), so t_n < 2^-P.  The terms grow for
+    about x q/(1 - x) <= q steps first, to about 2^q, so a sum costs
+    O((q + P)^2 P) bit operations: a budget above _BETA_TERMS (q above
+    about 65000) raises ConvergenceError at once, and so does a sum still
+    running at its budget.  At 60 digits q = 20000 takes about 0.3 s
+    (x = 1/2); q = 10^6 and 10^9 are refused.
     """
-    budget = 8 * mp.mp.prec
-    if 2 * q > budget:
+    P = mp.mp.prec + 2 * _BETA_TERMS.bit_length() + 8
+    budget = 4 * math.ceil(q) + 2 * P
+    if budget > _BETA_TERMS:
         raise ConvergenceError(
-            f"the beta series at q = {q} needs more than its budget of {budget} terms")
+            f"the beta series at q = {q} needs up to {budget} terms, "
+            f"more than {_BETA_TERMS}")
     a, b = (p, 1 - q) if q <= 1 else (p + q, Fraction(1))
     D = math.lcm(a.denominator, b.denominator, p.denominator)
     A, B, C = (int(v * D) for v in (a, b, p + 1))
-    P = mp.mp.prec + 2 * budget.bit_length() + 8
     X = (x.numerator << P) // x.denominator
     total = t = 1 << P
     n = 0
@@ -282,9 +291,11 @@ def _beta_series(x: Fraction, p: Fraction, q: Fraction) -> HPReal:
         t = t * X >> P if L >= P else t * (X >> P - L) >> L
         total += t
         n += 1
-    xm, pm = to_mpf(x), to_mpf(p)
-    pref = xm ** pm / pm if q <= 1 else xm ** pm * to_mpf(1 - x) ** to_mpf(q) / pm
-    return pref * mp.ldexp(total, -P)
+    # (1 - x)^q = exp(q ln(1 - x)) scales ln's rounding error by q
+    with mp.extraprec(math.ceil(q).bit_length()):
+        xm, pm = to_mpf(x), to_mpf(p)
+        pref = xm ** pm / pm if q <= 1 else xm ** pm * to_mpf(1 - x) ** to_mpf(q) / pm
+        return pref * mp.ldexp(total, -P)
 
 
 @lru_cache(maxsize=64)
@@ -304,10 +315,10 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
     B(p, q) - B(1-x; q, p) (DLMF 8.17.4) takes it back there, with the
     complete B(p, q) = B(1/2; p, q) + B(1/2; q, p) from the same series,
     cached per (p, q, dps): mpmath's beta goes through Gamma, whose first
-    call at a new precision costs seconds at 1000 digits.  A series past
-    its term budget (8 terms per bit of working precision) raises
-    ConvergenceError; at 120 digits a q above about 1900 is refused at
-    once.
+    call at a new precision costs seconds at 1000 digits.  A series whose
+    term budget (4 ceil(q) + 2P, P about the working precision in bits)
+    exceeds 2^18 raises ConvergenceError at once: q above about 65000 at
+    60 digits.
     """
     p, q, x = Fraction(p), Fraction(q), exact(x)
     if p <= 0 or q <= 0:
@@ -322,42 +333,19 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
         return +(_complete_beta(p, q, ctx.dps) - _beta_series(1 - x, q, p))
 
 
-def _eq40_pieces(theta) -> tuple:
-    """The points that cut [0, 1] for the eq40 quadrature: (0, s, 1) when
-    the zero of theta^2 + 22 theta w^6 + 125 w^12 nearest [0, 1] has its
-    real part inside (0, 1), else (0, 1).
+def _eq40_zeros(theta) -> list:
+    """The zeros of theta^2 + 22 theta w^6 + 125 w^12, one of each
+    conjugate pair, as complex floats.
 
-    The zeros lie at w^6 = theta (-22 +- 4i)/250, so at |w| = (theta /
-    sqrt(125))^(1/6) and arguments (+-phi + 2 pi k)/6, phi = pi -
-    atan(2/11); the nearest is at phi/6 = 28.3 degrees.  Tanh-sinh on a
-    piece converges at a rate set by how far the nearest zero lies from
-    the real axis in the rule's variable t, x = tanh(pi/2 sinh t), with x
-    the piece mapped onto [-1, 1] (Bailey, Jeyabalan & Li, "A comparison
-    of three high-precision quadrature schemes", 2005).  s is where that
-    distance is the same for both pieces, found by bisection in floats and
-    rounded to 1/64.  At r = 1/5 (theta = sqrt(125), the zeros on the unit
-    circle) s = 41/64, and each piece stops one degree below [0, 1] at 120,
-    300 and 1000 digits (7 -> 6 + 6, 8 -> 7 + 7, 10 -> 9 + 9); at 60 and
-    200 digits no split point lowers the degree, so there the split only
-    doubles the integrand calls.  r = 1/2 and r = 1 (|w| = 1.39 and 1.90)
-    stay one piece.
+    They lie at w^6 = theta (-22 +- 4i)/250, so at |w| = (theta /
+    sqrt(125))^(1/6) and arguments (+-phi + 2 pi k)/6, phi = pi - atan(2/11);
+    the nearest to [0, 1] is at phi/6 = 28.3 degrees.  r = 1/5 (theta =
+    sqrt(125)) puts it on the unit circle, r = 1/2 and r = 1 at |w| = 1.39
+    and 1.90.
     """
     phi = math.pi - math.atan(2 / 11)
-    rho = mp.root(theta / mp.sqrt(125), 6)
-    if rho * math.cos(phi / 6) >= 1:
-        return (0, 1)
-    # the other six zeros are the conjugates of these, as far from the axis
-    zeros = [cmath.rect(float(rho), (phi + 2 * math.pi * k) / 6) for k in range(6)]
-
-    def depth(lo, hi):
-        return min(abs(cmath.asinh(2 / math.pi * cmath.atanh((2 * z - lo - hi) / (hi - lo))).imag)
-                   for z in zeros)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(10):
-        s = (lo + hi) / 2
-        lo, hi = (s, hi) if depth(0, s) > depth(s, 1) else (lo, s)
-    return (0, Fraction(round(64 * s), 64), 1)
+    rho = float(mp.root(theta / mp.sqrt(125), 6))
+    return [cmath.rect(rho, (phi + 2 * math.pi * k) / 6) for k in range(6)]
 
 
 def theorem3_check(r, ctx: PrecisionContext) -> Residual:
@@ -372,11 +360,15 @@ def theorem3_check(r, ctx: PrecisionContext) -> Residual:
     The integrand is fixed point, as ``integrate`` takes it: w and the
     value are integers scaled by 2^prec, the three constants 6
     theta^(5/6), theta^2 and 22 theta are scaled once per prec, w^6 comes
-    from shifts and the square root from math.isqrt.  When a zero of the
-    denominator lies close to [0, 1] (r = 1/5 among the registered r) the
-    interval is cut in two (_eq40_pieces) and the two quadratures added;
-    each is within the quadrature tolerance 10^-(digits - guard/2), so the
-    sum is within twice that, still far below the check's eps_check.
+    from shifts and the square root from math.isqrt.  Where a cut lowers
+    the tanh-sinh degree (hpcore.split_point, from the denominator's zeros
+    and the precision) the interval is cut in two and the two quadratures
+    added; each is within the quadrature tolerance 10^-(digits - guard/2),
+    so the sum is within twice that, still far below the check's
+    eps_check.  Among the registered r, r = 1/5 is cut at 41/64 at 120, 300
+    and 1000 digits (degree 7 -> 6 + 6, 8 -> 7 + 7, 10 -> 9 + 9), r = 1/2
+    at 5/8 at 300 digits (8 -> 7 + 7) and r = 1 at 9/16 at 200 digits
+    (7 -> 6 + 6); at 60 digits none is cut.
 
     The beta argument is the *square* of the singular modulus at 4r; the
     unsquared argument fails by O(0.1).
@@ -398,7 +390,8 @@ def theorem3_check(r, ctx: PrecisionContext) -> Residual:
             den = th2 + ((b + 125 * w6) * w6 >> prec)
             return (c << prec) // math.isqrt(den << prec)
 
-        pieces = _eq40_pieces(th)
+        s = split_point(_eq40_zeros(th), 0, 1, ctx)
+        pieces = (0, 1) if s is None else (0, s, 1)
         lhs = sum(integrate(f, lo, hi, ctx) for lo, hi in zip(pieces, pieces[1:])) / 5
         k4r = singular_modulus(4 * r, ctx)
         rhs = incomplete_beta(k4r * k4r, Fraction(1, 6), Fraction(2, 3), ctx) \

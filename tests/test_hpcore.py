@@ -198,8 +198,8 @@ class TestFixedPointQuadrature:
 
 
 class TestEq40Split:
-    """theorem3_check cuts [0, 1] where a zero of the eq40 denominator
-    lies close to it (r = 1/5), and only there."""
+    """theorem3_check cuts [0, 1] in two exactly where the two pieces stop
+    one degree below the whole interval."""
 
     @staticmethod
     def degrees_of(run, monkeypatch):
@@ -217,28 +217,27 @@ class TestEq40Split:
         monkeypatch.setattr(hpcore, "_nodes", nodes)
         return value, degrees
 
-    @pytest.mark.parametrize("digits", [120, 300])
-    def test_two_pieces_one_degree_lower(self, digits, monkeypatch):
+    # s is where the two pieces' nearest zeros lie equally deep; whether
+    # cutting there lowers the degree depends on r and on the precision
+    @pytest.mark.parametrize("r, digits, s, cut", [
+        pytest.param(r, digits, s, cut, id=f"r{r}-{digits}")
+        for r, digits, s, cut in (
+            (Fraction(1, 5), 60, Fraction(41, 64), False),
+            (Fraction(1, 5), 120, Fraction(41, 64), True),
+            (Fraction(1, 5), 200, Fraction(41, 64), False),
+            (Fraction(1, 5), 300, Fraction(41, 64), True),
+            (Fraction(1, 2), 120, Fraction(5, 8), False),
+            (Fraction(1, 2), 300, Fraction(5, 8), True),
+            (Fraction(1), 120, Fraction(9, 16), False),
+            (Fraction(1), 200, Fraction(9, 16), True))])
+    def test_cut_only_where_the_degree_drops(self, r, digits, s, cut, monkeypatch):
         ctx = PrecisionContext(digits)
-        f = eq40_integrand(Fraction(1, 5), ctx)
-        pieces = []
-
-        def spy(f, lo, hi, ctx):
-            pieces.append((lo, hi, integrate(f, lo, hi, ctx)))
-            return pieces[-1][2]
-
-        monkeypatch.setattr(modular, "integrate", spy)
-        _, split_degrees = self.degrees_of(
-            lambda: modular.theorem3_check(Fraction(1, 5), ctx), monkeypatch)
-        whole, whole_degrees = self.degrees_of(lambda: integrate(f, 0, 1, ctx), monkeypatch)
-        (lo0, s, left), (s1, hi1, right) = pieces
-        assert (lo0, hi1) == (0, 1) and s == s1 and 0 < s < 1
-        assert split_degrees == [whole_degrees[0] - 1] * 2
-        with mp.workdps(ctx.dps + 10):
-            assert abs(left + right - whole) <= 2 * mp.mpf(10) ** -(ctx.digits - ctx.guard // 2)
-
-    @pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(1)])
-    def test_far_zeros_one_piece(self, r, monkeypatch):
+        f = eq40_integrand(r, ctx)
+        whole, (degree,) = self.degrees_of(lambda: integrate(f, 0, 1, ctx), monkeypatch)
+        halves, degrees = self.degrees_of(
+            lambda: [integrate(f, 0, s, ctx), integrate(f, s, 1, ctx)], monkeypatch)
+        assert (degrees == [degree - 1] * 2) == cut
+        assert cut or max(degrees) == degree
         pieces = []
 
         def spy(f, lo, hi, ctx):
@@ -246,5 +245,7 @@ class TestEq40Split:
             return integrate(f, lo, hi, ctx)
 
         monkeypatch.setattr(modular, "integrate", spy)
-        modular.theorem3_check(r, PrecisionContext(120))
-        assert pieces == [(0, 1)]
+        modular.theorem3_check(r, ctx)
+        assert pieces == ([(0, s), (s, 1)] if cut else [(0, 1)])
+        with mp.workdps(ctx.dps + 10):
+            assert abs(halves[0] + halves[1] - whole) <= 2 * mp.mpf(10) ** -(ctx.digits - ctx.guard // 2)

@@ -300,6 +300,15 @@ class TestIncompleteBeta:
             ref = mpf_beta_series(*(mp.mpf(v.numerator) / v.denominator for v in (x, p, q)))
             assert abs(val - ref) <= abs(ref) * mp.mpf(10) ** (3 - ctx.dps)
 
+    @pytest.mark.parametrize("x", [Fraction(1, 10), Fraction(1, 3), Fraction(9, 10)], ids=str)
+    @pytest.mark.parametrize("q", [1500, 5000])
+    def test_moderate_q_summed(self, x, q):
+        # within the term budget: the terms grow for up to q steps first
+        val = incomplete_beta(x, Fraction(1, 2), q, CTX)
+        with mp.workdps(CTX.dps + 10):
+            ref = mpf_beta_series(mp.mpf(x.numerator) / x.denominator, mp.mpf(1) / 2, q)
+            assert abs(val - ref) <= abs(ref) * mp.mpf(10) ** (3 - CTX.dps)
+
     @pytest.mark.parametrize("x, q", [(Fraction(1, 3), 10 ** 9), (Fraction(9, 10), 10 ** 6)])
     def test_large_q_refused_in_time(self, x, q):
         # mpmath's hyp2f1 raises a bare NoConvergence here after seconds;

@@ -6,7 +6,7 @@ Run from a qalg git checkout:
     python3 tools/suite_pairs.py PARENT CHANGE --pairs N --out BENCH.json \\
         --suite S [--digits D]
     python3 tools/suite_pairs.py PARENT CHANGE --pairs N --out BENCH.json \\
-        --workload W --seed S [--seconds T] [--trace 1]
+        --workload W --seed S [--trace 1]
 
 PARENT and CHANGE are commits; each is exported with ``git archive`` into
 a clean temporary directory, without bytecode caches, and every run sets
@@ -17,8 +17,8 @@ With ``--suite`` a run is ``python3 -m qalg.cli verify --suite S
 [--digits D] --parallelism 1 --json``; its metrics are the process wall
 time (``wall_s``) and the sum of the checks' ``wall_time_ms``
 (``checks_s``), and the summary says whether every run gave the same check
-ids and verdicts.  With ``--workload`` a run is ``python3 perfbench/run.py``
-and its result is that run's final JSON line.
+ids and verdicts.  With ``--workload`` a run is a 30 s ``python3
+perfbench/run.py`` run and its result is that run's final JSON line.
 
 The file keeps the schema of the earlier BENCH files: per key (the suite
 and digits, or the workload), ``runs`` holds each side's runs in order
@@ -43,6 +43,9 @@ import tempfile
 import time
 from pathlib import Path
 
+# the run length of BENCHMARK.json, for --workload runs
+SECONDS = 30
+
 
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -50,13 +53,11 @@ def parse_args(argv):
     ap.add_argument("change")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--description")
     what = ap.add_mutually_exclusive_group(required=True)
-    what.add_argument("--suite", choices=("paper-core", "series-exact", "conjectures", "all"))
+    what.add_argument("--suite", choices=("paper-core", "series-exact", "conjectures"))
     what.add_argument("--workload")
     ap.add_argument("--digits", type=int)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -96,7 +97,7 @@ def command(args) -> list:
             cmd[5:5] = ["--digits", str(args.digits)]
         return cmd
     return ["perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
-            "--seconds", str(args.seconds), "--trace", str(args.trace)]
+            "--seconds", str(SECONDS), "--trace", str(args.trace)]
 
 
 def run(tree: Path, cmd: list, args, pair: int) -> dict:
@@ -159,8 +160,6 @@ def main(argv=None) -> int:
                 f"{side} {sides[side][-1]['result']['metrics'][wall]['value']:.4g} s"
                 for side in order), flush=True)
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
-    if args.description:
-        bench["description"] = args.description
     bench.update(parent_commit=shas["parent"], change_commit=shas["change"])
     bench.setdefault("commands", {})[key] = "python3 " + " ".join(cmd)
     bench.setdefault("trace_runs" if args.trace else "runs", {})[key] = sides
