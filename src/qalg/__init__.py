@@ -50,10 +50,8 @@ from .moebius import (
     TaylorInput,
     detect_period,
     extract_X,
-    jacobi_symbol,
     lambert_series,
     logderiv_representation,
-    moebius_mu,
     normalized_value,
     represent_product,
     represent_theta,
@@ -77,7 +75,6 @@ from .recognize import (
     IntegerPolynomial,
     RecognitionResult,
     lattice_reduce,
-    probe_Q_function,
     recognize,
     recognize_expression,
 )

@@ -74,15 +74,6 @@ def squarefree_divisors(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def moebius_mu(n: int) -> int:
-    """The Moebius function: 0 unless n is squarefree, else (-1)^(#primes)."""
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"mu is defined for n >= 1, got {n}")
-    radical, mu = squarefree_divisors(n)[-1]
-    return mu if radical == n else 0
-
-
 def _jacobi_odd(n: int, k: int) -> int:
     # standard iterative Jacobi symbol, k odd positive
     n %= k
@@ -125,18 +116,11 @@ def _symbol(n: int, m2: int, odd: int) -> int:
     return val
 
 
-def jacobi_symbol(n: int, G: int) -> int:
-    """The quadratic-residue symbol (n/G), completely multiplicative in n.
-
-    G may be even provided 4 | G (for G = 2*odd, DomainError); the factor
-    for each 2 is 0 on even n and (+1,-1,-1,+1) on n = 1,3,5,7 mod 8.
-    """
-    return _symbol(int(n), *_two_adic(int(G)))
-
-
 @dataclass(frozen=True)
 class JacobiCharacter:
-    """X(n) = (n/G) for an admissible modulus G.
+    """X(n) = (n/G) for an admissible modulus G, completely multiplicative
+    in n; each factor 2 of G gives 0 on even n and (+1, -1, -1, +1) on
+    n = 1, 3, 5, 7 mod 8.
 
     Admissible means the associated character is even, which is exactly
     what makes the sequence mirror-symmetric in each period: the power of
@@ -158,9 +142,6 @@ class JacobiCharacter:
 
     def value(self, n: int) -> int:
         return _symbol(n, *self._split)
-
-    def values(self, upto: int) -> list[int]:
-        return [self.value(n) for n in range(1, upto + 1)]
 
 
 # ---------------------------------------------------------------------------

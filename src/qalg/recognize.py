@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 
-from .errors import DegenerateBasis, DomainError, InsufficientPrecision
+from .errors import DegenerateBasis, DomainError, InsufficientPrecision, SingularError
 from .precision import HPReal, PrecisionContext, exact, integer, to_mpf
 from .qengine import (
     AgileSpec,
@@ -43,7 +43,7 @@ from .elliptic import (
     singular_K,
     singular_modulus,
 )
-from .modular import Residual, rrcf, sextic_theta
+from .modular import rrcf, sextic_theta
 
 
 # ---------------------------------------------------------------------------
@@ -428,26 +428,29 @@ def recognize_expression(
 ) -> RecognitionResult:
     """Evaluate a named quantity, raised to the integer ``params["power"]``
     (default 1), at ctx precision and recognize it, with the
-    doubled-precision re-verification wired to the same evaluation."""
+    doubled-precision re-verification wired to the same evaluation.  A value
+    of 0 under a negative power is a SingularError."""
     try:
         entry = QUANTITIES[name]
     except KeyError:
         raise DomainError(
             f"unknown quantity {name!r}; choose from {sorted(QUANTITIES)}") from None
     power = integer(params.get("power", 1))
+    prov = entry.name + "(" + ", ".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
 
     def value(c: PrecisionContext) -> HPReal:
         x = entry.evaluate(params, c)
+        if power < 0 and not x:
+            raise SingularError(f"{prov}: the value is 0, so power {power} is undefined")
         with c.workdps():
             return +(x ** power)
 
-    prov = entry.name + "(" + ", ".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
     return recognize(value(ctx), max_degree, height_digits, ctx,
                      recompute=value, provenance=prov)
 
 
 # ---------------------------------------------------------------------------
-# algebraic-function probing over the inverse singular modulus
+# closed forms of the starred products
 # ---------------------------------------------------------------------------
 
 # The starred products with a closed form in the singular modulus k = k_r:
@@ -458,49 +461,3 @@ STAR_CLOSED_FORMS: dict[tuple[Fraction, Fraction], tuple[int, Callable]] = {
         48, lambda k: (4 * (1 - k) ** 4 * (2 + k - 2 * mp.sqrt(1 + k)) ** 12
                        / (k ** 13 * (1 + k) ** 2))),
 }
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    x: Fraction
-    recognition: RecognitionResult
-    closed_form: Optional[Residual]
-
-
-def probe_Q_function(
-    a,
-    p,
-    x_values: Sequence,
-    max_degree: int,
-    height_digits: int,
-    ctx: PrecisionContext,
-) -> list[ProbeResult]:
-    """For each rational x in (0,1): set r = k_i(x), evaluate [a,p;q]* at
-    q = exp(-pi sqrt(r)) and recognize it.  Where (a, p) has a closed form
-    in STAR_CLOSED_FORMS, value^N against f(x) (k_r = x) is evaluated
-    alongside as a residual pair."""
-    a, p = Fraction(a), Fraction(p)
-    entry = QUANTITIES["agile_star_ki"]
-    out = []
-    for xr in x_values:
-        xr = Fraction(xr)
-        if not (0 < xr < 1):
-            raise DomainError(f"x must lie in (0,1), got {xr}")
-        params = {"a": a, "p": p, "x": xr}
-        val = entry.evaluate(params, ctx)
-        rec = recognize(
-            val,
-            max_degree,
-            height_digits,
-            ctx,
-            recompute=lambda c, prm=params: entry.evaluate(prm, c),
-            provenance=f"agile_star_ki(a={a}, p={p}, x={xr})",
-        )
-        closed = None
-        if (a, p) in STAR_CLOSED_FORMS:
-            N, f = STAR_CLOSED_FORMS[a, p]
-            with ctx.workdps():
-                closed = Residual(+(val ** N), +f(to_mpf(xr)),
-                                  note=f"{N}th power closed form")
-        out.append(ProbeResult(xr, rec, closed))
-    return out

@@ -83,9 +83,6 @@ class FormalSeries:
         n = min(self.order, other.order)
         return FormalSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
 
-    def __neg__(self) -> "FormalSeries":
-        return FormalSeries([-c for c in self.coeffs])
-
     def scale(self, c: Coeff) -> "FormalSeries":
         c = _exact(c)
         return FormalSeries([c * x for x in self.coeffs])

@@ -316,17 +316,29 @@ def series_exp(l) -> list:
     return out
 
 
+def mu(n: int) -> int:
+    """The Moebius function by trial division: 0 if a square divides n,
+    else (-1)^(number of prime factors)."""
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
 def moebius_extract_X(coeffs) -> list:
     """X(n) = (1/n) sum_{d|n} mu(n/d) d c_d, one mu per divisor pair:
     the reference for the sieve that inverts the Taylor coefficients."""
-    from qalg import moebius_mu
-
     out = []
     for n in range(1, len(coeffs) + 1):
         s = Fraction(0)
         for d in range(1, n + 1):
             if n % d == 0:
-                s += moebius_mu(n // d) * d * Fraction(coeffs[d - 1])
+                s += mu(n // d) * d * Fraction(coeffs[d - 1])
         out.append(s / n)
     return out
 

@@ -10,7 +10,7 @@ import mpmath as mp
 import pytest
 
 import qalg
-from qalg import PrecisionContext, agile_star, AgileSpec, make_nome
+from qalg import JacobiCharacter, PrecisionContext, agile_star, AgileSpec, make_nome
 from qalg.cli import main
 from qalg.recognize import QUANTITIES
 
@@ -119,8 +119,8 @@ class TestQuantityTable:
 def series_file(tmp_path):
     """Taylor coefficients whose exponents are the mod-5 symbol pattern."""
     from qalg.moebius import coeffs_from_X
-    from qalg import jacobi_symbol
-    cs = coeffs_from_X([Fraction(jacobi_symbol(n, 5)) for n in range(1, 31)], 30)
+    X = JacobiCharacter(5)
+    cs = coeffs_from_X([Fraction(X.value(n)) for n in range(1, 31)], 30)
     f = tmp_path / "series.json"
     f.write_text(json.dumps({"coeffs": [str(c) for c in cs]}))
     return str(f)
@@ -219,6 +219,14 @@ class TestRecognize:
                                  "--value", value, "--degree", "4")
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_zero_value_negative_power(self, capsys):
+        # theta(1, 1) is identically 0: its inverse is a typed error
+        code, out, err = run_cli(capsys, "recognize", "--expr", "theta", "--a", "1",
+                                 "--b", "1", "--r", "1", "--power", "-1",
+                                 "--digits", "60")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "power -1" in err
 
     def test_insufficient_digits_guidance(self, capsys):
         code, _, err = run_cli(capsys, "recognize", "--expr", "const",

@@ -21,11 +21,9 @@ from qalg import (
     agile_qexpansion,
     detect_period,
     extract_X,
-    jacobi_symbol,
     lambert_series,
     logderiv_representation,
     make_nome,
-    moebius_mu,
     normalized_value,
     represent_product,
     represent_theta,
@@ -43,21 +41,19 @@ from qalg.moebius import (
 
 from qalg.qengine import _term_count
 
-from oracles import close, moebius_extract_X
+from oracles import close, moebius_extract_X, mu
 
 CTX = PrecisionContext(60)
 
 
 class TestMu:
     def test_known_values(self):
-        assert moebius_mu(1) == 1
-        assert moebius_mu(3) == -1
-        assert moebius_mu(15) == 1
-        assert moebius_mu(12) == 0
+        # the trial-division mu that the inversion oracle uses
+        assert [mu(n) for n in (1, 3, 15, 12)] == [1, -1, 1, 0]
 
     def test_divisor_sum_is_unit_indicator(self):
         for n in range(1, 1001):
-            total = sum(moebius_mu(d) for d in range(1, n + 1) if n % d == 0)
+            total = sum(m for _, m in squarefree_divisors(n))
             assert total == (1 if n == 1 else 0)
 
     def test_squarefree_divisors_by_brute_force(self):
@@ -75,24 +71,25 @@ class TestMu:
 
 class TestJacobiSymbol:
     def test_mod5_pattern(self):
-        assert [jacobi_symbol(n, 5) for n in range(1, 6)] == [1, -1, -1, 1, 0]
+        assert [JacobiCharacter(5).value(n) for n in range(1, 6)] == [1, -1, -1, 1, 0]
 
     def test_mod25_gcd_rule(self):
         for n in range(1, 51):
             expected = 0 if n % 5 == 0 else 1
-            assert jacobi_symbol(n, 25) == expected
+            assert JacobiCharacter(25).value(n) == expected
 
     def test_complete_multiplicativity(self):
         rng = random.Random(5)
         for G in (5, 13, 25, 8, 16, 65):
+            X = JacobiCharacter(G)
             for _ in range(200):
                 m = rng.randint(1, 400)
                 n = rng.randint(1, 400)
-                assert jacobi_symbol(m * n, G) == jacobi_symbol(m, G) * jacobi_symbol(n, G)
+                assert X.value(m * n) == X.value(m) * X.value(n)
 
     def test_single_factor_of_two_rejected(self):
         with pytest.raises(DomainError):
-            jacobi_symbol(3, 10)
+            JacobiCharacter(10)
 
     def test_character_admissibility(self):
         JacobiCharacter(5)
@@ -105,17 +102,21 @@ class TestJacobiSymbol:
             JacobiCharacter(15)  # odd part 3 mod 4: not mirror-symmetric
 
     def test_character_splits_modulus_once(self, monkeypatch):
-        expected = [jacobi_symbol(n, 40) for n in range(1, 101)]
+        # (n/40) = (n/8)(n/5): (n/8) is +1 on n = 1, 7 mod 8, -1 on 3, 5
+        expected = [0 if n % 2 == 0 else
+                    (1 if n % 8 in (1, 7) else -1) * [0, 1, -1, -1, 1][n % 5]
+                    for n in range(1, 101)]
         calls = []
         split = moebius._two_adic
         monkeypatch.setattr(moebius, "_two_adic", lambda G: calls.append(G) or split(G))
-        assert JacobiCharacter(40).values(100) == expected
+        X = JacobiCharacter(40)
+        assert [X.value(n) for n in range(1, 101)] == expected
         assert calls == [40]
 
     def test_character_period_detection(self):
-        pc = detect_period(JacobiCharacter(5).values(15), 5)
+        pc = detect_period([JacobiCharacter(5).value(n) for n in range(1, 16)], 5)
         assert pc.period == 5 and pc.A == Fraction(1, 5)
-        pc8 = detect_period(JacobiCharacter(8).values(24), 8)
+        pc8 = detect_period([JacobiCharacter(8).value(n) for n in range(1, 25)], 8)
         assert pc8.period == 8
         assert list(pc8.values) == [1, 0, -1, 0, -1, 0, 1, 0]
 
@@ -131,7 +132,7 @@ class TestInversion:
     def test_jacobi_forward_backward(self):
         # coefficients built from X = (n/5), then inverted back
         n = 30
-        X = [Fraction(jacobi_symbol(k, 5)) for k in range(1, n + 1)]
+        X = [Fraction(JacobiCharacter(5).value(k)) for k in range(1, n + 1)]
         coeffs = coeffs_from_X(X, n)
         assert extract_X(TaylorInput(coeffs)) == X
 
@@ -344,7 +345,7 @@ class TestLambert:
             q = nome.q
             oracle = mp.mpf(0)
             for n in range(1, 300):
-                c = jacobi_symbol(n, 5)
+                c = JacobiCharacter(5).value(n)
                 if c:
                     oracle += c * n * q ** n / (1 - q ** n)
             assert close(lambert_series(JacobiCharacter(5), nome), oracle, 55,
@@ -444,7 +445,7 @@ class TestLogDerivativeWalks:
 
             def value(self, n):
                 self.calls += 1
-                return jacobi_symbol(n, 5)
+                return JacobiCharacter(5).value(n)
 
         X = Counting()
         nome = make_nome(Fraction(1, 100), CTX)

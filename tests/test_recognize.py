@@ -14,13 +14,13 @@ from qalg import (
     InsufficientPrecision,
     IntegerPolynomial,
     PrecisionContext,
+    SingularError,
     lattice_reduce,
-    probe_Q_function,
     recognize,
     recognize_expression,
 )
 
-from qalg.recognize import QUANTITIES
+from qalg.recognize import QUANTITIES, STAR_CLOSED_FORMS
 from oracles import close, newton_refine_root, poly_divides, random_planted_poly
 
 # the package exports the function `recognize` under the module's name
@@ -381,6 +381,12 @@ class TestExpressions:
             recognize_expression("agile_star", {"a": "1", "p": "4", "r": "2", "power": "1/2"},
                                  max_degree=8, height_digits=4, ctx=PrecisionContext(30))
 
+    def test_zero_value_negative_power(self):
+        # theta(a, b) vanishes for b = a mod 2a, so its inverse does not exist
+        with pytest.raises(SingularError, match="power -1"):
+            recognize_expression("theta", {"a": "1", "b": "1", "r": "1", "power": "-1"},
+                                 max_degree=4, height_digits=4, ctx=PrecisionContext(60))
+
     def test_unknown_pipeline(self):
         with pytest.raises(DomainError):
             recognize_expression("nope", {}, 4, 4, PrecisionContext(100))
@@ -402,34 +408,37 @@ class TestExpressions:
 
 
 class TestProbe:
+    """[a,p;q]* at r = k_i(x), x = 1/2, against its closed form in k_r = x."""
+
+    def closed_form_residual(self, a, p, ctx):
+        value = QUANTITIES["agile_star_ki"].evaluate({"a": a, "p": p, "x": "1/2"}, ctx)
+        N, f = STAR_CLOSED_FORMS[Fraction(a), Fraction(p)]
+        with ctx.workdps():
+            return value ** N, abs(value ** N - f(mp.mpf(1) / 2))
+
     def test_q14_closed_form_at_half(self):
         ctx = PrecisionContext(120)
-        out = probe_Q_function(Fraction(1), Fraction(4), [Fraction(1, 2)],
-                               max_degree=12, height_digits=4, ctx=ctx)
-        probe = out[0]
-        assert probe.recognition.status == "recognized"
-        assert probe.closed_form is not None
+        power, diff = self.closed_form_residual("1", "4", ctx)
         with ctx.workdps():
             # value^12 = 4(1 - x^2)/x = 6 at x = 1/2
-            assert close(probe.closed_form.lhs, 6, 90, dps=ctx.dps)
-            assert probe.closed_form.diff < ctx.eps_check
+            assert close(power, 6, 90, dps=ctx.dps)
+            assert diff < ctx.eps_check
+        rec = recognize_expression("agile_star_ki", {"a": "1", "p": "4", "x": "1/2"},
+                                   max_degree=12, height_digits=4, ctx=ctx)
+        assert rec.status == "recognized"
 
     def test_q12_4_closed_form_at_half(self):
         # the closed form is the point here; the star value itself can
-        # exceed any small degree bound, which probe reports honestly
+        # exceed any small degree bound
         ctx = PrecisionContext(120)
-        out = probe_Q_function(Fraction(1, 2), Fraction(4), [Fraction(1, 2)],
-                               max_degree=8, height_digits=4, ctx=ctx)
-        probe = out[0]
-        assert probe.closed_form is not None
+        _, diff = self.closed_form_residual("1/2", "4", ctx)
         with ctx.workdps():
-            assert probe.closed_form.diff < ctx.eps_check
+            assert diff < ctx.eps_check
 
     def test_x_domain(self):
         with pytest.raises(DomainError):
-            probe_Q_function(Fraction(1), Fraction(4), [Fraction(2)],
-                             max_degree=4, height_digits=4,
-                             ctx=PrecisionContext(100))
+            QUANTITIES["agile_star_ki"].evaluate({"a": "1", "p": "4", "x": "2"},
+                                                 PrecisionContext(100))
 
 
 def lattice_digits(d, height_digits, ctx):
