@@ -29,7 +29,7 @@ from . import harness
 from .errors import DomainError, InsufficientPrecision, QalgError
 from .precision import PrecisionContext
 from .moebius import TaylorInput, detect_period, extract_X, represent_product, represent_theta
-from .recognize import QUANTITIES, recognize, recognize_expression
+from .recognize import QUANTITIES, raise_to, recognize, recognize_expression
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,8 +151,8 @@ def _cmd_recognize(args) -> int:
                 x = mp.mpf(args.value)
         except ValueError:
             raise DomainError(f"--value {args.value!r} is not a decimal number") from None
-        rec = recognize(x, args.degree, args.height_digits, ctx,
-                        provenance="const")
+        rec = recognize(raise_to(x, args.power, ctx, "const"), args.degree,
+                        args.height_digits, ctx, provenance="const")
     else:
         name = args.expr.replace("-", "_")
         # recognize_expression rejects an unknown name with a DomainError
@@ -226,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--expr", required=True, metavar="NAME",
                        help="one of " + ", ".join(names + ["const"]))
     quantity_flags(p_rec)
-    p_rec.add_argument("--power", type=int, default=1)
+    p_rec.add_argument("--power", type=int, default=1,
+                       help="recognize the value raised to this integer power")
     p_rec.add_argument("--value", help="decimal string for --expr const")
     p_rec.add_argument("--degree", type=int, default=8)
     p_rec.add_argument("--height-digits", type=int, default=4)

@@ -152,6 +152,12 @@ def _series_outcome(lhs: FormalSeries, rhs: FormalSeries, note: str = "") -> Che
 # the checks
 # ---------------------------------------------------------------------------
 
+def _reciprocity(ctx, r: Fraction):
+    phi = (1 + mp.sqrt(5)) / 2
+    lhs = (phi + rrcf(make_nome(r, ctx))) * (phi + rrcf(make_nome(16 / r, ctx)))
+    return Residual(lhs, phi * mp.sqrt(5), note=f"Ramanujan's reciprocity, R at r and {16 / r}")
+
+
 def _modulus_theta(ctx, r: Fraction):
     nome = make_nome(r, ctx)
     return Residual(singular_modulus(r, ctx), theta2(nome) ** 2 / theta3(nome) ** 2,
@@ -499,6 +505,8 @@ def _build_registry() -> dict:
     for r in (Fraction(1), Fraction(2)):
         add(f"eq08.klein-vs-modulus.r{r}", PC, ("eq07", "eq08", "eq10"), "numeric",
             partial(_klein, r=r))
+    add("eq07.reciprocity.r1_5", PC, ("eq07",), "numeric",
+        partial(_reciprocity, r=Fraction(1, 5)))
     for r in (Fraction(25), Fraction(50)):
         add(f"eq09.degree5-transform.r{r}", PC, ("eq09",), "numeric",
             lambda ctx, r=r: ramanujan_modular5_check(make_nome(r, ctx)))

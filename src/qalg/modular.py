@@ -28,6 +28,7 @@ from .qengine import (
     theta2,
     theta3,
     theta_general,
+    _dual,
     _fixed,
     _qpow,
     _term_count,
@@ -66,10 +67,15 @@ def rrcf(nome: Nome, method: str = "product") -> HPReal:
 
     method="product" uses the quotient of two-sided q-products;
     method="continued_fraction" evaluates the fraction by backward
-    recurrence at a depth fixed in advance.  With T = 1 + q/(1 + q^2/(1 +
-    ...)), the convergents T_n alternate around T and every denominator
-    B_n >= 1, so |T - T_n| <= q^((n+1)(n+2)/2); since T >= 1 the bound is
-    also relative, and n comes from the shared truncation rule.  The
+    recurrence at a depth fixed in advance.  Below qengine.R0 it does so
+    at 16/r, where the depth is O(1) rather than growing like r^(-1/4),
+    through Ramanujan's reciprocity (phi + R(q))(phi + R(q*)) = phi sqrt 5,
+    phi = (1 + sqrt 5)/2 and q* the nome of 16/r.
+
+    With T = 1 + q/(1 + q^2/(1 + ...)), the convergents T_n alternate
+    around T and every denominator B_n >= 1, so |T - T_n| <=
+    q^((n+1)(n+2)/2); since T >= 1 the bound is also relative, and n
+    comes from the shared truncation rule.  The
     recurrence t = 1 + q^k/t runs in tapered fixed point (qalg.qengine),
     each division at the width of q^k: a step truncates at most 2 ulps
     and q^k is at most 3k off, and since a step scales the error carried
@@ -84,6 +90,10 @@ def rrcf(nome: Nome, method: str = "product") -> HPReal:
             return +val
     if method == "continued_fraction":
         with ctx.workdps():
+            if _dual(nome, Fraction(1, 4)):
+                s5 = mp.sqrt(5)
+                phi = (1 + s5) / 2
+                return +(phi * s5 / (phi + rrcf(make_nome(16 / nome.r, ctx), method)) - phi)
             depth = _term_count(1, Fraction(1, 2), Fraction(3, 2), nome.tail)
             prec = mp.mp.prec + 2 * depth.bit_length() + 10
             Q = _fixed(nome.q, prec)

@@ -42,6 +42,27 @@ largest term minus its own.  Past _SLACK of them the sum is taken once
 more on a nome carrying them as extra digits, and a sum that still
 cancels, or never rose above its error bound, raises
 InsufficientPrecision.
+
+Small r: the dual nome.  With q = e^(2 pi i tau), tau = i sqrt(r)/2, the
+map tau -> -1/tau turns a sum over powers of q into one over a nome of
+parameter c/r, whose terms fall like exp(-pi sqrt(c/r) n^2) where the
+direct ones fall like exp(-pi sqrt(r) n^2): O(1) terms where the direct
+sum needs O(1/sqrt r).  Below R0 = 1/8, and only where the dual terms
+decay faster, these are taken at the dual nome:
+
+  eta(m)             parameter 16/(m^2 r), where m^2 r < 4 (the eta
+                     transformation, DLMF 23.15);
+  theta(a, b)        1/(a^2 r), a sum with cosine weights, where
+                     4 a^2 r < 1 (Poisson summation, DLMF 20.7(viii));
+  theta_powersum     1/r (so theta2 and theta3), at every r below R0;
+  [a,p], [a,p]*      4/(p^2 r), as theta(p/2, p/2 - a) / eta(p) (the
+                     Jacobi triple product), where p^2 r < 1.
+
+The dual sums run in the same kernels, and their prefactors are powers
+of q and of the dual nome with exact exponents (_qpow), times a fourth
+root of the dual parameter for eta and theta.  From R0 up every sum is
+direct: the harness takes r >= 1/5 throughout, so each identity it
+checks still compares two independent routes.
 """
 
 from __future__ import annotations
@@ -49,6 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 from mpmath.libmp import to_fixed
@@ -117,7 +139,11 @@ class ThetaSpec:
 
 
 def make_nome(r, ctx: PrecisionContext) -> Nome:
-    r = exact(r)
+    return _make_nome(exact(r), ctx)
+
+
+@lru_cache(maxsize=256)
+def _make_nome(r: Fraction, ctx: PrecisionContext) -> Nome:
     if r <= 0:
         raise DomainError(f"r must be positive, got {r}")
     # q's relative error is x's absolute error: x = pi*sqrt(r) gets as many
@@ -146,6 +172,9 @@ _MAX_TERMS = 10_000_000
 
 # cancelled bits a fixed-point alternating sum may lose before it is rerun
 _SLACK = 10
+
+# below this r the sums whose dual terms decay faster are taken at the dual nome
+R0 = Fraction(1, 8)
 
 
 def _qpow(nome: Nome, e) -> HPReal:
@@ -300,42 +329,111 @@ def _agile_raw(a: Fraction, p: Fraction, nome: Nome) -> HPReal:
             * _progression_product(p - a, p, qp / qa, qp, nome))
 
 
+def _dual(nome: Nome, s) -> bool:
+    """Whether a sum is taken at the dual nome: below R0, and where
+    s r < 1, which is where its dual terms decay faster (s = 4a^2 for
+    theta(a, b), m^2/4 for eta(m), 1 for the power sums, p^2 for [a,p],
+    1/4 for the continued fraction of modular.rrcf)."""
+    return nome.r < R0 and s * nome.r < 1
+
+
+def _agile_star_dual(a: Fraction, p: Fraction, nome: Nome) -> HPReal:
+    """[a,p;q]* for 0 < a < p as theta(p/2, p/2 - a) / eta(p) (the Jacobi
+    triple product), both at their dual nomes: theta's is v, of parameter
+    4/(p^2 r), and eta(p)'s is v^2.  Their fourth roots cancel and their
+    powers of q leave q^-e, e = star_exponent(a, p), so
+    [a,p;q]* = v^(1/6) S / prod_{n>=1} (1 - v^(2n)),
+    S the cosine sum of _cosine_sum at c = 1/2 - a/p."""
+
+    def kernel(nm: Nome):
+        with nm.ctx.workdps():
+            v = make_nome(4 / (p * p * nm.r), nm.ctx)
+            s, lost = _cosine_sum(Fraction(1, 2) - a / p, v, nm)
+            v2 = _qpow(v, 2)
+            return _qpow(v, Fraction(1, 6)) * s / _progression_product(2, 2, v2, v2, v), lost
+
+    return _rerun_if_cancelled(kernel, nome)
+
+
 def agile(spec: AgileSpec, nome: Nome) -> HPReal:
-    """[a,p;q], truncated with tail below the guard threshold."""
+    """[a,p;q], truncated with tail below the guard threshold; at the dual
+    nome where p^2 r < 1."""
+    a, p = spec.a, spec.p
     with nome.ctx.workdps():
-        return +_agile_raw(spec.a, spec.p, nome)
+        if _dual(nome, p * p):
+            return +(_qpow(nome, -star_exponent(a, p)) * _agile_star_dual(a, p, nome))
+        return +_agile_raw(a, p, nome)
 
 
 def agile_star(spec: AgileSpec, nome: Nome) -> HPReal:
     """q^(p/12 - a/2 + a^2/(2p)) * [a,p;q] (principal positive branch)."""
+    a, p = spec.a, spec.p
     with nome.ctx.workdps():
-        e = star_exponent(spec.a, spec.p)
-        return +(_qpow(nome, e) * _agile_raw(spec.a, spec.p, nome))
+        if _dual(nome, p * p):
+            return +_agile_star_dual(a, p, nome)
+        return +(_qpow(nome, star_exponent(a, p)) * _agile_raw(a, p, nome))
 
 
-def theta_general(spec: ThetaSpec, nome: Nome) -> HPReal:
-    """sum_{n=-inf}^{inf} (-1)^n q^(a n^2 + b n), symmetric truncation
-    about its smallest exponent e0: (-1)^n0 q^e0 theta(a, b') with
-    -a < b' <= a (see _theta_shift).  At b' = a the terms n and -1-n
-    cancel in pairs and the sum is 0.  A sum that cancels is summed again
-    wider (_rerun_if_cancelled)."""
-    a = spec.a
-    n0, b, e0 = _theta_shift(a, spec.b)
+def _theta(a: Fraction, b: Fraction, nome: Nome, dual: bool) -> HPReal:
+    """sum (-1)^n q^(a n^2 + b n) as (-1)^n0 q^e0 theta(a, b'), -a < b' <= a
+    (see _theta_shift); 0 at b' = a, where the terms n and -1-n cancel in
+    pairs.  theta(a, b') is summed directly about its smallest exponent,
+    or at the dual nome v of parameter 1/(a^2 r) by Poisson summation:
+    theta(a, b') = (a^2 r)^(-1/4) q^(-b'^2/(4a)) v^(1/4) S,
+    S the cosine sum of _cosine_sum at c = b'/(2a).  A sum that cancels
+    is summed again wider (_rerun_if_cancelled)."""
+    n0, b, e0 = _theta_shift(a, b)
 
     def kernel(nm: Nome):
-        # 1 + sum_{n>=1} (-1)^n (q^(a n^2 + b n) + q^(a n^2 - b n)): the 1 is the largest term
         with nm.ctx.workdps():
+            if dual:
+                v = make_nome(1 / (a * a * nm.r), nm.ctx)
+                s, lost = _cosine_sum(b / (2 * a), v, nm)
+                return s * mp.root(to_mpf(v.r), 4) * _qpow(v, Fraction(1, 4)), lost
+            # 1 + sum_{n>=1} (-1)^n (q^(a n^2 + b n) + q^(a n^2 - b n)): the 1 is the largest term
             prec, terms = _theta_terms(a, b, nm)
             s = ((1 << prec) - sum(tp + tm for tp, tm in terms[::2])
                  + sum(tp + tm for tp, tm in terms[1::2]))
             noise = 3 * len(terms).bit_length() + 3
             return mp.ldexp(s, -prec), _cancelled(s, prec + 1, noise, nm)
 
+    if b == a:
+        return mp.mpf(0)
+    s = _rerun_if_cancelled(kernel, nome)
+    if dual:
+        e0 -= b * b / (4 * a)
+    return +(_qpow(nome, e0) * (-s if n0 % 2 else s))
+
+
+def _cosine_sum(c: Fraction, v: Nome, nome: Nome) -> tuple[HPReal, int]:
+    """(S, cancelled bits), S = sum_{k in Z} v^(k^2 + k) cos(pi (2k+1) c)
+    for |c| < 1/2, so that the leading terms k = 0, -1 are 2 cos(pi c) > 0;
+    nome is the sum's own, named in a refusal.  With v^(k^2 + k) from
+    _theta_terms(1, 1), the pair (v^(n^2+n), v^(n^2-n)) is the terms k = n
+    and k = -n, of weights C_n and C_(n-1), C_j = cos(pi (2j+1) c).  The
+    weights follow C_(j+1) = 2 cos(2 pi c) C_j - C_(j-1) on the same
+    integers, with cos(2 pi c) = 2 C_0^2 - 1; each step truncates 1 ulp
+    and the recurrence carries an error at most linearly, so C_j is off by
+    (j+2)^2 ulps, which the terms' own bound covers."""
+    prec, terms = _theta_terms(1, 1, v)
+    with mp.workprec(prec):
+        C = _fixed(mp.cospi(to_mpf(c)), prec)
+    weights = [C, C]
+    s = C
+    D = (C * C >> (prec - 1)) - (1 << prec)
+    for tp, tm in terms:
+        weights.append((D * weights[-1] >> (prec - 1)) - weights[-2])
+        s += (tp * weights[-1] + tm * weights[-2]) >> prec
+    noise = 3 * len(terms).bit_length() + 3
+    return mp.ldexp(s, -prec), _cancelled(s, prec + 1, noise, nome)
+
+
+def theta_general(spec: ThetaSpec, nome: Nome) -> HPReal:
+    """sum_{n=-inf}^{inf} (-1)^n q^(a n^2 + b n), symmetric truncation
+    about its smallest exponent (see _theta); at the dual nome where
+    4 a^2 r < 1."""
     with nome.ctx.workdps():
-        if b == a:
-            return mp.mpf(0)
-        s = _rerun_if_cancelled(kernel, nome)
-        return +(_qpow(nome, e0) * (-s if n0 % 2 else s))
+        return _theta(spec.a, spec.b, nome, _dual(nome, 4 * spec.a ** 2))
 
 
 def theta2(nome: Nome) -> HPReal:
@@ -350,24 +448,38 @@ def theta3(nome: Nome) -> HPReal:
 
 
 def theta_powersum(m: int, nome: Nome) -> HPReal:
-    """sum_{n=-inf}^{inf} q^(n^2 + m*n), computed by direct summation.
+    """sum_{n=-inf}^{inf} q^(n^2 + m*n), computed by direct summation,
+    or at the dual nome (see _powersum).  (Closed forms in terms of K and
+    the singular modulus live in :mod:`qalg.elliptic`; the harness
+    compares the two.)"""
+    with nome.ctx.workdps():
+        return _powersum(integer(m), nome, _dual(nome, 1))
 
-    With m = 2t + m', m' in {0, 1}, n^2 + m n = k^2 + m' k - t(t + m')
+
+def _powersum(m: int, nome: Nome, dual: bool) -> HPReal:
+    """With m = 2t + m', m' in {0, 1}, n^2 + m n = k^2 + m' k - t(t + m')
     for k = n + t, so the sum is q^(-t(t+m')) times the m' sum, whose
     terms are all positive and at most 1; that sum is cut m'/4 + 1
-    beyond the tail threshold.  (Closed forms in terms of K and the
-    singular modulus live in :mod:`qalg.elliptic`; the harness compares
-    the two.)
-    """
-    t, m1 = divmod(integer(m), 2)
-    with nome.ctx.workdps():
-        prec, terms = _theta_terms(1, m1, nome, Fraction(m1, 4) + 1)
-        s = mp.ldexp((1 << prec) + sum(tp + tm for tp, tm in terms), -prec)
-        return +(_qpow(nome, -t * (t + m1)) * s)
+    beyond the tail threshold.  At the dual nome w of parameter 1/r
+    (Poisson summation) the sum is
+    r^(-1/4) q^(-m^2/4) sum_{k in Z} (-1)^(k m') w^(k^2),
+    a sum led by 1 that cannot cancel, since w < e^(-pi sqrt 8)."""
+    t, m1 = divmod(m, 2)
+    if dual:
+        dual_nome = make_nome(1 / nome.r, nome.ctx)
+        prec, terms = _theta_terms(1, 0, dual_nome)
+        odd = sum(tp + tm for tp, tm in terms[::2])
+        s = (1 << prec) + sum(tp + tm for tp, tm in terms[1::2]) + (-odd if m1 else odd)
+        return +(mp.ldexp(s, -prec) * mp.root(to_mpf(dual_nome.r), 4)
+                 * _qpow(nome, Fraction(-m * m, 4)))
+    prec, terms = _theta_terms(1, m1, nome, Fraction(m1, 4) + 1)
+    s = mp.ldexp((1 << prec) + sum(tp + tm for tp, tm in terms), -prec)
+    return +(_qpow(nome, -t * (t + m1)) * s)
 
 
 def eta_paper(multiplier, nome: Nome) -> HPReal:
-    """prod_{n>=1} (1 - q^(m*n)) for a positive rational multiplier m.
+    """prod_{n>=1} (1 - q^(m*n)) for a positive rational multiplier m,
+    at the dual nome where m^2 r < 4 (see _eta).
 
     This is the prefactor-free eta product used throughout the toolkit;
     no q^(1/24) factor is attached.
@@ -376,8 +488,22 @@ def eta_paper(multiplier, nome: Nome) -> HPReal:
     if m <= 0:
         raise DomainError(f"multiplier must be positive, got {m}")
     with nome.ctx.workdps():
-        qm = _qpow(nome, m)
-        return +_progression_product(m, m, qm, qm, nome)
+        return +_eta(m, nome, _dual(nome, m * m / 4))
+
+
+def _eta(m: Fraction, nome: Nome, dual: bool) -> HPReal:
+    """prod (1 - q^(m n)) as one progression product, or at the dual nome
+    q' of parameter 16/(m^2 r): with t = m sqrt(r)/2, eta(-1/tau) =
+    sqrt(tau/i) eta(tau) gives
+    prod (1 - q^(m n)) = t^(-1/2) e^((pi/12)(t - 1/t)) prod (1 - q'^n),
+    and t^(-1/2) = (16/(m^2 r)/4)^(1/4), e^(pi t/12) = q^(-m/24),
+    e^(-pi/(12 t)) = q'^(1/24)."""
+    if dual:
+        d = make_nome(16 / (m * m * nome.r), nome.ctx)
+        return (mp.root(to_mpf(d.r / 4), 4) * _qpow(nome, -m / 24) * _qpow(d, Fraction(1, 24))
+                * _progression_product(1, 1, d.q, d.q, d))
+    qm = _qpow(nome, m)
+    return _progression_product(m, m, qm, qm, nome)
 
 
 def m_series(c: HPReal, w: HPReal, terms: int) -> HPReal:
@@ -406,13 +532,16 @@ def agile_via_triangular(spec: AgileSpec, nome: Nome) -> HPReal:
 
     The numerator, about exp(-pi/(2p sqrt r)), is summed from terms of
     size 1; once the digits that cancellation costs exceed half the guard
-    digits, the sums and eta(p) run on a nome with those digits added."""
+    digits, the sums and eta(p) run on a nome with those digits added.
+    There eta(p) takes its dual, and the series' work, about sqrt(X/p)
+    terms at digits + lost, is bounded up front by holding X/p on that
+    nome to the term budget."""
     a, p = spec.a, spec.p
     ctx = nome.ctx
     with mp.workdps(30):
         lost = int(mp.pi / (2 * to_mpf(p) * mp.sqrt(to_mpf(nome.r)) * mp.ln10))
     if lost > ctx.guard // 2:
-        # the term budget is checked before a nome of that precision is built
+        # checked before a nome of that precision is built
         _term_count(p, 0, p, nome.tail * (ctx.dps + lost) // ctx.dps)
         nome = make_nome(nome.r, PrecisionContext(ctx.digits + lost, ctx.guard))
     with nome.ctx.workdps():

@@ -439,14 +439,19 @@ def recognize_expression(
     prov = entry.name + "(" + ", ".join(f"{k}={v}" for k, v in sorted(params.items())) + ")"
 
     def value(c: PrecisionContext) -> HPReal:
-        x = entry.evaluate(params, c)
-        if power < 0 and not x:
-            raise SingularError(f"{prov}: the value is 0, so power {power} is undefined")
-        with c.workdps():
-            return +(x ** power)
+        return raise_to(entry.evaluate(params, c), power, c, prov)
 
     return recognize(value(ctx), max_degree, height_digits, ctx,
                      recompute=value, provenance=prov)
+
+
+def raise_to(x: HPReal, power: int, ctx: PrecisionContext, provenance: str) -> HPReal:
+    """x ** power at ctx precision; a value of 0 under a negative power is
+    a SingularError."""
+    if power < 0 and not x:
+        raise SingularError(f"{provenance}: the value is 0, so power {power} is undefined")
+    with ctx.workdps():
+        return +(x ** power)
 
 
 # ---------------------------------------------------------------------------

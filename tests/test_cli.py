@@ -76,12 +76,17 @@ class TestEval:
         assert code == 0
         assert out.startswith("3.6125473612")
 
-    def test_nome_too_close_to_one(self, capsys):
-        # about 7e7 factors per side: over the term budget, refused at once
-        code, _, err = run_cli(capsys, "eval", "agile", "--a", "1", "--p", "5",
-                               "--r", "1/100000000000000", "--digits", "30")
-        assert code == 2
-        assert err.startswith("error:")
+    def test_small_r_gives_a_value(self, capsys):
+        # about 7e7 factors per side directly, over the term budget; the
+        # dual nome needs a handful of terms
+        values = []
+        for digits in ("30", "60"):
+            code, out, _ = run_cli(capsys, "eval", "agile", "--a", "1", "--p", "5",
+                                   "--r", "1/100000000000000", "--digits", digits)
+            assert code == 0
+            values.append(mp.mpf(out.split()[-1]))
+        with mp.workdps(60):
+            assert abs(values[0] - values[1]) <= values[1] * mp.mpf(10) ** -30
 
 
 # one value for every parameter a quantity can read
@@ -225,6 +230,17 @@ class TestRecognize:
         code, out, err = run_cli(capsys, "recognize", "--expr", "theta", "--a", "1",
                                  "--b", "1", "--r", "1", "--power", "-1",
                                  "--digits", "60")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "power -1" in err
+
+    def test_const_power(self, capsys):
+        # the value is raised to the power before recognition: 1/2 is a root of 2x - 1
+        code, out, _ = run_cli(capsys, "recognize", "--expr", "const", "--value", "2",
+                               "--power", "-1", "--degree", "4", "--digits", "60", "--json")
+        assert code == 0
+        assert json.loads(out)["poly"] == [-1, 2]
+        code, out, err = run_cli(capsys, "recognize", "--expr", "const", "--value", "0",
+                                 "--power", "-1", "--digits", "60")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "power -1" in err
 

@@ -168,6 +168,26 @@ class TestSuiteRun:
         assert sizes == [len(reports)] == [len(harness.checks_for_suite("series-exact"))]
         assert all(r.verdict == "pass" for r in reports)
 
+    @pytest.mark.parametrize("suite, digits", [
+        ("paper-core", 60), ("paper-core", 300), ("series-exact", 50), ("conjectures", 300)])
+    def test_no_check_takes_the_dual_nome(self, suite, digits, monkeypatch):
+        # every identity compares two independent routes only while no sum
+        # is taken at the dual nome; count the decisions that would take it
+        from qalg import modular, qengine
+        taken = []
+        decide = qengine._dual
+
+        def counting(nome, s):
+            if decide(nome, s):
+                taken.append((nome.r, s))
+            return decide(nome, s)
+
+        monkeypatch.setattr(qengine, "_dual", counting)
+        monkeypatch.setattr(modular, "_dual", counting)
+        reports = harness.run_suite(suite, digits)
+        assert taken == []
+        assert harness.summarize(reports)["fail"] == 0
+
 
 class TestEmit:
     def test_empty_summary(self):

@@ -35,7 +35,7 @@ from qalg import (
 )
 from qalg.elliptic import ellint_K, singular_modulus, theta_powersum_closed
 from qalg import qengine
-from qalg.modular import rrcf
+from qalg.modular import rrcf, sextic_theta
 from qalg.moebius import (JacobiCharacter, PeriodicCoeffs, eta_qdlog, lambert_series,
                           theta_qdlog)
 from qalg.precision import exact, to_mpf
@@ -282,6 +282,17 @@ class TestTriangularSeries:
         with mp.workdps(130):
             assert abs(value - ref) < abs(ref) * mp.mpf(10) ** -40
 
+    def test_small_r_in_bounded_time(self):
+        # 1364 digits cancel at r = 1e-8; eta(5) on that nome is taken at
+        # the dual nome, so only the two series grow with 1/sqrt(r)
+        r, spec = Fraction(1, 10 ** 8), AgileSpec(1, 5)
+        start = time.monotonic()
+        value = agile_via_triangular(spec, make_nome(r, PrecisionContext(40)))
+        assert time.monotonic() - start < 2
+        ref = agile(spec, make_nome(r, PrecisionContext(60)))
+        with mp.workdps(100):
+            assert abs(value - ref) < abs(ref) * mp.mpf(10) ** -40
+
     def test_base_domain(self):
         with CTX.workdps():
             with pytest.raises(DomainError):
@@ -381,12 +392,13 @@ class TestThetaProductGrid:
 
 class TestTermBudget:
     @pytest.mark.parametrize("walk", [
-        lambda nome: agile(AgileSpec(1, 5), nome),
-        lambda nome: eta_paper(5, nome),
+        lambda nome: qengine._agile_raw(Fraction(1), Fraction(5), nome),
+        lambda nome: qengine._eta(Fraction(5), nome, False),
         lambda nome: agile_via_triangular(AgileSpec(1, 5), nome),
     ], ids=["agile", "eta_paper", "agile_via_triangular"])
     def test_nome_too_close_to_one(self, walk):
-        # r = 10^-14 needs about 7e7 factors per product: refused up front
+        # r = 10^-14 needs about 7e7 factors per direct product: refused up
+        # front (agile and eta_paper take the dual nome there instead)
         nome = make_nome(Fraction(1, 10 ** 14), PrecisionContext(30))
         start = time.monotonic()
         with pytest.raises(ConvergenceError):
@@ -451,12 +463,13 @@ class TestPrecisionStability:
         assert close(lo, hi, 39, dps=100)
 
 
-# every caller of the product kernel: eta_paper, agile_star (both
-# progressions of a two-sided product) and tau_star with a > p, whose
-# leading factors 1 - q^e with e <= 0 stay out of the fixed-point loop
+# every caller of the product kernel: eta_paper, agile (both progressions
+# of a two-sided product) and tau_star with a > p, whose leading factors
+# 1 - q^e with e <= 0 stay out of the fixed-point loop; eta_paper and agile
+# through their direct kernels, which the public calls leave below R0
 PRODUCTS = (
-    [lambda nome, m=m: eta_paper(m, nome) for m in (1, Fraction(1, 2), 10)]
-    + [lambda nome, s=s: agile_star(AgileSpec(*s), nome)
+    [lambda nome, m=m: qengine._eta(Fraction(m), nome, False) for m in (1, Fraction(1, 2), 10)]
+    + [lambda nome, s=s: qengine._agile_raw(*map(Fraction, s), nome)
        for s in ((1, 5), (Fraction(1, 2), 4), (5, 12))]
     + [lambda nome, s=s: tau_star(*s, nome)
        for s in ((7, 5), (13, 5), (Fraction(9, 2), 2))])
@@ -480,9 +493,10 @@ class TestFixedPointProduct:
     def test_matches_mpf_loop(self, digits, r, monkeypatch):
         ctx = PrecisionContext(digits)
         nome = make_nome(r, ctx)
-        fixed = [walk(nome) for walk in PRODUCTS]
-        monkeypatch.setattr(qengine, "_progression_product", _reference_product)
-        reference = [walk(nome) for walk in PRODUCTS]
+        with ctx.workdps():
+            fixed = [walk(nome) for walk in PRODUCTS]
+            monkeypatch.setattr(qengine, "_progression_product", _reference_product)
+            reference = [walk(nome) for walk in PRODUCTS]
         with mp.workdps(ctx.dps + 10):
             for i, (x, ref) in enumerate(zip(fixed, reference)):
                 assert abs(x - ref) <= abs(ref) * mp.mpf(10) ** (3 - ctx.dps), i
@@ -675,3 +689,84 @@ class TestAlternatingCancellation:
         assert theta_general(ThetaSpec(1, 3), nome) == 0
         with pytest.raises(DomainError):
             theta_qdlog(ThetaSpec(1, 3), nome)
+
+
+# name -> (the public call, its direct kernel, s): the public call takes
+# the dual nome where r < R0 and s r < 1 (qengine._dual)
+DUAL_CASES = {
+    **{f"eta_paper({m})": (lambda n, m=m: eta_paper(m, n),
+                           lambda n, m=m: qengine._eta(Fraction(m), n, False),
+                           Fraction(m) ** 2 / 4)
+       for m in (1, Fraction(1, 2), 2, 5)},
+    **{f"theta({a},{b})": (lambda n, a=a, b=b: theta_general(ThetaSpec(a, b), n),
+                           lambda n, a=a, b=b: qengine._theta(a, b, n, False),
+                           4 * a * a)
+       for a, b in [(Fraction(1), Fraction(0)), (Fraction(5, 2), Fraction(1, 2)),
+                    (Fraction(5, 2), Fraction(3, 2))] + THETA_WIDE},
+    **{f"powersum{m}": (lambda n, m=m: theta_powersum(m, n),
+                        lambda n, m=m: qengine._powersum(m, n, False), 1)
+       for m in (0, 1, 2, 3, -3)},
+    "theta2": (theta2, _with_qpow(Fraction(1, 4), lambda n: qengine._powersum(1, n, False)), 1),
+    **{f"agile({a},{p})": (lambda n, a=a, p=p: agile(AgileSpec(a, p), n),
+                           lambda n, a=a, p=p: qengine._agile_raw(Fraction(a), Fraction(p), n),
+                           Fraction(p) ** 2)
+       for a, p in ((1, 5), (2, 5), (1, 2), (Fraction(1, 3), Fraction(7, 2)))},
+    "agile_star(1,4)": (lambda n: agile_star(AgileSpec(1, 4), n),
+                        _with_qpow(star_exponent(1, 4), lambda n: qengine._agile_raw(
+                            Fraction(1), Fraction(4), n)), 16),
+    # the fraction at 16/r against the direct product route
+    "rrcf(continued_fraction)": (
+        lambda n: rrcf(n, "continued_fraction"),
+        _with_qpow(Fraction(1, 5), lambda n: qengine._agile_raw(Fraction(1), Fraction(5), n)
+                   / qengine._agile_raw(Fraction(2), Fraction(5), n)),
+        Fraction(1, 4)),
+}
+
+
+def _dual_mismatches(digits, r_of):
+    """The DUAL_CASES whose two routes differ by more than eps_check
+    relative, each at r = r_of(s); every public call must take the dual."""
+    ctx = PrecisionContext(digits)
+    off = []
+    for name, (public, direct, s) in DUAL_CASES.items():
+        nome = make_nome(r_of(s), ctx)
+        assert qengine._dual(nome, s), name
+        with ctx.workdps():
+            value, ref = public(nome), direct(nome)
+        with mp.workdps(ctx.dps + 10):
+            if abs(value - ref) > abs(ref) * ctx.eps_check:
+                off.append((name, nome.r, mp.nstr(abs(value / ref - 1), 3)))
+    return off
+
+
+class TestDualNome:
+    """Below R0 the sums are taken at the dual nome; the direct kernels
+    are the reference."""
+
+    @pytest.mark.parametrize("digits", [60, 120, 300])
+    @pytest.mark.parametrize("t", [Fraction(15, 16), Fraction(3, 4), Fraction(1, 2)], ids=str)
+    def test_matches_direct_below_switch(self, digits, t):
+        # a band just below where each sum switches: R0, or 1/s below it
+        assert _dual_mismatches(digits, lambda s: t * min(qengine.R0, 1 / Fraction(s))) == []
+
+    @pytest.mark.parametrize("digits", [60, 120])
+    @pytest.mark.parametrize("r", [Fraction(1, 10 ** 3), Fraction(1, 10 ** 4)], ids=str)
+    def test_direct_kernels_far_below(self, digits, r):
+        # the direct kernels keep their digits where the dual is taken
+        assert _dual_mismatches(digits, lambda s: r) == []
+
+    def test_direct_from_R0(self):
+        nome = make_nome(qengine.R0, CTX)
+        assert not any(qengine._dual(nome, s) for _, _, s in DUAL_CASES.values())
+
+    @pytest.mark.parametrize("e", [4, 8, 12, 14, 20])
+    def test_table_at_small_r(self, e):
+        # theta_3 = r^(-1/4) theta_3(e^(-pi/sqrt r)) by mpmath; the rest
+        # of the small-r table gives positive values
+        nome = make_nome(Fraction(1, 10 ** e), CTX)
+        with mp.workdps(CTX.dps + 20):
+            ref = mp.mpf(10) ** (e / mp.mpf(4)) * mp.jtheta(3, 0, mp.exp(-mp.pi * 10 ** (e / 2)))
+            assert abs(theta3(nome) - ref) <= ref * CTX.eps_check
+        for walk in (lambda n: agile(AgileSpec(1, 5), n), rrcf, theta3,
+                     lambda n: eta_paper(1, n), sextic_theta):
+            assert mp.isfinite(walk(nome)) and walk(nome) > 0

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -14,6 +15,7 @@ from qalg import (
     InsufficientPrecision,
     IntegerPolynomial,
     PrecisionContext,
+    QalgError,
     SingularError,
     lattice_reduce,
     recognize,
@@ -405,6 +407,36 @@ class TestExpressions:
             assert rec.status == "recognized"
             polys.append(rec.poly.coefficients)
         assert polys[0] == polys[1]
+
+
+# every quantity that reads r, with its second route where it has one
+SMALL_R_CALLS = [(name, {"a": "5/2", "b": "1/2"} if name == "theta" else
+                  {k: v for k, v in {"a": "1", "p": "5", "n": "2"}.items() if k in q.params})
+                 for name, q in QUANTITIES.items() if "r" in q.params]
+SMALL_R_CALLS += [("rrcf", {"method": "continued_fraction"}), ("j", {"via": "eta"})]
+
+
+class TestSmallR:
+    """As r -> 0, every quantity returns a value or a typed refusal in
+    bounded time; where both routes of rrcf give a value they agree."""
+
+    @pytest.mark.parametrize("digits", [30, 60, 120])
+    @pytest.mark.parametrize("e", [6, 10, 14, 20])
+    def test_value_or_refusal_within_bound(self, e, digits):
+        ctx = PrecisionContext(digits)
+        values = {}
+        for name, params in SMALL_R_CALLS:
+            start = time.monotonic()
+            try:
+                value = QUANTITIES[name].evaluate(dict(params, r=f"1/{10 ** e}"), ctx)
+                assert mp.isfinite(value), (name, params)
+                values[name, params.get("method")] = value
+            except QalgError:
+                pass
+            assert time.monotonic() - start < 2, (name, params)
+        product, fraction = values["rrcf", None], values["rrcf", "continued_fraction"]
+        with mp.workdps(ctx.dps + 10):
+            assert abs(product - fraction) <= product * ctx.eps_check
 
 
 class TestProbe:
