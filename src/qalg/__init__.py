@@ -43,7 +43,6 @@ from .elliptic import (
     multiplier,
     singular_modulus,
 )
-from .hpcore import integrate
 from .moebius import (
     JacobiCharacter,
     PeriodicCoeffs,

@@ -1,209 +1,192 @@
-"""Adaptive tanh-sinh quadrature at high precision over finite intervals,
-run on integers scaled by 2^P (fixed point).
+"""The eq40 tail integral by convergent series, run on integers scaled by
+2^P (fixed point).
 
-The rule is mpmath's tanh-sinh (Bailey, "Tanh-sinh high-precision
-quadrature"; Borwein, Bailey & Girgensohn, *Experimentation in
-Mathematics*, 2003, pp. 312-313): at degree m the new abscissas are
-x_k = tanh(pi/2 sinh(t_k)), weights w_k = pi/2 cosh(t_k)/cosh(pi/2
-sinh(t_k))^2, t_k = t_0 + k h with t_0 = 2^-m.  Nodes, integrand values
-and level sums are Python integers scaled by 2^P; only the level results
-are turned into ``mpmath.mpf``, for mpmath's error estimate and for the
-value returned, good to ``ctx.digits`` digits of the
-:class:`~qalg.precision.PrecisionContext` passed in.  ``split_point``
-predicts, from an integrand's poles and the precision, where cutting an
-interval in two makes each piece stop a degree lower.
+The integrand g(t) = t^(-1/6) Q(t)^(-1/2), Q = t^2 + 22t + 125, is
+D-finite: 6 t Q g' = -(7t^2 + 88t + 125) g.  Its expansions about
+infinity, about 0 and about a point c > 0 therefore have coefficients
+that follow linear recurrences with polynomial coefficients, and the
+integral over any piece of the positive axis is a convergent series of
+them (van der Hoeven, "Fast evaluation of holonomic functions", TCS
+1999).  Each series runs its recurrence for a term count fixed in advance
+from a closed-form bound on the dropped tail (in the manner of Mezzarobba
+& Salvy, "Effective bounds for P-recursive sequences", JSC 2010), on
+integers scaled by 2^P, every product cut to the width of the term it
+multiplies (the tapered rule of qalg.qengine, ``_mul``).  Only the
+prefactors and the final sums are ``mpmath.mpf``.  There are no nodes and
+no tables: nothing is computed when the module loads.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from fractions import Fraction
-from functools import lru_cache
-from typing import Callable
 
 import mpmath as mp
-from mpmath.libmp.libelefun import exp_fixed, pi_fixed
 
-from .errors import ConvergenceError, DomainError
-from .precision import HPReal, PrecisionContext, exact, to_mpf
-
-_MAX_DEGREE = 10
-# Each level makes at most 2 (20 * 2^m + 1) evaluations, so a pass adds
-# fewer than 80 * 2^10 products, each truncated by at most an ulp or two.
-_NODE_BITS = (80 << _MAX_DEGREE).bit_length()
-_GUARD = 20 + _NODE_BITS
+from .errors import DomainError
+from .precision import HPReal, PrecisionContext
 
 
-def _tol_digits(ctx: PrecisionContext) -> int:
-    """integrate's tolerance is 10**-_tol_digits(ctx)."""
-    return ctx.digits - ctx.guard // 2
+def _mul(t: int, X: int, P: int) -> int:
+    """t X 2^-P for X scaled by 2^P, X first cut to the L = bitlength(t)
+    bits the product still needs: (X >> (P - L)) t >> L.  At most 2 units
+    off: the cut moves the product by less than |t| 2^-L <= 1 unit and the
+    final shift by less than 1."""
+    L = t.bit_length()
+    return t * X >> P if L >= P else t * (X >> P - L) >> L
 
 
-@lru_cache(maxsize=64)
-def _nodes(degree: int, P: int) -> tuple:
-    """The new nodes of tanh-sinh degree `degree` on [-1, 1], as pairs
-    (x, w) with x >= 0 standing for both +x and -x (the centre x = 0, at
-    degree 1 only, once), x and w scaled by 2^P.
+def _guard(N: int) -> int:
+    """Guard bits for a fixed-point sum of N terms (see _legendre_sum)."""
+    return 2 * N.bit_length() + 12
 
-    As mpmath's ``calc_nodes``: a = pi/4 e^t and b = pi/4 e^-t advance by
-    one multiplication by e^h and e^-h; then c = exp(a - b) = exp(pi/2
-    sinh t) is the node's only exponential, x = (c - 1/c)/(c + 1/c) and
-    w = 4 (a + b)/(c + 1/c)^2.  The list stops at 1 - x <= 2^-(P - _GUARD
-    + 10), i.e. 2^-(prec + 10) for the working precision prec.
 
-    The exponential is tapered: x = 1 - 2/(c^2 + 1) and w ~ 4 (a + b)/c^2
-    move by about 4 eps/c^2 and 8 (a + b) eps/c^2 for a relative error eps
-    in c, so c needs only about P - 2 log2 c bits.  With lc <= log2 c, c
-    is taken at P - cut bits, cut = 2 (lc - bitlength(lc)) - 8: the margin
-    covers a + b ~ ln c and the argument reduction by n ln 2, n ~ log2 c,
-    of ``exp_fixed``.  Near the centre cut <= 0 and c is taken at full
-    width.  Against full-width nodes, degrees 1-8 at 120 and 300 digits
-    and 1-10 at 1000 keep the same counts, x is unchanged and w is at most
-    one unit of 2^-P off.  Degrees 1-8 build in about 110 against 140 ms
-    at 300 digits, and 1-10 in 3.8 against 4.7 s at 1000 (2-core Xeon,
-    pure-Python mpmath, medians of alternating runs).
+def _legendre_terms(rho, P: int) -> int:
+    """The least N >= 1 with 6 rho^N / (1 - rho) <= 2^-P, for 0 < rho <=
+    1/2: a count at which _legendre_sum's dropped tail, at most 6 rho^N /
+    ((6N + e)(1 - rho)), is below 2^-P."""
+    with mp.workprec(53):
+        lam = -float(mp.log(rho, 2))
+        slack = math.log2(6 / (1 - float(rho)))
+    return max(1, math.ceil((P + slack) / lam))
+
+
+def _legendre_sum(U: int, e: int, N: int, P: int) -> int:
+    """sum_{n<N} c_n 6/(6n + e), scaled by 2^P, for U = u 2^P, u > 0.
+
+    c_n = P_n(x) (A u)^n with A = sqrt(125), x = -11/A and P_n the Legendre
+    polynomials: by their generating function (DLMF 18.12.11),
+    (1 + 22 u + 125 u^2)^(-1/2) = sum c_n, and by their recurrence (DLMF
+    18.9.1) (n+1) c_(n+1) = -11 (2n+1) u c_n - 125 n u^2 c_(n-1), c_0 = 1,
+    on integer coefficients.  Integrating g term by term gives
+      int_T^inf g  = T^(-1/6) sum c_n 6/(6n+1),  u = 1/T   (e = 1),
+      int_0^s g    = s^(5/6)/A sum c_n 6/(6n+5), u = s/125 (e = 5),
+    for T > A and s < A.  Since |x| < 1, |P_n(x)| <= 1, so with rho = A u
+    < 1 the terms from N on sum to at most 6 rho^N/((6N + e)(1 - rho)).
+
+    Rounding: a step forms the two products at the width of c_n and
+    c_(n-1) (_mul, each at most 2 units off after the integer factor is
+    taken in), then divides by n + 1, so it adds at most 3 units; the
+    weighted term adds 1 more.  The two solutions of the recurrence,
+    rho^n P_n(x) and rho^n Q_n(x), are both O(rho^n) for |x| < 1, so an
+    error carried from step k shrinks like rho^(n-k) up to a factor
+    polynomial in n (the Casoratian P_n Q_(n-1) - P_(n-1) Q_n is 1/n);
+    _guard(N) bits cover it.  A
+    pair of zero terms ends the sum early: every later term is zero too.
     """
-    one, one2 = 1 << P, 1 << 2 * P
-    pi4 = pi_fixed(P) >> 2
-    t0 = 1 << (P - degree)
-    et0 = exp_fixed(t0, P)
-    a, b = pi4 * et0 >> P, (pi4 << P) // et0
-    step = exp_fixed(t0 if degree == 1 else 2 * t0, P)
-    back = one2 // step
-    tol = 1 << (_GUARD - 10)
-    nodes = [(0, 2 * pi4)] if degree == 1 else []
-    for _ in range(20 * 2 ** degree + 1):
-        # 369/256 < 1/ln 2, so lc <= log2 c; c keeps at least _GUARD bits,
-        # enough for the node at which the list stops
-        lc = (a - b) * 369 >> (P + 8)
-        cut = min(2 * (lc - lc.bit_length()) - 8, P - _GUARD)
-        if cut > 0:
-            c = exp_fixed((a - b) >> cut, P - cut) << cut
-        else:
-            c = exp_fixed(a - b, P)
-        d = one2 // c
-        s = c + d
-        x = ((c - d) << P) // s
-        if one - x <= tol:
+    U2 = U * U >> P
+    prev, c = 0, 1 << P
+    total = 0
+    for n in range(N):
+        total += 6 * c // (6 * n + e)
+        prev, c = c, (_mul(-11 * (2 * n + 1) * c, U, P) + _mul(-125 * n * prev, U2, P)) // (n + 1)
+        if not (c or prev):
             break
-        nodes.append((x, ((a + b) << (2 * P + 2)) // (s * s)))
-        a, b = a * step >> P, b * back >> P
-    return tuple(nodes)
+    return total
 
 
-def integrate(f: Callable[[int, int], int], lo, hi, ctx: PrecisionContext) -> HPReal:
-    """Adaptive (tanh-sinh) quadrature of ``f`` over the finite interval
-    [lo, hi].
+def _taylor_terms(c, h, P: int) -> int:
+    """The least N >= 2 rho/(1 - rho), rho = h/c <= 3/5, with 2 e
+    sqrt(Q(c)) rho^N / (11 (1 - rho)) <= 2^-P: that exceeds _taylor_sum's
+    bound on its dropped tail, which is then below 2^-P."""
+    with mp.workprec(53):
+        rho = float(h / c)
+        q = float(c * c + 22 * c + 125)
+        lam = -math.log2(rho)
+    slack = math.log2(2 * math.e * math.sqrt(q) / (11 * (1 - rho)))
+    return max(math.ceil(2 * rho / (1 - rho)), math.ceil((P + slack) / lam))
 
-    ``f(x, prec)`` is fixed point: it takes x as the integer x 2^prec and
-    returns f(x) 2^prec, rounded, likewise as an int.  Both limits must be
-    exact finite numbers (see precision.exact) with lo <= hi, else
-    DomainError is raised.
 
-    One pass raises the degree from 1 up to at most 10.  Level m keeps
-    the sum of the level before: I_m = I_{m-1}/2 + 2^-m sum w f(x) over
-    its new nodes, summed exactly and truncated once.  The pass stops at
-    the first degree whose error estimate (mpmath's ``estimate_error``,
-    the Borwein-Bailey-Girgensohn extrapolation, on the level results in
-    mpf) is at most 10**-(digits - guard/2); if degree 10 misses it,
-    ConvergenceError is raised.
+def _taylor_sum(c: HPReal, h: HPReal, N: int, P: int) -> int:
+    """sum_{n<N, n even} e_n/(n + 1), scaled by 2^P, where e_n = g_n h^n /
+    g(c) and g_n are the Taylor coefficients of g at c > 0, 0 < h < c:
+    int_(c-h)^(c+h) g = 2 h g(c) times this sum (the odd terms cancel).
 
-    P is the working precision prec of ctx.dps + 10 digits plus 20 bits
-    (the extra bits mpmath's node builder takes) plus the bits of a bound
-    on the number of terms a pass can sum, whose truncations add up; the
-    nodes stop at 1 - x <= 2^-(prec + 10), as mpmath's do, and are kept
-    in an lru_cache on (degree, P).
+    With t = c + h', 6 t Q = sum p_k h'^k and 7t^2 + 88t + 125 = sum q_k
+    h'^k, the differential equation gives the four-term recurrence
+      p_0 (n+1) e_(n+1) = -[(p_1 n + q_0) h e_n + (p_2 (n-1) + q_1) h^2 e_(n-1)
+                            + (p_3 (n-2) + q_2) h^3 e_(n-2)],
+    e_0 = 1; its six constants p_k h^k/p_0 and q_k h^(k+1)/p_0 are taken
+    once in fixed point.
+
+    Bound: g is analytic on the disc |t - c| < c (the zeros of Q lie
+    further than c + 11 from c), so on the circle |t - c| = R < c, |Q| >=
+    11^2 and |g| <= (c - R)^(-1/6)/11 (a Cauchy estimate).  With R = c
+    N/(N+1) and rho = h/c this gives |e_n| <= (N+1)^(1/6) sqrt(Q(c))/11
+    (rho (N+1)/N)^n, and the terms from N on sum to at most
+    e sqrt(Q(c)) rho^N / (11 (N+1)^(5/6) (1 - rho (N+1)/N)); for N >= 2
+    rho/(1 - rho) the last factor is at least (1 - rho)/2.
+
+    Rounding as in _legendre_sum: a step adds at most 7 units, and the
+    Taylor coefficients are the recurrence's dominant solution (the
+    nearest singular point, t = 0, is the closest to c), so carried errors
+    do not grow faster than the terms; _guard(N) bits cover them.
     """
-    lo, hi = exact(lo), exact(hi)
-    if hi < lo:
-        raise DomainError("hi < lo")
-    if hi == lo:
-        return mp.mpf(0)
-    tol_digits = _tol_digits(ctx)
-    with mp.workdps(ctx.dps + 10):
-        tol = mp.mpf(10) ** (-tol_digits)
-        prec = mp.mp.prec
-        P = prec + _GUARD
-        # x in [-1, 1] maps to (lo + hi)/2 + x (hi - lo)/2
-        a, b = ((v.numerator << P) // v.denominator for v in (lo, hi))
-        both, width = a + b, b - a
-        half_width = to_mpf((hi - lo) / 2)
-        level, results, err = 0, [], mp.mpf(0)
-        with mp.extraprec(20):
-            for degree in range(1, _MAX_DEGREE + 1):
-                total = 0
-                for x, w in _nodes(degree, P):
-                    if x:
-                        u = width * x >> P
-                        total += w * (f((both + u) >> 1, P) + f((both - u) >> 1, P))
-                    else:
-                        total += w * f(both >> 1, P)
-                level = (level >> 1) + (total >> (P + degree))
-                results.append(mp.ldexp(level, -P) * half_width)
-                if degree > 1:
-                    err = mp.mp._tanh_sinh.estimate_error(results, prec, tol)
-                    if err <= tol:
-                        break
-        if err > tol:
-            raise ConvergenceError(
-                f"quadrature error estimate {mp.nstr(err, 5)} exceeds tolerance {mp.nstr(tol, 5)}"
-            )
+    with mp.workprec(P + 20):
+        c, h = mp.mpf(c), mp.mpf(h)
+        p0 = 6 * c * (c * c + 22 * c + 125)
+        consts = [6 * (3 * c * c + 44 * c + 125) * h, (7 * c * c + 88 * c + 125) * h,
+                  6 * (3 * c + 22) * h ** 2, (14 * c + 88) * h ** 2,
+                  6 * h ** 3, 7 * h ** 3]
+        A1, B0, A2, B1, A3, B2 = (int(mp.ldexp(k / p0, P)) for k in consts)
+    e2 = e1 = 0
+    e0 = 1 << P
+    total = 0
+    for n in range(N):
+        if not n & 1:
+            total += e0 // (n + 1)
+        s = _mul(e0, n * A1 + B0, P) + _mul(e1, (n - 1) * A2 + B1, P) + _mul(e2, (n - 2) * A3 + B2, P)
+        e2, e1, e0 = e1, e0, -s // (n + 1)
+        if not (e0 or e1 or e2):
+            break
+    return total
+
+
+def tail_integral(theta, ctx: PrecisionContext) -> HPReal:
+    """int_theta^inf t^(-1/6) (t^2 + 22t + 125)^(-1/2) dt for theta > 0,
+    with A = sqrt(125):
+
+      theta >= 2A:        the expansion about infinity (_legendre_sum,
+                          e = 1) at T = theta, rho = A/theta <= 1/2;
+      A/2 <= theta < 2A:  the Taylor piece over [theta, T], T = 2 max(theta,
+                          A), about its midpoint (_taylor_sum, rho = (T -
+                          theta)/(T + theta) <= 3/5), plus the expansion
+                          about infinity at T (rho <= 1/2);
+      theta < A/2:        int_0^(A/2) - int_0^theta by the expansion about 0
+                          (_legendre_sum, e = 5, rho <= 1/2), plus the case
+                          above at A/2.
+
+    Each sum takes the term count that puts its dropped tail below
+    2^-(prec + 20), prec the working precision of ctx in bits, and runs at
+    P = prec + _guard(N) bits, so it is good to about 2^-prec against its
+    leading term 1.  Only the integrand is expanded: no beta function and
+    no Theorem 3.
+    """
     with ctx.workdps():
-        return +results[-1]
+        theta = mp.mpf(theta)
+        if not theta > 0:
+            raise DomainError(f"theta must be positive, got {theta}")
+        prec = mp.mp.prec
+        A = mp.sqrt(125)
 
+        def legendre(u, e):
+            N = _legendre_terms(A * u, prec + 20)
+            P = prec + _guard(N)
+            return mp.ldexp(_legendre_sum(int(mp.ldexp(u, P)), e, N, P), -P)
 
-def _depth(poles, lo: float, hi: float) -> float:
-    """The least |Im t| of the poles' principal images in the variable t
-    of the rule over [lo, hi]: x = tanh(pi/2 sinh t), x being [lo, hi]
-    mapped onto [-1, 1]."""
-    return min(abs(cmath.asinh(2 / math.pi * cmath.atanh((2 * z - lo - hi) / (hi - lo))).imag)
-               for z in poles)
+        def head(s):
+            return mp.cbrt(mp.sqrt(s)) ** 5 / A * legendre(s / 125, 5)
 
+        def tail(T):
+            return legendre(1 / T, 1) / mp.cbrt(mp.sqrt(T))
 
-def _stop_degree(depth: float, ctx: PrecisionContext) -> int:
-    """The degree at which integrate's pass is expected to stop on an
-    integrand whose nearest pole lies at `depth` (see _depth).
-
-    The rule's error at degree m (step 2^-m) falls as exp(-2 pi d 2^m)
-    (Bailey, Jeyabalan & Li, "A comparison of three high-precision
-    quadrature schemes", 2005), and the error estimate at degree m is
-    about the error there, so the pass stops at the least m with
-    2 pi d 2^m >= ln(10) tol_digits.  Below degree 4 the pass can stop a
-    degree later than that, its first estimates resting on two or three
-    levels, so a prediction below 4 counts as 4.
-    """
-    need = _tol_digits(ctx) * math.log(10) / (2 * math.pi * depth)
-    return max(4, math.ceil(math.log2(need)))
-
-
-def split_point(poles, lo, hi, ctx: PrecisionContext):
-    """A point s that cuts [lo, hi] into two pieces over which integrate
-    is expected to stop one degree or more below its degree over
-    [lo, hi], or None where no cut is expected to do so.  `poles` are the
-    integrand's singular points nearest the interval, one of each
-    conjugate pair, as Python complex numbers off the real axis.
-
-    Two pieces a degree lower make about as many integrand calls as one
-    pass over [lo, hi] and spare that degree's nodes; a cut that does not
-    lower the degree doubles the calls.  s is where the nearest poles of
-    the two pieces lie equally deep (_depth), found by a float bisection
-    and rounded to 1/64 of [lo, hi]; _stop_degree says whether the pieces
-    stop lower.  On the eq40 integrand (modular.theorem3_check) at r = 1/5,
-    1/2 and 1, at 17 precisions from 30 to 1000 digits, every cut taken
-    lowered the measured degree, and two cuts that would have lowered it
-    were not taken (r = 1/2 at 80 digits, r = 1 at 30).
-    """
-    lo, hi = exact(lo), exact(hi)
-    flo, fhi = float(lo), float(hi)
-    a, b = flo, fhi
-    for _ in range(10):
-        mid = (a + b) / 2
-        a, b = (mid, b) if _depth(poles, flo, mid) > _depth(poles, mid, fhi) else (a, mid)
-    s = lo + (hi - lo) * Fraction(round(64 * (mid - flo) / (fhi - flo)), 64)
-    if not lo < s < hi:
-        return None
-    whole = _stop_degree(_depth(poles, flo, fhi), ctx)
-    left = _stop_degree(_depth(poles, flo, float(s)), ctx)
-    right = _stop_degree(_depth(poles, float(s), fhi), ctx)
-    return s if max(left, right) < whole else None
+        if theta >= 2 * A:
+            return +tail(theta)
+        if 2 * theta < A:
+            s = A / 2
+            return +(head(s) - head(theta) + tail_integral(s, ctx))
+        T = 2 * max(theta, A)
+        c, h = (T + theta) / 2, (T - theta) / 2
+        N = _taylor_terms(c, h, prec + 20)
+        P = prec + _guard(N)
+        gc = 1 / (mp.cbrt(mp.sqrt(c)) * mp.sqrt(c * c + 22 * c + 125))
+        return +(2 * h * gc * mp.ldexp(_taylor_sum(c, h, N, P), -P) + tail(T))

@@ -6,17 +6,15 @@ function of the singular modulus.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
 
 from .errors import BranchError, ConvergenceError, DomainError, SingularError
-from .hpcore import integrate, split_point
+from .hpcore import _mul, tail_integral
 from .precision import HPReal, PrecisionContext, exact, to_mpf
 from .qengine import (
     AgileSpec,
@@ -262,7 +260,7 @@ def _beta_series(x: Fraction, p: Fraction, q: Fraction) -> HPReal:
     and t_(n+1)/t_n = x (n + a)(n + b)/((n + c)(n + 1)) with a, b, c
     rational, so the 2F1 is summed on integers scaled by 2^P: each step
     multiplies by the exact rational factor and then by x, tapered to the
-    width of the term (as in qalg.qengine), at most 3 ulps off.  A term
+    width of the term (hpcore._mul), at most 3 ulps off.  A term
     carries a relative error of at most 3n ulps while terms exceed 1, and
     an absolute one of 3n ulps after that; the sum is at least 1, so 2
     log2 N + 8 guard bits cover N terms.  The sum stops at the first zero
@@ -296,9 +294,7 @@ def _beta_series(x: Fraction, p: Fraction, q: Fraction) -> HPReal:
             raise ConvergenceError(
                 f"the beta series at x = {x}, q = {q} did not fall below 2^-{P} "
                 f"in {budget} terms")
-        t = t * ((n * D + A) * (n * D + B)) // ((n * D + C) * (n + 1) * D)
-        L = t.bit_length()
-        t = t * X >> P if L >= P else t * (X >> P - L) >> L
+        t = _mul(t * ((n * D + A) * (n * D + B)) // ((n * D + C) * (n + 1) * D), X, P)
         total += t
         n += 1
     # (1 - x)^q = exp(q ln(1 - x)) scales ln's rounding error by q
@@ -310,10 +306,31 @@ def _beta_series(x: Fraction, p: Fraction, q: Fraction) -> HPReal:
 
 @lru_cache(maxsize=64)
 def _complete_beta(p: Fraction, q: Fraction, dps: int) -> HPReal:
-    """B(p, q) = B(1/2; p, q) + B(1/2; q, p) at dps digits."""
-    with mp.workdps(dps):
+    """B(p, q) at dps digits.  With p0 and q0 the parts of p and q in (0, 1],
+    B(p0, q0) = B(1/2; p0, q0) + B(1/2; q0, p0), two series whose terms
+    shrink from the first; then B(p0, s + 1) = B(p0, s) s/(p0 + s) raises
+    q0 to q, and B(s + 1, q) = B(s, q) s/(s + q) raises p0 to p.  These are
+    ceil(p) + ceil(q) - 2 products by exact rationals, each rounding twice,
+    so their count's bit length plus 4 guard bits cover them; the series at
+    large q, whose terms first grow for about q steps, is never summed.
+    More than _BETA_TERMS products raise ConvergenceError at once."""
+    steps = math.ceil(p) + math.ceil(q) - 2
+    if steps > _BETA_TERMS:
+        raise ConvergenceError(
+            f"B({p}, {q}) needs {steps} products, more than {_BETA_TERMS}")
+    p0, q0 = p - math.ceil(p) + 1, q - math.ceil(q) + 1
+    # the ratios on integers over the common denominator D
+    D = math.lcm(p.denominator, q.denominator)
+    pD, qD, p0D, q0D = (int(v * D) for v in (p, q, p0, q0))
+    with mp.workdps(dps), mp.extraprec(steps.bit_length() + 4):
         half = Fraction(1, 2)
-        return _beta_series(half, p, q) + _beta_series(half, q, p)
+        b = _beta_series(half, p0, q0) + _beta_series(half, q0, p0)
+        for s in range(q0D, qD, D):
+            b = b * s / (p0D + s)
+        for s in range(p0D, pD, D):
+            b = b * s / (s + qD)
+    with mp.workdps(dps):
+        return +b
 
 
 def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
@@ -323,12 +340,13 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
     Up to x = 1/2 this is the integer series of _beta_series, whose terms
     shrink by a factor 3/4 or less a step once n >= 2q; above 1/2 the reflection
     B(p, q) - B(1-x; q, p) (DLMF 8.17.4) takes it back there, with the
-    complete B(p, q) = B(1/2; p, q) + B(1/2; q, p) from the same series,
-    cached per (p, q, dps): mpmath's beta goes through Gamma, whose first
-    call at a new precision costs seconds at 1000 digits.  A series whose
-    term budget (4 ceil(q) + 2P, P about the working precision in bits)
-    exceeds 2^18 raises ConvergenceError at once: q above about 65000 at
-    60 digits.
+    complete B(p, q) from the same series at parameters in (0, 1] and
+    exact ratios (_complete_beta), cached per (p, q, dps): mpmath's beta
+    goes through Gamma, whose first call at a new precision costs seconds
+    at 1000 digits.  At 60 digits B(9/10; 1/2, 20000) takes about 0.13 s.
+    A series whose term budget (4 ceil(q) + 2P, P about the working
+    precision in bits) exceeds 2^18 raises ConvergenceError at once: q
+    above about 65000 at 60 digits.
     """
     p, q, x = Fraction(p), Fraction(q), exact(x)
     if p <= 0 or q <= 0:
@@ -343,66 +361,43 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
         return +(_complete_beta(p, q, ctx.dps) - _beta_series(1 - x, q, p))
 
 
-def _eq40_zeros(theta) -> list:
-    """The zeros of theta^2 + 22 theta w^6 + 125 w^12, one of each
-    conjugate pair, as complex floats.
-
-    They lie at w^6 = theta (-22 +- 4i)/250, so at |w| = (theta /
-    sqrt(125))^(1/6) and arguments (+-phi + 2 pi k)/6, phi = pi - atan(2/11);
-    the nearest to [0, 1] is at phi/6 = 28.3 degrees.  r = 1/5 (theta =
-    sqrt(125)) puts it on the unit circle, r = 1/2 and r = 1 at |w| = 1.39
-    and 1.90.
-    """
-    phi = math.pi - math.atan(2 / 11)
-    rho = float(mp.root(theta / mp.sqrt(125), 6))
-    return [cmath.rect(rho, (phi + 2 * math.pi * k) / 6) for k in range(6)]
-
-
 def theorem3_check(r, ctx: PrecisionContext) -> Residual:
     """The inverse-nome style identity: one fifth of the tail integral
     int_theta^inf dt / (t^(1/6) sqrt(125 + 22t + t^2)) against
     B(k_{4r}^2; 1/6, 2/3) / (5 * 4^(1/3)), theta being the sextic bridge
     value at q = exp(-pi sqrt(r)).
 
-    By t = theta/w^6 the tail is int_0^1 6 theta^(5/6) dw / sqrt(theta^2
-    + 22 theta w^6 + 125 w^12), analytic on [0, 1]: a change of variable,
-    not the identity, so quadrature still stands against the beta series.
-    The integrand is fixed point, as ``integrate`` takes it: w and the
-    value are integers scaled by 2^prec, the three constants 6
-    theta^(5/6), theta^2 and 22 theta are scaled once per prec, w^6 comes
-    from shifts and the square root from math.isqrt.  Where a cut lowers
-    the tanh-sinh degree (hpcore.split_point, from the denominator's zeros
-    and the precision) the interval is cut in two and the two quadratures
-    added; each is within the quadrature tolerance 10^-(digits - guard/2),
-    so the sum is within twice that, still far below the check's
-    eps_check.  Among the registered r, r = 1/5 is cut at 41/64 at 120, 300
-    and 1000 digits (degree 7 -> 6 + 6, 8 -> 7 + 7, 10 -> 9 + 9), r = 1/2
-    at 5/8 at 300 digits (8 -> 7 + 7) and r = 1 at 9/16 at 200 digits
-    (7 -> 6 + 6); at 60 digits none is cut.
+    The lhs is hpcore.tail_integral: convergent series of the integrand,
+    with A = sqrt(125) (the modulus of the zeros of t^2 + 22t + 125) and
+    three regions by theta:
+      theta >= 2A (r = 1/2, 1): the expansion in A/t about infinity
+        (Legendre polynomials), ratio A/theta;
+      A/2 <= theta < 2A (r = 1/5, theta = A): a Taylor piece over
+        [theta, 2 max(theta, A)] about its midpoint, ratio at most 3/5,
+        plus the expansion about infinity from there, ratio 1/2;
+      theta < A/2 (r < 1/5): the expansion in t/A about 0 from theta to
+        A/2, ratio at most 1/2, plus the case above at A/2.
+    Each series stops at the term count N that puts a closed-form bound on
+    its dropped tail below 2^-(prec + 20), prec the working precision in
+    bits: 6 rho^N / ((6N + e)(1 - rho)) for the Legendre series (|P_n| <=
+    1, e = 1 or 5), and e sqrt(Q(c)) rho^N / (11 (N+1)^(5/6) (1 - rho
+    (N+1)/N)) for the Taylor piece about c (a Cauchy estimate on a circle
+    inside the distance c to t = 0).  At 120, 300 and 1000 digits the
+    counts are 89, 196 and 614 terms at r = 1 and 174, 386 and 1210 at
+    r = 1/2; r = 1/5 takes 311, 688 and 2156 Taylor terms plus 492, 1090
+    and 3416 terms about infinity.  Summed on integers with guard bits for
+    their rounding, the lhs is good to the working precision: the two
+    sides differ by at most 2e-141, 1e-321 and 2e-1021 at these r.
 
-    The beta argument is the *square* of the singular modulus at 4r; the
-    unsquared argument fails by O(0.1).
+    The two sides stay independent: the lhs expands only the algebraic
+    integrand, the rhs is the 2F1 series of the incomplete beta in
+    k_{4r}^2; neither uses Theorem 3.  The beta argument is the *square*
+    of the singular modulus at 4r; the unsquared argument fails by O(0.1).
     """
     r = exact(r)
     with ctx.workdps():
         nome = make_nome(r, ctx)
-        th = sextic_theta(nome)
-        consts = (6 * th ** (mp.mpf(5) / 6), th * th, 22 * th)
-
-        @lru_cache(maxsize=1)
-        def scaled(prec):
-            return [int(to_fixed(v._mpf_, prec)) for v in consts]
-
-        def f(w, prec):
-            c, th2, b = scaled(prec)
-            w2 = w * w >> prec
-            w6 = w2 * w2 * w2 >> 2 * prec
-            den = th2 + ((b + 125 * w6) * w6 >> prec)
-            return (c << prec) // math.isqrt(den << prec)
-
-        s = split_point(_eq40_zeros(th), 0, 1, ctx)
-        pieces = (0, 1) if s is None else (0, s, 1)
-        lhs = sum(integrate(f, lo, hi, ctx) for lo, hi in zip(pieces, pieces[1:])) / 5
+        lhs = tail_integral(sextic_theta(nome), ctx) / 5
         k4r = singular_modulus(4 * r, ctx)
         rhs = incomplete_beta(k4r * k4r, Fraction(1, 6), Fraction(2, 3), ctx) \
             / (5 * mp.cbrt(mp.mpf(4)))

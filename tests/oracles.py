@@ -6,8 +6,8 @@ hypergeometric series, the beta value from a split binomial series,
 integrals from composite midpoint rules, series log/exp from their
 textbook recurrences, the q-product, q-sum and AGM kernels from plain
 mpf loops (the q-series loops over the same terms, counts and powers of
-q as the library, summed in mpf instead of fixed point), the fixed-point
-quadrature from mpmath's tanh-sinh in mpf, and the divisor sieve of the
+q as the library, summed in mpf instead of fixed point), the eq40 tail
+integral from mp.quad on its integrand, and the divisor sieve of the
 Moebius inversion from the Moebius-function formula.
 Values are computed fresh so the tests never assert against numbers
 produced by the library itself.
@@ -226,26 +226,19 @@ def mpf_agm_KE(k, kp):
         return K, K * (1 - csum4 / 4), iters
 
 
-def mpf_tanh_sinh(f, lo, hi, dps: int, tol_digits: int):
-    """(value, integrand evaluations) of mpmath's tanh-sinh rule on
-    [lo, hi] in mpf: one ``TanhSinh.summation`` pass of ``mp.mp``'s rule
-    (the instance and node cache ``mp.quad`` uses) over degrees 1..10
-    under 20 extra bits, at dps + 10 digits, stopping at an error
-    estimate of 10^-tol_digits.  The reference for the fixed-point
-    quadrature; f takes and returns mpf."""
-    calls = []
-
-    def counted(x):
-        calls.append(x)
-        return f(x)
-
+def quad_tail_integral(theta, dps: int) -> mp.mpf:
+    """int_theta^inf t^(-1/6) (t^2 + 22t + 125)^(-1/2) dt by mp.quad at
+    dps + 10 digits: the integrand as written, at t = theta/w^6 for w in
+    (0, 1] (dt = 6 theta w^-7 dw), where it is bounded, cut at the w of
+    t = sqrt(125) when that lies inside.  The reference for
+    hpcore.tail_integral; it shares no code with it or with the beta
+    series."""
     with mp.workdps(dps + 10):
-        tol = mp.mpf(10) ** (-tol_digits)
-        prec = mp.mp.prec
-        with mp.extraprec(20):
-            val, _ = mp.mp._tanh_sinh.summation(
-                counted, [mp.mpf(lo), mp.mpf(hi)], prec, tol, 10)
-        return +val, len(calls)
+        theta = mp.mpf(theta)
+        f = lambda t: 1 / (mp.root(t, 6) * mp.sqrt(t * t + 22 * t + 125))
+        cut = mp.root(theta / mp.sqrt(125), 6)
+        return mp.quad(lambda w: f(theta / w ** 6) * 6 * theta / w ** 7,
+                       [0, cut, 1] if cut < 1 else [0, 1])
 
 
 def mpf_beta_series(z, a, b) -> mp.mpf:

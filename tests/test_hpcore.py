@@ -1,251 +1,99 @@
-"""Precision context and quadrature."""
+"""The eq40 tail integral by convergent series."""
 
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from mpmath.libmp import to_fixed
+from qalg import DomainError, PrecisionContext
+from qalg import hpcore
+from qalg.hpcore import tail_integral
 
-from qalg import ConvergenceError, DomainError, PrecisionContext, integrate
-from qalg import hpcore, modular
-from qalg.precision import exact
-
-from oracles import mpf_tanh_sinh
+from oracles import quad_tail_integral
 
 
-class TestPrecisionContext:
-    def test_dps_is_digits_plus_guard(self):
-        ctx = PrecisionContext(40, guard=12)
-        assert ctx.dps == 52
-
-    def test_default_guard(self):
-        assert PrecisionContext(30).guard == 20
-
-    def test_minimum_digits_enforced(self):
-        with pytest.raises(DomainError):
-            PrecisionContext(29)
-
-    def test_doubled(self):
-        assert PrecisionContext(50).doubled().digits == 100
+def legendre_bound(rho, e, N):
+    """_legendre_sum's stated bound on the terms from N on."""
+    return 6 * rho ** N / ((6 * N + e) * (1 - rho))
 
 
-class TestElementary:
-    def test_pow_rejects_binary_float_via_to_mpf(self):
-        # exactness rule: rationals go in as Fractions, not floats
-        from qalg.precision import to_mpf
-        with pytest.raises(DomainError):
-            to_mpf(0.1)
-
-    @pytest.mark.parametrize("x", [3, Fraction(-7, 3), "22/7"], ids=str)
-    def test_exact_takes_rationals(self, x):
-        assert exact(x) == Fraction(x)
-
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_exact_takes_an_mpf_bit_for_bit(self, sign):
-        with mp.workdps(300):
-            x = sign * mp.pi / 10**40
-            y = sign * mp.mpf(2) ** 200 * 3
-        for v in (x, y):
-            assert mp.sign(exact(v)) == sign
-            with mp.workdps(400):
-                assert mp.mpf(exact(v).numerator) / exact(v).denominator == v
-
-    # the last one is 2^-(2^30): written out exactly, a 128 MB integer
-    @pytest.mark.parametrize("x", [0.5, True, None, mp.nan, -mp.inf, "1.5.1",
-                                   mp.ldexp(1, -(1 << 30))],
-                             ids=["float", "bool", "None", "nan", "-inf", "malformed", "tiny"])
-    def test_exact_refuses(self, x):
-        with pytest.raises(DomainError):
-            exact(x)
+def taylor_bound(c, h, N):
+    """_taylor_sum's stated bound on the terms from N on."""
+    rho = h / c
+    return (mp.e * mp.sqrt(c * c + 22 * c + 125) * rho ** N
+            / (11 * (N + 1) ** (mp.mpf(5) / 6) * (1 - rho * (N + 1) / N)))
 
 
-def as_mpf(f):
-    """An mpf function evaluating the fixed-point integrand f 20 bits
-    above the current working precision."""
-    def g(x):
-        prec = mp.mp.prec + 20
-        return mp.ldexp(f(int(to_fixed(mp.mpf(x)._mpf_, prec)), prec), -prec)
-    return g
+def legendre_case(kind, t):
+    """(terms, run, bound) of the Legendre series about infinity at T = t
+    (e = 1) or about 0 up to s = t (e = 5)."""
+    A = mp.sqrt(125)
+    u, e = (1 / t, 1) if kind == "infinity" else (t / 125, 5)
+    return (lambda P: hpcore._legendre_terms(A * u, P),
+            lambda N, P: hpcore._legendre_sum(int(mp.ldexp(u, P)), e, N, P),
+            lambda N: legendre_bound(A * u, e, N))
 
 
-def as_fixed(g):
-    """A fixed-point integrand from the mpf function g, evaluated 10 bits
-    above the precision it is asked for."""
-    def f(x, prec):
-        with mp.workprec(prec + 10):
-            return int(to_fixed(g(mp.ldexp(x, -prec))._mpf_, prec))
-    return f
+def taylor_case(theta):
+    """(terms, run, bound) of the Taylor piece from theta, as
+    tail_integral takes it for sqrt(125)/2 <= theta < 2 sqrt(125)."""
+    T = 2 * max(theta, mp.sqrt(125))
+    c, h = (T + theta) / 2, (T - theta) / 2
+    return (lambda P: hpcore._taylor_terms(c, h, P),
+            lambda N, P: hpcore._taylor_sum(c, h, N, P),
+            lambda N: taylor_bound(c, h, N))
 
 
-class _Captured(Exception):
-    pass
+class TestDroppedTail:
+    """Each kernel's term count N leaves a dropped tail below the bound its
+    docstring states, and that bound below 2^-P: the same kernel run to 2N
+    terms moves by no more than the bound plus the rounding of N more
+    terms.  The points are the ends of each region of tail_integral and
+    the theta of r = 1/10, 1/5 and 1/2 (in units of sqrt(125))."""
 
-
-def eq40_integrand(r, ctx):
-    """The fixed-point integrand theorem3_check hands to integrate."""
-    seen = {}
-
-    def capture(f, lo, hi, ctx):
-        seen["f"] = f
-        raise _Captured
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(modular, "integrate", capture)
-        with pytest.raises(_Captured):
-            modular.theorem3_check(r, ctx)
-    return seen["f"]
-
-
-class TestIntegrate:
-    def test_constant(self):
-        ctx = PrecisionContext(40)
-        assert abs(integrate(lambda x, prec: 1 << prec, 0, 1, ctx) - 1) < mp.mpf(10) ** -35
-
-    def test_empty_interval(self):
-        ctx = PrecisionContext(30)
-        assert integrate(lambda x, prec: x, 1, 1, ctx) == 0
-
-    def test_infinite_needs_decay(self):
-        ctx = PrecisionContext(30)
-        with pytest.raises(DomainError):
-            integrate(lambda x, prec: (1 << 3 * prec) // (x * x), 1, None, ctx)
-
-    @pytest.mark.parametrize("lo, hi", [(1, 0), (0, mp.inf)], ids=["reversed", "infinite"])
-    def test_reversed_or_infinite_limit(self, lo, hi):
-        ctx = PrecisionContext(30)
-        with pytest.raises(DomainError):
-            integrate(lambda x, prec: x, lo, hi, ctx)
-
-    def test_one_pass_on_eq40_integrand(self, monkeypatch):
-        # at 120 digits r = 1/5 is integrated in two pieces, each to degree
-        # 6: on each piece integrate may evaluate the integrand no more
-        # often than one mp.quad pass up to degree 6 does
-        ctx = PrecisionContext(120)
-        pieces = []
-
-        def spy(f, lo, hi, ctx):
-            calls = []
-            pieces.append((f, lo, hi, calls))
-            return integrate(lambda w, prec: calls.append(w) or f(w, prec), lo, hi, ctx)
-
-        monkeypatch.setattr(modular, "integrate", spy)
-        modular.theorem3_check(Fraction(1, 5), ctx)
-        assert len(pieces) == 2
-        for f, lo, hi, calls in pieces:
-            g, reference = as_mpf(f), []
-            with mp.workdps(ctx.dps + 10):
-                mp.quad(lambda w: reference.append(w) or g(w), [lo, hi], maxdegree=6)
-            assert 0 < len(calls) <= len(reference)
-
-    def test_kink_does_not_converge(self):
-        ctx = PrecisionContext(30)
-        with pytest.raises(ConvergenceError):
-            integrate(lambda x, prec: abs(3 * x - (1 << prec)) // 3, 0, 1, ctx)
-
-
-class TestFixedPointQuadrature:
-    """The fixed-point rule against mpmath's tanh-sinh run in mpf on the
-    same integrand: the same degrees, the same number of integrand
-    evaluations, and values within 10^-(dps-3) relative."""
-
-    @pytest.mark.parametrize("digits, case", [
-        pytest.param(digits, r, id=f"eq40-{digits}-r{r}")
-        for digits in (60, 300, 1000)
-        for r in (Fraction(1, 5), Fraction(1, 2), Fraction(1))
-        if digits < 1000 or r == 1] + [
-        # int_{-1}^{2} e^x dx = e^2 - e^-1 exercises the affine map
-        pytest.param(60, "exp", id="exp-60")])
-    def test_matches_mpf_rule(self, digits, case, monkeypatch):
-        ctx = PrecisionContext(digits)
-        if case == "exp":
-            f, lo, hi = as_fixed(mp.exp), -1, 2
-        else:
-            f, lo, hi = eq40_integrand(case, ctx), 0, 1
-        degrees, calls = [], []
-        nodes = hpcore._nodes
-
-        def spy(degree, P):
-            degrees.append(degree)
-            return nodes(degree, P)
-
-        monkeypatch.setattr(hpcore, "_nodes", spy)
-        value = integrate(lambda x, prec: calls.append(x) or f(x, prec), lo, hi, ctx)
-        ref, evaluations = mpf_tanh_sinh(
-            as_mpf(f), lo, hi, ctx.dps, ctx.digits - ctx.guard // 2)
-        assert degrees == list(range(1, len(degrees) + 1))
-        assert len(calls) == evaluations
-        with mp.workdps(ctx.dps + 10):
-            assert abs(value - ref) <= abs(ref) * mp.mpf(10) ** (3 - ctx.dps)
-            if case == "exp":
-                assert abs(value - (mp.e ** 2 - 1 / mp.e)) < mp.mpf(10) ** -(digits - 5)
-
-    def test_nodes_match_mpf(self):
-        # each node's exponential is tapered; x and w stay within 2^8 units
-        # of 2^-P of tanh(pi/2 sinh t) and pi/2 cosh t/cosh(pi/2 sinh t)^2
-        # (full-width exponentials give 68 and 141 here, from the stepping
-        # of a and b)
-        with mp.workdps(300 + 30):
-            P = mp.mp.prec + hpcore._GUARD
+    @pytest.mark.parametrize("P", [200, 1000, 3400])
+    @pytest.mark.parametrize("kind, x", [
+        ("infinity", 2), ("infinity", Fraction(708, 100)), ("infinity", 47),
+        ("zero", Fraction(1, 2)), ("zero", Fraction(236, 1000)),
+        ("taylor", Fraction(1, 2)), ("taylor", 1), ("taylor", Fraction(19, 10))],
+        ids=lambda v: str(v))
+    def test_twice_the_terms_stay_within_the_bound(self, kind, x, P):
         with mp.workprec(P + 40):
-            for degree in range(1, 8):
-                h = mp.ldexp(1, -degree)
-                for k, (x, w) in enumerate(hpcore._nodes(degree, P)):
-                    t = k * h if degree == 1 else (2 * k + 1) * h
-                    s = mp.pi / 2 * mp.sinh(t)
-                    assert abs(x - mp.ldexp(mp.tanh(s), P)) < 2 ** 8
-                    assert abs(w - mp.ldexp(mp.pi / 2 * mp.cosh(t) / mp.cosh(s) ** 2, P)) < 2 ** 8
+            t = mp.sqrt(125) * Fraction(x).numerator / Fraction(x).denominator
+            terms, run, bound = taylor_case(t) if kind == "taylor" else legendre_case(kind, t)
+            N = terms(P)
+            work = P + hpcore._guard(2 * N)
+            moved = abs(run(2 * N, work) - run(N, work))
+            assert bound(N) <= mp.ldexp(1, -P)
+            assert mp.ldexp(moved, -work) <= bound(N) + mp.ldexp(2 * N, 8 - work)
 
 
-class TestEq40Split:
-    """theorem3_check cuts [0, 1] in two exactly where the two pieces stop
-    one degree below the whole interval."""
+class TestTailIntegral:
+    @pytest.mark.parametrize("theta", [0, -1])
+    def test_refuses_nonpositive(self, theta):
+        with pytest.raises(DomainError):
+            tail_integral(mp.mpf(theta), PrecisionContext(30))
 
-    @staticmethod
-    def degrees_of(run, monkeypatch):
-        """(value, highest degree of each integrate call) of run()."""
-        degrees, nodes = [], hpcore._nodes
-
-        def spy(degree, P):
-            if degree == 1:
-                degrees.append(0)
-            degrees[-1] = degree
-            return nodes(degree, P)
-
-        monkeypatch.setattr(hpcore, "_nodes", spy)
-        value = run()
-        monkeypatch.setattr(hpcore, "_nodes", nodes)
-        return value, degrees
-
-    # s is where the two pieces' nearest zeros lie equally deep; whether
-    # cutting there lowers the degree depends on r and on the precision
-    @pytest.mark.parametrize("r, digits, s, cut", [
-        pytest.param(r, digits, s, cut, id=f"r{r}-{digits}")
-        for r, digits, s, cut in (
-            (Fraction(1, 5), 60, Fraction(41, 64), False),
-            (Fraction(1, 5), 120, Fraction(41, 64), True),
-            (Fraction(1, 5), 200, Fraction(41, 64), False),
-            (Fraction(1, 5), 300, Fraction(41, 64), True),
-            (Fraction(1, 2), 120, Fraction(5, 8), False),
-            (Fraction(1, 2), 300, Fraction(5, 8), True),
-            (Fraction(1), 120, Fraction(9, 16), False),
-            (Fraction(1), 200, Fraction(9, 16), True))])
-    def test_cut_only_where_the_degree_drops(self, r, digits, s, cut, monkeypatch):
-        ctx = PrecisionContext(digits)
-        f = eq40_integrand(r, ctx)
-        whole, (degree,) = self.degrees_of(lambda: integrate(f, 0, 1, ctx), monkeypatch)
-        halves, degrees = self.degrees_of(
-            lambda: [integrate(f, 0, s, ctx), integrate(f, s, 1, ctx)], monkeypatch)
-        assert (degrees == [degree - 1] * 2) == cut
-        assert cut or max(degrees) == degree
-        pieces = []
-
-        def spy(f, lo, hi, ctx):
-            pieces.append((lo, hi))
-            return integrate(f, lo, hi, ctx)
-
-        monkeypatch.setattr(modular, "integrate", spy)
-        modular.theorem3_check(r, ctx)
-        assert pieces == ([(0, s), (s, 1)] if cut else [(0, 1)])
+    # the ends of the three regions, and points just inside the next one
+    @pytest.mark.parametrize("x", ["1/2", "2"])
+    @pytest.mark.parametrize("side", [-1, 0])
+    def test_regions_meet_the_oracle(self, x, side):
+        ctx = PrecisionContext(60)
         with mp.workdps(ctx.dps + 10):
-            assert abs(halves[0] + halves[1] - whole) <= 2 * mp.mpf(10) ** -(ctx.digits - ctx.guard // 2)
+            theta = mp.sqrt(125) * Fraction(x).numerator / Fraction(x).denominator \
+                + side * mp.mpf(2) ** -40
+        val = tail_integral(theta, ctx)
+        ref = quad_tail_integral(theta, ctx.dps)
+        with mp.workdps(ctx.dps + 10):
+            assert abs(val - ref) <= abs(ref) * mp.mpf(10) ** (5 - ctx.dps)
+
+    def test_huge_theta_keeps_relative_precision(self):
+        # theta at r = 10^6 is about e^6283: one or two terms, the value
+        # theta^(-1/6) (6 - 66/(7 theta) + ...)
+        ctx = PrecisionContext(60)
+        with mp.workdps(ctx.dps + 10):
+            theta = mp.exp(6283)
+        val = tail_integral(theta, ctx)
+        with mp.workdps(ctx.dps + 10):
+            ref = theta ** (-mp.mpf(1) / 6) * (6 - mp.mpf(66) / (7 * theta))
+            assert abs(val - ref) <= abs(ref) * mp.mpf(10) ** (5 - ctx.dps)

@@ -32,7 +32,7 @@ from qalg import elliptic, modular
 from qalg.qengine import _term_count
 
 from oracles import (beta_complete_16_23, close, composite_midpoint, half_integral,
-                     mpf_beta_series)
+                     mpf_beta_series, quad_tail_integral)
 
 CTX = PrecisionContext(60)
 CTX120 = PrecisionContext(120)
@@ -309,6 +309,21 @@ class TestIncompleteBeta:
             ref = mpf_beta_series(mp.mpf(x.numerator) / x.denominator, mp.mpf(1) / 2, q)
             assert abs(val - ref) <= abs(ref) * mp.mpf(10) ** (3 - CTX.dps)
 
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(7, 3)], ids=str)
+    def test_reflection_at_large_q_vs_betainc(self, p, monkeypatch):
+        # above x = 1/2 the complete B(p, q) comes from B(p0, q0), p0 and q0
+        # in (0, 1], and exact ratios: its two series (the first two calls)
+        # are not summed at q > 1, where the terms first grow for q steps
+        ctx, x, q = PrecisionContext(100), Fraction(9, 10), 20000
+        modular._complete_beta.cache_clear()
+        qs, series = [], modular._beta_series
+        monkeypatch.setattr(modular, "_beta_series", lambda *a: qs.append(a[2]) or series(*a))
+        val = incomplete_beta(x, p, q, ctx)
+        assert len(qs) == 3 and max(qs[:2]) <= 1
+        with mp.workdps(ctx.dps + 10):
+            ref = mp.betainc(mp.mpf(p.numerator) / p.denominator, q, 0, mp.mpf(x.numerator) / x.denominator)
+            assert abs(val - ref) <= abs(ref) * mp.mpf(10) ** (3 - ctx.dps)
+
     @pytest.mark.parametrize("x, q", [(Fraction(1, 3), 10 ** 9), (Fraction(9, 10), 10 ** 6)])
     def test_large_q_refused_in_time(self, x, q):
         # mpmath's hyp2f1 raises a bare NoConvergence here after seconds;
@@ -350,6 +365,21 @@ class TestIntegralIdentities:
             g = lambda w: f(theta / w ** 6) * 6 * theta / w ** 7
             crude = composite_midpoint(g, 0, 1, 20000)
             assert abs(val - crude) < mp.mpf(10) ** -4
+
+    # theta < sqrt(125)/2 for r < 1/5 (the expansion about 0), theta =
+    # sqrt(125) at r = 1/5 (the Taylor piece) and theta >= 2 sqrt(125)
+    # from r = 1/2 on (the expansion about infinity alone)
+    @pytest.mark.parametrize("digits", [60, 120])
+    @pytest.mark.parametrize("r", ["1/100", "1/20", "1/10", "1/5", "1/2", "1", "5", "20"])
+    def test_tail_integral_vs_quad(self, r, digits):
+        ctx = PrecisionContext(digits)
+        res = theorem3_check(Fraction(r), ctx)
+        with ctx.workdps():
+            theta = sextic_theta(make_nome(Fraction(r), ctx))
+        ref = quad_tail_integral(theta, ctx.dps)
+        with mp.workdps(ctx.dps + 10):
+            assert abs(5 * res.lhs - ref) <= ref * mp.mpf(10) ** (5 - ctx.dps)
+            assert res.diff < ctx.eps_check
 
     @pytest.mark.parametrize("r", [Fraction(1), Fraction(2)])
     def test_beta_derivative(self, r):

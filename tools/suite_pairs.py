@@ -4,7 +4,7 @@ write the runs to a BENCH JSON file.
 Run from a qalg git checkout:
 
     python3 tools/suite_pairs.py PARENT CHANGE --pairs N --out BENCH.json \\
-        --suite S [--digits D]
+        --suite S [--digits D] [--parallelism N|default]
     python3 tools/suite_pairs.py PARENT CHANGE --pairs N --out BENCH.json \\
         --workload W --seed S [--trace 1]
 
@@ -14,15 +14,18 @@ PYTHONDONTWRITEBYTECODE=1 so none are written.  Pair i runs the parent
 first when i is even and the change first when it is odd.
 
 With ``--suite`` a run is ``python3 -m qalg.cli verify --suite S
-[--digits D] --parallelism 1 --json``; its metrics are the process wall
-time (``wall_s``) and the sum of the checks' ``wall_time_ms``
-(``checks_s``), and the summary says whether every run gave the same check
-ids and verdicts.  With ``--workload`` a run is a 30 s ``python3
+[--digits D] --parallelism N --json``, N = 1 unless ``--parallelism``
+gives another; ``--parallelism default`` leaves the flag out, so the run
+takes verify's own default.  Its metrics are the process wall time
+(``wall_s``) and the sum of the checks' ``wall_time_ms`` (``checks_s``),
+and the summary says whether every run gave the same check ids and
+verdicts.  With ``--workload`` a run is a 30 s ``python3
 perfbench/run.py`` run and its result is that run's final JSON line.
 
 The file keeps the schema of the earlier BENCH files: per key (the suite
 and digits, or the workload), ``runs`` holds each side's runs in order
-(pair index, env, result; ``trace_runs`` for ``--trace 1``) and
+(pair index, env, result; ``trace_runs`` for ``--trace 1``; a suite key
+ends in `` --parallelism N`` unless N is 1) and
 ``summary`` each metric's medians, the parent's interquartile range and
 the pairs the change won (lower is better).  An existing ``--out`` file
 is updated: other keys are kept, this key is replaced.
@@ -59,9 +62,17 @@ def parse_args(argv):
     ap.add_argument("--digits", type=int)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--parallelism", default="1",
+                    help="verify's workers for --suite: N, or 'default' for no flag")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.parallelism != "default" and not (args.parallelism.isdigit() and int(args.parallelism) >= 1):
+        ap.error("--parallelism must be a positive integer or 'default'")
+    if args.workload and args.parallelism != "1":
+        ap.error("--parallelism applies to --suite runs only")
+    if args.parallelism != "default":
+        args.parallelism = str(int(args.parallelism))
     return args
 
 
@@ -92,10 +103,12 @@ def environment() -> dict:
 
 def command(args) -> list:
     if args.suite:
-        cmd = ["-m", "qalg.cli", "verify", "--suite", args.suite, "--parallelism", "1", "--json"]
+        cmd = ["-m", "qalg.cli", "verify", "--suite", args.suite]
         if args.digits:
-            cmd[5:5] = ["--digits", str(args.digits)]
-        return cmd
+            cmd += ["--digits", str(args.digits)]
+        if args.parallelism != "default":
+            cmd += ["--parallelism", args.parallelism]
+        return cmd + ["--json"]
     return ["perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
             "--seconds", str(SECONDS), "--trace", str(args.trace)]
 
@@ -145,8 +158,11 @@ def summarize(sides: dict, pairs: int) -> dict:
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     cmd = command(args)
-    key = (f"{args.suite} --digits {args.digits}" if args.digits else args.suite) \
-        if args.suite else args.workload + (" --trace 1" if args.trace else "")
+    if args.suite:
+        key = args.suite + (f" --digits {args.digits}" if args.digits else "") \
+            + (f" --parallelism {args.parallelism}" if args.parallelism != "1" else "")
+    else:
+        key = args.workload + (" --trace 1" if args.trace else "")
     with tempfile.TemporaryDirectory(prefix="suite_pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         shas = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
