@@ -65,13 +65,14 @@ def _legendre_sum(U: int, e: int, N: int, P: int) -> int:
 
     Rounding: a step forms the two products at the width of c_n and
     c_(n-1) (_mul, each at most 2 units off after the integer factor is
-    taken in), then divides by n + 1, so it adds at most 3 units; the
-    weighted term adds 1 more.  The two solutions of the recurrence,
-    rho^n P_n(x) and rho^n Q_n(x), are both O(rho^n) for |x| < 1, so an
-    error carried from step k shrinks like rho^(n-k) up to a factor
-    polynomial in n (the Casoratian P_n Q_(n-1) - P_(n-1) Q_n is 1/n);
-    _guard(N) bits cover it.  A
-    pair of zero terms ends the sum early: every later term is zero too.
+    taken in) and divides by n + 1; with the one unit that U and U2 each
+    carry, scaled by the integer factors (at most 22 and 125, |c| <= 1),
+    a step adds fewer than 2^8 units, and the weighted term 1 more.  The
+    two solutions of the recurrence, rho^n P_n(x) and rho^n Q_n(x), are
+    both O(rho^n) for |x| < 1, so an error carried from step k shrinks
+    like rho^(n-k) up to a factor polynomial in n (the Casoratian P_n
+    Q_(n-1) - P_(n-1) Q_n is 1/n); _guard(N) bits cover it.  A pair of
+    zero terms ends the sum early: every later term is zero too.
     """
     U2 = U * U >> P
     prev, c = 0, 1 << P
@@ -116,10 +117,12 @@ def _taylor_sum(c: HPReal, h: HPReal, N: int, P: int) -> int:
     e sqrt(Q(c)) rho^N / (11 (N+1)^(5/6) (1 - rho (N+1)/N)); for N >= 2
     rho/(1 - rho) the last factor is at least (1 - rho)/2.
 
-    Rounding as in _legendre_sum: a step adds at most 7 units, and the
-    Taylor coefficients are the recurrence's dominant solution (the
-    nearest singular point, t = 0, is the closest to c), so carried errors
-    do not grow faster than the terms; _guard(N) bits cover them.
+    Rounding as in _legendre_sum: the three products are at most 2 units
+    off each, and the unit each constant carries is scaled by n + 1 and
+    |e| and divided by n + 1 again.  The Taylor coefficients are the
+    recurrence's dominant solution (t = 0 is the singular point closest
+    to c), so carried errors do not grow faster than the terms; _guard(N)
+    bits cover them.
     """
     with mp.workprec(P + 20):
         c, h = mp.mpf(c), mp.mpf(h)
