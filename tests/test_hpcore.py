@@ -1,4 +1,4 @@
-"""The eq40 tail integral by convergent series."""
+"""Precision context and the eq40 tail integral by convergent series."""
 
 from fractions import Fraction
 
@@ -8,8 +8,56 @@ import pytest
 from qalg import DomainError, PrecisionContext
 from qalg import hpcore
 from qalg.hpcore import tail_integral
+from qalg.modular import make_nome, sextic_theta
+from qalg.precision import exact
 
 from oracles import quad_tail_integral
+
+
+class TestPrecisionContext:
+    def test_dps_is_digits_plus_guard(self):
+        ctx = PrecisionContext(40, guard=12)
+        assert ctx.dps == 52
+
+    def test_default_guard(self):
+        assert PrecisionContext(30).guard == 20
+
+    def test_minimum_digits_enforced(self):
+        with pytest.raises(DomainError):
+            PrecisionContext(29)
+
+    def test_doubled(self):
+        assert PrecisionContext(50).doubled().digits == 100
+
+
+class TestElementary:
+    def test_pow_rejects_binary_float_via_to_mpf(self):
+        # exactness rule: rationals go in as Fractions, not floats
+        from qalg.precision import to_mpf
+        with pytest.raises(DomainError):
+            to_mpf(0.1)
+
+    @pytest.mark.parametrize("x", [3, Fraction(-7, 3), "22/7"], ids=str)
+    def test_exact_takes_rationals(self, x):
+        assert exact(x) == Fraction(x)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_exact_takes_an_mpf_bit_for_bit(self, sign):
+        with mp.workdps(300):
+            x = sign * mp.pi / 10**40
+            y = sign * mp.mpf(2) ** 200 * 3
+        for v in (x, y):
+            assert mp.sign(exact(v)) == sign
+            with mp.workdps(400):
+                assert mp.mpf(exact(v).numerator) / exact(v).denominator == v
+
+    # the last one is 2^-(2^30): written out exactly, a 128 MB integer
+    @pytest.mark.parametrize("x", [0.5, True, None, mp.nan, -mp.inf, "1.5.1",
+                                   mp.ldexp(1, -(1 << 30))],
+                             ids=["float", "bool", "None", "nan", "-inf", "malformed", "tiny"])
+    def test_exact_refuses(self, x):
+        with pytest.raises(DomainError):
+            exact(x)
 
 
 def legendre_bound(rho, e, N):
@@ -97,3 +145,23 @@ class TestTailIntegral:
         with mp.workdps(ctx.dps + 10):
             ref = theta ** (-mp.mpf(1) / 6) * (6 - mp.mpf(66) / (7 * theta))
             assert abs(val - ref) <= abs(ref) * mp.mpf(10) ** (5 - ctx.dps)
+
+
+class TestFixedPointQuadrature:
+    """The fixed-point lhs of theorem3_check, tail_integral at the sextic
+    theta of r, against mpmath's tanh-sinh rule run in mpf on the
+    integrand as written (oracles.quad_tail_integral): values within
+    10^-(dps-3) relative."""
+
+    @pytest.mark.parametrize("digits, r", [
+        pytest.param(digits, r, id=f"eq40-{digits}-r{r}")
+        for digits in (60, 300)
+        for r in (Fraction(1, 5), Fraction(1, 2), Fraction(1))])
+    def test_matches_mpf_rule(self, digits, r):
+        ctx = PrecisionContext(digits)
+        with ctx.workdps():
+            theta = sextic_theta(make_nome(r, ctx))
+        value = tail_integral(theta, ctx)
+        ref = quad_tail_integral(theta, ctx.dps)
+        with mp.workdps(ctx.dps + 10):
+            assert abs(value - ref) <= abs(ref) * mp.mpf(10) ** (3 - ctx.dps)
