@@ -1,20 +1,25 @@
 """Complete elliptic integrals, singular moduli and the j-invariant.
 
 K and E are computed by the arithmetic-geometric mean, which converges
-quadratically (iteration count ~ log2(digits)); the loop runs in fixed
-point on Python integers, with math.isqrt for the square roots
-(Brent-Zimmermann, Modern Computer Arithmetic, 3-4).  The singular modulus
-k_r is the unique x in (0,1) with K(sqrt(1-x^2))/K(x) = sqrt(r).  It is
-found by Newton on g(x) = K(x')/K(x) - sqrt(r) itself, whose derivative
-Legendre's relation gives in closed form, so a step takes two AGMs, one
-integer square root for x' and no logarithm.  Newton is seeded from a
-30-digit theta quotient theta2^2/theta3^2 and run at precisions doubling
-toward the working precision (Brent-Zimmermann, Modern Computer
-Arithmetic, 4.2), so only the last step and the residual check run at
-full precision.  For r < 1 the solve is for k'_r = k_{1/r}, so the
-unknown always keeps full relative precision.  The theta quotient is only
-a start: the root is that of K'/K, and every value is checked against its
-defining residual before being returned.
+quadratically (iteration count ~ log2(digits)).  The one AGM loop, `_agm`,
+runs in fixed point on Python integers, with math.isqrt for the square
+roots (Brent-Zimmermann, Modern Computer Arithmetic, 3-4); E adds the
+c-sum, which the callers that need only K skip.  The singular modulus k_r
+is the unique x in (0,1) with K(sqrt(1-x^2))/K(x) = sqrt(r).  It is found
+by Newton on g(x) = K(x')/K(x) - sqrt(r) = M(1, x')/M(1, x) - sqrt(r)
+itself, whose derivative Legendre's relation gives in closed form, so a
+step takes two AGMs, one integer square root for x' and no logarithm.
+Newton is seeded from a 30-digit theta quotient theta2^2/theta3^2 and run
+at precisions doubling toward the working precision (Brent-Zimmermann,
+4.2), so only the last step and the residual check run at full
+precision.  Between the seed and the returned pair the solve runs on
+integers scaled by 2^P: the iterate and x', both AGMs, the step and the
+residual, whose rounding error is stated where it is checked.  For r < 1
+the solve is for k'_r = k_{1/r}, so the unknown always keeps full
+relative precision: it is a P-bit mantissa with its own exponent,
+corrected relatively.  The theta quotient is only a start: the root is
+that of K'/K, and every value is checked against its defining residual
+before being returned.
 """
 
 from __future__ import annotations
@@ -24,55 +29,93 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import dps_to_prec, pi_fixed, to_fixed
 
 from .errors import ConvergenceError, DomainError, InsufficientPrecision
 from .precision import HPReal, PrecisionContext, exact, integer, to_mpf
 from .qengine import eta_paper, make_nome, _qpow
 
 
-def _agm_KE(k: HPReal, kp: HPReal):
-    """(K(k), E(k), iterations) from one AGM of (1, k') at the current
-    working precision, 0 <= k < 1, with kp = k' at full relative
-    precision: for K(k'_r) that is k_r itself, which sqrt(1 - k'^2) would
-    leave 2 |log10 k_r| digits short.  E comes from the c-sum
-    E/K = 1 - (k^2/2 + sum_n 2^(n-2) d_n^2), d_n = a_n - b_n.
+def _shift(n: int, e: int) -> int:
+    """n 2^e, rounded toward -inf."""
+    return n << e if e >= 0 else n >> -e
 
-    The loop runs on integers scaled by 2^prec, square roots by
-    math.isqrt.  prec is the working precision wp plus 20 guard bits plus
-    the leading zero bits of b, so a tiny b keeps its relative precision.
-    k_r has about 2.27 sqrt(r) zero bits, so while b/a < 2^-wp the steps
-    run in mpf instead, each halving b's zero bits; E = K(1 - csum/4)
-    then cancels log2 K bits, about the bit length of the zero count,
-    which go into the guard.  Stops a few ulps early (the difference
-    stalls at rounding noise) and takes one extra quadratic step, which
-    lands below working precision.
+
+def _man_exp(x: HPReal) -> tuple[int, int]:
+    """(m, e) with x = m 2^e for a positive mpf x."""
+    _, man, exp, _ = x._mpf_
+    return int(man), exp
+
+
+def _agm(man: int, exp: int, dps: int, k: HPReal | None = None):
+    """The AGM of (1, b), b = man 2^exp in (0, 1], on integers at dps
+    digits: (S, prec, csum4, iterations), with S = a_N + b_N = 2 M(1, b)
+    scaled by 2^prec.  K(k) = pi/S for k = sqrt(1 - b^2).  Given k (an
+    mpf), csum4 is 4 times the c-sum k^2/2 + sum_n 2^(n-2) d_n^2,
+    d_n = a_n - b_n, scaled by 2^prec, so E(k) = K (1 - csum4/4); without
+    it csum4 is None and the loop skips the sum.
+
+    prec is the working precision wp + 20 guard bits plus the leading zero
+    bits of b, so a tiny b keeps its relative precision.  k_r has about
+    2.27 sqrt(r) zero bits, so while b/a < 2^-wp the steps run in mpf
+    instead, each halving b's zero bits; E = K(1 - csum/4) then cancels
+    log2 K bits, about the bit length of the zero count, which go into the
+    guard.  Stops a few ulps early (the difference stalls at rounding
+    noise) and takes one extra quadratic step, which lands below working
+    precision.  Each step floors a and b once, so S is within a few ulps
+    per iteration of 2 M(1, b) 2^prec.
     """
-    wp, zeros = mp.mp.prec, -mp.mag(kp)
-    prec, a, b, head, iters = wp + 20, mp.mpf(1), kp, mp.mpf(0), 0
+    wp, zeros = dps_to_prec(dps), -(exp + man.bit_length())
+    prec, head, iters = wp + 20, 0, 0
     if zeros > wp:
         prec += zeros.bit_length()
         with mp.workprec(prec):
+            a, b, h = mp.mpf(1), mp.mpf((man, exp)), mp.mpf(0)
             while mp.mag(a) - mp.mag(b) > wp + 1:
-                head += mp.ldexp((a - b) ** 2, iters)
+                if k is not None:
+                    h += mp.ldexp((a - b) ** 2, iters)
                 a, b = (a + b) / 2, mp.sqrt(a * b)
                 iters += 1
-    prec += max(0, -mp.mag(b))
-    a, b, kf, head = (int(to_fixed(v._mpf_, prec)) for v in (a, b, k, head))
-    eps = (1 << prec) // 10 ** (mp.mp.dps - 3)
-    csum4 = (2 * kf * kf >> prec) + head  # 4 times the c-sum
+        prec += max(0, -mp.mag(b))
+        a, b, head = (int(to_fixed(v._mpf_, prec)) for v in (a, b, h))
+    else:
+        prec += max(0, zeros)
+        a, b = 1 << prec, _shift(man, prec + exp)
+    csum4 = None
+    if k is not None:
+        kf = int(to_fixed(k._mpf_, prec))
+        csum4 = (2 * kf * kf >> prec) + head
+    eps = (1 << prec) // 10 ** (dps - 3)
     d = a - b
     while abs(d) > eps * a >> prec:
         a, b = (a + b) >> 1, math.isqrt(a * b)
-        csum4 += d * d << iters >> prec  # d_n^2 2^n
+        if csum4 is not None:
+            csum4 += d * d << iters >> prec  # d_n^2 2^n
         d = a - b
         iters += 1
         if iters > 10_000:
             raise ConvergenceError("AGM failed to converge")
     a, b = (a + b) >> 1, math.isqrt(a * b)
-    csum4 += d * d << iters >> prec
-    K = mp.pi / mp.ldexp(a + b, -prec)
-    return K, K * mp.ldexp((4 << prec) - csum4, -prec - 2), iters + 1
+    if csum4 is not None:
+        csum4 += d * d << iters >> prec
+    return a + b, prec, csum4, iters + 1
+
+
+def _agm_KE(k: HPReal, kp: HPReal):
+    """(K(k), E(k), iterations) from one AGM of (1, k') at the current
+    working precision, 0 <= k < 1, with kp = k' at full relative
+    precision: for K(k'_r) that is k_r itself, which sqrt(1 - k'^2) would
+    leave 2 |log10 k_r| digits short."""
+    S, prec, csum4, iters = _agm(*_man_exp(kp), mp.mp.dps, k)
+    K = mp.pi / mp.ldexp(S, -prec)
+    return K, K * mp.ldexp((4 << prec) - csum4, -prec - 2), iters
+
+
+def _K(kp: HPReal) -> HPReal:
+    """K(k) from the AGM of (1, k') at the working precision, without
+    the c-sum."""
+    S, prec = _agm(*_man_exp(kp), mp.mp.dps)[:2]
+    return mp.pi / mp.ldexp(S, -prec)
 
 
 def _exact_modulus(k) -> tuple[HPReal, HPReal]:
@@ -92,7 +135,8 @@ def _modulus_agm(k, ctx: PrecisionContext):
 
 def ellint_K(k, ctx: PrecisionContext) -> HPReal:
     """Complete elliptic integral of the first kind, K(k) for 0 <= k < 1."""
-    return _modulus_agm(k, ctx)[0]
+    with ctx.workdps():
+        return _K(_exact_modulus(k)[1])
 
 
 def ellint_E(k, ctx: PrecisionContext) -> HPReal:
@@ -103,37 +147,42 @@ def ellint_E(k, ctx: PrecisionContext) -> HPReal:
 _SEED_DIGITS = 25
 
 
-def _theta_seed(s) -> HPReal:
-    """k_s for s >= 1 to about _SEED_DIGITS digits: theta2^2/theta3^2 at
-    q = exp(-pi sqrt(s)) <= e^-pi, summed to n = 5.  Computed at 30 digits
-    rather than in floats, since k_s underflows a double past s ~ 2e5, and
-    apart from qengine's theta sums, which k_r is checked against."""
+def _theta_seed(s: Fraction) -> tuple[int, int]:
+    """k_s for s >= 1 to about _SEED_DIGITS digits, as (X, E) with
+    k_s = X 2^E: theta2^2/theta3^2 = 4 v^2 (t2/t3)^2 at v = q^(1/4) =
+    exp(-pi sqrt(s)/4), q <= e^-pi, with t2 = sum q^(n^2+n) and
+    t3 = 1 + 2 sum q^(n^2) summed to n = 5.  v is taken at 30 digits
+    rather than in floats, since k_s underflows a double past s ~ 2e5;
+    the sums, near 1, run on integers scaled by 2^100.  Apart from
+    qengine's theta sums, which k_r is checked against."""
     with mp.workdps(30):
-        rt = mp.sqrt(s)
-        q = mp.exp(-mp.pi * rt)
-        t2 = 2 * mp.exp(-mp.pi * rt / 4) * sum(q ** (n * n + n) for n in range(6))
-        t3 = 1 + 2 * sum(q ** (n * n) for n in range(1, 6))
-        return (t2 / t3) ** 2
+        vm, ve = _man_exp(mp.exp(-mp.pi * mp.sqrt(to_mpf(s)) / 4))
+    F = 100
+    q = _shift(vm ** 4, 4 * ve + F)
+    t2, t3, qsq, qn = 0, -1 << F, 1 << F, 1 << F  # q^(n^2), q^n
+    for _ in range(6):
+        t2 += qsq * qn >> F
+        t3 += 2 * qsq
+        qsq = (qsq * qn >> F) * (qn := qn * q >> F) >> F
+    return (vm * ((t2 << F) // t3)) ** 2, 2 * ve - 2 * F + 2
 
 
-def _complement(x: HPReal) -> HPReal:
-    """x' = sqrt(1 - x^2) at the working precision, by one math.isqrt on x
-    scaled by 2^prec with ten guard bits.  For x = k_s, s >= 1, x' is at
-    least about 1/sqrt(2), so the fixed point keeps its relative precision."""
-    prec = mp.mp.prec + 10
-    X = int(to_fixed(x._mpf_, prec))
-    return +mp.ldexp(math.isqrt((1 << 2 * prec) - X * X), -prec)
-
-
-def _newton_step(x: HPReal, rt: HPReal) -> HPReal:
-    """The correction of one Newton step on g(x) = K(x')/K(x) - rt at the
-    current working precision, x' = sqrt(1 - x^2).  By Legendre's relation
-    g'(x) = -pi / (2 x x'^2 K(x)^2), so neither E nor a logarithm is
-    needed."""
-    xp = _complement(x)
-    K = _agm_KE(x, xp)[0]
-    Kp = _agm_KE(xp, x)[0]
-    return (Kp / K - rt) * 2 * x * xp * xp * K * K / mp.pi
+def _quotient(X: int, E: int, dps: int):
+    """g's parts at dps digits for x = X 2^E in (0, 1), on integers scaled
+    by 2^P, P = wp + 20: (P, X, E) with X renormalised to P bits, x' =
+    sqrt(1 - x^2) as Xp 2^-P by one math.isqrt, M(1, x') 2^P and
+    M(1, x')/M(1, x) 2^P = K(x')/K(x) 2^P.  x keeps its Z = -(E + P)
+    leading zero bits in the exponent, so a tiny x keeps its relative
+    precision; past Z = wp, M(1, x) starts in _agm's mpf steps."""
+    P = dps_to_prec(dps) + 20
+    n = X.bit_length() - P
+    X, E = _shift(X, -n), E + n
+    if X <= 0 or E + P > 0:
+        raise ConvergenceError("Newton left the unit interval")
+    Xp = math.isqrt((1 << 2 * P) - (X * X >> -2 * (E + P)))
+    S1, p1 = _agm(Xp, -P, dps)[:2]
+    S2, p2 = _agm(X, E, dps)[:2]
+    return P, X, E, Xp, _shift(S1, P - p1 - 1), _shift(S1, P + p2 - p1) // S2
 
 
 @lru_cache(maxsize=512)
@@ -144,53 +193,52 @@ def _singular_modulus_cached(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
     # from the other.  x moves by about pi sqrt(s)/2 times the relative
     # error of K'/K; the guard digits absorb that up to 10^(guard/2), and
     # past it the solve runs at the digits it costs, then rounds to ctx.
+    s = max(r, 1 / r)
     log10_s = abs(math.log10(r.numerator) - math.log10(r.denominator))
     lost = int(math.log10(math.pi / 2) + log10_s / 2)
     wctx = PrecisionContext(ctx.digits + max(0, lost - ctx.guard // 2), ctx.guard)
-    with wctx.workdps():
-        rm = to_mpf(r)
-        s = rm if rm >= 1 else 1 / rm
-        rt = mp.sqrt(s)
-        x = _theta_seed(s)
-        if rm < 1 and mp.sqrt(1 - x * x) == 1:
-            raise InsufficientPrecision(
-                f"k_r rounds to 1 at {wctx.dps} working digits "
-                f"(1 - k_r ~ {mp.nstr(x * x / 2, 3)})"
-            )
+    X, E = _theta_seed(s)  # x = X 2^E
 
     # Newton at precisions doubling toward wctx.dps: each step doubles the
     # correct digits, so only the last runs at full precision.  The +5
     # covers the 2-4 digits a step loses to the conditioning of g at tiny
     # x.  A full step is final once its correction is below half the
-    # working digits, since the error after it is about the square.
+    # working digits, since the error after it is about the square.  The
+    # step -g/g' = g x x'^2 pi/(2 M(1, x')^2) is taken relative to x.
     precs, p = [], wctx.dps
     while p > 2 * _SEED_DIGITS:
         p = p // 2 + 5
         precs.insert(0, p)
     for dps in precs + [wctx.dps] * ((wctx.dps - 1).bit_length() + 3):
-        with mp.workdps(dps):
-            step = _newton_step(+x, rt)
-            x += step
-            if x <= 0 or x >= 1:
-                raise ConvergenceError("Newton left the unit interval")
-            if dps == wctx.dps and abs(step) < x * mp.mpf(10) ** (-(dps // 2)):
-                break
+        P, X, E, Xp, M1, Q = _quotient(X, E, dps)
+        g = Q - math.isqrt((s.numerator << 2 * P) // s.denominator)
+        step = X * (((g * Xp * Xp >> 2 * P) * pi_fixed(P) << P) // (2 * M1 * M1)) >> P
+        X += step
+        if dps == wctx.dps and abs(step) * 10 ** (dps // 2) < X:
+            break
 
-    with wctx.workdps():
-        xp = _complement(x)
-        K, Kp = _agm_KE(x, xp)[0], _agm_KE(xp, x)[0]
-        resid = (Kp / K if rm >= 1 else K / Kp) - mp.sqrt(rm)
-        if abs(resid) > mp.mpf(10) ** (-(wctx.digits - wctx.guard)):
-            raise ConvergenceError(
-                f"singular modulus residual {mp.nstr(abs(resid), 5)} too large"
-            )
+    # The residual K'/K - sqrt(r) (K/K' for r < 1) on the same integers:
+    # each AGM is within a few ulps per iteration of its value, so the
+    # residual's rounding error is below sqrt(s) 2^(10-P), some
+    # 10^-(dps + 4) sqrt(s).  That is 2 guard + 4 - log10 sqrt(s) digits
+    # under the threshold 10^-(digits - guard): 34 at r = 10^20 with the
+    # default guard of 20, and more for every smaller s.
+    P, X, E, Xp, _, Q = _quotient(X, E, wctx.dps)
+    resid = Fraction((Q if r >= 1 else (1 << 2 * P) // Q)
+                     - math.isqrt((r.numerator << 2 * P) // r.denominator), 1 << P)
+    if abs(resid) > Fraction(10) ** -(wctx.digits - wctx.guard):
+        raise ConvergenceError(
+            f"singular modulus residual {mp.nstr(to_mpf(abs(resid)), 5)} too large"
+        )
     with ctx.workdps():
-        return (+x, +xp) if rm >= 1 else (+xp, +x)
+        x, xp = mp.mpf((X, E)), mp.mpf((Xp, -P))
+    return (x, xp) if r >= 1 else (xp, x)
 
 
 def _modulus_pair(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
     """(k_r, k'_r), each to full relative precision: for r < 1, k'_r is
-    tiny and sqrt(1 - k_r^2) would keep only its leading digits."""
+    tiny and sqrt(1 - k_r^2) would keep only its leading digits.  k_r may
+    round to 1 there; every quantity below takes k'_r from the pair."""
     r = exact(r)
     if r <= 0:
         raise DomainError(f"r must be positive, got {r}")
@@ -198,14 +246,22 @@ def _modulus_pair(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
 
 
 def singular_modulus(r, ctx: PrecisionContext) -> HPReal:
-    """The singular modulus k_r in (0,1) for positive r (see precision.exact)."""
-    return _modulus_pair(r, ctx)[0]
+    """The singular modulus k_r in (0,1) for positive r (see precision.exact).
+    Raises InsufficientPrecision where k_r rounds to 1 at ctx.dps."""
+    k, kp = _modulus_pair(r, ctx)
+    if k == 1:
+        with ctx.workdps():
+            raise InsufficientPrecision(
+                f"k_r rounds to 1 at {ctx.dps} working digits "
+                f"(1 - k_r ~ {mp.nstr(kp * kp / 2, 3)})"
+            )
+    return k
 
 
 def singular_K(r, ctx: PrecisionContext) -> HPReal:
     """K(k_r), from the pair (k_r, k'_r) rather than from k_r alone."""
     with ctx.workdps():
-        return _agm_KE(*_modulus_pair(r, ctx))[0]
+        return _K(_modulus_pair(r, ctx)[1])
 
 
 def inverse_singular_modulus(x, ctx: PrecisionContext) -> HPReal:
@@ -214,7 +270,7 @@ def inverse_singular_modulus(x, ctx: PrecisionContext) -> HPReal:
         x, xp = _exact_modulus(x)
         if not x:
             raise DomainError("argument must lie in (0,1), got 0")
-        return +((_agm_KE(xp, x)[0] / _agm_KE(x, xp)[0]) ** 2)
+        return +((_K(x) / _K(xp)) ** 2)
 
 
 def elliptic_alpha(r, ctx: PrecisionContext) -> HPReal:
@@ -268,7 +324,8 @@ def theta_powersum_closed(m: int, r, ctx: PrecisionContext) -> HPReal:
     Odd  m:       2^(5/6) q^(-m^2/4) (k11 k12 k21)^(1/6) / k22^(1/3) sqrt(K/pi)
     with k11 = k_r, k12 = k'_r, k21 = k11^2/(1 + k12)^2 (= k_{4r}, the
     Landen value (1 - k12)/(1 + k12) without its cancellation as k_r -> 0)
-    and k22 = sqrt(1 - k21^2).
+    and k22 = 2 sqrt(k12)/(1 + k12) (= k'_{4r}, which sqrt(1 - k21^2)
+    would cancel as k_r -> 1).
     """
     m = integer(m)
     with ctx.workdps():
@@ -279,7 +336,7 @@ def theta_powersum_closed(m: int, r, ctx: PrecisionContext) -> HPReal:
             t = m // 2
             return +(_qpow(nome, Fraction(-t * t)) * mp.sqrt(2 * K / mp.pi))
         k21 = k11 * k11 / (1 + k12) ** 2
-        k22 = mp.sqrt(1 - k21 * k21)
+        k22 = 2 * mp.sqrt(k12) / (1 + k12)
         pref = mp.mpf(2) ** (mp.mpf(5) / 6) * _qpow(nome, Fraction(-m * m, 4))
         return +(pref * (k11 * k12 * k21) ** (mp.mpf(1) / 6)
                  / k22 ** (mp.mpf(1) / 3) * mp.sqrt(K / mp.pi))

@@ -10,6 +10,7 @@ from mpmath.libmp import libelefun
 
 from qalg import (
     DomainError,
+    InsufficientPrecision,
     PrecisionContext,
     QalgError,
     elliptic_alpha,
@@ -314,22 +315,67 @@ class TestExtremeParameters:
         assert "AGM" not in str(info.value)
 
 
+class TestModulusPair:
+    """k_r and k'_r = k_{1/r}, each to full relative precision, against the
+    theta quotient theta2^2/theta3^2 at r and at 1/r.  The solve keeps
+    k_s's leading zero bits (about 2.27 sqrt(s)) in its exponent; past the
+    working bits (s above about 4.5e4 at 120 digits) the AGM of (1, k_s)
+    starts in mpf, so the grid covers both sides at every precision."""
+
+    @pytest.mark.parametrize("digits", [60, 120, 300, 1000])
+    @pytest.mark.parametrize("r", [Fraction(1, 50), 3, 70, 4 * 10 ** 4, 5 * 10 ** 4, 10 ** 6],
+                             ids=str)
+    def test_pair_matches_theta_quotients(self, r, digits):
+        ctx = PrecisionContext(digits)
+        elliptic._singular_modulus_cached.cache_clear()
+        pair = elliptic._modulus_pair(r, ctx)
+        for value, at in zip(pair, (Fraction(r), 1 / Fraction(r))):
+            nome = make_nome(at, ctx)
+            with ctx.workdps():
+                quotient = theta2(nome) ** 2 / theta3(nome) ** 2
+                assert abs(value / quotient - 1) <= mp.mpf(10) ** -digits, at
+
+
+class TestSmallR:
+    """Where k_r rounds to 1, K, alpha, j by the modulus and the multiplier
+    take k'_r = k_{1/r} from the pair at full precision and give values;
+    k itself refuses."""
+
+    SMALL = [Fraction(1, 10 ** 4), Fraction(1, 10 ** 6), Fraction(1, 10 ** 10)]
+
+    @pytest.mark.parametrize("r", SMALL, ids=str)
+    @pytest.mark.parametrize("name, extra", [("K", {}), ("alpha", {}), ("j", {}),
+                                             ("multiplier", {"n": 2})],
+                             ids=["K", "alpha", "j", "multiplier"])
+    def test_value_at_30_digits(self, name, extra, r):
+        low, high = PrecisionContext(30), PrecisionContext(120)
+        value = QUANTITIES[name].evaluate({"r": r, **extra}, low)
+        reference = QUANTITIES[name].evaluate({"r": r, **extra}, high)
+        with high.workdps():
+            assert abs(value / reference - 1) <= mp.mpf(10) ** -low.digits
+
+    @pytest.mark.parametrize("r", SMALL, ids=str)
+    def test_k_refuses(self, r):
+        with pytest.raises(InsufficientPrecision):
+            QUANTITIES["k"].evaluate({"r": r}, PrecisionContext(30))
+
+
 class TestSingularModulusCost:
     def test_full_precision_agms(self, monkeypatch):
         # Newton runs at doubling precisions, so only the last step and the
-        # residual check pay for full-precision AGMs
+        # residual check pay for full-precision AGMs: two each
         ctx = PrecisionContext(120)
         full = []
-        agm = elliptic._agm_KE
+        agm = elliptic._agm
 
-        def counting(*args):
-            full.append(mp.mp.dps >= ctx.dps)
-            return agm(*args)
+        def counting(man, exp, dps, k=None):
+            full.append(dps >= ctx.dps)
+            return agm(man, exp, dps, k)
 
-        monkeypatch.setattr(elliptic, "_agm_KE", counting)
+        monkeypatch.setattr(elliptic, "_agm", counting)
         elliptic._singular_modulus_cached.cache_clear()
         singular_modulus(2, ctx)
-        assert 0 < sum(full) <= 8
+        assert 0 < sum(full) <= 4
 
     def test_closed_forms_at_1000_digits(self):
         ctx = PrecisionContext(1000)

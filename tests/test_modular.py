@@ -210,16 +210,16 @@ class TestSolveSextic:
     def test_agm_cost(self, monkeypatch):
         # k_r in closed form: only the inverse singular modulus runs AGMs
         calls = []
-        agm = elliptic._agm_KE
+        agm = elliptic._agm
 
         def counting(*args):
             calls.append(args)
             return agm(*args)
 
-        monkeypatch.setattr(elliptic, "_agm_KE", counting)
+        monkeypatch.setattr(elliptic, "_agm", counting)
         elliptic._singular_modulus_cached.cache_clear()
         solve_sextic(mp.mpf(2), mp.mpf(100), mp.mpf(20), CTX120)
-        assert len(calls) <= 4
+        assert len(calls) <= 2
 
 
 class TestIncompleteBeta:

@@ -219,6 +219,20 @@ class TestThetaPowersum:
         with mp.workdps(CTX.dps + 10):
             assert abs(direct - closed) <= CTX.eps_check * abs(direct)
 
+    @pytest.mark.parametrize("digits", [30, 60, 120])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("r", [Fraction(1, 100), Fraction(1, 10 ** 3), Fraction(1, 10 ** 4)],
+                             ids=str)
+    def test_odd_closed_form_small_r(self, r, m, digits):
+        # k'_{4r} = 2 sqrt(k'_r)/(1 + k'_r) keeps its digits as k_r -> 1;
+        # sqrt(1 - k_{4r}^2) cancels about 2 log10(1/k'_r) of them, and
+        # divides by zero where k_{4r} rounds to 1
+        ctx = PrecisionContext(digits)
+        direct = theta_powersum(m, make_nome(r, ctx))
+        closed = theta_powersum_closed(m, r, ctx)
+        with mp.workdps(ctx.dps + 10):
+            assert abs(direct - closed) <= ctx.eps_check * abs(direct)
+
     def test_rejects_non_integer_m(self):
         # m = 3/2 used to be truncated to 1
         with pytest.raises(DomainError):
