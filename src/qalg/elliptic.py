@@ -159,21 +159,24 @@ def _theta_seed(s: Fraction) -> tuple[int, int]:
         vm, ve = _man_exp(mp.exp(-mp.pi * mp.sqrt(to_mpf(s)) / 4))
     F = 100
     q = _shift(vm ** 4, 4 * ve + F)
-    t2, t3, qsq, qn = 0, -1 << F, 1 << F, 1 << F  # q^(n^2), q^n
-    for _ in range(6):
-        t2 += qsq * qn >> F
-        t3 += 2 * qsq
-        qsq = (qsq * qn >> F) * (qn := qn * q >> F) >> F
+    t2, t3, term, qn = 0, -1 << F, 1 << F, 1 << F
+    for _ in range(6):  # term = q^(n^2), qn = q^n
+        t3 += 2 * term
+        term = term * qn >> F  # q^(n^2 + n)
+        t2 += term
+        qn = qn * q >> F
+        term = term * qn >> F  # q^((n + 1)^2)
     return (vm * ((t2 << F) // t3)) ** 2, 2 * ve - 2 * F + 2
 
 
-def _quotient(X: int, E: int, dps: int):
-    """g's parts at dps digits for x = X 2^E in (0, 1), on integers scaled
-    by 2^P, P = wp + 20: (P, X, E) with X renormalised to P bits, x' =
-    sqrt(1 - x^2) as Xp 2^-P by one math.isqrt, M(1, x') 2^P and
-    M(1, x')/M(1, x) 2^P = K(x')/K(x) 2^P.  x keeps its Z = -(E + P)
-    leading zero bits in the exponent, so a tiny x keeps its relative
-    precision; past Z = wp, M(1, x) starts in _agm's mpf steps."""
+def _g(X: int, E: int, s: Fraction, dps: int):
+    """g(x) = K(x')/K(x) - sqrt(s) = M(1, x')/M(1, x) - sqrt(s) at dps
+    digits for x = X 2^E in (0, 1), on integers scaled by 2^P,
+    P = wp + 20: (P, X, E, Xp, M1, G) with X renormalised to P bits,
+    x' = sqrt(1 - x^2) = Xp 2^-P by one math.isqrt, M1 = M(1, x') 2^P and
+    G = g 2^P, sqrt(s) being one math.isqrt of the exact s.  x keeps its
+    Z = -(E + P) leading zero bits in the exponent, so a tiny x keeps its
+    relative precision; past Z = wp, M(1, x) starts in _agm's mpf steps."""
     P = dps_to_prec(dps) + 20
     n = X.bit_length() - P
     X, E = _shift(X, -n), E + n
@@ -182,7 +185,8 @@ def _quotient(X: int, E: int, dps: int):
     Xp = math.isqrt((1 << 2 * P) - (X * X >> -2 * (E + P)))
     S1, p1 = _agm(Xp, -P, dps)[:2]
     S2, p2 = _agm(X, E, dps)[:2]
-    return P, X, E, Xp, _shift(S1, P - p1 - 1), _shift(S1, P + p2 - p1) // S2
+    G = _shift(S1, P + p2 - p1) // S2 - math.isqrt((s.numerator << 2 * P) // s.denominator)
+    return P, X, E, Xp, _shift(S1, P - p1 - 1), G
 
 
 @lru_cache(maxsize=512)
@@ -210,22 +214,21 @@ def _singular_modulus_cached(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
         p = p // 2 + 5
         precs.insert(0, p)
     for dps in precs + [wctx.dps] * ((wctx.dps - 1).bit_length() + 3):
-        P, X, E, Xp, M1, Q = _quotient(X, E, dps)
-        g = Q - math.isqrt((s.numerator << 2 * P) // s.denominator)
-        step = X * (((g * Xp * Xp >> 2 * P) * pi_fixed(P) << P) // (2 * M1 * M1)) >> P
+        P, X, E, Xp, M1, G = _g(X, E, s, dps)
+        step = X * (((G * Xp * Xp >> 2 * P) * pi_fixed(P) << P) // (2 * M1 * M1)) >> P
         X += step
         if dps == wctx.dps and abs(step) * 10 ** (dps // 2) < X:
             break
 
-    # The residual K'/K - sqrt(r) (K/K' for r < 1) on the same integers:
-    # each AGM is within a few ulps per iteration of its value, so the
+    # The residual g = K'/K - sqrt(s) on the same integers, for r < 1 as
+    # well: K/K' - sqrt(r) is about g/s there, so a tiny r would pass any x.
+    # Each AGM is within a few ulps per iteration of its value, so the
     # residual's rounding error is below sqrt(s) 2^(10-P), some
     # 10^-(dps + 4) sqrt(s).  That is 2 guard + 4 - log10 sqrt(s) digits
-    # under the threshold 10^-(digits - guard): 34 at r = 10^20 with the
+    # under the threshold 10^-(digits - guard): 34 at s = 10^20 with the
     # default guard of 20, and more for every smaller s.
-    P, X, E, Xp, _, Q = _quotient(X, E, wctx.dps)
-    resid = Fraction((Q if r >= 1 else (1 << 2 * P) // Q)
-                     - math.isqrt((r.numerator << 2 * P) // r.denominator), 1 << P)
+    P, X, E, Xp, _, G = _g(X, E, s, wctx.dps)
+    resid = Fraction(G, 1 << P)
     if abs(resid) > Fraction(10) ** -(wctx.digits - wctx.guard):
         raise ConvergenceError(
             f"singular modulus residual {mp.nstr(to_mpf(abs(resid)), 5)} too large"

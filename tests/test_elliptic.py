@@ -354,6 +354,20 @@ class TestSmallR:
         with high.workdps():
             assert abs(value / reference - 1) <= mp.mpf(10) ** -low.digits
 
+    @pytest.mark.parametrize("r", SMALL + [Fraction(1, 10 ** 60), Fraction(1, 10 ** 80)], ids=str)
+    def test_j_routes_agree_or_refuse(self, r):
+        # j by the modulus is about 256/k'_r^4, so a wrong k'_r shows; where
+        # the solve at s = 1/r fails, as from about 1/r = 1e70, it refuses
+        ctx = PrecisionContext(30)
+        try:
+            value = j_invariant(r, ctx)
+        except QalgError:
+            assert r < Fraction(1, 10 ** 60)
+            return
+        eta = j_invariant(r, ctx, via="eta")
+        with ctx.workdps():
+            assert abs(value / eta - 1) <= ctx.eps_check
+
     @pytest.mark.parametrize("r", SMALL, ids=str)
     def test_k_refuses(self, r):
         with pytest.raises(InsufficientPrecision):
