@@ -32,8 +32,8 @@ import mpmath as mp
 from mpmath.libmp import dps_to_prec, pi_fixed, to_fixed
 
 from .errors import ConvergenceError, DomainError, InsufficientPrecision
-from .precision import HPReal, PrecisionContext, exact, integer, to_mpf
-from .qengine import eta_paper, make_nome, _qpow
+from .precision import HPReal, PrecisionContext, dyadic, exact, integer, to_mpf
+from .qengine import _dual, _progression_product, _qpow, make_nome
 
 
 def _shift(n: int, e: int) -> int:
@@ -121,11 +121,21 @@ def _K(kp: HPReal) -> HPReal:
 def _exact_modulus(k) -> tuple[HPReal, HPReal]:
     """(k, k') at the working precision for an exact modulus 0 <= k < 1
     (see precision.exact).  1 - k^2 is formed before rounding: near k = 1
-    that keeps the digits of k' that rounding k first would cancel away."""
-    k = exact(k)
-    if not (0 <= k < 1):
-        raise DomainError(f"the modulus must satisfy 0 <= k < 1, got {k}")
-    return to_mpf(k), mp.sqrt(to_mpf(1 - k * k))
+    that keeps the digits of k' that rounding k first would cancel away.
+    For an mpf k = m 2^e it is the integer (1 << -2e) - m^2 times 2^(2e),
+    rounded once to nearest as to_mpf rounds the rational, so no Fraction
+    is formed."""
+    if isinstance(k, mp.mpf):
+        m, e = dyadic(k)
+        e = min(e, 0)  # an e > 0 is a k >= 1 (or 0), refused below
+        d = (1 << -2 * e) - m * m
+        if m >= 0 and d > 0:
+            return +k, mp.sqrt(mp.mpf((d, 2 * e)))
+    else:
+        x = exact(k)
+        if 0 <= x < 1:
+            return to_mpf(x), mp.sqrt(to_mpf(1 - x * x))
+    raise DomainError(f"the modulus must satisfy 0 <= k < 1, got {k}")
 
 
 def _modulus_agm(k, ctx: PrecisionContext):
@@ -300,9 +310,13 @@ def j_invariant(r, ctx: PrecisionContext, via: str = "modulus") -> HPReal:
     """Klein's j at parameter r, through either of two routes.
 
     via="modulus":  256 (k^2 + k'^4)^3 / (k k')^4 with k = k_r.
-    via="eta":      the eta-quotient form
-                    [ (q^(-1/24) eta(1)/eta(2))^16 + 16 (q^(1/24) eta(2)/eta(1))^8 ]^3
-                    with the prefactor-free eta products.
+    via="eta":      Weber's form (t^24 + 16)^3 / t^24 (j = (f1^24 + 16)^3 /
+                    f1^24), with t = q^(-1/24) prod_{n>=0} (1 - q^(2n+1)),
+                    which is q^(-1/24) eta(1)/eta(2) in the prefactor-free
+                    eta products, one progression product.  Below R0 t is
+                    taken at the dual of eta(2), the nome w of parameter
+                    4/r: eta(tau)/eta(2 tau) = sqrt 2 eta(-1/tau)/eta(-1/(2 tau))
+                    gives t = sqrt(2) w^(1/24) / prod_{n>=0} (1 - w^(2n+1)).
     The two agree to working precision.
     """
     with ctx.workdps():
@@ -312,11 +326,15 @@ def j_invariant(r, ctx: PrecisionContext, via: str = "modulus") -> HPReal:
             return +(256 * (k * k + kp2 * kp2) ** 3 / (k * k * kp2) ** 2)
         if via == "eta":
             nome = make_nome(r, ctx)
-            e1 = eta_paper(1, nome)
-            e2 = eta_paper(2, nome)
-            t = _qpow(nome, Fraction(-1, 24)) * e1 / e2
-            u = _qpow(nome, Fraction(1, 24)) * e2 / e1
-            return +((t ** 16 + 16 * u ** 8) ** 3)
+            if _dual(nome, 1):
+                w = make_nome(4 / nome.r, ctx)
+                t = (mp.sqrt(2) * _qpow(w, Fraction(1, 24))
+                     / _progression_product(1, 2, w.q, _qpow(w, 2), w))
+            else:
+                t = _qpow(nome, Fraction(-1, 24)) * _progression_product(
+                    1, 2, nome.q, _qpow(nome, 2), nome)
+            t24 = t ** 24
+            return +((t24 + 16) ** 3 / t24)
         raise DomainError(f"unknown j-invariant route {via!r}")
 
 

@@ -26,9 +26,11 @@ from .qengine import (
     theta2,
     theta3,
     theta_general,
+    _cosine_sum,
     _dual,
     _fixed,
     _qpow,
+    _rerun_if_cancelled,
     _term_count,
 )
 from .elliptic import (
@@ -63,7 +65,9 @@ def rrcf(nome: Nome, method: str = "product") -> HPReal:
     """R(q) = q^(1/5) prod (1-q^n)^((n/5)), equal to the continued
     fraction q^(1/5)/(1 + q/(1 + q^2/(1 + ...))).
 
-    method="product" uses the quotient of two-sided q-products;
+    method="product" uses the quotient of two-sided q-products, or
+    where both take the dual nome (25 r < 1) the quotient of their cosine
+    sums, which is all that is left of it there (_rrcf_dual);
     method="continued_fraction" evaluates the fraction by backward
     recurrence at a depth fixed in advance.  Below qengine.R0 it does so
     at 16/r, where the depth is O(1) rather than growing like r^(-1/4),
@@ -82,6 +86,8 @@ def rrcf(nome: Nome, method: str = "product") -> HPReal:
     ctx = nome.ctx
     if method == "product":
         with ctx.workdps():
+            if _dual(nome, 25):
+                return +_rerun_if_cancelled(_rrcf_dual, nome)
             val = (_qpow(nome, Fraction(1, 5))
                    * agile(AgileSpec(1, 5), nome)
                    / agile(AgileSpec(2, 5), nome))
@@ -105,6 +111,20 @@ def rrcf(nome: Nome, method: str = "product") -> HPReal:
                 t = one + (P << L) // (t >> prec - L)
             return +(_qpow(nome, Fraction(1, 5)) / mp.ldexp(t, -prec))
     raise DomainError(f"unknown rrcf method {method!r}")
+
+
+def _rrcf_dual(nome: Nome) -> tuple[HPReal, int]:
+    """(R, cancelled bits) where both agiles take the dual nome
+    (25 r < 1): there R = q^(1/5) [1,5]/[2,5] = [1,5]*/[2,5]*, since the
+    star exponents differ by 1/5, and the dual forms of the two (see
+    qengine._agile_star_dual) share v, of parameter 4/(25 r), its
+    v^(1/6) and its product, so R = S(3/10)/S(1/10), S the cosine sums
+    at c = 1/2 - a/5."""
+    with nome.ctx.workdps():
+        v = make_nome(4 / (25 * nome.r), nome.ctx)
+        s1, lost1 = _cosine_sum(Fraction(3, 10), v, nome)
+        s2, lost2 = _cosine_sum(Fraction(1, 10), v, nome)
+        return s1 / s2, max(lost1, lost2)
 
 
 def klein_j_from_R(R, ctx: PrecisionContext) -> HPReal:

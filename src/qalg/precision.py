@@ -76,14 +76,7 @@ def exact(x) -> Fraction:
     inf, None, an mpf of binary exponent beyond +-2^24 - raises
     DomainError."""
     if isinstance(x, mp.mpf):
-        # no mp.mpf() re-wrap here: that would round x to the *current*
-        # working precision and silently discard its stored bits
-        if not mp.isfinite(x):
-            raise DomainError(f"not a finite number: {x}")
-        sign, man, exp, _ = x._mpf_
-        man, exp = int(-man if sign else man), int(exp)  # man may be a gmpy2 mpz
-        if abs(exp) > _EXACT_EXPONENT:  # k_r at r = 1e20 is 2^-(2.3e10)
-            raise DomainError(f"{mp.nstr(x, 5)} is too far from 1 to take exactly")
+        man, exp = dyadic(x)
         return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     if isinstance(x, (float, bool)):
         raise DomainError(f"refusing {x!r}: pass an int, Fraction, n/d string or mpf")
@@ -91,6 +84,21 @@ def exact(x) -> Fraction:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError):
         raise DomainError(f"not an exact number: {x!r}") from None
+
+
+def dyadic(x: HPReal) -> tuple[int, int]:
+    """(m, e) with x = m 2^e for a finite mpf x, the bits exact() takes;
+    a non-finite x or one of binary exponent beyond +-2^24 raises
+    DomainError."""
+    # no mp.mpf() re-wrap here: that would round x to the *current*
+    # working precision and silently discard its stored bits
+    if not mp.isfinite(x):
+        raise DomainError(f"not a finite number: {x}")
+    sign, man, exp, _ = x._mpf_
+    man, exp = int(-man if sign else man), int(exp)  # man may be a gmpy2 mpz
+    if abs(exp) > _EXACT_EXPONENT:  # k_r at r = 1e20 is 2^-(2.3e10)
+        raise DomainError(f"{mp.nstr(x, 5)} is too far from 1 to take exactly")
+    return man, exp
 
 
 def integer(x) -> int:

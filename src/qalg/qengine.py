@@ -36,7 +36,10 @@ bits for the step count (each kernel states its error bound).  A sum
 whose terms start below 1 is formed as q^e1 times the fixed-point sum of
 q^(e - e1), e1 its leading exponent, so it keeps its relative precision
 however small q^e1 is; a theta sum is taken about its smallest exponent,
-so all its terms are at most 1.  The integer sums are exact, so an
+so all its terms are at most 1, and comes from one-sided runs of
+q^(a n^2 + b n), each term computed once: the terms n and -n share one
+run where b = 0, and where b = a the partner of term n is term n - 1
+(_theta_terms).  The integer sums are exact, so an
 alternating sum knows the bits it cancelled: the bit length of its
 largest term minus its own.  Past _SLACK of them the sum is taken once
 more on a nome carrying them as extra digits, and a sum that still
@@ -58,6 +61,11 @@ decay faster, these are taken at the dual nome:
   [a,p], [a,p]*      4/(p^2 r), as theta(p/2, p/2 - a) / eta(p) (the
                      Jacobi triple product), where p^2 r < 1.
 
+Two callers take the same duals: elliptic.j_invariant's product
+prod (1 - q^(2n+1)) = eta(1)/eta(2) at eta(2)'s nome 4/r, and
+modular.rrcf's product route, where [1,5]/[2,5] leaves only the quotient
+of two cosine sums at 4/(25 r).
+
 The dual sums run in the same kernels, and their prefactors are powers
 of q and of the dual nome with exact exponents (_qpow), times a fourth
 root of the dual parameter for eta and theta.  From R0 up every sum is
@@ -71,6 +79,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 import mpmath as mp
 from mpmath.libmp import to_fixed
@@ -257,30 +266,42 @@ def _progression_product(e0, step, t, qstep: HPReal, nome: Nome) -> HPReal:
 def _theta_terms(a, b, nome: Nome, margin=0, shift=0) -> tuple[int, list]:
     """(prec, pairs) for |b| <= a: the pairs (q^(a n^2 + b n - shift),
     q^(a n^2 - b n - shift)) for n = 1..N on integers scaled by 2^prec,
-    up to the tail threshold plus margin on the smaller exponent, advanced
-    by tapered multiplication: term(n+1)/term(n) = q^(a(2n+1) +- b), and
-    each step factor by q^(2a).  The truncations put each pair's term n
-    at most 2n^2 ulps off, all of them together under 4N^3 < 2^(E-1)
-    with E = 3 bit_length(N) + 3; prec carries _SLACK bits more."""
+    up to the tail threshold plus margin on the smaller exponent.  Each
+    side is a one-sided run of q^(a n^2 + c n - shift), advanced by
+    tapered multiplication: term(n+1)/term(n) = q^(a(2n+1) + c), and each
+    step factor by q^(2a); a run ends at its first zero term.  Every term
+    is computed once: for b = 0 the run is its own partner, for b = a at
+    shift 0 the partner of term n is term n - 1 (term 0 being 1), and any
+    other b takes a second run, c = -b.  The truncations put each pair's
+    term n at most 2n^2 ulps off, all of them together under
+    4N^3 < 2^(E-1) with E = 3 bit_length(N) + 3; prec carries _SLACK bits
+    more."""
     count = _term_count(0, a, -abs(b), nome.tail + margin)
     prec = mp.mp.prec + 3 * count.bit_length() + 3 + _SLACK
     with mp.workprec(prec):
-        TP, TM, SP, SM, Q2A = (_fixed(_qpow(nome, e), prec) for e in (
-            a + b - shift, a - b - shift, 3 * a + b, 3 * a - b, 2 * a))
-    terms = []
-    for _ in range(count):
-        terms.append((TP, TM))
-        if not (TP or TM):
-            break
-        L = SP.bit_length()
-        sh = prec - L
-        TP = (TP >> sh) * SP >> L
-        SP = SP * (Q2A >> sh) >> L
-        L = SM.bit_length()
-        sh = prec - L
-        TM = (TM >> sh) * SM >> L
-        SM = SM * (Q2A >> sh) >> L
-    return prec, terms
+        Q2A = _fixed(_qpow(nome, 2 * a), prec)
+
+        def run(c) -> list:
+            T, S = (_fixed(_qpow(nome, e), prec) for e in (a + c - shift, 3 * a + c))
+            terms = []
+            for _ in range(count):
+                terms.append(T)
+                if not T:
+                    break
+                L = S.bit_length()
+                sh = prec - L
+                T = (T >> sh) * S >> L
+                S = S * (Q2A >> sh) >> L
+            return terms
+
+        plus = run(b)
+        if not b:
+            minus = plus
+        elif b == a and not shift:
+            minus = ([1 << prec] + plus)[:count]
+        else:
+            minus = run(-b)
+    return prec, list(zip_longest(plus, minus, fillvalue=0))
 
 
 def _theta_shift(a, b) -> tuple[int, Fraction, Fraction]:

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: pi comes
 from a Machin formula summed in exact rationals, K/E from their
 hypergeometric series, the beta value from a split binomial series,
-integrals from composite midpoint rules, series log/exp from their
+integrals from composite midpoint rules, the Rogers-Ramanujan fraction
+at small r from mpmath's jtheta, series log/exp from their
 textbook recurrences, the q-product, q-sum and AGM kernels from plain
 mpf loops (the q-series loops over the same terms, counts and powers of
 q as the library, summed in mpf instead of fixed point), the eq40 tail
@@ -177,6 +178,17 @@ def mpf_continued_fraction(nome) -> mp.mpf:
         for qk in reversed(powers):
             t = 1 + qk / t
         return +(_qpow(nome, Fraction(1, 5)) / t)
+
+
+def jtheta_rrcf(r, dps: int) -> mp.mpf:
+    """R(q) = q^(1/5) theta(5/2, 3/2) / theta(5/2, 1/2) (the Jacobi triple
+    product, eta(5) cancelling), each theta sum by Poisson summation as
+    e^(b^2 x/10) sqrt(2 pi/(5 x)) theta_2(pi b/5, e^(-2 pi^2/(5 x))),
+    x = pi sqrt(r), with mpmath's jtheta: the prefactors leave
+    theta_2(3 pi/10, w) / theta_2(pi/10, w)."""
+    with mp.workdps(dps):
+        w = mp.exp(-2 * mp.pi / (5 * mp.sqrt(_num(Fraction(r)))))
+        return +(mp.jtheta(2, 3 * mp.pi / 10, w) / mp.jtheta(2, mp.pi / 10, w))
 
 
 def mpf_agile(a, p, nome) -> mp.mpf:

@@ -27,12 +27,32 @@ from qalg import (
 from qalg import AgileSpec, agile_star, elliptic
 from qalg.modular import rrcf
 from qalg.moebius import JacobiCharacter, lambert_series
-from qalg.precision import to_mpf
+from qalg.precision import exact, to_mpf
 from qalg.recognize import QUANTITIES
 
 from oracles import close, hypergeometric_E, hypergeometric_K, mpf_agm_KE
 
 CTX = PrecisionContext(60)
+
+
+class TestExactModulus:
+    @pytest.mark.parametrize("digits", [120, 300, 1000])
+    def test_mpf_modulus_on_integers(self, digits):
+        # k' for an mpf k = m 2^e comes from the integer (1 << -2e) - m^2:
+        # bit for bit the rational 1 - k^2 rounded once, as to_mpf rounds it
+        ctx = PrecisionContext(digits)
+        with mp.workprec(3100):
+            moduli = [singular_modulus(3, ctx), 1 - mp.mpf(2) ** -3000, mp.mpf(2) ** -3000]
+        with ctx.workdps():
+            for k in moduli:
+                x = exact(k)
+                ref = to_mpf(x), mp.sqrt(to_mpf(1 - x * x))
+                assert [v._mpf_ for v in elliptic._exact_modulus(k)] == [v._mpf_ for v in ref]
+
+    @pytest.mark.parametrize("k", [mp.mpf(1), mp.mpf(-0.5), mp.mpf(3), mp.mpf("nan")], ids=str)
+    def test_mpf_modulus_out_of_range(self, k):
+        with pytest.raises(DomainError):
+            ellint_K(k, CTX)
 
 
 class TestK:
@@ -489,6 +509,42 @@ class TestJInvariant:
     def test_eta_route_agrees(self, r):
         assert close(j_invariant(r, CTX, via="modulus"),
                      j_invariant(r, CTX, via="eta"), 40, dps=CTX.dps)
+
+    @pytest.mark.parametrize("r", [Fraction(1, 10 ** 6), Fraction(1, 30), Fraction(1, 8),
+                                   Fraction(1, 7), 1, Fraction(37, 10), 100], ids=str)
+    def test_eta_route_against_kleinj(self, r):
+        # mpmath's Klein J, which shares no code with qalg, at
+        # tau = i sqrt(max(r, 1/r)): j(-1/tau) = j(tau), and near the real
+        # axis kleinj loses digits (at tau = i/1000 and 100 digits it
+        # returns 3e877 for 5.7e2728)
+        value = j_invariant(r, CTX, via="eta")
+        with mp.workdps(CTX.dps + 20):
+            ref = 1728 * mp.kleinj(1j * mp.sqrt(to_mpf(max(r, 1 / Fraction(r))))).real
+            assert abs(value / ref - 1) <= CTX.eps_check
+
+    @pytest.mark.parametrize("digits", [120, 300, 1000])
+    @pytest.mark.parametrize("r", [Fraction(1, 10 ** 4), Fraction(1, 30), Fraction(1, 5), 1,
+                                   Fraction(37, 10), 10 ** 6], ids=str)
+    def test_eta_route_agrees_at_every_precision(self, r, digits):
+        ctx = PrecisionContext(digits)
+        value, ref = j_invariant(r, ctx, via="eta"), j_invariant(r, ctx)
+        with mp.workdps(ctx.dps + 10):
+            assert abs(value / ref - 1) <= ctx.eps_check
+
+    @pytest.mark.parametrize("r, nome_r", [(2, 2), (Fraction(1, 30), 120)], ids=str)
+    def test_eta_route_is_one_product(self, r, nome_r, monkeypatch):
+        # Weber's form needs prod (1 - q^(2n+1)) alone, at the nome of r
+        # or, below R0, at the dual nome of 4/r
+        calls = []
+        product = elliptic._progression_product
+
+        def counting(e0, step, t, qstep, nome):
+            calls.append(nome.r)
+            return product(e0, step, t, qstep, nome)
+
+        monkeypatch.setattr(elliptic, "_progression_product", counting)
+        j_invariant(r, CTX, via="eta")
+        assert calls == [nome_r]
 
     def test_reciprocal_parameter_invariance(self):
         # j(1/r) = j(r): exercises root-finding below r = 1

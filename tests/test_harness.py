@@ -173,7 +173,7 @@ class TestSuiteRun:
     def test_no_check_takes_the_dual_nome(self, suite, digits, monkeypatch):
         # every identity compares two independent routes only while no sum
         # is taken at the dual nome; count the decisions that would take it
-        from qalg import modular, qengine
+        from qalg import elliptic, modular, qengine
         taken = []
         decide = qengine._dual
 
@@ -184,6 +184,7 @@ class TestSuiteRun:
 
         monkeypatch.setattr(qengine, "_dual", counting)
         monkeypatch.setattr(modular, "_dual", counting)
+        monkeypatch.setattr(elliptic, "_dual", counting)
         reports = harness.run_suite(suite, digits)
         assert taken == []
         assert harness.summarize(reports)["fail"] == 0

@@ -28,11 +28,11 @@ from qalg import (
     theorem4_check,
 )
 
-from qalg import elliptic, modular
+from qalg import elliptic, modular, qengine
 from qalg.qengine import _term_count
 
 from oracles import (beta_complete_16_23, close, composite_midpoint, half_integral,
-                     mpf_beta_series, quad_tail_integral)
+                     jtheta_rrcf, mpf_beta_series, quad_tail_integral)
 
 CTX = PrecisionContext(60)
 CTX120 = PrecisionContext(120)
@@ -47,6 +47,22 @@ class TestRRCF:
             prod, cf = rrcf(nome, "product"), rrcf(nome, "continued_fraction")
             with ctx.workdps():
                 assert abs(cf / prod - 1) < ctx.eps_check
+
+    @pytest.mark.parametrize("digits", [30, 120, 300])
+    @pytest.mark.parametrize("r", [Fraction(1, 30), Fraction(1, 100), Fraction(1, 10 ** 6),
+                                   Fraction(1, 10 ** 20)], ids=str)
+    def test_product_where_both_agiles_are_dual(self, r, digits, monkeypatch):
+        # below r = 1/25 the product route is the quotient of two cosine
+        # sums at one dual nome: no q-product is formed
+        ctx = PrecisionContext(digits)
+        nome = make_nome(r, ctx)
+        cf = rrcf(nome, "continued_fraction")
+        monkeypatch.setattr(qengine, "_progression_product", lambda *a: pytest.fail("product"))
+        prod = rrcf(nome, "product")
+        ref = jtheta_rrcf(r, ctx.dps + 20)
+        with mp.workdps(ctx.dps + 20):
+            assert abs(cf / prod - 1) < ctx.eps_check
+            assert abs(prod / ref - 1) < mp.mpf(10) ** -digits
 
     def test_classical_value_at_r4(self):
         nome = make_nome(4, CTX)

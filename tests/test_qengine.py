@@ -593,6 +593,11 @@ def _with_qpow(e, f):
 # name -> (library call, the plain mpf loop over the same terms)
 THETA_WIDE = [(Fraction(1), Fraction(5, 2)), (Fraction(1, 2), Fraction(7, 4)),
               (Fraction(5, 2), Fraction(-13, 2))]
+# sums whose shifted b' is 0, so one run of terms is its own partner
+THETA_B0 = [(Fraction(1), Fraction(0)), (Fraction(5, 2), Fraction(5)),
+            (Fraction(1, 3), Fraction(2, 3))]
+# starred products, by the cosine sums at the dual nome where 25 r < 1
+STAR_SPECS = [(1, 5), (2, 5), (Fraction(1, 2), 4)]
 QDLOG_SPECS = [(Fraction(5, 2), Fraction(1, 2)), (Fraction(5, 2), Fraction(3, 2)),
                (Fraction(1), Fraction(0)), (Fraction(1), Fraction(5, 2))]
 LAMBERT_X = {"chi1": JacobiCharacter(1), "chi5": JacobiCharacter(5),
@@ -610,7 +615,13 @@ FIXED_POINT_SUMS = {
        for m in range(-9, 10)},
     **{f"theta({a},{b})": (lambda n, a=a, b=b: theta_general(ThetaSpec(a, b), n),
                            lambda n, a=a, b=b: oracles.mpf_theta_general(a, b, n))
-       for a, b in THETA_WIDE},
+       for a, b in THETA_WIDE + THETA_B0},
+    **{f"agile_star({a},{p})": (lambda n, a=a, p=p: agile_star(AgileSpec(a, p), n),
+                                _with_qpow(star_exponent(a, p),
+                                           lambda n, a=a, p=p: oracles.mpf_agile(a, p, n)))
+       for a, p in STAR_SPECS},
+    "rrcf_product": (rrcf, _with_qpow(Fraction(1, 5), lambda n: oracles.mpf_agile(1, 5, n)
+                                      / oracles.mpf_agile(2, 5, n))),
     **{f"lambert_{k}": (lambda n, X=X: lambert_series(X, n),
                         lambda n, X=X: oracles.mpf_lambert(X, n))
        for k, X in LAMBERT_X.items()},
@@ -630,15 +641,28 @@ class TestFixedPointSums:
         pytest.param(digits, r, id=f"{digits}-r{r}") for digits in (30, 120, 300, 1000)
         for r in SUM_R if digits < 1000 or r >= 1])
     def test_matches_mpf_loops(self, digits, r):
-        ctx = PrecisionContext(digits)
-        nome, wide = make_nome(r, ctx), make_nome(r, ctx.doubled())
-        off = []
-        for name, (fixed, loop) in FIXED_POINT_SUMS.items():
-            value, ref = fixed(nome), loop(wide)
-            with mp.workdps(2 * ctx.dps):
-                if abs(value - ref) > abs(ref) * mp.mpf(10) ** -digits:
-                    off.append((name, mp.nstr(abs(value / ref - 1), 3)))
-        assert off == []
+        assert _sums_off(FIXED_POINT_SUMS, digits, r) == []
+
+    @pytest.mark.parametrize("r", [Fraction(1, 100), Fraction(1, 5)], ids=str)
+    def test_theta_sums_at_1000_digits(self, r):
+        # each branch of the one-sided term runs, direct and at the dual nome
+        names = (["theta2", "theta3", "powersum1", "powersum2", "rrcf_product"]
+                 + [name for name in FIXED_POINT_SUMS if name.startswith(("theta(", "agile_star"))])
+        assert _sums_off({name: FIXED_POINT_SUMS[name] for name in names}, 1000, r) == []
+
+
+def _sums_off(sums, digits, r):
+    """The sums that differ from their mpf loops at doubled precision by
+    more than 10^-digits relative."""
+    ctx = PrecisionContext(digits)
+    nome, wide = make_nome(r, ctx), make_nome(r, ctx.doubled())
+    off = []
+    for name, (fixed, loop) in sums.items():
+        value, ref = fixed(nome), loop(wide)
+        with mp.workdps(2 * ctx.dps):
+            if abs(value - ref) > abs(ref) * mp.mpf(10) ** -digits:
+                off.append((name, mp.nstr(abs(value / ref - 1), 3)))
+    return off
 
 
 def _theta_reference(a, b, r, dps):
