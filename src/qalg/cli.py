@@ -178,9 +178,14 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_verify(args) -> int:
     digits = args.digits or harness.DEFAULT_DIGITS.get(args.suite, 120)
-    reports = harness.run_suite(args.suite, digits, parallelism=args.parallelism)
+    parallelism = args.parallelism
+    if parallelism is None:
+        parallelism = harness.DEFAULT_PARALLELISM[args.suite]
+    reports = harness.run_suite(args.suite, digits, parallelism=parallelism)
     fmt = "json" if args.json else "text"
-    _write(harness.emit_report(reports, fmt, suite=args.suite, digits=digits), args)
+    # run_suite starts at most one worker per check
+    _write(harness.emit_report(reports, fmt, suite=args.suite, digits=digits,
+                               workers=min(parallelism, len(reports))), args)
     failed = harness.summarize(reports)["fail"]
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAIL
 
@@ -237,8 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run an identity suite")
     p_ver.add_argument("--suite", choices=list(harness.SUITES), default="paper-core")
     p_ver.add_argument("--digits", type=int, default=None)
-    p_ver.add_argument("--parallelism", type=int,
-                       default=max(1, os.cpu_count() or 1))
+    p_ver.add_argument("--parallelism", type=int, default=None,
+                       help="worker processes (default: 1 for paper-core and "
+                            "series-exact, the CPU count for conjectures and all)")
     p_ver.add_argument("--json", action="store_true")
     p_ver.add_argument("--out", help="write the report to a file")
     p_ver.set_defaults(func=_cmd_verify)

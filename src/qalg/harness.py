@@ -27,6 +27,7 @@ Suites: ``paper-core`` (the numeric identity grid), ``conjectures``
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -604,6 +605,11 @@ SUITES = ("paper-core", "conjectures", "series-exact", "all")
 
 DEFAULT_DIGITS = {"paper-core": 120, "conjectures": 300, "series-exact": 50, "all": 120}
 
+# verify's worker processes when --parallelism is not given: a pool costs
+# paper-core and series-exact more than it saves; conjectures gains from one
+DEFAULT_PARALLELISM = {"paper-core": 1, "series-exact": 1,
+                       "conjectures": os.cpu_count() or 1, "all": os.cpu_count() or 1}
+
 def checks_for_suite(suite: str) -> list[IdentityCheck]:
     if suite == "all":
         return list(REGISTRY.values())
@@ -671,11 +677,12 @@ def summarize(reports: list[IdentityReport]) -> dict:
 
 
 def emit_report(reports: list[IdentityReport], fmt: str = "text",
-                suite: str = "", digits: int = 0) -> str:
+                suite: str = "", digits: int = 0, workers: int = 1) -> str:
     if fmt == "json":
         return json.dumps({
             "suite": suite,
             "digits": digits,
+            "workers": workers,
             "checks": [asdict(r) for r in reports],
             "summary": summarize(reports),
         }, indent=2)

@@ -26,7 +26,7 @@ import mpmath as mp
 
 from .errors import DomainError, InsufficientData
 from .precision import HPReal, integer, to_mpf
-from .series import FormalSeries, _divisor_sieve, exponent_product
+from .series import FormalSeries, _divisor_sieve, _quo, exponent_product
 from .qengine import (
     AgileSpec,
     Nome,
@@ -189,11 +189,16 @@ def extract_X(inp: TaylorInput) -> list[Fraction]:
     return [s / n for n, s in enumerate(sums, 1)]
 
 
-def coeffs_from_X(X: Sequence[Fraction], order: int) -> list[Fraction]:
+def coeffs_from_X(X: Sequence[Fraction], order: int) -> list:
     """Inverse direction: c_n = (1/n) sum_{d|n} d X(d) for n = 1..order;
-    X must cover 1..order (expand a periodic X first)."""
-    sums = _divisor_sieve([d * Fraction(X[d - 1]) for d in range(1, order + 1)], 1)
-    return [s / n for n, s in enumerate(sums, 1)]
+    X must cover 1..order (expand a periodic X first).  An integral X is
+    sieved as ints, and each c_n is an int where n divides its sum, else
+    a Fraction."""
+    xs = [Fraction(X[d]) for d in range(order)]
+    if all(x.denominator == 1 for x in xs):
+        xs = [x.numerator for x in xs]
+    sums = _divisor_sieve([d * x for d, x in enumerate(xs, 1)], 1)
+    return [_quo(s, n) for n, s in enumerate(sums, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -596,8 +596,10 @@ def tau_star(a, p, nome: Nome) -> HPReal:
 # exact q-expansions
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=32)
 def agile_qexpansion(a: int, p: int, order: int) -> FormalSeries:
-    """Exact coefficients of [a,p;q] up to q**order (integer 0 < a < p)."""
+    """Exact coefficients of [a,p;q] up to q**order (integer 0 < a < p),
+    cached: a FormalSeries is immutable."""
     if order < 1:
         raise OrderError("order must be >= 1")
     a, p = int(a), int(p)
@@ -611,8 +613,9 @@ def agile_qexpansion(a: int, p: int, order: int) -> FormalSeries:
     return one_minus_power_product(exps, order)
 
 
+@lru_cache(maxsize=32)
 def eta_qexpansion(multiplier: int, order: int) -> FormalSeries:
-    """Exact coefficients of prod (1 - q^(m*n)) up to q**order."""
+    """Exact coefficients of prod (1 - q^(m*n)) up to q**order, cached."""
     m = int(multiplier)
     if m < 1 or order < 1:
         raise OrderError("need multiplier >= 1 and order >= 1")

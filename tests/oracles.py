@@ -4,12 +4,14 @@ Everything here deliberately avoids the code paths under test: pi comes
 from a Machin formula summed in exact rationals, K/E from their
 hypergeometric series, the beta value from a split binomial series,
 integrals from composite midpoint rules, the Rogers-Ramanujan fraction
-at small r from mpmath's jtheta, series log/exp from their
-textbook recurrences, the q-product, q-sum and AGM kernels from plain
-mpf loops (the q-series loops over the same terms, counts and powers of
-q as the library, summed in mpf instead of fixed point), the eq40 tail
-integral from mp.quad on its integrand, and the divisor sieve of the
-Moebius inversion from the Moebius-function formula.
+at small r from mpmath's jtheta, series log/exp/inverse from their
+textbook recurrences, series products from the schoolbook double loop
+over every index, exponent products one factor at a time, the q-product,
+q-sum and AGM kernels from plain mpf loops (the q-series loops over the
+same terms, counts and powers of q as the library, summed in mpf instead
+of fixed point), the eq40 tail integral from mp.quad on its integrand,
+and the divisor sieve of the Moebius inversion from the Moebius-function
+formula.
 Values are computed fresh so the tests never assert against numbers
 produced by the library itself.
 """
@@ -318,6 +320,42 @@ def series_exp(l) -> list:
             if l[k]:
                 s += k * l[k] * out[n - k]
         out[n] = _exact(Fraction(s, n))
+    return out
+
+
+def series_mul(a, b) -> list:
+    """The schoolbook product of two coefficient lists, cut to the shorter
+    one's length: every pair i + j below that length, zeros included."""
+    n = min(len(a), len(b))
+    out = [0] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return [_exact(Fraction(c)) for c in out]
+
+
+def series_inverse(a) -> list:
+    """1/a for a coefficient list with a[0] != 0, by the recurrence
+    sum_{k<=n} a_k g_(n-k) = [n = 0] solved for g_n in exact rationals."""
+    g = [Fraction(1) / Fraction(a[0])]
+    for n in range(1, len(a)):
+        g.append(-sum(Fraction(a[k]) * g[n - k] for k in range(1, n + 1)) / a[0])
+    return [_exact(c) for c in g]
+
+
+def passes_product(xs, order: int) -> list:
+    """prod_n (1 - q^n)^xs[n-1] to q^order for integer exponents, one
+    factor at a time: x_n times c_i - c_(i-n) into a new list, or -x_n
+    times the running sum c_i + c_(i-n) of 1/(1 - q^n)."""
+    out = [1] + [0] * order
+    for n, x in enumerate(xs, 1):
+        for _ in range(x):
+            out = [c - (out[i - n] if i >= n else 0) for i, c in enumerate(out)]
+        for _ in range(-x):
+            new = []
+            for i, c in enumerate(out):
+                new.append(c + (new[i - n] if i >= n else 0))
+            out = new
     return out
 
 

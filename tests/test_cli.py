@@ -1,6 +1,7 @@
 """Command-line interface: parsing, dispatch, exit codes, JSON output."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 
 import qalg
 from qalg import JacobiCharacter, PrecisionContext, agile_star, AgileSpec, make_nome
+from qalg import harness
 from qalg.cli import main
 from qalg.recognize import QUANTITIES
 
@@ -268,6 +270,52 @@ class TestVerify:
         doc = json.loads(out_file.read_text())
         assert doc["suite"] == "series-exact"
         assert doc["summary"]["fail"] == 0
+
+    def test_json_reports_default_workers(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "series-exact", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["workers"] == 1
+        assert doc["summary"] == {"pass": 15, "fail": 0, "recorded": 0}
+
+    @pytest.mark.parametrize("suite, flag, expected", [
+        ("paper-core", (), 1), ("series-exact", (), 1),
+        ("conjectures", (), os.cpu_count() or 1), ("all", (), os.cpu_count() or 1),
+        ("paper-core", ("--parallelism", "2"), 2), ("conjectures", ("--parallelism", "1"), 1)])
+    def test_parallelism_default_per_suite(self, capsys, monkeypatch, suite, flag, expected):
+        seen = []
+        report = harness.IdentityReport(id="x", lhs="1", rhs="1", abs_difference="0",
+                                        tolerance="1", verdict="pass", wall_time_ms=0, note="")
+
+        def run_suite(name, digits, parallelism):
+            seen.append(parallelism)
+            return [report] * 40
+
+        monkeypatch.setattr(harness, "run_suite", run_suite)
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, *flag, "--json")
+        assert code == 0 and seen == [expected]
+        assert json.loads(out)["workers"] == min(expected, 40)
+
+    def test_json_workers_capped_at_check_count(self, capsys, monkeypatch):
+        # a stand-in pool that maps in this process, so no worker starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "series-exact",
+                               "--parallelism", "100", "--json")
+        assert code == 0 and sizes == [15] and json.loads(out)["workers"] == 15
 
     def test_bad_suite(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "everything")

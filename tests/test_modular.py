@@ -349,6 +349,23 @@ class TestIncompleteBeta:
             incomplete_beta(x, Fraction(1, 2), q, CTX)
         assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("e", [-10 ** 15, -2000, -198])
+    def test_tiny_x_against_mpmath(self, e):
+        # below x (1 + |q - 1|) < 2^-prec the value is x^p/p from the mpf x,
+        # which exact() refuses beyond 2^-(2^24); -198 is just above the cut
+        x, p, q = mp.ldexp(3, e), Fraction(1, 6), Fraction(2, 3)
+        val = incomplete_beta(x, p, q, CTX)
+        with mp.workdps(CTX.dps + 70):
+            ref = mp.betainc(mp.mpf(1) / 6, mp.mpf(2) / 3, 0, x)
+            assert abs(val - ref) <= abs(ref) * mp.mpf(10) ** (3 - CTX.dps)
+
+    def test_theorem3_at_r_1e30(self):
+        # k_{4r}^2 is about 3e-2728752707683682 here
+        ctx = PrecisionContext(30)
+        res = theorem3_check(10 ** 30, ctx)
+        with ctx.workdps():
+            assert res.rhs > 0 and abs(res.lhs - res.rhs) < ctx.eps_check * res.rhs
+
     def test_complete_value_cached(self, monkeypatch):
         # a reflected call at a precision seen before sums one series, not three
         modular._complete_beta.cache_clear()

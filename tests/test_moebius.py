@@ -152,6 +152,16 @@ class TestInversion:
     def test_sieve_matches_moebius_formula(self, cs):
         assert extract_X(TaylorInput(cs)) == moebius_extract_X(cs)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=120))
+    def test_integral_X_gives_ints_where_exact(self, xs):
+        # c_n = (1/n) sum_{d|n} d X(d) by the divisor double loop
+        sums = [sum(d * xs[d - 1] for d in range(1, n + 1) if n % d == 0)
+                for n in range(1, len(xs) + 1)]
+        got = coeffs_from_X([Fraction(x) for x in xs], len(xs))
+        assert got == [Fraction(s, n) for n, s in enumerate(sums, 1)]
+        assert [type(c) is int for c in got] == [s % n == 0 for n, s in enumerate(sums, 1)]
+
     def test_linearity(self):
         a = TaylorInput([Fraction(1, n) for n in range(1, 15)])
         b = TaylorInput([Fraction(n, n + 1) for n in range(1, 15)])

@@ -387,6 +387,13 @@ class TestExactExpansions:
         with pytest.raises(Exception):
             agile_qexpansion(1, 5, 0)
 
+    @pytest.mark.parametrize("build, args", [(eta_qexpansion, (1, 200)),
+                                             (agile_qexpansion, (1, 5, 100))])
+    def test_expansions_built_once_and_bounded(self, build, args):
+        build.cache_clear()
+        assert build(*args) is build(*args)
+        assert build.cache_info().hits == 1 and build.cache_info().maxsize <= 64
+
 
 class TestThetaProductGrid:
     @pytest.mark.parametrize("r", [1, 2, 3])

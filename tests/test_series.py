@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qalg import FormalSeries, OrderError, exponent_product
+from qalg import FormalSeries, OrderError, exponent_product, series
 from qalg.series import one_minus_power_product
 
-from oracles import horner, series_exp, series_log
+from oracles import (horner, passes_product, series_exp, series_inverse, series_log,
+                     series_mul)
 
 rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6)
@@ -174,6 +175,90 @@ class TestExpLogAgainstReference:
     def test_log(self, cs):
         s = FormalSeries([1] + cs)
         _same_coeffs(s.log().coeffs, series_log(s.coeffs))
+
+
+big_ints = st.one_of(st.integers(-3, 3), st.integers(-2 ** 200, 2 ** 200))
+small_fractions = st.fractions(min_value=Fraction(-9), max_value=Fraction(9),
+                               max_denominator=12)
+
+
+@st.composite
+def masked(draw, values, size):
+    """size coefficients from values, each kept with a probability drawn
+    from all-zero to dense; the rest are 0."""
+    density = draw(st.sampled_from([0, 5, 25, 60, 100]))
+    return [draw(values) if draw(st.integers(0, 99)) < density else 0
+            for _ in range(size)]
+
+
+@st.composite
+def masked_series(draw, values, max_order, c0=None):
+    cs = draw(masked(values, draw(st.integers(0, max_order)) + 1))
+    cs[0] = draw(c0) if c0 is not None else cs[0]
+    return FormalSeries(cs)
+
+
+def _typed(got: FormalSeries, ref: list):
+    assert got.coeffs == tuple(ref)
+    assert [type(c) for c in got.coeffs] == [type(c) for c in ref]
+
+
+class TestKernelsAgainstOracles:
+    """The sparse loops, the Kronecker product and Newton's inverse against
+    the schoolbook oracles, at unequal orders, from all-zero to dense."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(masked_series(big_ints, 90), masked_series(big_ints, 90))
+    def test_int_mul(self, a, b):
+        _typed(a * b, series_mul(a.coeffs, b.coeffs))
+        assert (a * b).order == min(a.order, b.order)
+
+    @settings(max_examples=40, deadline=None)
+    @given(masked_series(st.one_of(big_ints, small_fractions), 40),
+           masked_series(small_fractions, 40))
+    def test_fraction_mul(self, a, b):
+        _typed(a * b, series_mul(a.coeffs, b.coeffs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(masked_series(st.integers(-2 ** 200, 2 ** 200), 40,
+                         c0=st.sampled_from([1, -1, 2, -3, 2 ** 70])))
+    def test_int_inverse(self, a):
+        _typed(a.inverse(), series_inverse(a.coeffs))
+
+    @settings(max_examples=25, deadline=None)
+    @given(masked_series(st.integers(-9, 9), 130, c0=st.sampled_from([1, -1])))
+    def test_unit_inverse_up_to_newton(self, a):
+        _typed(a.inverse(), series_inverse(a.coeffs))
+
+    @settings(max_examples=30, deadline=None)
+    @given(masked_series(small_fractions, 30,
+                         c0=st.sampled_from([Fraction(1), Fraction(-2, 3), Fraction(5, 2)])))
+    def test_fraction_inverse(self, a):
+        _typed(a.inverse(), series_inverse(a.coeffs))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3, 5]),
+           st.integers(1, 40).flatmap(lambda n: masked(st.integers(-2, 2), n)))
+    def test_exponent_product_shared_factor(self, g, ys):
+        xs = [g * y for y in ys]
+        _typed(exponent_product(lambda n: xs[n - 1], len(xs)), passes_product(xs, len(xs)))
+
+    def test_dense_big_product_takes_kronecker(self, monkeypatch):
+        calls = []
+        kmul = series._kmul
+        monkeypatch.setattr(series, "_kmul", lambda *a: calls.append(a) or kmul(*a))
+        a = FormalSeries([(-1) ** i * (2 ** 65 + 3 * i) for i in range(80)])
+        b = FormalSeries([2 ** 70 - 7 * i * i for i in range(72)])
+        _typed(a * b, series_mul(a.coeffs, b.coeffs))
+        assert len(calls) == 1 and max(map(abs, (a * b).coeffs)) > 2 ** 135
+
+    def test_dense_unit_inverse_takes_newton(self, monkeypatch):
+        calls = []
+        kmul = series._kmul
+        monkeypatch.setattr(series, "_kmul", lambda *a: calls.append(a) or kmul(*a))
+        a = FormalSeries([1] + [3 - i % 7 or 1 for i in range(1, 150)])
+        _typed(a.inverse(), series_inverse(a.coeffs))
+        assert len(calls) == 2 * 8  # orders 2, 4, ..., 128, 150: two products each
 
 
 class TestRoundTrips:
