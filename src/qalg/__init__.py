@@ -24,7 +24,6 @@ from .qengine import (
     agile_via_triangular,
     eta_paper,
     eta_qexpansion,
-    m_series,
     make_nome,
     star_exponent,
     tau_star,

@@ -29,11 +29,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, pi_fixed, to_fixed
+from mpmath.libmp import dps_to_prec, pi_fixed
 
 from .errors import ConvergenceError, DomainError, InsufficientPrecision
 from .precision import HPReal, PrecisionContext, dyadic, exact, integer, to_mpf
-from .qengine import _dual, _progression_product, _qpow, make_nome
+from .qengine import _dual, _fixed, _progression_product, _qpow, make_nome
 
 
 def _shift(n: int, e: int) -> int:
@@ -77,13 +77,13 @@ def _agm(man: int, exp: int, dps: int, k: HPReal | None = None):
                 a, b = (a + b) / 2, mp.sqrt(a * b)
                 iters += 1
         prec += max(0, -mp.mag(b))
-        a, b, head = (int(to_fixed(v._mpf_, prec)) for v in (a, b, h))
+        a, b, head = (_fixed(v, prec) for v in (a, b, h))
     else:
         prec += max(0, zeros)
         a, b = 1 << prec, _shift(man, prec + exp)
     csum4 = None
     if k is not None:
-        kf = int(to_fixed(k._mpf_, prec))
+        kf = _fixed(k, prec)
         csum4 = (2 * kf * kf >> prec) + head
     eps = (1 << prec) // 10 ** (dps - 3)
     d = a - b

@@ -392,8 +392,8 @@ def _eq39_series(ctx, order: int):
            * theta_qexpansion(5, 1, order).pow_int(6)
            * eta_qexpansion(5, order).pow_int(12).inverse())
     chi = JacobiCharacter(5).value
-    neg = exponent_product(lambda n: -5 * chi(n), order)
     pos = exponent_product(lambda n: 5 * chi(n), order)
+    neg = pos.inverse()
     rhs = neg - FormalSeries.from_terms({1: 11}, order) - pos.shift(2)
     return _series_outcome(lhs, rhs, note="both sides times v, v = q^2")
 

@@ -319,9 +319,18 @@ def _beta_series(x: Fraction, p: Fraction, q: Fraction) -> HPReal:
         n += 1
     # (1 - x)^q = exp(q ln(1 - x)) scales ln's rounding error by q
     with mp.extraprec(math.ceil(q).bit_length()):
-        xm, pm = to_mpf(x), to_mpf(p)
-        pref = xm ** pm / pm if q <= 1 else xm ** pm * to_mpf(1 - x) ** to_mpf(q) / pm
+        pref = _power_over(to_mpf(x), p)
+        if q > 1:
+            pref *= to_mpf(1 - x) ** to_mpf(q)
         return pref * mp.ldexp(total, -P)
+
+
+def _power_over(x: HPReal, p: Fraction) -> HPReal:
+    """x^p/p for an mpf x >= 0, with as many extra bits as x's exponent
+    has: x^p = exp(p ln x) scales p's rounding by ln x."""
+    with mp.extraprec(mp.mag(x).bit_length() if x else 0):
+        pm = to_mpf(p)
+        return x ** pm / pm
 
 
 @lru_cache(maxsize=64)
@@ -369,11 +378,10 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
     above about 65000 at 60 digits.
 
     Where y = x (1 + |q - 1|) < 2^-P, P the working bits, this is x^p/p
-    from the mpf x, which need not be exact (k_{4r}^2 at r = 10^30 is
-    about 3e-2728752707683682): each ratio of 2F1(p, 1-q; p+1; x) is below
-    y in modulus, so the 2F1 is 1 within y/(1 - y) < 2^(1-P).  x^p takes
-    as many extra bits as x's exponent has, since p ln x scales p's
-    rounding.
+    (_power_over) from the mpf x, which need not be exact (k_{4r}^2 at
+    r = 10^30 is about 3e-2728752707683682): each ratio of 2F1(p, 1-q;
+    p+1; x) is below y in modulus, so the 2F1 is 1 within y/(1 - y) <
+    2^(1-P).
     """
     p, q = Fraction(p), Fraction(q)
     if p <= 0 or q <= 0:
@@ -381,9 +389,7 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
     if isinstance(x, mp.mpf) and x > 0:
         with ctx.workdps():
             if x * to_mpf(1 + abs(q - 1)) < mp.ldexp(1, -mp.mp.prec):
-                with mp.extraprec(mp.mag(x).bit_length()):
-                    b = x ** to_mpf(p) / to_mpf(p)
-                return +b
+                return +_power_over(x, p)
     x = exact(x)
     if x < 0 or x > 1:
         raise DomainError(f"x must lie in [0,1], got {x}")

@@ -16,13 +16,14 @@ from the nome's unrounded x = pi*sqrt(r), so no logarithm is taken.
 Truncation: one rule for every numeric q-series.  make_nome works out the
 tail threshold X (q^x < 10^-(digits+guard) for all x > X) once, as
 Nome.tail.  A product keeps every factor whose exponent is at most X, plus
-one; a theta sum, a Lambert sum and the eta log-derivative (qalg.moebius)
-keep their terms up to the first exponent above X; the triangular series
-of agile_via_triangular keep those up to X.  The count comes in closed
-form, each term follows from the last by multiplication, and a count above
-ten million (q too close to 1) raises ConvergenceError.  The continued
-fraction in modular.rrcf follows the same rule: its depth n is the
-smallest with (n+1)(n+2)/2 > X, which bounds the convergent's error.
+one; a theta sum (also the triangular series of agile_via_triangular,
+which are theta's pair runs), a Lambert sum and the eta log-derivative
+(qalg.moebius) keep their terms up to the first exponent above X.  The
+count comes in closed form, each term follows from the last by
+multiplication, and a count above ten million (q too close to 1) raises
+ConvergenceError.  The continued fraction in modular.rrcf follows the
+same rule: its depth n is the smallest with (n+1)(n+2)/2 > X, which
+bounds the convergent's error.
 
 Fixed point: one rule for every numeric q-series loop, the products, the
 theta sums, the Lambert sums and the continued fraction.  The terms are
@@ -411,12 +412,7 @@ def _theta(a: Fraction, b: Fraction, nome: Nome, dual: bool) -> HPReal:
                 v = make_nome(1 / (a * a * nm.r), nm.ctx)
                 s, lost = _cosine_sum(b / (2 * a), v, nm)
                 return s * mp.root(to_mpf(v.r), 4) * _qpow(v, Fraction(1, 4)), lost
-            # 1 + sum_{n>=1} (-1)^n (q^(a n^2 + b n) + q^(a n^2 - b n)): the 1 is the largest term
-            prec, terms = _theta_terms(a, b, nm)
-            s = ((1 << prec) - sum(tp + tm for tp, tm in terms[::2])
-                 + sum(tp + tm for tp, tm in terms[1::2]))
-            noise = 3 * len(terms).bit_length() + 3
-            return mp.ldexp(s, -prec), _cancelled(s, prec + 1, noise, nm)
+            return _theta_direct(a, b, nm)
 
     if b == a:
         return mp.mpf(0)
@@ -424,6 +420,17 @@ def _theta(a: Fraction, b: Fraction, nome: Nome, dual: bool) -> HPReal:
     if dual:
         e0 -= b * b / (4 * a)
     return +(_qpow(nome, e0) * (-s if n0 % 2 else s))
+
+
+def _theta_direct(a: Fraction, b: Fraction, nome: Nome) -> tuple[HPReal, int]:
+    """(theta(a, b), cancelled bits) for |b| < a, summed directly about its
+    smallest exponent: 1 + sum_{n>=1} (-1)^n (q^(a n^2 + b n) + q^(a n^2 - b n))
+    on the pair runs of _theta_terms, whose largest term is the 1."""
+    prec, terms = _theta_terms(a, b, nome)
+    s = ((1 << prec) - sum(tp + tm for tp, tm in terms[::2])
+         + sum(tp + tm for tp, tm in terms[1::2]))
+    noise = 3 * len(terms).bit_length() + 3
+    return mp.ldexp(s, -prec), _cancelled(s, prec + 1, noise, nome)
 
 
 def _cosine_sum(c: Fraction, v: Nome, nome: Nome) -> tuple[HPReal, int]:
@@ -527,34 +534,19 @@ def _eta(m: Fraction, nome: Nome, dual: bool) -> HPReal:
     return _progression_product(m, m, qm, qm, nome)
 
 
-def m_series(c: HPReal, w: HPReal, terms: int) -> HPReal:
-    """sum_{n=0}^{terms-1} c^n * w^(n(n+1)/2) for |w| < 1, at the
-    caller's working precision.
-
-    c may exceed 1 in magnitude (the quadratic power of w eventually
-    dominates); the caller takes the count from the truncation rule.
-    """
-    w, c = mp.mpf(w), mp.mpf(c)
-    if abs(w) >= 1:
-        raise DomainError("the quadratic base must satisfy |w| < 1")
-    s = term = wn = mp.mpf(1)
-    for _ in range(terms - 1):
-        wn *= w                      # w^(n+1)
-        term *= c * wn               # c^(n+1) w^((n+1)(n+2)/2)
-        s += term
-    return s
-
-
 def agile_via_triangular(spec: AgileSpec, nome: Nome) -> HPReal:
     """[a,p;q] assembled from the triangular-number series:
-    (M(-q^-a, q^p) - q^a M(-q^a, q^p)) / eta(p).  The n-th terms are
-    +-q^(p n^2/2 + (p/2 -+ a) n); each series stops before the first n
-    whose exponent exceeds the tail threshold.
+    (M(-q^-a, q^p) - q^a M(-q^a, q^p)) / eta(p), M(c, w) = sum_{n>=0}
+    c^n w^(n(n+1)/2).  The numerator is theta(p/2, p/2 - a) (the Jacobi
+    triple product) summed directly by _theta_direct: after the leading 1,
+    the plus run of _theta_terms is M(-q^-a, q^p) term for term, and the
+    minus run is -q^a M(-q^a, q^p), shifted by one.  It is never taken at
+    the dual nome, where it would be the cosine sum of agile's own dual.
 
     The numerator, about exp(-pi/(2p sqrt r)), is summed from terms of
     size 1; once the digits that cancellation costs exceed half the guard
-    digits, the sums and eta(p) run on a nome with those digits added.
-    There eta(p) takes its dual, and the series' work, about sqrt(X/p)
+    digits, the sum and eta(p) run on a nome with those digits added.
+    There eta(p) takes its dual, and the sum's work, about sqrt(X/p)
     terms at digits + lost, is bounded up front by holding X/p on that
     nome to the term budget."""
     a, p = spec.a, spec.p
@@ -566,10 +558,7 @@ def agile_via_triangular(spec: AgileSpec, nome: Nome) -> HPReal:
         _term_count(p, 0, p, nome.tail * (ctx.dps + lost) // ctx.dps)
         nome = make_nome(nome.r, PrecisionContext(ctx.digits + lost, ctx.guard))
     with nome.ctx.workdps():
-        qa, qp = _qpow(nome, a), _qpow(nome, p)
-        lo = m_series(-1 / qa, qp, _term_count(0, p / 2, p / 2 - a, nome.tail))
-        hi = m_series(-qa, qp, _term_count(0, p / 2, p / 2 + a, nome.tail))
-        value = (lo - qa * hi) / eta_paper(p, nome)
+        value = _theta_direct(p / 2, p / 2 - a, nome)[0] / eta_paper(p, nome)
     with ctx.workdps():
         return +value
 

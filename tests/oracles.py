@@ -9,7 +9,8 @@ textbook recurrences, series products from the schoolbook double loop
 over every index, exponent products one factor at a time, the q-product,
 q-sum and AGM kernels from plain mpf loops (the q-series loops over the
 same terms, counts and powers of q as the library, summed in mpf instead
-of fixed point), the eq40 tail integral from mp.quad on its integrand,
+of fixed point; the triangular-number series as the two one-sided sums
+M(c, q^p) that the paper writes), the eq40 tail integral from mp.quad on its integrand,
 and the divisor sieve of the Moebius inversion from the Moebius-function
 formula.
 Values are computed fresh so the tests never assert against numbers
@@ -203,6 +204,29 @@ def mpf_agile(a, p, nome) -> mp.mpf:
         for e0, t in ((Fraction(a), qa), (Fraction(p - a), qp / qa)):
             out *= mpf_progression_product(t, qp, _term_count(e0, 0, p, nome.tail) + 1)
         return +out
+
+
+def mpf_triangular_sum(a, p, nome) -> mp.mpf:
+    """M(-q^-a, q^p) - q^a M(-q^a, q^p), M(c, w) = sum_{n>=0} c^n
+    w^(n(n+1)/2), each series by the plain mpf loop over its terms up to
+    the tail threshold: the numerator of the triangular-number route.  It
+    cancels about pi/(2p sqrt r ln 10) digits, which the nome must carry."""
+    from qalg.qengine import _qpow, _term_count
+
+    def m_series(c, w, terms):
+        s = term = wn = mp.mpf(1)
+        for _ in range(terms - 1):
+            wn *= w                  # w^(n+1)
+            term *= c * wn           # c^(n+1) w^((n+1)(n+2)/2)
+            s += term
+        return s
+
+    a, p = Fraction(a), Fraction(p)
+    with nome.ctx.workdps():
+        qa, qp = _qpow(nome, a), _qpow(nome, p)
+        lo = m_series(-1 / qa, qp, _term_count(0, p / 2, p / 2 - a, nome.tail))
+        hi = m_series(-qa, qp, _term_count(0, p / 2, p / 2 + a, nome.tail))
+        return +(lo - qa * hi)
 
 
 def mpf_eta(m, nome) -> mp.mpf:

@@ -359,6 +359,14 @@ class TestIncompleteBeta:
             ref = mp.betainc(mp.mpf(1) / 6, mp.mpf(2) / 3, 0, x)
             assert abs(val - ref) <= abs(ref) * mp.mpf(10) ** (3 - CTX.dps)
 
+    def test_tiny_exact_x_against_mpmath(self):
+        # an exact x = 10^-1000000 goes through the series; its prefactor
+        # x^p/p needs the bits of x's exponent as much as the mpf path does
+        val = incomplete_beta(Fraction(1, 10 ** 1000000), Fraction(1, 6), Fraction(2, 3), CTX)
+        with mp.workdps(200):
+            ref = mp.betainc(mp.mpf(1) / 6, mp.mpf(2) / 3, 0, mp.mpf(10) ** -1000000)
+            assert abs(val - ref) <= abs(ref) * mp.mpf(10) ** -80
+
     def test_theorem3_at_r_1e30(self):
         # k_{4r}^2 is about 3e-2728752707683682 here
         ctx = PrecisionContext(30)

@@ -23,7 +23,6 @@ from qalg import (
     agile_via_triangular,
     eta_paper,
     eta_qexpansion,
-    m_series,
     make_nome,
     star_exponent,
     tau_star,
@@ -267,18 +266,38 @@ class TestEta:
             assert close(lhs, rhs, 80, dps=130)
 
 
-class TestTriangularSeries:
-    def test_c_zero(self):
-        with CTX.workdps():
-            assert m_series(0, mp.mpf(1) / 3, 10) == 1
+TRIANGULAR_R = [Fraction(1, 10 ** 8), Fraction(1, 10 ** 6), Fraction(1, 10 ** 4),
+                Fraction(1, 100), Fraction(1, 8), 1, 2, 100]
 
-    def test_direct_summation_oracle(self):
-        with CTX.workdps():
-            val = m_series(1, mp.mpf(1) / 2, 30)
-            oracle = mp.mpf(0)
-            for n in range(0, 400):
-                oracle += mp.mpf(2) ** (-n * (n + 1) // 2)
-            assert close(val, oracle, 55, dps=CTX.dps)
+
+class TestTriangularSeries:
+    @pytest.mark.parametrize("digits", [40, 120, 300])
+    @pytest.mark.parametrize("r", TRIANGULAR_R, ids=[f"r{r}" for r in TRIANGULAR_R])
+    def test_against_mpf_series(self, r, digits):
+        # the reference sums M(c, q^p) in mpf on a nome carrying the digits
+        # the numerator cancels, and 20 more
+        for a, p in [(1, 5), (Fraction(1, 2), 4), (3, 7), (Fraction(5, 2), 12)]:
+            value = agile_via_triangular(AgileSpec(a, p), make_nome(r, PrecisionContext(digits)))
+            with mp.workdps(30):
+                lost = int(mp.pi / (2 * p * mp.sqrt(to_mpf(r)) * mp.ln10)) + 1
+            wide = make_nome(r, PrecisionContext(digits + lost + 20))
+            with wide.ctx.workdps():
+                ref = oracles.mpf_triangular_sum(a, p, wide) / eta_paper(p, wide)
+                assert abs(value - ref) <= abs(ref) * mp.mpf(10) ** -digits, (a, p)
+
+    @pytest.mark.parametrize("r", [Fraction(1, 100), Fraction(1, 10 ** 6)],
+                             ids=["r1/100", "r1e-6"])
+    def test_numerator_never_dual(self, r, monkeypatch):
+        # agile takes the cosine sum at its dual nome here; the second
+        # route must sum its numerator directly, or the two would coincide
+        def refuse(*args):
+            raise AssertionError("the triangular route took the dual theta sum")
+
+        ref = agile(AgileSpec(1, 5), make_nome(r, PrecisionContext(60)))
+        monkeypatch.setattr(qengine, "_cosine_sum", refuse)
+        value = agile_via_triangular(AgileSpec(1, 5), make_nome(r, PrecisionContext(40)))
+        with mp.workdps(100):
+            assert abs(value - ref) < abs(ref) * mp.mpf(10) ** -40
 
     def test_agile_assembly(self):
         nome = make_nome(2, CTX100)
@@ -306,11 +325,6 @@ class TestTriangularSeries:
         ref = agile(spec, make_nome(r, PrecisionContext(60)))
         with mp.workdps(100):
             assert abs(value - ref) < abs(ref) * mp.mpf(10) ** -40
-
-    def test_base_domain(self):
-        with CTX.workdps():
-            with pytest.raises(DomainError):
-                m_series(mp.mpf(1) / 2, mp.mpf(1), 10)
 
 
 class TestDuplicationRatio:
