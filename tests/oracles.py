@@ -10,9 +10,9 @@ over every index, exponent products one factor at a time, the q-product,
 q-sum and AGM kernels from plain mpf loops (the q-series loops over the
 same terms, counts and powers of q as the library, summed in mpf instead
 of fixed point; the triangular-number series as the two one-sided sums
-M(c, q^p) that the paper writes), the eq40 tail integral from mp.quad on its integrand,
-and the divisor sieve of the Moebius inversion from the Moebius-function
-formula.
+M(c, q^p) that the paper writes), the eq40 tail integral from mp.quad on
+its integrand, and the divisor sieve of the Moebius inversion from the
+Moebius-function formula.
 Values are computed fresh so the tests never assert against numbers
 produced by the library itself.
 """
