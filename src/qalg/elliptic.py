@@ -162,10 +162,12 @@ def _theta_seed(s: Fraction) -> tuple[int, int]:
     k_s = X 2^E: theta2^2/theta3^2 = 4 v^2 (t2/t3)^2 at v = q^(1/4) =
     exp(-pi sqrt(s)/4), q <= e^-pi, with t2 = sum q^(n^2+n) and
     t3 = 1 + 2 sum q^(n^2) summed to n = 5.  v is taken at 30 digits
+    more than the integer digits of pi sqrt(s), as make_nome takes q,
     rather than in floats, since k_s underflows a double past s ~ 2e5;
     the sums, near 1, run on integers scaled by 2^100.  Apart from
     qengine's theta sums, which k_r is checked against."""
-    with mp.workdps(30):
+    log10_s = math.log10(s.numerator) - math.log10(s.denominator)
+    with mp.workdps(30 + math.ceil(math.log10(math.pi) + log10_s / 2)):
         vm, ve = _man_exp(mp.exp(-mp.pi * mp.sqrt(to_mpf(s)) / 4))
     F = 100
     q = _shift(vm ** 4, 4 * ve + F)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -127,7 +126,7 @@ class IdentityReport:
     abs_difference: str
     tolerance: str
     verdict: str  # pass | fail | recorded
-    wall_time_ms: int
+    wall_time_ms: float
     note: str = ""
 
 
@@ -630,23 +629,16 @@ def _execute_check(check_id: str, digits: int) -> IdentityReport:
             if isinstance(outcome, Residual):
                 outcome = CheckOutcome(_num(outcome.lhs), _num(outcome.rhs), outcome.diff,
                                        ctx.eps_check, outcome.note)
-            if check.kind == "recorded":
-                verdict = "recorded"
-            else:
-                verdict = "pass" if outcome.diff < outcome.tolerance else "fail"
-            report = IdentityReport(
-                id=check.id, lhs=outcome.lhs, rhs=outcome.rhs,
-                abs_difference=_num(outcome.diff), tolerance=_num(outcome.tolerance),
-                verdict=verdict,
-                wall_time_ms=int((time.monotonic() - start) * 1000),
-                note=outcome.note)
+            fields = dict(lhs=outcome.lhs, rhs=outcome.rhs, abs_difference=_num(outcome.diff),
+                          tolerance=_num(outcome.tolerance), note=outcome.note,
+                          verdict="pass" if outcome.diff < outcome.tolerance else "fail")
         except Exception as exc:  # a failing check must not abort the suite
-            report = IdentityReport(
-                id=check.id, lhs="(error)", rhs="(error)", abs_difference="inf",
-                tolerance="0", verdict="recorded" if check.kind == "recorded" else "fail",
-                wall_time_ms=int((time.monotonic() - start) * 1000),
-                note=f"{type(exc).__name__}: {exc}")
-    return report
+            fields = dict(lhs="(error)", rhs="(error)", abs_difference="inf", tolerance="0",
+                          note=f"{type(exc).__name__}: {exc}", verdict="fail")
+    if check.kind == "recorded":
+        fields["verdict"] = "recorded"
+    return IdentityReport(id=check.id, wall_time_ms=round((time.monotonic() - start) * 1000, 3),
+                          **fields)
 
 
 def run_suite(name: str, digits: Optional[int] = None,
@@ -663,6 +655,8 @@ def run_suite(name: str, digits: Optional[int] = None,
     ids = [c.id for c in checks_for_suite(name)]
     workers = min(parallelism, len(ids))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a slow import, needed only here
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(partial(_execute_check, digits=digits), ids))
     return [_execute_check(i, digits) for i in ids]
@@ -692,7 +686,7 @@ def emit_report(reports: list[IdentityReport], fmt: str = "text",
         for r in reports:
             lines.append(
                 f"{r.id:<{width}}  {r.verdict:<8}  diff={r.abs_difference:<12} "
-                f"tol={r.tolerance:<12} {r.wall_time_ms:>7}ms  {r.note}")
+                f"tol={r.tolerance:<12} {r.wall_time_ms:>9.3f}ms  {r.note}")
         s = summarize(reports)
         lines.append(
             f"{'summary':<{width}}  pass={s['pass']} fail={s['fail']} recorded={s['recorded']}")

@@ -3,13 +3,12 @@
 Given a value known to hundreds of digits, build the knapsack lattice on
 (1, x, ..., x^d) with the powers scaled to integers, LLL-reduce it with
 exact integer arithmetic (delta = 1/2, then 99/100), and read candidate
-integer relations off the short vectors.  Each degree's lattice is seeded
-with the reduced basis of the degree before it, so the scan never reduces a
-lattice from scratch.  A candidate is only reported as
-*recognized* after a two-tier residual test: small at working precision,
-and - when the value can be recomputed - still consistently small at
-doubled precision.  Degrees are scanned in ascending order, so the
-returned polynomial has minimal degree among the passing candidates.
+integer relations off the short vectors.  Only the degrees 1, 2, 4, 8, ...
+and the degree bound are reduced, each seeded with the reduced basis of the
+one before it.  The gcd of the relations at the first degree with any is
+only reported as *recognized* after a two-tier residual test: small at
+working precision, and - when the value can be recomputed - still
+consistently small at doubled precision.
 """
 
 from __future__ import annotations
@@ -50,15 +49,16 @@ from .modular import rrcf, sextic_theta
 # exact integer LLL
 # ---------------------------------------------------------------------------
 
-def lattice_reduce(basis: Sequence[Sequence[int]]) -> list[list[int]]:
+def lattice_reduce(basis: Sequence[Sequence[int]], polish: bool = True) -> list[list[int]]:
     """LLL-reduce an integer basis (rows), entirely in integer arithmetic.
 
     Uses the integral Gram-Schmidt bookkeeping d_i, lambda_{i,j}; the
     Lovasz test for delta = num/den is
     den*(d[k+1]*d[k-1] + lambda^2) < num*d[k]^2.
     A delta = 1/2 stage, whose swaps each at least halve prod d_i, does
-    the bulk; a delta = 99/100 stage then restarts at k = 1 on the same
-    basis, d and lambda, so the output is delta = 99/100-reduced.
+    the bulk; with ``polish`` a delta = 99/100 stage then restarts at
+    k = 1 on the same basis, d and lambda, so the output is
+    delta = 99/100-reduced, and without it delta = 1/2-reduced.
     Raises DegenerateBasis on linearly dependent rows.
     """
     b = [list(map(int, row)) for row in basis]
@@ -103,7 +103,7 @@ def lattice_reduce(basis: Sequence[Sequence[int]]) -> list[list[int]]:
     d[1] = dot(b[0], b[0])
     if d[1] == 0:
         raise DegenerateBasis("zero row")
-    for num, den in ((1, 2), (99, 100)):
+    for num, den in ((1, 2), (99, 100))[:1 + polish]:
         k = 1
         while k < n:
             if k > kmax:
@@ -148,14 +148,8 @@ class IntegerPolynomial:
             cs.pop()
         if not cs:
             raise DomainError("the zero polynomial is not allowed")
-        g = 0
-        for c in cs:
-            g = math.gcd(g, abs(c))
-        if g > 1:
-            cs = [c // g for c in cs]
-        if cs[-1] < 0:
-            cs = [-c for c in cs]
-        object.__setattr__(self, "coefficients", tuple(cs))
+        g = math.gcd(*cs) if cs[-1] > 0 else -math.gcd(*cs)
+        object.__setattr__(self, "coefficients", tuple(c // g for c in cs))
 
     @property
     def degree(self) -> int:
@@ -170,17 +164,9 @@ class IntegerPolynomial:
         return acc
 
     def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coefficients):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(f"{c}")
-            elif i == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{i}")
-        return " + ".join(parts).replace("+ -", "- ")
+        terms = [f"{c}" if i == 0 else f"{c}*x" if i == 1 else f"{c}*x^{i}"
+                 for i, c in enumerate(self.coefficients) if c]
+        return " + ".join(terms).replace("+ -", "- ")
 
 
 @dataclass(frozen=True)
@@ -206,10 +192,23 @@ class RecognitionResult:
         }
 
 
-def _candidate_rows(reduced: list[list[int]]):
-    rows = [r for r in reduced if any(r[:-1])]
-    rows.sort(key=lambda r: sum(c * c for c in r))
-    return rows
+def _primitive_gcd(polys: Sequence[IntegerPolynomial]) -> IntegerPolynomial:
+    """The gcd over Q of the polynomials, by Euclid's algorithm on
+    Fraction coefficients, made a primitive integer polynomial."""
+    g = []
+    for p in polys:
+        a, b = [Fraction(c) for c in p.coefficients], g
+        while b:  # a, b = b, a mod b
+            while len(a) >= len(b):
+                f = a[-1] / b[-1]
+                for i, c in enumerate(b, len(a) - len(b)):
+                    a[i] -= f * c
+                while a and not a[-1]:
+                    a.pop()
+            a, b = b, a
+        g = a
+    den = math.lcm(*(c.denominator for c in g))
+    return IntegerPolynomial(tuple(c.numerator * (den // c.denominator) for c in g))
 
 
 def recognize(
@@ -230,29 +229,33 @@ def recognize(
     relation's own norm, and no more, since LLL's cost grows with the
     size of the entries.
 
-    The degrees are scanned in ascending order, and each lattice starts
-    from the reduced one before it.  A reduced degree-d row is (u, u.c)
-    with u its integer coordinates and c_i = round(10^s(d) x^i); it enters
-    the degree-(d+1) basis as (u, 0, u.c'), c' the powers rounded at the
-    new scale 10^s(d+1), beside the new row (e_{d+1}, c'_{d+1}).  The
-    coordinate block stays unimodular, so this basis spans the same
-    lattice as the identity basis on c', and it starts nearly reduced.
+    Lattices are reduced at the degrees 1, 2, 4, 8, ... below max_degree,
+    with LLL's delta = 1/2 stage only, and at max_degree with both.  Each
+    starts from the reduced one before it: a degree-d row (u, u.c),
+    c_i = round(10^s(d) x^i), enters the degree-D basis as
+    (u, 0, ..., 0, u.c'), c' the powers at the new scale, beside the unit
+    rows (e_i, c'_i), d < i <= D.  The coordinate block stays unimodular,
+    so this basis spans the lattice of the identity basis on c', and it
+    starts nearly reduced.
 
     The scale only proposes candidates; the gate reads the full-precision
-    x.  A candidate passes at degree d only if
-    |P(x)| < 10^-(digits - d*height_digits - guard), and is *recognized*
+    x.  A row is a relation if its height is below 10^height_digits and
+    its polynomial P, stripped of its factor x^k when x != 0, passes the
+    first tier |P(x)| < 10^-(digits - e*height_digits - guard), e = deg P.
+    At the first degree with relations their gcd over Q, made primitive,
+    is the candidate (by Gauss's lemma every integer relation of x is a
+    multiple of its primitive minimal polynomial).  It must pass the
+    height bound and the first tier, and is *recognized*
     only if the residual also survives the second tier: with a
     `recompute` callback the value is rebuilt at doubled precision and
-    |P| must fall below 10^-(2*digits - d*height_digits - guard); without
+    |P| must fall below 10^-(2*digits - e*height_digits - guard); without
     one, P is re-evaluated on x in exact rational arithmetic against the
     first-tier bound (guarding against evaluation round-off, not against
     short inputs - supply recompute when possible).
 
-    Two exact rules come before any residual.  With H = 10^height_digits,
-    every root of a candidate lies below H in absolute value (Cauchy's
-    bound) and at |x| >= 2H every candidate has |P(x)| > 1, so such an x
-    is refuted before any lattice is built.  For x != 0 a candidate with
-    c0 = 0 is skipped: it is x^k Q(x), and Q's lower degree decides.
+    With H = 10^height_digits, every root of a candidate lies below H in
+    absolute value (Cauchy's bound) and at |x| >= 2H every candidate has
+    |P(x)| > 1, so such an x is refuted before any lattice is built.
     """
     if max_degree < 1:
         raise DomainError("max_degree must be >= 1")
@@ -267,6 +270,9 @@ def recognize(
         )
     height_bound = 10 ** height_digits
 
+    def first_tier(e):
+        return mp.mpf(10) ** -(digits - e * height_digits - ctx.guard)
+
     with ctx.workdps():
         xv = mp.mpf(x)
         if not mp.isfinite(xv):
@@ -278,45 +284,41 @@ def recognize(
         for _ in range(max_degree):
             powers.append(powers[-1] * xv)
 
-        best = None
         coords = [[1]]  # the coordinate rows of the degree-0 lattice
-        for d in range(1, max_degree + 1):
+        for d in [1 << i for i in range(max_degree.bit_length()) if 1 << i < max_degree] \
+                + [max_degree]:
             lattice_digits = min(digits - ctx.guard,
                                  (d + 1) * (height_digits + 1) + 2 * ctx.guard)
             scale = mp.mpf(10) ** lattice_digits
             c = [int(mp.nint(scale * p)) for p in powers[:d + 1]]
-            coords = [u + [0] for u in coords] + [[0] * d + [1]]
-            reduced = lattice_reduce([u + [sum(a * b for a, b in zip(u, c))] for u in coords])
+            coords = [u + [0] * (d + 1 - len(u)) for u in coords] + \
+                [[int(i == j) for j in range(d + 1)] for i in range(len(coords), d + 1)]
+            reduced = lattice_reduce([u + [sum(a * b for a, b in zip(u, c))] for u in coords],
+                                     d == max_degree)
             coords = [row[:-1] for row in reduced]
-            tier1 = mp.mpf(10) ** -(digits - d * height_digits - ctx.guard)
-            for row in _candidate_rows(reduced)[:3]:
-                coeffs = row[:-1]
-                if max(abs(c) for c in coeffs) >= height_bound:
+            relations = []
+            for u in coords:
+                if max(map(abs, u)) >= height_bound:
                     continue
-                if xv and not coeffs[0]:
-                    continue  # x^k Q(x), x != 0: Q's own degree decides
-                try:
-                    poly = IntegerPolynomial(tuple(coeffs))
-                except DomainError:
-                    continue
-                resid = abs(poly.evaluate(xv))
-                if resid < tier1:
-                    best = (d, poly, resid, tier1)
+                k = next(i for i, a in enumerate(u) if a) if xv else 0
+                poly = IntegerPolynomial(tuple(u[k:]))
+                if abs(poly.evaluate(xv)) < first_tier(poly.degree):
+                    relations.append(poly)
+            if relations:
+                poly = _primitive_gcd(relations)
+                resid, tier1 = abs(poly.evaluate(xv)), first_tier(poly.degree)
+                if max(map(abs, poly.coefficients)) < height_bound and resid < tier1:
                     break
-            if best:
-                break
-
-        if best is None:
+        else:
             return RecognitionResult(None, None, None, digits, "refuted-at-bounds",
                                      provenance, lattice_digits)
 
-    d, poly, resid, tier1 = best
     if recompute is not None:
         ctx2 = ctx.doubled()
         with ctx2.workdps():
             x2 = mp.mpf(recompute(ctx2))
             v = abs(poly.evaluate(x2))
-            tier2 = mp.mpf(10) ** -(2 * digits - d * height_digits - ctx.guard)
+            tier2 = mp.mpf(10) ** -(2 * digits - poly.degree * height_digits - ctx.guard)
             status = "recognized" if v < tier2 else "inconclusive"
     else:
         with ctx.doubled().workdps():

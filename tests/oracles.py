@@ -11,12 +11,14 @@ q-sum and AGM kernels from plain mpf loops (the q-series loops over the
 same terms, counts and powers of q as the library, summed in mpf instead
 of fixed point; the triangular-number series as the two one-sided sums
 M(c, q^p) that the paper writes), the eq40 tail integral from mp.quad on
-its integrand, and the divisor sieve of the Moebius inversion from the
-Moebius-function formula.
+its integrand, the divisor sieve of the Moebius inversion from the
+Moebius-function formula, and polynomial gcds from integer
+pseudo-remainder sequences.
 Values are computed fresh so the tests never assert against numbers
 produced by the library itself.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -472,3 +474,28 @@ def poly_divides(d: tuple, p: tuple) -> bool:
             rem[shift + i] -= factor * c
         rem.pop()
     return not any(rem)
+
+
+def poly_gcd(polys) -> tuple:
+    """The primitive gcd over Q of integer polynomials (ascending coeffs),
+    with positive leading coefficient, by primitive pseudo-remainder
+    sequences: every step stays in the integers."""
+    def primitive(p):
+        while not p[-1]:
+            p.pop()
+        g = math.gcd(*p) * (1 if p[-1] > 0 else -1)
+        return [c // g for c in p]
+
+    g = []
+    for p in polys:
+        a, b = primitive(list(p)), g
+        while b:
+            while len(a) >= len(b):  # a := lc(b) a - lc(a) x^k b
+                k, la, lb = len(a) - len(b), a[-1], b[-1]
+                a = [lb * c for c in a]
+                for i, c in enumerate(b):
+                    a[k + i] -= la * c
+                a = primitive(a) if any(a) else []
+            a, b = b, a
+        g = a
+    return tuple(g)

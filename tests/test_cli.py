@@ -312,7 +312,7 @@ class TestVerify:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         code, out, _ = run_cli(capsys, "verify", "--suite", "series-exact",
                                "--parallelism", "100", "--json")
         assert code == 0 and sizes == [15] and json.loads(out)["workers"] == 15
@@ -379,6 +379,17 @@ def run_module(*argv, **env):
 
 
 class TestConsoleScript:
+    def test_import_starts_no_pool_machinery(self):
+        # only verify with more than one worker imports concurrent.futures
+        pkg_root = str(Path(qalg.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qalg.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_module_invocation(self):
         proc = run_module("eval", "k", "--r", "1", "--digits", "40")
         assert proc.returncode == 0, proc.stderr

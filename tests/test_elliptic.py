@@ -233,6 +233,17 @@ class TestExtremeParameters:
             quotient = theta2(nome) ** 2 / theta3(nome) ** 2
             assert abs(k / quotient - 1) <= ctx.eps_check
 
+    @pytest.mark.parametrize("digits", [30, 120])
+    @pytest.mark.parametrize("r", [10**70, 10**200], ids=lambda r: f"1e{len(str(r)) - 1}")
+    def test_seed_past_its_digits(self, r, digits):
+        # v = exp(-pi sqrt(r)/4) has no correct digit at 30 digits once
+        # pi sqrt(r) has more than 30 integer digits
+        ctx = PrecisionContext(digits)
+        k = singular_modulus(r, ctx)
+        nome = make_nome(r, ctx)
+        with ctx.workdps():
+            assert abs(k / (theta2(nome) ** 2 / theta3(nome) ** 2) - 1) <= ctx.eps_check
+
     @pytest.mark.parametrize("r", [10**40, 10**60], ids=str)
     def test_large_r_keeps_requested_digits(self, r):
         # k_r moves by about pi sqrt(r)/2 times the relative error of K'/K,

@@ -163,7 +163,7 @@ class TestSuiteRun:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         reports = harness.run_suite("series-exact", 50, parallelism=10_000)
         assert sizes == [len(reports)] == [len(harness.checks_for_suite("series-exact"))]
         assert all(r.verdict == "pass" for r in reports)

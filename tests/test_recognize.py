@@ -23,7 +23,7 @@ from qalg import (
 )
 
 from qalg.recognize import QUANTITIES, STAR_CLOSED_FORMS
-from oracles import close, newton_refine_root, poly_divides, random_planted_poly
+from oracles import close, newton_refine_root, poly_divides, poly_gcd, random_planted_poly
 
 # the package exports the function `recognize` under the module's name
 recognize_module = importlib.import_module("qalg.recognize")
@@ -35,9 +35,9 @@ def record_bases(monkeypatch):
     bases = []
     reduce = recognize_module.lattice_reduce
 
-    def recording(basis):
+    def recording(basis, polish=True):
         bases.append([list(row) for row in basis])
-        return reduce(basis)
+        return reduce(basis, polish)
 
     monkeypatch.setattr(recognize_module, "lattice_reduce", recording)
     return bases
@@ -488,36 +488,62 @@ def scaled_powers(x, d, height_digits, ctx):
         return [int(mp.nint(scale * p)) for p in powers]
 
 
+def schedule(max_degree):
+    """The degrees the scan reduces: 1, 2, 4, ... below max_degree, then
+    max_degree."""
+    degrees, d = [], 1
+    while d < max_degree:
+        degrees.append(d)
+        d *= 2
+    return degrees + [max_degree]
+
+
+def first_tier_relations(rows, xv, height_digits, ctx):
+    """The coefficient tuples of the rows whose polynomial, with its x^k
+    factor stripped when x != 0, has height < 10^height_digits and passes
+    the first tier at its own degree."""
+    relations = []
+    for row in rows:
+        u = row[:-1]
+        if max(abs(v) for v in u) >= 10 ** height_digits:
+            continue
+        if xv:
+            u = u[next(i for i, v in enumerate(u) if v):]
+        poly = IntegerPolynomial(tuple(u))
+        if abs(poly.evaluate(xv)) < mp.mpf(10) ** -(ctx.digits - poly.degree * height_digits
+                                                    - ctx.guard):
+            relations.append(poly.coefficients)
+    return relations
+
+
 def from_scratch_scan(x, max_degree, height_digits, ctx):
-    """The ascending scan with every degree's lattice built on the identity
-    basis and reduced from scratch: (s(d), coefficients) of the first
-    candidate that passes the first tier, or None."""
+    """The scan over the scheduled degrees with every lattice built on the
+    identity basis and fully reduced from scratch: (s(D), gcd of the
+    first-tier relations) at the first degree D where that gcd passes the
+    height bound and the first tier, or None."""
     with ctx.workdps():
         xv = mp.mpf(x)
-        for d in range(1, max_degree + 1):
+        for d in schedule(max_degree):
             c = scaled_powers(xv, d, height_digits, ctx)
             rows = [[int(i == j) for j in range(d + 1)] + [c[i]] for i in range(d + 1)]
-            rows = sorted((r for r in lattice_reduce(rows) if any(r[:-1])),
-                          key=lambda r: sum(v * v for v in r))
-            tier1 = mp.mpf(10) ** -(ctx.digits - d * height_digits - ctx.guard)
-            for row in rows[:3]:
-                if max(abs(v) for v in row[:-1]) >= 10 ** height_digits:
-                    continue
-                poly = IntegerPolynomial(tuple(row[:-1]))
-                if abs(poly.evaluate(xv)) < tier1:
-                    return lattice_digits(d, height_digits, ctx), poly.coefficients
+            relations = first_tier_relations(lattice_reduce(rows), xv, height_digits, ctx)
+            if relations:
+                g = poly_gcd(relations)
+                if first_tier_relations([g + (0,)], xv, height_digits, ctx) == [g]:
+                    return lattice_digits(d, height_digits, ctx), g
     return None
 
 
-def planted_root(degree, ctx):
-    coeffs, root = random_planted_poly(random.Random(degree), degree=degree, height=999)
+def planted_root(degree, ctx, seed=None):
+    coeffs, root = random_planted_poly(random.Random(degree if seed is None else seed),
+                                       degree=degree, height=999)
     return coeffs, newton_refine_root(coeffs, root, ctx.dps)
 
 
 class TestIncrementalBasis:
-    """Each degree's lattice is seeded with the reduced basis of the degree
-    before it; it must be the lattice the identity basis spans, and the
-    scan must find what a from-scratch scan finds."""
+    """Each scheduled degree's lattice is seeded with the reduced basis of
+    the degree before it; it must be the lattice the identity basis spans,
+    and the scan must find what a from-scratch scan finds."""
 
     CTX = PrecisionContext(300)
 
@@ -528,17 +554,27 @@ class TestIncrementalBasis:
                 x = +mp.pi
         else:
             x = planted_root(8, self.CTX)[1]
-        bases = record_bases(monkeypatch)
+        calls = []
+        reduce = recognize_module.lattice_reduce
+
+        def recording(basis, polish=True):
+            calls.append(([list(row) for row in basis], polish))
+            return reduce(basis, polish)
+
+        monkeypatch.setattr(recognize_module, "lattice_reduce", recording)
         rec = recognize(x, 10, 4, self.CTX)
-        assert [len(b) for b in bases] == list(range(2, len(bases) + 2))
-        for d, basis in enumerate(bases, start=1):
+        degrees = [1, 2, 4, 8, 10] if case == "pi" else [1, 2, 4, 8]
+        assert [len(basis) for basis, _ in calls] == [d + 1 for d in degrees]
+        for d, (basis, polish) in zip(degrees, calls):
+            assert polish == (d == 10)  # delta = 99/100 only at max_degree
             coords = [row[:-1] for row in basis]
             assert all(len(u) == d + 1 for u in coords)
             assert gram_det(coords) == 1  # det(coords)^2: unimodular
             c = scaled_powers(x, d, 4, self.CTX)
             assert [row[-1] for row in basis] == \
                 [sum(a * b for a, b in zip(u, c)) for u in coords]
-        assert len(bases) == (10 if case == "pi" else rec.poly.degree)
+        assert rec.lattice_digits == lattice_digits(degrees[-1], 4, self.CTX)
+        assert rec.status == ("refuted-at-bounds" if case == "pi" else "recognized")
 
     @pytest.mark.parametrize("triple, degree", [
         (("1", "4", "2"), 4), (("1", "4", "1"), 8), (("1", "8", "2"), 16)],
@@ -559,3 +595,89 @@ class TestIncrementalBasis:
             assert poly_divides(rec.poly.coefficients, tuple(coeffs))
             assert from_scratch_scan(x, 12, 4, self.CTX) == \
                 (rec.lattice_digits, rec.poly.coefficients)
+
+
+class TestDoublingScan:
+    """A hit at the scheduled degree D >= the minimal degree e returns the
+    primitive minimal polynomial: the gcd of the first-tier relations in
+    D's reduced basis, which hold its multiples by x^i, i <= D - e."""
+
+    CTX = PrecisionContext(300)
+
+    def scan(self, monkeypatch, x, max_degree):
+        """recognize(x, max_degree, 4), with the reduced bases it got."""
+        outputs = []
+        reduce = recognize_module.lattice_reduce
+
+        def recording(basis, polish=True):
+            outputs.append(reduce(basis, polish))
+            return outputs[-1]
+
+        monkeypatch.setattr(recognize_module, "lattice_reduce", recording)
+        return recognize(x, max_degree, 4, self.CTX), outputs
+
+    def test_zero_is_x_at_degree_one(self, monkeypatch):
+        rec, outputs = self.scan(monkeypatch, mp.mpf(0), 12)
+        assert rec.status == "recognized" and rec.poly.coefficients == (0, 1)
+        assert len(outputs) == 1 and rec.lattice_digits == lattice_digits(1, 4, self.CTX)
+
+    @pytest.mark.parametrize("max_degree", [5, 12])
+    def test_tiny_value_is_no_monomial(self, monkeypatch, max_degree):
+        # every row with c0 = 0 strips to a polynomial with Q(0) != 0
+        with self.CTX.workdps():
+            x = mp.mpf("3e-30")
+        rec, outputs = self.scan(monkeypatch, x, max_degree)
+        assert rec.status == "refuted-at-bounds"
+        assert len(outputs) == len(schedule(max_degree))
+
+    def test_rational_at_degree_one(self, monkeypatch):
+        with self.CTX.workdps():
+            x = mp.mpf(-355) / 113
+        rec, outputs = self.scan(monkeypatch, x, 12)
+        assert rec.status == "recognized" and rec.poly.coefficients == (355, 113)
+        assert len(outputs) == 1 and rec.lattice_digits == lattice_digits(1, 4, self.CTX)
+
+    @pytest.mark.parametrize("degree, hit", [(3, 4), (5, 8), (6, 8)])
+    def test_gcd_of_several_relations(self, monkeypatch, degree, hit):
+        coeffs, x = planted_root(degree, self.CTX)
+        rec, outputs = self.scan(monkeypatch, x, 12)
+        assert rec.status == "recognized"
+        assert rec.poly.coefficients == poly_gcd([coeffs])  # irreducible
+        assert len(outputs) == len(schedule(hit))
+        assert rec.lattice_digits == lattice_digits(hit, 4, self.CTX)
+        with self.CTX.workdps():
+            relations = first_tier_relations(outputs[-1], mp.mpf(x), 4, self.CTX)
+        assert len(relations) > 1
+        assert all(poly_divides(rec.poly.coefficients, r) for r in relations)
+
+    def test_no_row_is_the_minimal_polynomial(self, monkeypatch):
+        # P's coefficients vary slowly, so (x - 1)P is shorter than P, and
+        # the degree-8 basis holds only multiples of higher degree
+        coeffs = (39, 40, 39, 41, 39, 40)
+        with mp.workdps(30):
+            guess = next(mp.re(z) for z in mp.polyroots(coeffs[::-1]) if abs(mp.im(z)) < 1e-20)
+        x = newton_refine_root(coeffs, guess, self.CTX.dps)
+        rec, outputs = self.scan(monkeypatch, x, 12)
+        assert rec.status == "recognized" and rec.poly.coefficients == coeffs
+        assert rec.lattice_digits == lattice_digits(8, 4, self.CTX)
+        with self.CTX.workdps():
+            relations = first_tier_relations(outputs[-1], mp.mpf(x), 4, self.CTX)
+        assert len(relations) > 1 and all(len(r) > len(coeffs) for r in relations)
+
+    def test_hit_at_max_degree_not_a_power_of_two(self, monkeypatch):
+        coeffs, x = planted_root(10, self.CTX)
+        rec, outputs = self.scan(monkeypatch, x, 10)
+        assert rec.status == "recognized"
+        assert rec.poly.coefficients == poly_gcd([coeffs])
+        assert len(outputs) == len(schedule(10)) == 5
+        assert rec.lattice_digits == lattice_digits(10, 4, self.CTX)
+
+    def test_reducible_planted_polynomial(self, monkeypatch):
+        # (x^3 - 3x - 1)(5x^4 - 7x + 2) at its root 2 cos(pi/9) = 1.879...,
+        # a root of the cubic factor
+        product = (-2, 1, 21, 2, -12, -15, 0, 5)
+        assert poly_divides((-1, -3, 0, 1), product)
+        x = newton_refine_root(product, "1.879", self.CTX.dps)
+        rec, outputs = self.scan(monkeypatch, x, 12)
+        assert rec.status == "recognized" and rec.poly.coefficients == (-1, -3, 0, 1)
+        assert len(outputs) == len(schedule(4))
