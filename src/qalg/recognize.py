@@ -294,7 +294,7 @@ def recognize(
             coords = [u + [0] * (d + 1 - len(u)) for u in coords] + \
                 [[int(i == j) for j in range(d + 1)] for i in range(len(coords), d + 1)]
             reduced = lattice_reduce([u + [sum(a * b for a, b in zip(u, c))] for u in coords],
-                                     d == max_degree)
+                                     polish=d == max_degree)
             coords = [row[:-1] for row in reduced]
             relations = []
             for u in coords:

@@ -30,17 +30,17 @@ recognize_module = importlib.import_module("qalg.recognize")
 
 
 def record_bases(monkeypatch):
-    """Make recognize record every basis it hands lattice_reduce, in the
-    returned list."""
-    bases = []
+    """Make recognize record every call to lattice_reduce in the returned
+    list, as (the basis it hands over, the polish flag, the reduced basis)."""
+    calls = []
     reduce = recognize_module.lattice_reduce
 
     def recording(basis, polish=True):
-        bases.append([list(row) for row in basis])
-        return reduce(basis, polish)
+        calls.append(([list(row) for row in basis], polish, reduce(basis, polish)))
+        return calls[-1][2]
 
     monkeypatch.setattr(recognize_module, "lattice_reduce", recording)
-    return bases
+    return calls
 
 
 def gram_det(rows):
@@ -182,14 +182,15 @@ class TestLatticeReduceProperties:
 
     def test_degree16_hit_basis(self, monkeypatch):
         """The degree-16 basis the scan hands LLL for [1,8;q]* at r = 2."""
-        bases = record_bases(monkeypatch)
+        calls = record_bases(monkeypatch)
         rec = recognize_expression("agile_star", {"a": "1", "p": "8", "r": "2"},
                                    24, 4, PrecisionContext(300))
         assert rec.status == "recognized" and rec.lattice_digits == 125
         assert list(rec.poly.coefficients) == [4, 0, -32, 0, 0, 0, 32, 0, 60, 0,
                                                -112, 0, 64, 0, -16, 0, 1]
-        assert len(bases[-1]) == 17
-        self.check_reduced(bases[-1])
+        basis = calls[-1][0]
+        assert len(basis) == 17
+        self.check_reduced(basis)
 
 
 class TestIntegerPolynomial:
@@ -243,7 +244,7 @@ class TestRecognize:
 
     def test_monomial_no_longer_ends_the_scan(self):
         # [1,8;q]* at r = 10^4 is about 5e-32, where x^3 passes the degree-3
-        # bound; the scan must still reduce every degree up to 8
+        # bound; the scan must still go on to degree 8
         rec = recognize_expression("agile_star", {"a": "1", "p": "8", "r": "10000"},
                                    8, 4, PrecisionContext(120))
         assert rec.status == "refuted-at-bounds"
@@ -554,18 +555,11 @@ class TestIncrementalBasis:
                 x = +mp.pi
         else:
             x = planted_root(8, self.CTX)[1]
-        calls = []
-        reduce = recognize_module.lattice_reduce
-
-        def recording(basis, polish=True):
-            calls.append(([list(row) for row in basis], polish))
-            return reduce(basis, polish)
-
-        monkeypatch.setattr(recognize_module, "lattice_reduce", recording)
+        calls = record_bases(monkeypatch)
         rec = recognize(x, 10, 4, self.CTX)
         degrees = [1, 2, 4, 8, 10] if case == "pi" else [1, 2, 4, 8]
-        assert [len(basis) for basis, _ in calls] == [d + 1 for d in degrees]
-        for d, (basis, polish) in zip(degrees, calls):
+        assert [len(basis) for basis, _, _ in calls] == [d + 1 for d in degrees]
+        for d, (basis, polish, _) in zip(degrees, calls):
             assert polish == (d == 10)  # delta = 99/100 only at max_degree
             coords = [row[:-1] for row in basis]
             assert all(len(u) == d + 1 for u in coords)
@@ -606,15 +600,9 @@ class TestDoublingScan:
 
     def scan(self, monkeypatch, x, max_degree):
         """recognize(x, max_degree, 4), with the reduced bases it got."""
-        outputs = []
-        reduce = recognize_module.lattice_reduce
-
-        def recording(basis, polish=True):
-            outputs.append(reduce(basis, polish))
-            return outputs[-1]
-
-        monkeypatch.setattr(recognize_module, "lattice_reduce", recording)
-        return recognize(x, max_degree, 4, self.CTX), outputs
+        calls = record_bases(monkeypatch)
+        rec = recognize(x, max_degree, 4, self.CTX)
+        return rec, [reduced for _, _, reduced in calls]
 
     def test_zero_is_x_at_degree_one(self, monkeypatch):
         rec, outputs = self.scan(monkeypatch, mp.mpf(0), 12)
