@@ -164,9 +164,17 @@ class IntegerPolynomial:
         return acc
 
     def __str__(self):
-        terms = [f"{c}" if i == 0 else f"{c}*x" if i == 1 else f"{c}*x^{i}"
-                 for i, c in enumerate(self.coefficients) if c]
-        return " + ".join(terms).replace("+ -", "- ")
+        parts = []
+        for i, c in enumerate(self.coefficients):
+            if not c:
+                continue
+            if i == 0:
+                parts.append(f"{c}")
+            elif i == 1:
+                parts.append(f"{c}*x")
+            else:
+                parts.append(f"{c}*x^{i}")
+        return " + ".join(parts).replace("+ -", "- ")
 
 
 @dataclass(frozen=True)
@@ -285,8 +293,7 @@ def recognize(
             powers.append(powers[-1] * xv)
 
         coords = [[1]]  # the coordinate rows of the degree-0 lattice
-        for d in [1 << i for i in range(max_degree.bit_length()) if 1 << i < max_degree] \
-                + [max_degree]:
+        for d in [1 << i for i in range((max_degree - 1).bit_length())] + [max_degree]:
             lattice_digits = min(digits - ctx.guard,
                                  (d + 1) * (height_digits + 1) + 2 * ctx.guard)
             scale = mp.mpf(10) ** lattice_digits

@@ -535,9 +535,8 @@ def from_scratch_scan(x, max_degree, height_digits, ctx):
     return None
 
 
-def planted_root(degree, ctx, seed=None):
-    coeffs, root = random_planted_poly(random.Random(degree if seed is None else seed),
-                                       degree=degree, height=999)
+def planted_root(degree, ctx):
+    coeffs, root = random_planted_poly(random.Random(degree), degree=degree, height=999)
     return coeffs, newton_refine_root(coeffs, root, ctx.dps)
 
 
