@@ -8,8 +8,9 @@ Commands:
 
 SUBJECT and the --expr names (besides const) are the keys of
 recognize.QUANTITIES, written with '-' for '_'.
-Rational parameters are given as n/d strings (decimals are rejected for
-the parameters the mathematics needs exact).  Global: --digits N (env
+Rational parameters are given as n, n/d or an integer times a power of
+ten (1e70, 25e-2, -3E4); other decimals such as 0.1 are rejected for the
+parameters the mathematics needs exact.  Global: --digits N (env
 QALG_DIGITS), --json, --out PATH.  Exit codes: 0 ok/pass, 1 usage,
 2 domain error, 3 verification failure, 4 not periodic.
 """
@@ -37,7 +38,8 @@ EXIT_DOMAIN = 2
 EXIT_VERIFY_FAIL = 3
 EXIT_NOT_PERIODIC = 4
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+# n, n/d or n e k with |k| < 10^4, so the power of ten stays a modest int
+_RATIONAL_RE = re.compile(r"^-?\d+(/\d+|[eE][-+]?\d{1,4})?$")
 
 # every other parameter of a quantity is an exact rational
 _FLAG_TYPES = {"n": int, "via": str, "method": str}
@@ -46,7 +48,7 @@ _FLAG_TYPES = {"n": int, "via": str, "method": str}
 def _rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise argparse.ArgumentTypeError(
-            f"{text!r} is not an exact rational; write it as n or n/d")
+            f"{text!r} is not an exact rational; write it as n, n/d or like 25e-2")
     return Fraction(text)
 
 
@@ -57,12 +59,16 @@ def _display(value, digits: int) -> str:
 
 
 def _write(text: str, args) -> None:
-    """A command's output: to the --out file when given, else to stdout."""
+    """A command's output: to the --out file when given, else to stdout.  A
+    closed pipe sends stdout to os.devnull, so the exit flush cannot fail."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _given(args, entry) -> dict:

@@ -14,6 +14,7 @@ consistently small at doubled precision.
 from __future__ import annotations
 
 import math
+from operator import mul
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -60,75 +61,94 @@ def lattice_reduce(basis: Sequence[Sequence[int]], polish: bool = True) -> list[
     k = 1 on the same basis, d and lambda, so the output is
     delta = 99/100-reduced, and without it delta = 1/2-reduced.
     Raises DegenerateBasis on linearly dependent rows.
+
+    Each row is held as one int, P_i = sum_j b_ij 2^(W j) (Kronecker
+    packing): a size-reduction step is P_k -= q P_l, a swap exchanges two
+    ints, and rows are decoded only at Gram-Schmidt initialisation and on
+    return.  Packed arithmetic is exact, so a slot that overflows between
+    decodes does no harm.  At a decode each row is an untouched input row
+    or fully size-reduced, and no Gram-Schmidt norm exceeds B, the largest
+    squared norm of an input row, so b_ij^2 <= |b_i|^2 <= (1 + n/4) B: any
+    W with 2^(2(W-1)) > (1 + n/4) B is enough.  W is whole bytes.
     """
     b = [list(map(int, row)) for row in basis]
     n = len(b)
     if n == 0 or any(len(row) != len(b[0]) for row in b):
         raise DomainError("basis must be a non-empty rectangular matrix")
-    if n == 1:
-        if not any(b[0]):
-            raise DegenerateBasis("zero row")
-        return b
 
-    d = [0] * (n + 1)
-    d[0] = 1
+    m = len(b[0])
+    # bytes per slot, W = 8 nb: 2^(2W) > (n + 4) B
+    nb = (max(sum(x * x for x in row) for row in b) * (n + 4)).bit_length() // 16 + 1
+    h = 1 << (8 * nb - 1)
+    offset = int.from_bytes((bytes(nb - 1) + b"\x80") * m, "little")  # h in every slot
+
+    P = [int.from_bytes(b"".join((x + h).to_bytes(nb, "little") for x in row), "little")
+         - offset for row in b]
+
+    def unpack(p):
+        buf = (p + offset).to_bytes(nb * m, "little")
+        return [int.from_bytes(buf[i:i + nb], "little") - h for i in range(0, nb * m, nb)]
+    d = [1] + [0] * n
     lam = [[0] * n for _ in range(n)]
 
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    def reduce_row(k, l):
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            bk, bl = b[k], b[l]
-            for i in range(len(bk)):
-                bk[i] -= q * bl[i]
-            lam[k][l] -= q * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
-
-    def swap_rows(k, kmax):
-        b[k], b[k - 1] = b[k - 1], b[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        lam_ = lam[k][k - 1]
-        new_dk = (d[k - 1] * d[k + 1] + lam_ * lam_) // d[k]
-        for i in range(k + 1, kmax + 1):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_ * t) // d[k]
-            lam[i][k - 1] = (new_dk * t + lam_ * lam[i][k]) // d[k + 1]
-        d[k] = new_dk
-
     kmax = 0
-    d[1] = dot(b[0], b[0])
+    d[1] = sum(x * x for x in b[0])
     if d[1] == 0:
         raise DegenerateBasis("zero row")
     for num, den in ((1, 2), (99, 100))[:1 + polish]:
         k = 1
         while k < n:
+            lk = lam[k]
             if k > kmax:
+                # rows above kmax are untouched, so b[k] is still row k
                 kmax = k
                 for j in range(k + 1):
-                    u = dot(b[k], b[j])
+                    u = sum(map(mul, b[k], unpack(P[j]) if j < k else b[k]))
                     for i in range(j):
-                        u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                        u = (d[i + 1] * u - lk[i] * lam[j][i]) // d[i]
                     if j < k:
-                        lam[k][j] = u
+                        lk[j] = u
                     else:
                         if u == 0:
                             raise DegenerateBasis("rows are linearly dependent")
                         d[k + 1] = u
-            while True:
-                reduce_row(k, k - 1)
-                if den * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < num * d[k] * d[k]:
-                    swap_rows(k, kmax)
-                    k = max(1, k - 1)
-                else:
-                    for l in range(k - 2, -1, -1):
-                        reduce_row(k, l)
-                    k += 1
-                    break
-    return b
+            # size-reduce row k against row k - 1, then the Lovasz test
+            dk = d[k]
+            lam_ = lk[k - 1]
+            if 2 * abs(lam_) > dk:
+                q = (2 * lam_ + dk) // (2 * dk)
+                P[k] -= q * P[k - 1]
+                lk[k - 1] = lam_ = lam_ - q * dk
+                ll = lam[k - 1]
+                for i in range(k - 1):
+                    lk[i] -= q * ll[i]
+            s = d[k - 1] * d[k + 1] + lam_ * lam_
+            if den * s < num * dk * dk:
+                # swap rows k - 1 and k; only lam[i][j], j < i, is ever read,
+                # so the two lambda rows swap whole
+                P[k], P[k - 1] = P[k - 1], P[k]
+                lam[k - 1], lam[k] = lk, lam[k - 1]
+                lam[k][k - 1] = lam_
+                dk1 = d[k + 1]
+                new_dk = s // dk
+                for li in lam[k + 1:kmax + 1]:
+                    t = li[k]
+                    li[k] = (dk1 * li[k - 1] - lam_ * t) // dk
+                    li[k - 1] = (new_dk * t + lam_ * li[k]) // dk1
+                d[k] = new_dk
+                k = max(k - 1, 1)
+                continue
+            for l in range(k - 2, -1, -1):
+                dl = d[l + 1]
+                if 2 * abs(lk[l]) > dl:
+                    q = (2 * lk[l] + dl) // (2 * dl)
+                    P[k] -= q * P[l]
+                    lk[l] -= q * dl
+                    ll = lam[l]
+                    for i in range(l):
+                        lk[i] -= q * ll[i]
+            k += 1
+    return [unpack(p) for p in P]
 
 
 # ---------------------------------------------------------------------------

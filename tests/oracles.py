@@ -12,8 +12,9 @@ same terms, counts and powers of q as the library, summed in mpf instead
 of fixed point; the triangular-number series as the two one-sided sums
 M(c, q^p) that the paper writes), the eq40 tail integral from mp.quad on
 its integrand, the divisor sieve of the Moebius inversion from the
-Moebius-function formula, and polynomial gcds from integer
-pseudo-remainder sequences.
+Moebius-function formula, polynomial gcds from integer
+pseudo-remainder sequences, and exact LLL from the list-row kernel
+(each row a list of ints, updated entry by entry).
 Values are computed fresh so the tests never assert against numbers
 produced by the library itself.
 """
@@ -22,6 +23,8 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+
+from qalg.errors import DegenerateBasis, DomainError
 
 
 def _num(x):
@@ -499,3 +502,88 @@ def poly_gcd(polys) -> tuple:
             a, b = b, a
         g = a
     return tuple(g)
+
+
+def list_lattice_reduce(basis, polish: bool = True) -> list:
+    """LLL-reduce an integer basis (rows), entirely in integer arithmetic,
+    with each row a list updated entry by entry: the list-row kernel that
+    qalg.recognize.lattice_reduce packs into one int per row, which must
+    return the same rows and raise on the same bases.
+
+    Uses the integral Gram-Schmidt bookkeeping d_i, lambda_{i,j}; the
+    Lovasz test for delta = num/den is
+    den*(d[k+1]*d[k-1] + lambda^2) < num*d[k]^2.
+    A delta = 1/2 stage, whose swaps each at least halve prod d_i, does
+    the bulk; with ``polish`` a delta = 99/100 stage then restarts at
+    k = 1 on the same basis, d and lambda, so the output is
+    delta = 99/100-reduced, and without it delta = 1/2-reduced.
+    Raises DegenerateBasis on linearly dependent rows.
+    """
+    b = [list(map(int, row)) for row in basis]
+    n = len(b)
+    if n == 0 or any(len(row) != len(b[0]) for row in b):
+        raise DomainError("basis must be a non-empty rectangular matrix")
+    if n == 1:
+        if not any(b[0]):
+            raise DegenerateBasis("zero row")
+        return b
+
+    d = [0] * (n + 1)
+    d[0] = 1
+    lam = [[0] * n for _ in range(n)]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def reduce_row(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            bk, bl = b[k], b[l]
+            for i in range(len(bk)):
+                bk[i] -= q * bl[i]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap_rows(k, kmax):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lam_ = lam[k][k - 1]
+        new_dk = (d[k - 1] * d[k + 1] + lam_ * lam_) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_ * t) // d[k]
+            lam[i][k - 1] = (new_dk * t + lam_ * lam[i][k]) // d[k + 1]
+        d[k] = new_dk
+
+    kmax = 0
+    d[1] = dot(b[0], b[0])
+    if d[1] == 0:
+        raise DegenerateBasis("zero row")
+    for num, den in ((1, 2), (99, 100))[:1 + polish]:
+        k = 1
+        while k < n:
+            if k > kmax:
+                kmax = k
+                for j in range(k + 1):
+                    u = dot(b[k], b[j])
+                    for i in range(j):
+                        u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                    if j < k:
+                        lam[k][j] = u
+                    else:
+                        if u == 0:
+                            raise DegenerateBasis("rows are linearly dependent")
+                        d[k + 1] = u
+            while True:
+                reduce_row(k, k - 1)
+                if den * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < num * d[k] * d[k]:
+                    swap_rows(k, kmax)
+                    k = max(1, k - 1)
+                else:
+                    for l in range(k - 2, -1, -1):
+                        reduce_row(k, l)
+                    k += 1
+                    break
+    return b

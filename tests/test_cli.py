@@ -13,7 +13,7 @@ import pytest
 import qalg
 from qalg import JacobiCharacter, PrecisionContext, agile_star, AgileSpec, make_nome
 from qalg import harness
-from qalg.cli import main
+from qalg.cli import _rational, main
 from qalg.recognize import QUANTITIES
 
 from oracles import close
@@ -67,6 +67,26 @@ class TestEval:
     def test_decimal_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "eval", "k", "--r", "0.5")
         assert code == 1
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e70", Fraction(10 ** 70)), ("25e-2", Fraction(1, 4)), ("-3E4", Fraction(-30000)),
+        ("7e+0", Fraction(7)), ("3", Fraction(3)), ("-2/6", Fraction(-1, 3)),
+    ])
+    def test_power_of_ten_rationals(self, text, value):
+        assert _rational(text) == value
+
+    @pytest.mark.parametrize("text", ["0.1", "1.5e3", "1e", "e5", "1e+", "1/2e3",
+                                      "1e99999", "1_000", "inf"])
+    def test_other_forms_rejected(self, capsys, text):
+        code, _, err = run_cli(capsys, "eval", "k", "--r", text)
+        assert code == 1 and "not an exact rational" in err
+
+    def test_r_1e70_matches_integer(self, capsys):
+        code, by_exponent, _ = run_cli(capsys, "eval", "k", "--r", "1e70", "--digits", "30")
+        assert code == 0
+        code, by_digits, _ = run_cli(capsys, "eval", "k", "--r", str(10 ** 70),
+                                     "--digits", "30")
+        assert code == 0 and by_exponent == by_digits
 
     def test_missing_parameter(self, capsys):
         code, _, err = run_cli(capsys, "eval", "agile", "--digits", "40")
@@ -394,6 +414,20 @@ class TestConsoleScript:
         proc = run_module("eval", "k", "--r", "1", "--digits", "40")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("0.70710678")
+
+    def test_closed_pipe_is_not_an_error(self):
+        """A reader that is gone before qalg writes (``qalg ... | head``)."""
+        pkg_root = str(Path(qalg.__file__).resolve().parents[1])
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qalg.cli", "verify", "--suite", "series-exact"],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pkg_root})
+        finally:
+            os.close(write)
+        assert proc.returncode == 0 and "error:" not in proc.stderr, proc.stderr
 
     def test_env_digits(self):
         proc = run_module("eval", "k", "--r", "1", QALG_DIGITS="45")

@@ -23,7 +23,8 @@ from qalg import (
 )
 
 from qalg.recognize import QUANTITIES, STAR_CLOSED_FORMS
-from oracles import close, newton_refine_root, poly_divides, poly_gcd, random_planted_poly
+from oracles import (close, list_lattice_reduce, newton_refine_root, poly_divides, poly_gcd,
+                     random_planted_poly)
 
 # the package exports the function `recognize` under the module's name
 recognize_module = importlib.import_module("qalg.recognize")
@@ -179,6 +180,48 @@ class TestLatticeReduceProperties:
     @given(recognition_scale_bases())
     def test_recognition_scale_bases(self, rows):
         self.check_reduced(rows)
+
+    @staticmethod
+    def outcome(reduce, rows, polish):
+        try:
+            return reduce(rows, polish)
+        except DegenerateBasis:
+            return DegenerateBasis
+
+    def check_matches_oracle(self, rows):
+        """The packed-row kernel returns the list-row kernel's rows, or
+        raises where it raises, at both stages."""
+        for polish in (False, True):
+            assert self.outcome(lattice_reduce, rows, polish) == \
+                self.outcome(list_lattice_reduce, rows, polish)
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_bases())
+    def test_random_bases_match_oracle(self, rows):
+        self.check_matches_oracle(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(knapsack_bases())
+    def test_knapsack_bases_match_oracle(self, rows):
+        self.check_matches_oracle(rows)
+
+    @settings(max_examples=10, deadline=None)
+    @given(recognition_scale_bases())
+    def test_recognition_scale_bases_match_oracle(self, rows):
+        self.check_matches_oracle(rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[3, -4, 0]], [[0, 0]], [[-7]],
+        # one entry far wider than the rest: every slot must hold it
+        [[2 ** 4000, 3, 9], [1, 2, 3], [4, 5, -9]],
+        [[-2 ** 4000, 9], [9, 0]],
+        [[1, 0, 0], [0, 1, 0], [7, 9, -(2 ** 4000)]],
+        # the reduced row (0, 0, 0, 2N - 1) is twice as wide as any input
+        # entry, one bit more than a slot sized to the entries would hold
+        [[2 ** 4007 - 1] * 4, [2 ** 4007 - 1] * 3 + [2 - 2 ** 4007]],
+    ])
+    def test_fixed_bases_match_oracle(self, rows):
+        self.check_matches_oracle(rows)
 
     def test_degree16_hit_basis(self, monkeypatch):
         """The degree-16 basis the scan hands LLL for [1,8;q]* at r = 2."""
