@@ -14,9 +14,9 @@ consistently small at doubled precision.
 from __future__ import annotations
 
 import math
-from operator import mul
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
@@ -88,6 +88,7 @@ def lattice_reduce(basis: Sequence[Sequence[int]], polish: bool = True) -> list[
     def unpack(p):
         buf = (p + offset).to_bytes(nb * m, "little")
         return [int.from_bytes(buf[i:i + nb], "little") - h for i in range(0, nb * m, nb)]
+
     d = [1] + [0] * n
     lam = [[0] * n for _ in range(n)]
 

@@ -216,8 +216,8 @@ class TestLatticeReduceProperties:
         [[2 ** 4000, 3, 9], [1, 2, 3], [4, 5, -9]],
         [[-2 ** 4000, 9], [9, 0]],
         [[1, 0, 0], [0, 1, 0], [7, 9, -(2 ** 4000)]],
-        # the reduced row (0, 0, 0, 2N - 1) is twice as wide as any input
-        # entry, one bit more than a slot sized to the entries would hold
+        # the reduced row (0, 0, 0, 2N - 1) needs one bit more than any
+        # input entry, and N = 2^4007 - 1 puts that bit past a whole byte
         [[2 ** 4007 - 1] * 4, [2 ** 4007 - 1] * 3 + [2 - 2 ** 4007]],
     ])
     def test_fixed_bases_match_oracle(self, rows):
