@@ -183,7 +183,7 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    digits = args.digits or harness.DEFAULT_DIGITS.get(args.suite, 120)
+    digits = harness.DEFAULT_DIGITS.get(args.suite, 120) if args.digits is None else args.digits
     parallelism = args.parallelism
     if parallelism is None:
         parallelism = harness.DEFAULT_PARALLELISM[args.suite]
@@ -201,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qalg",
         description="High-precision q-product / theta / elliptic evaluation "
                     "with algebraic-number recognition.")
-    default_digits = int(os.environ.get("QALG_DIGITS", "120"))
+    # a string default goes through type=int, so a bad value is a usage error
+    default_digits = os.environ.get("QALG_DIGITS", "120")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

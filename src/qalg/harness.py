@@ -29,10 +29,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import mpmath as mp
 
@@ -99,8 +99,7 @@ from .recognize import QUANTITIES, STAR_CLOSED_FORMS, recognize_expression
 # outcome / report plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     lhs: str
     rhs: str
     diff: object          # mpf for numeric, int for exact/coefficient counts
@@ -108,7 +107,7 @@ class CheckOutcome:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass: perfbench swaps `run` with dataclasses.replace
 class IdentityCheck:
     id: str
     suites: tuple
@@ -118,8 +117,7 @@ class IdentityCheck:
     min_digits: int = 0  # floor for checks that need headroom (recognition)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     id: str
     lhs: str
     rhs: str
@@ -399,8 +397,8 @@ def _eq39_series(ctx, order: int):
 
 def _eq45_series(ctx, g: int, order: int):
     outcome = _series_outcome(*square_character_eta_identity(g, order), note=f"order {order}")
-    return replace(outcome, lhs=f"prod (1-q^n)^((n/{g}))",
-                   rhs="inclusion-exclusion eta quotient")
+    return outcome._replace(lhs=f"prod (1-q^n)^((n/{g}))",
+                            rhs="inclusion-exclusion eta quotient")
 
 
 def _eq09_series(ctx, order: int):
@@ -647,7 +645,7 @@ def run_suite(name: str, digits: Optional[int] = None,
     registry order.  Individual check errors become fail verdicts, the
     runner itself never aborts.  At most one worker process per check is
     started."""
-    digits = digits or DEFAULT_DIGITS.get(name, 120)
+    digits = DEFAULT_DIGITS.get(name, 120) if digits is None else digits
     if digits < 50:
         raise DomainError("suite runs need digits >= 50")
     if parallelism < 1:
@@ -677,7 +675,7 @@ def emit_report(reports: list[IdentityReport], fmt: str = "text",
             "suite": suite,
             "digits": digits,
             "workers": workers,
-            "checks": [asdict(r) for r in reports],
+            "checks": [r._asdict() for r in reports],
             "summary": summarize(reports),
         }, indent=2)
     if fmt == "text":

@@ -7,9 +7,9 @@ function of the singular modulus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -44,8 +44,7 @@ from .elliptic import (
 from .moebius import eta_qdlog, squarefree_divisors, theta_qdlog
 
 
-@dataclass(frozen=True)
-class Residual:
+class Residual(NamedTuple):
     """Two independently computed sides of one identity."""
 
     lhs: HPReal

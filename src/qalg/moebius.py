@@ -17,10 +17,10 @@ other sequence and works out the exact rational exponent A.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import expm1, isqrt, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import mpmath as mp
 
@@ -116,32 +116,32 @@ def _symbol(n: int, m2: int, odd: int) -> int:
     return val
 
 
-@dataclass(frozen=True)
-class JacobiCharacter:
+class JacobiCharacter(namedtuple("JacobiCharacter", "modulus m2 odd")):
     """X(n) = (n/G) for an admissible modulus G, completely multiplicative
     in n; each factor 2 of G gives 0 on even n and (+1, -1, -1, +1) on
-    n = 1, 3, 5, 7 mod 8.
+    n = 1, 3, 5, 7 mod 8.  ``m2`` and ``odd`` split G = 2^m2 * odd.
 
     Admissible means the associated character is even, which is exactly
     what makes the sequence mirror-symmetric in each period: the power of
     2 in G must not be exactly 1, and the odd part must be 1 mod 4.
     """
 
-    modulus: int
-    _split: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        G = int(self.modulus)
+    def __new__(cls, modulus: int):
+        G = int(modulus)
         m2, odd = _two_adic(G)
         if odd % 4 == 3:
             raise DomainError(
                 f"modulus {G}: odd part {odd} is 3 mod 4, the symbol is not mirror-symmetric"
             )
-        object.__setattr__(self, "modulus", G)
-        object.__setattr__(self, "_split", (m2, odd))
+        return super().__new__(cls, G, m2, odd)
+
+    def __getnewargs__(self):
+        return (self.modulus,)
 
     def value(self, n: int) -> int:
-        return _symbol(n, *self._split)
+        return _symbol(n, self.m2, self.odd)
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +149,16 @@ class JacobiCharacter:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TaylorInput:
+class TaylorInput(namedtuple("TaylorInput", "coeffs")):
     """Exact Taylor coefficients coeffs[n-1] = f^(n)(0)/n!, n = 1..N, as
     ints, Fractions or rational strings; floats and bools are refused."""
 
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, coeffs):
         try:
             cs = []
-            for c in self.coeffs:
+            for c in coeffs:
                 if isinstance(c, (bool, float)):
                     raise DomainError(f"coefficients must be exact rationals, got {c!r}")
                 cs.append(Fraction(c))
@@ -167,7 +166,7 @@ class TaylorInput:
             raise DomainError(f"coefficients must be exact rationals: {exc}") from None
         if not cs:
             raise DomainError("need at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(cs))
+        return super().__new__(cls, tuple(cs))
 
     @classmethod
     def from_json(cls, text: str) -> "TaylorInput":
@@ -218,33 +217,31 @@ def _weights(values: tuple) -> list[tuple[int, Fraction]]:
     return out
 
 
-@dataclass(frozen=True)
-class PeriodicCoeffs:
+class PeriodicCoeffs(namedtuple("PeriodicCoeffs", "values period A")):
     """One period a_1 .. a_T of a catoptric exponent sequence, as exact
     rationals: a_T = 0 and a_j = a_{T-j}, else DomainError.
 
     ``period`` is T and ``A`` the exact exponent with q^A exp(-f(q))
     algebraic, A = sum_j (-j/2 + j^2/(2T) + T/12) w_j over the
-    representation weights w_j.
+    representation weights w_j; both are derived from the values.
     """
 
-    values: tuple
-    period: int = field(init=False)
-    A: Fraction = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, values):
         try:
-            vs = tuple(Fraction(v) for v in self.values)
+            vs = tuple(Fraction(v) for v in values)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"period values must be exact rationals: {exc}") from None
         if not vs or vs[-1] != 0 or vs[:-1] != vs[:-1][::-1]:
             raise DomainError("a period must end in a_T = 0 and mirror, a_j = a_(T-j); "
                               f"got ({', '.join(map(str, vs))})")
         T = len(vs)
-        object.__setattr__(self, "values", vs)
-        object.__setattr__(self, "period", T)
-        object.__setattr__(self, "A", sum(
+        return super().__new__(cls, vs, T, sum(
             (star_exponent(j, T) * w for j, w in _weights(vs)), Fraction(0)))
+
+    def __getnewargs__(self):
+        return (self.values,)
 
     def value(self, n: int) -> Fraction:
         return self.values[(n - 1) % self.period]
@@ -285,8 +282,7 @@ def represent_product(pc: PeriodicCoeffs) -> list[tuple[AgileSpec, Fraction]]:
     return [(AgileSpec(Fraction(j), Fraction(pc.period)), w) for j, w in _weights(pc.values)]
 
 
-@dataclass(frozen=True)
-class ThetaRepresentation:
+class ThetaRepresentation(NamedTuple):
     period: int
     eta_exponent: Fraction  # exponent on eta(T)
     factors: tuple          # ((ThetaSpec, weight), ...)

@@ -16,7 +16,7 @@ An integer parameter (a multiplier, a power) enters through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath as mp
@@ -32,8 +32,7 @@ MIN_DIGITS = 30
 _EXACT_EXPONENT = 1 << 24
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(namedtuple("PrecisionContext", "digits guard")):
     """Working precision in decimal digits plus internal guard digits.
 
     ``digits`` is the user-visible precision: results are correct to at
@@ -42,14 +41,14 @@ class PrecisionContext:
     visible precision.
     """
 
-    digits: int
-    guard: int = 20
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.digits < MIN_DIGITS:
-            raise DomainError(f"digits must be >= {MIN_DIGITS}, got {self.digits}")
-        if self.guard < 0:
-            raise DomainError(f"guard must be >= 0, got {self.guard}")
+    def __new__(cls, digits: int, guard: int = 20):
+        if digits < MIN_DIGITS:
+            raise DomainError(f"digits must be >= {MIN_DIGITS}, got {digits}")
+        if guard < 0:
+            raise DomainError(f"guard must be >= 0, got {guard}")
+        return super().__new__(cls, digits, guard)
 
     @property
     def dps(self) -> int:

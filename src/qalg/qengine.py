@@ -77,10 +77,11 @@ checks still compares two independent routes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import to_fixed
@@ -94,8 +95,7 @@ from .series import FormalSeries, one_minus_power_product
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Nome:
+class Nome(NamedTuple):
     """q = exp(-pi*sqrt(r)), 0 < q < 1, for an exact positive rational r,
     its exponent x = pi*sqrt(r), unrounded, and the truncation rule's
     tail threshold X.
@@ -118,34 +118,28 @@ class Nome:
         return make_nome(self.r * c * c, self.ctx)
 
 
-@dataclass(frozen=True)
-class AgileSpec:
-    """Parameters (a, p) of a two-sided q-product, 0 < a < p."""
+class AgileSpec(namedtuple("AgileSpec", "a p")):
+    """Parameters (a, p) of a two-sided q-product, 0 < a < p, as Fractions."""
 
-    a: Fraction
-    p: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, p = Fraction(self.a), Fraction(self.p)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "p", p)
+    def __new__(cls, a, p):
+        a, p = Fraction(a), Fraction(p)
         if not (0 < a < p):
             raise DomainError(f"need 0 < a < p, got a={a}, p={p}")
+        return super().__new__(cls, a, p)
 
 
-@dataclass(frozen=True)
-class ThetaSpec:
+class ThetaSpec(namedtuple("ThetaSpec", "a b")):
     """Parameters (a, b) of the alternating sum  sum (-1)^n q^(a n^2 + b n)."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b = Fraction(self.a), Fraction(self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def __new__(cls, a, b):
+        a, b = Fraction(a), Fraction(b)
         if a <= 0:
             raise DomainError(f"quadratic coefficient must be positive, got {a}")
+        return super().__new__(cls, a, b)
 
 
 def make_nome(r, ctx: PrecisionContext) -> Nome:

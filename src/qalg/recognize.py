@@ -14,10 +14,10 @@ consistently small at doubled precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import mpmath as mp
 
@@ -156,21 +156,20 @@ def lattice_reduce(basis: Sequence[Sequence[int]], polish: bool = True) -> list[
 # recognition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntegerPolynomial:
+class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients")):
     """Primitive integer polynomial c0 + c1 x + ... + cd x^d with
     positive leading coefficient."""
 
-    coefficients: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        cs = [int(c) for c in self.coefficients]
+    def __new__(cls, coefficients):
+        cs = [int(c) for c in coefficients]
         while cs and cs[-1] == 0:
             cs.pop()
         if not cs:
             raise DomainError("the zero polynomial is not allowed")
         g = math.gcd(*cs) if cs[-1] > 0 else -math.gcd(*cs)
-        object.__setattr__(self, "coefficients", tuple(c // g for c in cs))
+        return super().__new__(cls, tuple(c // g for c in cs))
 
     @property
     def degree(self) -> int:
@@ -198,8 +197,7 @@ class IntegerPolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-@dataclass(frozen=True)
-class RecognitionResult:
+class RecognitionResult(NamedTuple):
     poly: Optional[IntegerPolynomial]
     residual: Optional[HPReal]
     verified_residual: Optional[HPReal]
@@ -372,13 +370,12 @@ class _Params(dict):
         raise DomainError(f"{self.quantity} needs --{name}")
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(NamedTuple):
     """A named quantity: the parameters it reads and its evaluator.
 
     ``params`` lists the parameter names in the order they are reported;
-    ``defaults`` gives the value of each one that may be left out.  Values
-    are written as on the command line - exact rationals as ``"n/d"``
+    ``defaults``, if given, maps each one that may be left out to its value.
+    Values are written as on the command line - exact rationals as ``"n/d"``
     strings, though numbers are accepted too - and ``compute(params, ctx)``
     parses them and returns the quantity at ctx precision.
     """
@@ -386,13 +383,14 @@ class Quantity:
     name: str
     params: tuple
     compute: Callable[[dict, PrecisionContext], HPReal]
-    defaults: dict = field(default_factory=dict)
+    defaults: Optional[dict] = None
 
     def complete(self, given: dict) -> dict:
         """The given parameters this quantity reads, in report order, with
         the defaults filled in."""
+        defaults = self.defaults or {}
         return {name: value for name in self.params
-                if (value := given.get(name, self.defaults.get(name))) is not None}
+                if (value := given.get(name, defaults.get(name))) is not None}
 
     def evaluate(self, params: dict, ctx: PrecisionContext) -> HPReal:
         """The value at ctx precision; a missing parameter is a DomainError."""

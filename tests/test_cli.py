@@ -88,6 +88,15 @@ class TestEval:
                                      "--digits", "30")
         assert code == 0 and by_exponent == by_digits
 
+    def test_bad_env_digits_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QALG_DIGITS", "abc")
+        code, out, err = run_cli(capsys, "eval", "k", "--r", "2")
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.splitlines()[-1] == "qalg eval: error: argument --digits: invalid int value: 'abc'"
+        # a --digits flag overrides the environment
+        code, out, _ = run_cli(capsys, "eval", "k", "--r", "2", "--digits", "40")
+        assert code == 0 and out.startswith("0.41421356237")
+
     def test_missing_parameter(self, capsys):
         code, _, err = run_cli(capsys, "eval", "agile", "--digits", "40")
         assert code == 2
@@ -345,6 +354,12 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--suite", "paper-core",
                                "--digits", "40")
         assert code == 2
+        assert err.strip() == "error: suite runs need digits >= 50"
+
+    def test_digits_zero_is_refused(self, capsys):
+        # 0 is a precision below the floor, not a request for the default
+        code, out, err = run_cli(capsys, "verify", "--suite", "series-exact", "--digits", "0")
+        assert code == 2 and out == ""
         assert err.strip() == "error: suite runs need digits >= 50"
 
     def test_parallelism_floor(self, capsys):

@@ -1,7 +1,6 @@
 """Identity-check registry, suite runner, report emission."""
 
 import json
-from dataclasses import asdict
 from fractions import Fraction
 
 import mpmath as mp
@@ -65,8 +64,8 @@ class TestExecution:
         assert report.verdict == "recorded"
 
     def test_determinism(self):
-        a = asdict(harness._execute_check("eq05.modulus-theta.r1", 60))
-        b = asdict(harness._execute_check("eq05.modulus-theta.r1", 60))
+        a = harness._execute_check("eq05.modulus-theta.r1", 60)._asdict()
+        b = harness._execute_check("eq05.modulus-theta.r1", 60)._asdict()
         a.pop("wall_time_ms")
         b.pop("wall_time_ms")
         assert a == b
@@ -139,6 +138,10 @@ class TestSuiteRun:
     def test_digits_floor(self):
         with pytest.raises(DomainError):
             harness.run_suite("series-exact", 30)
+
+    def test_digits_zero_is_not_the_default(self):
+        with pytest.raises(DomainError, match="digits >= 50"):
+            harness.run_suite("series-exact", 0)
 
     @pytest.mark.parametrize("parallelism", [0, -2])
     def test_parallelism_below_one(self, parallelism):
