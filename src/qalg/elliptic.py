@@ -3,8 +3,13 @@
 K and E are computed by the arithmetic-geometric mean, which converges
 quadratically (iteration count ~ log2(digits)).  The one AGM loop, `_agm`,
 runs in fixed point on Python integers, with math.isqrt for the square
-roots (Brent-Zimmermann, Modern Computer Arithmetic, 3-4); E adds the
-c-sum, which the callers that need only K skip.  The singular modulus k_r
+roots (Brent-Zimmermann, Modern Computer Arithmetic, 3-4), until
+|a - b| <= 2^-(prec/4 + 2) a.  A closed form finishes it:
+2 M(a, b) = (a + b) - (a - b)^2/(4 (a + b)), with relative error below
+5 x^4/64, x = (a - b)/(a + b) <= 2^-(prec/4 + 3), under one ulp at prec
+(Borwein & Borwein, Pi and the AGM, 1987).  E adds the c-sum, which the
+Newton steps below skip; K and E of one modulus come from one AGM,
+memoized on (k', dps).  The singular modulus k_r
 is the unique x in (0,1) with K(sqrt(1-x^2))/K(x) = sqrt(r).  It is found
 by Newton on g(x) = K(x')/K(x) - sqrt(r) = M(1, x')/M(1, x) - sqrt(r)
 itself, whose derivative Legendre's relation gives in closed form, so a
@@ -19,7 +24,10 @@ the solve is for k'_r = k_{1/r}, so the unknown always keeps full
 relative precision: it is a P-bit mantissa with its own exponent,
 corrected relatively.  The theta quotient is only a start: the root is
 that of K'/K, and every value is checked against its defining residual
-before being returned.
+before being returned.  The two AGMs of that last residual also give
+K(k_r), K(k'_r) and E(k'_r), the c-sum running on the one whose b is k_r;
+they are cached with the pair, so K, alpha, the multiplier and the closed
+theta sums run no AGM of their own.
 """
 
 from __future__ import annotations
@@ -47,12 +55,13 @@ def _man_exp(x: HPReal) -> tuple[int, int]:
     return int(man), exp
 
 
-def _agm(man: int, exp: int, dps: int, k: HPReal | None = None):
+def _agm(man: int, exp: int, dps: int, csum: bool = False):
     """The AGM of (1, b), b = man 2^exp in (0, 1], on integers at dps
-    digits: (S, prec, csum4, iterations), with S = a_N + b_N = 2 M(1, b)
-    scaled by 2^prec.  K(k) = pi/S for k = sqrt(1 - b^2).  Given k (an
-    mpf), csum4 is 4 times the c-sum k^2/2 + sum_n 2^(n-2) d_n^2,
-    d_n = a_n - b_n, scaled by 2^prec, so E(k) = K (1 - csum4/4); without
+    digits: (S, prec, csum4, iterations), with S = 2 M(1, b) scaled by
+    2^prec.  K(k) = pi/S for k = sqrt(1 - b^2).  With csum, csum4 is 4
+    times the c-sum k^2/2 + sum_n 2^(n-2) d_n^2, d_n = a_n - b_n, scaled
+    by 2^prec, k^2 = 1 - b^2 being formed on the integers (the sum is
+    absolute, so b alone fixes it), and E(k) = K (1 - csum4/4); without
     it csum4 is None and the loop skips the sum.
 
     prec is the working precision wp + 20 guard bits plus the leading zero
@@ -60,10 +69,17 @@ def _agm(man: int, exp: int, dps: int, k: HPReal | None = None):
     2.27 sqrt(r) zero bits, so while b/a < 2^-wp the steps run in mpf
     instead, each halving b's zero bits; E = K(1 - csum/4) then cancels
     log2 K bits, about the bit length of the zero count, which go into the
-    guard.  Stops a few ulps early (the difference stalls at rounding
-    noise) and takes one extra quadratic step, which lands below working
-    precision.  Each step floors a and b once, so S is within a few ulps
-    per iteration of 2 M(1, b) 2^prec.
+    guard.
+
+    The steps stop once |d| <= 2^-(prec/4 + 2) a, and a closed form
+    finishes: with m = (a + b)/2 and x = d/(2m), M(1 + x, 1 - x) =
+    pi/(2 K(x)) = 1 - x^2/4 - 5 x^4/64 - ... (Borwein & Borwein, Pi and
+    the AGM, 1987), so 2 M(a, b) = (a + b) - d^2/(4 (a + b)) with relative
+    error below 5 x^4/64, x <= 2^-(prec/4 + 3): under one ulp at prec.
+    That saves the last two square roots (Brent-Zimmermann, 4.8).  The
+    c-sum adds the last term 2^n d^2 and the next, 2^(n+1) d_1^2 with
+    d_1 = d^2/(8m), the same correction.  Each step floors a and b once,
+    so S is within a few ulps per iteration of 2 M(1, b) 2^prec.
     """
     wp, zeros = dps_to_prec(dps), -(exp + man.bit_length())
     prec, head, iters = wp + 20, 0, 0
@@ -72,7 +88,7 @@ def _agm(man: int, exp: int, dps: int, k: HPReal | None = None):
         with mp.workprec(prec):
             a, b, h = mp.mpf(1), mp.mpf((man, exp)), mp.mpf(0)
             while mp.mag(a) - mp.mag(b) > wp + 1:
-                if k is not None:
+                if csum:
                     h += mp.ldexp((a - b) ** 2, iters)
                 a, b = (a + b) / 2, mp.sqrt(a * b)
                 iters += 1
@@ -82,12 +98,12 @@ def _agm(man: int, exp: int, dps: int, k: HPReal | None = None):
         prec += max(0, zeros)
         a, b = 1 << prec, _shift(man, prec + exp)
     csum4 = None
-    if k is not None:
-        kf = _fixed(k, prec)
-        csum4 = (2 * kf * kf >> prec) + head
-    eps = (1 << prec) // 10 ** (dps - 3)
+    if csum:
+        b0 = _shift(man, prec + exp)
+        csum4 = 2 * ((1 << prec) - (b0 * b0 >> prec)) + head
+    stop = prec // 4 + 2
     d = a - b
-    while abs(d) > eps * a >> prec:
+    while abs(d) > a >> stop:
         a, b = (a + b) >> 1, math.isqrt(a * b)
         if csum4 is not None:
             csum4 += d * d << iters >> prec  # d_n^2 2^n
@@ -95,27 +111,28 @@ def _agm(man: int, exp: int, dps: int, k: HPReal | None = None):
         iters += 1
         if iters > 10_000:
             raise ConvergenceError("AGM failed to converge")
-    a, b = (a + b) >> 1, math.isqrt(a * b)
+    d1 = d * d // (4 * (a + b))
     if csum4 is not None:
-        csum4 += d * d << iters >> prec
-    return a + b, prec, csum4, iters + 1
+        csum4 += (d * d << iters) + (d1 * d1 << iters + 1) >> prec
+    return a + b - d1, prec, csum4, iters
 
 
-def _agm_KE(k: HPReal, kp: HPReal):
-    """(K(k), E(k), iterations) from one AGM of (1, k') at the current
-    working precision, 0 <= k < 1, with kp = k' at full relative
-    precision: for K(k'_r) that is k_r itself, which sqrt(1 - k'^2) would
-    leave 2 |log10 k_r| digits short."""
-    S, prec, csum4, iters = _agm(*_man_exp(kp), mp.mp.dps, k)
+def _K_E(S: int, prec: int, csum4: int) -> tuple[HPReal, HPReal]:
+    """(K, E) at the working precision from an _agm result."""
     K = mp.pi / mp.ldexp(S, -prec)
-    return K, K * mp.ldexp((4 << prec) - csum4, -prec - 2), iters
+    return K, K * mp.ldexp((4 << prec) - csum4, -prec - 2)
 
 
-def _K(kp: HPReal) -> HPReal:
-    """K(k) from the AGM of (1, k') at the working precision, without
-    the c-sum."""
-    S, prec = _agm(*_man_exp(kp), mp.mp.dps)[:2]
-    return mp.pi / mp.ldexp(S, -prec)
+@lru_cache(maxsize=256)
+def _agm_KE(man: int, exp: int, dps: int):
+    """(K(k), E(k), iterations) at dps digits from one AGM of (1, k'),
+    0 <= k < 1, with k' = man 2^exp at full relative precision: for
+    K(k'_r) that is k_r itself, which sqrt(1 - k'^2) would leave
+    2 |log10 k_r| digits short.  Memoized on (k', dps), so ellint_K,
+    ellint_E and inverse_singular_modulus of one modulus share an AGM."""
+    S, prec, csum4, iters = _agm(man, exp, dps, True)
+    with mp.workdps(dps):
+        return _K_E(S, prec, csum4) + (iters,)
 
 
 def _exact_modulus(k) -> tuple[HPReal, HPReal]:
@@ -140,13 +157,12 @@ def _exact_modulus(k) -> tuple[HPReal, HPReal]:
 
 def _modulus_agm(k, ctx: PrecisionContext):
     with ctx.workdps():
-        return _agm_KE(*_exact_modulus(k))
+        return _agm_KE(*_man_exp(_exact_modulus(k)[1]), ctx.dps)
 
 
 def ellint_K(k, ctx: PrecisionContext) -> HPReal:
     """Complete elliptic integral of the first kind, K(k) for 0 <= k < 1."""
-    with ctx.workdps():
-        return _K(_exact_modulus(k)[1])
+    return _modulus_agm(k, ctx)[0]
 
 
 def ellint_E(k, ctx: PrecisionContext) -> HPReal:
@@ -181,12 +197,16 @@ def _theta_seed(s: Fraction) -> tuple[int, int]:
     return (vm * ((t2 << F) // t3)) ** 2, 2 * ve - 2 * F + 2
 
 
-def _g(X: int, E: int, s: Fraction, dps: int):
+def _g(X: int, E: int, root: int, top: int, dps: int, csum: int | None = None):
     """g(x) = K(x')/K(x) - sqrt(s) = M(1, x')/M(1, x) - sqrt(s) at dps
     digits for x = X 2^E in (0, 1), on integers scaled by 2^P,
-    P = wp + 20: (P, X, E, Xp, M1, G) with X renormalised to P bits,
-    x' = sqrt(1 - x^2) = Xp 2^-P by one math.isqrt, M1 = M(1, x') 2^P and
-    G = g 2^P, sqrt(s) being one math.isqrt of the exact s.  x keeps its
+    P = wp + 20: (P, X, E, Xp, M1, G, agms) with X renormalised to P bits,
+    x' = sqrt(1 - x^2) = Xp 2^-P by one math.isqrt, M1 = M(1, x') 2^P,
+    G = g 2^P and agms the _agm results for (1, x') and (1, x); csum (0 or
+    1) names the one that also runs the c-sum.  root = floor(sqrt(s) 2^top)
+    is one math.isqrt of the exact s per solve, top >= P, and root shifted
+    down by top - P is floor(sqrt(s) 2^P) exactly, since
+    floor(floor(y 2^a) / 2^b) = floor(y 2^(a-b)).  x keeps its
     Z = -(E + P) leading zero bits in the exponent, so a tiny x keeps its
     relative precision; past Z = wp, M(1, x) starts in _agm's mpf steps."""
     P = dps_to_prec(dps) + 20
@@ -195,18 +215,19 @@ def _g(X: int, E: int, s: Fraction, dps: int):
     if X <= 0 or E + P > 0:
         raise ConvergenceError("Newton left the unit interval")
     Xp = math.isqrt((1 << 2 * P) - (X * X >> -2 * (E + P)))
-    S1, p1 = _agm(Xp, -P, dps)[:2]
-    S2, p2 = _agm(X, E, dps)[:2]
-    G = _shift(S1, P + p2 - p1) // S2 - math.isqrt((s.numerator << 2 * P) // s.denominator)
-    return P, X, E, Xp, _shift(S1, P - p1 - 1), G
+    agms = _agm(Xp, -P, dps, csum == 0), _agm(X, E, dps, csum == 1)
+    (S1, p1), (S2, p2) = agms[0][:2], agms[1][:2]
+    G = _shift(S1, P + p2 - p1) // S2 - (root >> top - P)
+    return P, X, E, Xp, _shift(S1, P - p1 - 1), G, agms
 
 
 @lru_cache(maxsize=512)
-def _singular_modulus_cached(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
+def _singular_modulus_cached(r, ctx: PrecisionContext) -> tuple[HPReal, ...]:
     # Solve for x = k_s, s = max(r, 1/r), the smaller of k_r and
     # k'_r = k_{1/r}: x then carries full relative precision however small,
     # and the pair (k_r, k'_r) is returned so that neither is recomputed
-    # from the other.  x moves by about pi sqrt(s)/2 times the relative
+    # from the other, with K(k_r), K(k'_r) and E(k'_r) from the AGMs of the
+    # last residual.  x moves by about pi sqrt(s)/2 times the relative
     # error of K'/K; the guard digits absorb that up to 10^(guard/2), and
     # past it the solve runs at the digits it costs, then rounds to ctx.
     s = max(r, 1 / r)
@@ -214,6 +235,8 @@ def _singular_modulus_cached(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
     lost = int(math.log10(math.pi / 2) + log10_s / 2)
     wctx = PrecisionContext(ctx.digits + max(0, lost - ctx.guard // 2), ctx.guard)
     X, E = _theta_seed(s)  # x = X 2^E
+    top = dps_to_prec(wctx.dps) + 20
+    root = math.isqrt((s.numerator << 2 * top) // s.denominator)
 
     # Newton at precisions doubling toward wctx.dps: each step doubles the
     # correct digits, so only the last runs at full precision.  The +5
@@ -226,7 +249,7 @@ def _singular_modulus_cached(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
         p = p // 2 + 5
         precs.insert(0, p)
     for dps in precs + [wctx.dps] * ((wctx.dps - 1).bit_length() + 3):
-        P, X, E, Xp, M1, G = _g(X, E, s, dps)
+        P, X, E, Xp, M1, G, _ = _g(X, E, root, top, dps)
         step = X * (((G * Xp * Xp >> 2 * P) * pi_fixed(P) << P) // (2 * M1 * M1)) >> P
         X += step
         if dps == wctx.dps and abs(step) * 10 ** (dps // 2) < X:
@@ -238,22 +261,27 @@ def _singular_modulus_cached(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
     # residual's rounding error is below sqrt(s) 2^(10-P), some
     # 10^-(dps + 4) sqrt(s).  That is 2 guard + 4 - log10 sqrt(s) digits
     # under the threshold 10^-(digits - guard): 34 at s = 10^20 with the
-    # default guard of 20, and more for every smaller s.
-    P, X, E, Xp, _, G = _g(X, E, s, wctx.dps)
+    # default guard of 20, and more for every smaller s.  The c-sum runs on
+    # the AGM whose b is k_r, which gives E(k'_r).
+    P, X, E, Xp, _, G, agms = _g(X, E, root, top, wctx.dps, int(r >= 1))
     resid = Fraction(G, 1 << P)
     if abs(resid) > Fraction(10) ** -(wctx.digits - wctx.guard):
         raise ConvergenceError(
             f"singular modulus residual {mp.nstr(to_mpf(abs(resid)), 5)} too large"
         )
+    (S, p, _, _), (Sp, pp, csum4, _) = agms if r >= 1 else agms[::-1]
     with ctx.workdps():
         x, xp = mp.mpf((X, E)), mp.mpf((Xp, -P))
-    return (x, xp) if r >= 1 else (xp, x)
+        K, (Kp, Ep) = mp.pi / mp.ldexp(S, -p), _K_E(Sp, pp, csum4)
+    return ((x, xp) if r >= 1 else (xp, x)) + (K, Kp, Ep)
 
 
-def _modulus_pair(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
-    """(k_r, k'_r), each to full relative precision: for r < 1, k'_r is
-    tiny and sqrt(1 - k_r^2) would keep only its leading digits.  k_r may
-    round to 1 there; every quantity below takes k'_r from the pair."""
+def _singular_values(r, ctx: PrecisionContext) -> tuple[HPReal, ...]:
+    """(k_r, k'_r, K(k_r), K(k'_r), E(k'_r)) at ctx precision, k_r and
+    k'_r each to full relative precision: for r < 1, k'_r is tiny and
+    sqrt(1 - k_r^2) would keep only its leading digits.  k_r may round to
+    1 there; every quantity below takes k'_r from the solve, and the
+    integrals from the AGMs of its last residual."""
     r = exact(r)
     if r <= 0:
         raise DomainError(f"r must be positive, got {r}")
@@ -263,7 +291,7 @@ def _modulus_pair(r, ctx: PrecisionContext) -> tuple[HPReal, HPReal]:
 def singular_modulus(r, ctx: PrecisionContext) -> HPReal:
     """The singular modulus k_r in (0,1) for positive r (see precision.exact).
     Raises InsufficientPrecision where k_r rounds to 1 at ctx.dps."""
-    k, kp = _modulus_pair(r, ctx)
+    k, kp = _singular_values(r, ctx)[:2]
     if k == 1:
         with ctx.workdps():
             raise InsufficientPrecision(
@@ -274,9 +302,8 @@ def singular_modulus(r, ctx: PrecisionContext) -> HPReal:
 
 
 def singular_K(r, ctx: PrecisionContext) -> HPReal:
-    """K(k_r), from the pair (k_r, k'_r) rather than from k_r alone."""
-    with ctx.workdps():
-        return _K(_modulus_pair(r, ctx)[1])
+    """K(k_r), from the k_r solve's AGM of (1, k'_r)."""
+    return _singular_values(r, ctx)[2]
 
 
 def inverse_singular_modulus(x, ctx: PrecisionContext) -> HPReal:
@@ -285,15 +312,15 @@ def inverse_singular_modulus(x, ctx: PrecisionContext) -> HPReal:
         x, xp = _exact_modulus(x)
         if not x:
             raise DomainError("argument must lie in (0,1), got 0")
-        return +((_K(x) / _K(xp)) ** 2)
+        K_xp, K_x = (_agm_KE(*_man_exp(b), ctx.dps)[0] for b in (x, xp))
+        return +((K_xp / K_x) ** 2)
 
 
 def elliptic_alpha(r, ctx: PrecisionContext) -> HPReal:
-    """alpha(r) = E(k'_r)/K(k_r) - pi/(4 K(k_r)^2)."""
+    """alpha(r) = E(k'_r)/K(k_r) - pi/(4 K(k_r)^2), from the k_r solve."""
+    _, _, K, _, Ep = _singular_values(r, ctx)
     with ctx.workdps():
-        k, kp = _modulus_pair(r, ctx)
-        K = singular_K(r, ctx)
-        return +(_agm_KE(kp, k)[1] / K - mp.pi / (4 * K * K))
+        return +(Ep / K - mp.pi / (4 * K * K))
 
 
 def multiplier(r, n: int, ctx: PrecisionContext) -> HPReal:
@@ -323,7 +350,7 @@ def j_invariant(r, ctx: PrecisionContext, via: str = "modulus") -> HPReal:
     """
     with ctx.workdps():
         if via == "modulus":
-            k, kp = _modulus_pair(r, ctx)
+            k, kp = _singular_values(r, ctx)[:2]
             kp2 = kp * kp
             return +(256 * (k * k + kp2 * kp2) ** 3 / (k * k * kp2) ** 2)
         if via == "eta":
@@ -353,8 +380,7 @@ def theta_powersum_closed(m: int, r, ctx: PrecisionContext) -> HPReal:
     m = integer(m)
     with ctx.workdps():
         nome = make_nome(r, ctx)
-        k11, k12 = _modulus_pair(r, ctx)
-        K = singular_K(r, ctx)
+        k11, k12, K = _singular_values(r, ctx)[:3]
         if m % 2 == 0:
             t = m // 2
             return +(_qpow(nome, Fraction(-t * t)) * mp.sqrt(2 * K / mp.pi))

@@ -29,10 +29,11 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import mpmath as mp
 
@@ -99,12 +100,11 @@ from .recognize import QUANTITIES, STAR_CLOSED_FORMS, recognize_expression
 # outcome / report plumbing
 # ---------------------------------------------------------------------------
 
-class CheckOutcome(NamedTuple):
-    lhs: str
-    rhs: str
-    diff: object          # mpf for numeric, int for exact/coefficient counts
-    tolerance: object     # matching type
-    note: str = ""
+class CheckOutcome(namedtuple("CheckOutcome", "lhs rhs diff tolerance note", defaults=("",))):
+    """lhs, rhs and note are str; diff is an mpf for numeric checks and an
+    int for exact/coefficient counts, and tolerance has the matching type."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)  # a dataclass: perfbench swaps `run` with dataclasses.replace
@@ -117,15 +117,12 @@ class IdentityCheck:
     min_digits: int = 0  # floor for checks that need headroom (recognition)
 
 
-class IdentityReport(NamedTuple):
-    id: str
-    lhs: str
-    rhs: str
-    abs_difference: str
-    tolerance: str
-    verdict: str  # pass | fail | recorded
-    wall_time_ms: float
-    note: str = ""
+class IdentityReport(namedtuple("IdentityReport", "id lhs rhs abs_difference tolerance "
+                                  "verdict wall_time_ms note", defaults=("",))):
+    """Every field is a str but wall_time_ms, a float; verdict is pass,
+    fail or recorded."""
+
+    __slots__ = ()
 
 
 def _num(v) -> str:

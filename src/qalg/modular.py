@@ -7,9 +7,9 @@ function of the singular modulus.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 import mpmath as mp
 
@@ -44,12 +44,10 @@ from .elliptic import (
 from .moebius import eta_qdlog, squarefree_divisors, theta_qdlog
 
 
-class Residual(NamedTuple):
+class Residual(namedtuple("Residual", "lhs rhs note", defaults=("",))):
     """Two independently computed sides of one identity."""
 
-    lhs: HPReal
-    rhs: HPReal
-    note: str = ""
+    __slots__ = ()
 
     @property
     def diff(self) -> HPReal:

@@ -20,7 +20,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from math import expm1, isqrt, lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import mpmath as mp
 
@@ -282,10 +282,11 @@ def represent_product(pc: PeriodicCoeffs) -> list[tuple[AgileSpec, Fraction]]:
     return [(AgileSpec(Fraction(j), Fraction(pc.period)), w) for j, w in _weights(pc.values)]
 
 
-class ThetaRepresentation(NamedTuple):
-    period: int
-    eta_exponent: Fraction  # exponent on eta(T)
-    factors: tuple          # ((ThetaSpec, weight), ...)
+class ThetaRepresentation(namedtuple("ThetaRepresentation", "period eta_exponent factors")):
+    """period is an int, eta_exponent the Fraction exponent on eta(T) and
+    factors ((ThetaSpec, weight), ...)."""
+
+    __slots__ = ()
 
 
 def represent_theta(pc: PeriodicCoeffs) -> ThetaRepresentation:

@@ -81,7 +81,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import to_fixed
@@ -95,20 +94,17 @@ from .series import FormalSeries, one_minus_power_product
 # domain types
 # ---------------------------------------------------------------------------
 
-class Nome(NamedTuple):
+class Nome(namedtuple("Nome", "r q ctx tail x")):
     """q = exp(-pi*sqrt(r)), 0 < q < 1, for an exact positive rational r,
     its exponent x = pi*sqrt(r), unrounded, and the truncation rule's
-    tail threshold X.
+    tail threshold X: (r, q, ctx, tail, x) as (Fraction, HPReal,
+    PrecisionContext, int, HPReal).
 
     An mpf r (one that comes out of the inverse singular modulus) is
     stored as the dyadic rational it is, so scaling it loses nothing.
     """
 
-    r: Fraction
-    q: HPReal
-    ctx: PrecisionContext
-    tail: int
-    x: HPReal
+    __slots__ = ()
 
     def scaled(self, c: Fraction) -> "Nome":
         """The nome q**c, i.e. parameter c^2 * r."""

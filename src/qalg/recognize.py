@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from operator import mul
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 
@@ -197,14 +197,14 @@ class IntegerPolynomial(namedtuple("IntegerPolynomial", "coefficients")):
         return " + ".join(parts).replace("+ -", "- ")
 
 
-class RecognitionResult(NamedTuple):
-    poly: Optional[IntegerPolynomial]
-    residual: Optional[HPReal]
-    verified_residual: Optional[HPReal]
-    digits_used: int
-    status: str  # recognized | refuted-at-bounds | inconclusive
-    provenance: str = ""
-    lattice_digits: int = 0  # log10 of the scale of the last lattice reduced
+class RecognitionResult(namedtuple("RecognitionResult", "poly residual verified_residual "
+                                     "digits_used status provenance lattice_digits",
+                                     defaults=("", 0))):
+    """poly is an IntegerPolynomial or None, the residuals HPReals or None;
+    status is recognized, refuted-at-bounds or inconclusive, and
+    lattice_digits the log10 of the scale of the last lattice reduced."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -370,7 +370,7 @@ class _Params(dict):
         raise DomainError(f"{self.quantity} needs --{name}")
 
 
-class Quantity(NamedTuple):
+class Quantity(namedtuple("Quantity", "name params compute defaults", defaults=(None,))):
     """A named quantity: the parameters it reads and its evaluator.
 
     ``params`` lists the parameter names in the order they are reported;
@@ -380,10 +380,7 @@ class Quantity(NamedTuple):
     parses them and returns the quantity at ctx precision.
     """
 
-    name: str
-    params: tuple
-    compute: Callable[[dict, PrecisionContext], HPReal]
-    defaults: Optional[dict] = None
+    __slots__ = ()
 
     def complete(self, given: dict) -> dict:
         """The given parameters this quantity reads, in report order, with

@@ -25,6 +25,7 @@ from qalg import (
     theta3,
 )
 from qalg import AgileSpec, agile_star, elliptic
+from qalg.elliptic import singular_K
 from qalg.modular import rrcf
 from qalg.moebius import JacobiCharacter, lambert_series
 from qalg.precision import exact, to_mpf
@@ -86,10 +87,20 @@ class TestK:
 
 class TestFixedPointAGM:
     """The fixed-point AGM kernel against the plain mpf loop: K and E to
-    10^-(dps-3) relative and the same iteration count.  Each modulus is
-    run with k', and (k' given as the second argument) for K(k'), where
-    b = k is tiny for k = 10^-300: below 2^-prec at 60 digits, so the
-    first steps run in mpf there."""
+    10^-(dps-3) relative, and the iteration count of the kernel's stop
+    rule, |a - b| <= 2^-(prec/4 + 2) a, counted by an mpf loop, never
+    above the plain loop's.  Each modulus is run with k', and (k' given
+    as the second argument) for K(k'), where b = k is tiny for
+    k = 10^-300: below 2^-prec at 60 digits, so the first steps run in
+    mpf there."""
+
+    @staticmethod
+    def stop_rule_steps(b, prec):
+        with mp.workprec(prec + 20):
+            a, n = mp.mpf(1), 0
+            while abs(a - b) > mp.ldexp(a, -(prec // 4 + 2)):
+                a, b, n = (a + b) / 2, mp.sqrt(a * b), n + 1
+            return n
 
     @pytest.mark.parametrize("digits", [60, 300, 1000])
     @pytest.mark.parametrize("k", ["1e-300", "0.3", "0.999999"])
@@ -99,9 +110,11 @@ class TestFixedPointAGM:
             k = mp.mpf(k)
             kp = mp.sqrt((1 - k) * (1 + k))
             for args in ((k, kp), (kp, k)):
-                K, E, iters = elliptic._agm_KE(*args)
+                b = elliptic._man_exp(args[1])
+                K, E, iters = elliptic._agm_KE(*b, ctx.dps)
                 K0, E0, iters0 = mpf_agm_KE(*args)
-                assert iters == iters0, args
+                prec = elliptic._agm(*b, ctx.dps)[1]
+                assert iters == self.stop_rule_steps(args[1], prec) <= iters0, args
                 for x, ref in ((K, K0), (E, E0)):
                     with mp.workdps(ctx.dps + 10):
                         assert abs(x - ref) <= abs(ref) * mp.mpf(10) ** (3 - ctx.dps), args
@@ -359,7 +372,7 @@ class TestModulusPair:
     def test_pair_matches_theta_quotients(self, r, digits):
         ctx = PrecisionContext(digits)
         elliptic._singular_modulus_cached.cache_clear()
-        pair = elliptic._modulus_pair(r, ctx)
+        pair = elliptic._singular_values(r, ctx)[:2]
         for value, at in zip(pair, (Fraction(r), 1 / Fraction(r))):
             nome = make_nome(at, ctx)
             with ctx.workdps():
@@ -422,6 +435,42 @@ class TestSingularModulusCost:
         singular_modulus(2, ctx)
         assert 0 < sum(full) <= 4
 
+    @staticmethod
+    def count_agms(monkeypatch):
+        calls = []
+        agm = elliptic._agm
+
+        def counting(*args):
+            calls.append(args)
+            return agm(*args)
+
+        monkeypatch.setattr(elliptic, "_agm", counting)
+        return calls
+
+    @pytest.mark.parametrize("r", [2, Fraction(1, 3), 10**30], ids=str)
+    def test_solve_supplies_K_and_alpha(self, r, monkeypatch):
+        # K(k_r), K(k'_r) and E(k'_r) come from the AGMs of the solve's
+        # last residual, so neither quantity runs an AGM of its own
+        ctx = PrecisionContext(120)
+        elliptic._singular_modulus_cached.cache_clear()
+        singular_modulus(r, ctx)
+        calls = self.count_agms(monkeypatch)
+        singular_K(r, ctx)
+        elliptic_alpha(r, ctx)
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [Fraction(1, 3), mp.mpf("0.999")], ids=str)
+    def test_inverse_shares_the_K_agm(self, k, monkeypatch):
+        # K and E are memoized on (k', dps): k_i(k) = (K(k')/K(k))^2 after
+        # K(k) needs only the AGM of (1, k) for K(k')
+        ctx = PrecisionContext(120)
+        elliptic._agm_KE.cache_clear()
+        ellint_K(k, ctx)
+        calls = self.count_agms(monkeypatch)
+        ellint_E(k, ctx)
+        inverse_singular_modulus(k, ctx)
+        assert len(calls) <= 1
+
     def test_closed_forms_at_1000_digits(self):
         ctx = PrecisionContext(1000)
         with ctx.workdps():
@@ -480,6 +529,15 @@ class TestNoLogarithm:
 class TestAlpha:
     def test_alpha_one_is_half(self):
         assert close(elliptic_alpha(1, CTX), Fraction(1, 2), 40, dps=CTX.dps)
+
+    def test_closed_forms_at_1000_digits(self):
+        # Borwein & Borwein, Pi and the AGM, table 5.2.2
+        ctx = PrecisionContext(1000)
+        with ctx.workdps():
+            rt2 = mp.sqrt(2)
+            closed = {1: mp.mpf(1) / 2, 2: rt2 - 1, 4: 2 * (rt2 - 1) ** 2}
+            for r, value in closed.items():
+                assert abs(elliptic_alpha(r, ctx) - value) <= ctx.eps_check, r
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_eisenstein_identity(self, r):

@@ -1,4 +1,5 @@
-"""tools/compare.py: the medians, ratios and wins of a BENCH file."""
+"""tools/compare.py: the medians, ratios and wins of a BENCH file; and
+tools/suite_pairs.py's arguments."""
 
 import importlib.util
 import json
@@ -7,9 +8,16 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-spec = importlib.util.spec_from_file_location("compare", ROOT / "tools" / "compare.py")
-compare = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(compare)
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare, suite_pairs = _load("compare"), _load("suite_pairs")
 
 
 @pytest.mark.parametrize("name", ["BENCH_pr25.json", "BENCH_pr30.json"])
@@ -60,3 +68,20 @@ def test_single_runs_wins_and_op_counts(tmp_path, capsys):
     assert "won 0/1" in lines["peak_rss_mb"] and "ops 8 -> 12" in lines["peak_rss_mb"]
     # a higher hit ratio is the better one
     assert "won 1/1" in lines["recognize.hit_ratio"]
+
+
+@pytest.mark.parametrize("digits", ["0", "-5"])
+def test_suite_pairs_refuses_digits_below_one(digits, capsys):
+    with pytest.raises(SystemExit) as info:
+        suite_pairs.parse_args(["A", "B", "--pairs", "1", "--out", "x.json",
+                                "--suite", "paper-core", "--digits", digits])
+    assert info.value.code == 2
+    assert "--digits must be at least 1" in capsys.readouterr().err
+
+
+def test_suite_pairs_digits_reach_command_and_key():
+    args = suite_pairs.parse_args(["A", "B", "--pairs", "1", "--out", "x.json",
+                                   "--suite", "paper-core", "--digits", "300"])
+    assert suite_pairs.command(args) == ["-m", "qalg.cli", "verify", "--suite", "paper-core",
+                                         "--digits", "300", "--parallelism", "1", "--json"]
+    assert suite_pairs.bench_key(args) == "paper-core --digits 300"

@@ -67,6 +67,8 @@ def parse_args(argv):
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.digits is not None and args.digits < 1:
+        ap.error("--digits must be at least 1")
     if args.parallelism != "default" and not (args.parallelism.isdigit() and int(args.parallelism) >= 1):
         ap.error("--parallelism must be a positive integer or 'default'")
     if args.workload and args.parallelism != "1":
@@ -113,6 +115,14 @@ def command(args) -> list:
             "--seconds", str(SECONDS), "--trace", str(args.trace)]
 
 
+def bench_key(args) -> str:
+    """The key of the run in the BENCH file."""
+    if args.suite:
+        return args.suite + (f" --digits {args.digits}" if args.digits else "") \
+            + (f" --parallelism {args.parallelism}" if args.parallelism != "1" else "")
+    return args.workload + (" --trace 1" if args.trace else "")
+
+
 def run(tree: Path, cmd: list, args, pair: int) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
     start = time.perf_counter()
@@ -157,12 +167,7 @@ def summarize(sides: dict, pairs: int) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    cmd = command(args)
-    if args.suite:
-        key = args.suite + (f" --digits {args.digits}" if args.digits else "") \
-            + (f" --parallelism {args.parallelism}" if args.parallelism != "1" else "")
-    else:
-        key = args.workload + (" --trace 1" if args.trace else "")
+    cmd, key = command(args), bench_key(args)
     with tempfile.TemporaryDirectory(prefix="suite_pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         shas = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
