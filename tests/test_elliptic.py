@@ -531,7 +531,7 @@ class TestAlpha:
         assert close(elliptic_alpha(1, CTX), Fraction(1, 2), 40, dps=CTX.dps)
 
     def test_closed_forms_at_1000_digits(self):
-        # Borwein & Borwein, Pi and the AGM, table 5.2.2
+        # the closed forms of Borwein & Borwein, Pi and the AGM
         ctx = PrecisionContext(1000)
         with ctx.workdps():
             rt2 = mp.sqrt(2)

@@ -85,3 +85,11 @@ def test_suite_pairs_digits_reach_command_and_key():
     assert suite_pairs.command(args) == ["-m", "qalg.cli", "verify", "--suite", "paper-core",
                                          "--digits", "300", "--parallelism", "1", "--json"]
     assert suite_pairs.bench_key(args) == "paper-core --digits 300"
+
+
+def test_suite_pairs_key_names_a_held_out_seed():
+    args = suite_pairs.parse_args(["A", "B", "--pairs", "1", "--out", "x.json",
+                                   "--workload", "eval-ladder", "--seed", "7"])
+    assert suite_pairs.bench_key(args) == "eval-ladder --seed 7"
+    args.seed = 0
+    assert suite_pairs.bench_key(args) == "eval-ladder"

@@ -25,7 +25,8 @@ perfbench/run.py`` run and its result is that run's final JSON line.
 The file keeps the schema of the earlier BENCH files: per key (the suite
 and digits, or the workload), ``runs`` holds each side's runs in order
 (pair index, env, result; ``trace_runs`` for ``--trace 1``; a suite key
-ends in `` --parallelism N`` unless N is 1) and
+ends in `` --parallelism N`` unless N is 1, and a workload key
+carries `` --seed S`` unless S is 0) and
 ``summary`` each metric's medians, the parent's interquartile range and
 the pairs the change won (lower is better).  An existing ``--out`` file
 is updated: other keys are kept, this key is replaced.
@@ -120,7 +121,8 @@ def bench_key(args) -> str:
     if args.suite:
         return args.suite + (f" --digits {args.digits}" if args.digits else "") \
             + (f" --parallelism {args.parallelism}" if args.parallelism != "1" else "")
-    return args.workload + (" --trace 1" if args.trace else "")
+    return args.workload + (f" --seed {args.seed}" if args.seed else "") \
+        + (" --trace 1" if args.trace else "")
 
 
 def run(tree: Path, cmd: list, args, pair: int) -> dict:
