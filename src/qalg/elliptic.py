@@ -37,16 +37,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, pi_fixed
+from mpmath.libmp import dps_to_prec, pi_fixed, to_fixed
 
 from .errors import ConvergenceError, DomainError, InsufficientPrecision
 from .precision import HPReal, PrecisionContext, dyadic, exact, integer, to_mpf
-from .qengine import _dual, _fixed, _progression_product, _qpow, make_nome
-
-
-def _shift(n: int, e: int) -> int:
-    """n 2^e, rounded toward -inf."""
-    return n << e if e >= 0 else n >> -e
+from .qengine import _dual, _progression_product, _qpow, _shift, make_nome
 
 
 def _man_exp(x: HPReal) -> tuple[int, int]:
@@ -93,7 +88,7 @@ def _agm(man: int, exp: int, dps: int, csum: bool = False):
                 a, b = (a + b) / 2, mp.sqrt(a * b)
                 iters += 1
         prec += max(0, -mp.mag(b))
-        a, b, head = (_fixed(v, prec) for v in (a, b, h))
+        a, b, head = (to_fixed(v._mpf_, prec) for v in (a, b, h))
     else:
         prec += max(0, zeros)
         a, b = 1 << prec, _shift(man, prec + exp)
@@ -357,11 +352,9 @@ def j_invariant(r, ctx: PrecisionContext, via: str = "modulus") -> HPReal:
             nome = make_nome(r, ctx)
             if _dual(nome, 1):
                 w = make_nome(4 / nome.r, ctx)
-                t = (mp.sqrt(2) * _qpow(w, Fraction(1, 24))
-                     / _progression_product(1, 2, w.q, _qpow(w, 2), w))
+                t = mp.sqrt(2) * _qpow(w, Fraction(1, 24)) / _progression_product(1, 2, w)
             else:
-                t = _qpow(nome, Fraction(-1, 24)) * _progression_product(
-                    1, 2, nome.q, _qpow(nome, 2), nome)
+                t = _qpow(nome, Fraction(-1, 24)) * _progression_product(1, 2, nome)
             t24 = t ** 24
             return +((t24 + 16) ** 3 / t24)
         raise DomainError(f"unknown j-invariant route {via!r}")

@@ -28,7 +28,7 @@ from .qengine import (
     theta_general,
     _cosine_sum,
     _dual,
-    _fixed,
+    _qfixed,
     _qpow,
     _rerun_if_cancelled,
     _term_count,
@@ -97,7 +97,7 @@ def rrcf(nome: Nome, method: str = "product") -> HPReal:
                 return +(phi * s5 / (phi + rrcf(make_nome(16 / nome.r, ctx), method)) - phi)
             depth = _term_count(1, Fraction(1, 2), Fraction(3, 2), nome.tail)
             prec = mp.mp.prec + 2 * depth.bit_length() + 10
-            Q = _fixed(nome.q, prec)
+            Q, = _qfixed(nome, (1,), prec)
             powers = [Q]
             while len(powers) < depth and powers[-1]:
                 L = powers[-1].bit_length()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
-from math import expm1, isqrt, lcm
+from math import isqrt, lcm
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -38,7 +38,7 @@ from .qengine import (
     theta_general,
     _SLACK,
     _cancelled,
-    _fixed,
+    _qfixed,
     _qpow,
     _rerun_if_cancelled,
     _term_count,
@@ -349,13 +349,12 @@ def lambert_series(X: PeriodicCoeffs | JacobiCharacter, nome: Nome) -> HPReal:
         D = lcm(*(x.denominator for x in xs))
         ws = [x.numerator * (D // x.denominator) for x in xs]
         c = max(abs(w) for w in ws)
-        inv = int(1 / -expm1(-float(nome.x))) + 1
+        inv = int(1 / (1 - float(nome.q))) + 1
         prec = (mp.mp.prec + c.bit_length() + 2 * N.bit_length() + 5 * inv.bit_length()
                 + 3 + _SLACK)
         one = 1 << prec
-        with mp.workprec(prec):
-            U, V = _fixed(nome.q, prec), _fixed(_qpow(nome, e1), prec)
-        Q = U
+        Q, V = _qfixed(nome, (1, e1), prec)
+        U = Q
         s = (e1 * ws[e1 - 1] << 2 * prec) // (one - V)
         for n in range(e1 + 1, N + 1):
             if not U:
@@ -401,8 +400,7 @@ def theta_qdlog(spec: ThetaSpec, nome: Nome) -> HPReal:
     def kernel(nm: Nome):
         with nm.ctx.workdps():
             prec, terms = _theta_terms(a, b, nm, shift=e1)
-            with mp.workprec(prec):
-                Q1 = _fixed(_qpow(nm, e1), prec)
+            Q1, = _qfixed(nm, (e1,), prec)
             w = [n * ((A * n + B) * tp + (A * n - B) * tm)
                  for n, (tp, tm) in enumerate(terms, 1)]
             num = sum(w[1::2]) - sum(w[::2])

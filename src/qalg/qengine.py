@@ -11,8 +11,9 @@ theta3, and the prefactor-free eta product eta(m) = prod (1 - q^(m*n)).
 
 All parameters a, p, r are exact rationals (r enters through
 precision.exact, so an mpf r is taken bit for bit); q = exp(-pi*sqrt(r)).
-A power q^e is q raised to e for an integer e, and otherwise exp(-e x)
-from the nome's unrounded x = pi*sqrt(r), so no logarithm is taken.
+A power q^e, e = n/d, is the n-th power of q^(1/d), which Newton's
+iteration takes from q on integers (_root): after make_nome no
+exponential or logarithm is taken.
 Truncation: one rule for every numeric q-series.  make_nome works out the
 tail threshold X (q^x < 10^-(digits+guard) for all x > X) once, as
 Nome.tail.  A product keeps every factor whose exponent is at most X, plus
@@ -33,7 +34,11 @@ result still needs: for y * T >> prec with T of L = T.bit_length() bits,
 y is first cut to L bits, (y >> (prec - L)) * T >> L.  That step
 truncates at most 2 ulps where the full-width one truncated 1, and its
 cost falls as the terms decay.  prec is the working precision plus guard
-bits for the step count (each kernel states its error bound).  A sum
+bits for the step count (each kernel states its error bound).  Powers
+of q come as integers from _qfixed, q^(n/d) about |n/d| ulps of q off.
+A product takes two factors a step, 1 - U + W, U = T (1 + S) and
+W = T^2 S advanced by S^2 and S^4, with log2 of the pair count plus
+twelve guard bits (_progression_product).  A sum
 whose terms start below 1 is formed as q^e1 times the fixed-point sum of
 q^(e - e1), e1 its leading exponent, so it keeps its relative precision
 however small q^e1 is; a theta sum is taken about its smallest exponent,
@@ -83,7 +88,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_man_exp, mpf_pow_int, round_floor, round_nearest, to_fixed
 
 from .errors import ConvergenceError, DomainError, InsufficientPrecision, OrderError
 from .precision import HPReal, PrecisionContext, exact, integer, to_mpf
@@ -94,11 +99,10 @@ from .series import FormalSeries, one_minus_power_product
 # domain types
 # ---------------------------------------------------------------------------
 
-class Nome(namedtuple("Nome", "r q ctx tail x")):
+class Nome(namedtuple("Nome", "r q ctx tail")):
     """q = exp(-pi*sqrt(r)), 0 < q < 1, for an exact positive rational r,
-    its exponent x = pi*sqrt(r), unrounded, and the truncation rule's
-    tail threshold X: (r, q, ctx, tail, x) as (Fraction, HPReal,
-    PrecisionContext, int, HPReal).
+    and the truncation rule's tail threshold X: (r, q, ctx, tail) as
+    (Fraction, HPReal, PrecisionContext, int).
 
     An mpf r (one that comes out of the inverse singular modulus) is
     stored as the dyadic rational it is, so scaling it loses nothing.
@@ -155,7 +159,7 @@ def _make_nome(r: Fraction, ctx: PrecisionContext) -> Nome:
     with mp.workdps(30):
         tail = int(mp.ceil(ctx.dps * mp.ln10 / x))
     with ctx.workdps():
-        return Nome(r, +q, ctx, tail, x)
+        return Nome(r, +q, ctx, tail)
 
 
 def star_exponent(a, p) -> Fraction:
@@ -177,21 +181,57 @@ _SLACK = 10
 R0 = Fraction(1, 8)
 
 
+def _shift(n: int, e: int) -> int:
+    """n 2^e, rounded toward -inf."""
+    return n << e if e >= 0 else n >> -e
+
+
+def _root(q: tuple, d: int, P: int) -> tuple:
+    """q^(1/d) to about P bits for a raw mpf q > 0, as a raw mpf.  For
+    q = (m/2^B) 2^(E0 + d E1), 0 <= E0 < d, it is 2^E1 c^(1/d) with
+    c = (m/2^B) 2^E0, a root in [1/2, 2) whatever q's exponent.  Newton's
+    y <- y + y (c - y^d)/(d y^d) runs on integers from a float seed of
+    about 50 bits, each step at p bits from (p + log2 d)/2 + 2 bits (an
+    error e leaves about (d - 1) e^2/2), y^d by binary powering."""
+    _, m, E, B = q
+    E1, E0 = divmod(E + B, d)
+    precs, p = [], P
+    while p > 48:
+        precs.append(p)
+        p = (p + d.bit_length()) // 2 + 2
+    Y = int(math.ldexp(math.ldexp(m >> max(B - 53, 0), -min(B, 53)) ** (1 / d)
+                       * 2 ** (E0 / d), p))
+    for pn in reversed(precs):
+        Y, p = Y << (pn - p), pn
+        Z = Y
+        for bit in bin(d)[3:]:
+            Z = Z * Z >> p
+            if bit == "1":
+                Z = Z * Y >> p
+        Y += Y * (_shift(m, E0 + p - B) - Z) // (d * Z)
+    return from_man_exp(Y, E1 - p)
+
+
 def _qpow(nome: Nome, e) -> HPReal:
-    """q^e: by powering q for an integer e, otherwise as exp(-e x) from
-    the nome's x = pi sqrt(r), with e x formed to the absolute precision
-    the exponential needs (its sign goes into the exact product: negating
-    an mpf would round it to the working precision)."""
+    """q^e for e = n/d in lowest terms: the n-th power of q itself (d = 1)
+    or of q^(1/d) from _root, taken with log2|n| + 4 guard bits.  The
+    error is about |n/d| ulps of q, q's own rounding raised to the power."""
     e = Fraction(e)
-    if e.denominator == 1:
-        return mp.power(nome.q, e.numerator)
-    ex = mp.fmul(nome.x, -e.numerator, exact=True)
-    return mp.exp(mp.fdiv(ex, e.denominator, prec=mp.mp.prec + max(0, mp.mag(ex))))
+    n, d = e.numerator, e.denominator
+    prec = mp.mp.prec
+    y = nome.q._mpf_ if d == 1 else _root(nome.q._mpf_, d, prec + n.bit_length() + 4)
+    return mp.make_mpf(mpf_pow_int(y, n, prec, round_nearest))
 
 
-def _fixed(x: HPReal, prec: int) -> int:
-    """x on an integer scaled by 2^prec (truncated)."""
-    return int(to_fixed(x._mpf_, prec))
+def _qfixed(nome: Nome, exps, prec: int) -> list:
+    """q^e for each e >= 0 of exps on integers scaled by 2^prec, truncated:
+    the powers y^n of one root y = q^(1/D), D their least common
+    denominator, at P = prec + log2(max n) + 4 bits, under 1/8 ulp off."""
+    D = math.lcm(*(e.denominator for e in exps))
+    ns = [e.numerator * (D // e.denominator) for e in exps]
+    P = prec + max(ns).bit_length() + 4
+    y = nome.q._mpf_ if D == 1 else _root(nome.q._mpf_, D, P)
+    return [to_fixed(mpf_pow_int(y, n, P, round_floor), prec) for n in ns]
 
 
 def _term_count(e0, a, b, stop) -> int:
@@ -220,33 +260,43 @@ def _term_count(e0, a, b, stop) -> int:
     return n
 
 
-def _progression_product(e0, step, t, qstep: HPReal, nome: Nome) -> HPReal:
-    """prod_{n=0}^{N} (1 - q^(e0 + n*step)) given t = q^e0 and
-    qstep = q^step: every factor up to the tail threshold, plus one.
-
-    Leading factors with t >= 1 (e0 <= 0) are taken in mpf; the rest run
-    in tapered fixed point (see the module docstring), with log2 of the
-    factor count plus eleven guard bits for the two ulps each step may
-    truncate in man and T.  man is renormalised to at least half scale
-    (ex counts the shifts), so a product near 0 keeps its relative
-    precision.  Once T truncates to 0 every later factor is exactly 1."""
+def _progression_product(e0, step, nome: Nome) -> HPReal:
+    """prod_{n=0}^{N} (1 - q^(e0 + n*step)): every factor up to the tail
+    threshold, plus one.  Leading factors with e0 <= 0 (q^e0 >= 1) are
+    taken in mpf, an odd count's next factor alone, and the rest in pairs
+    on integers: (1 - T)(1 - T S) = 1 - U + W for T = q^e, S = q^step,
+    with U = T (1 + S) and W = T^2 S advanced by S^2 and S^4.  prec carries
+    log2 of the pair count plus twelve guard bits for the two ulps a pair
+    step may truncate in man, U and W and the few ulps of S^2 and S^4.
+    man is renormalised to at least half scale (ex counts the shifts), so
+    a product near 0 keeps its relative precision.  Once U truncates to 0
+    every later factor is exactly 1."""
     count = _term_count(e0, 0, step, nome.tail) + 1
     head = mp.mpf(1)
-    while count and t >= 1:
-        head *= 1 - t
-        t *= qstep
+    while e0 <= 0:
+        head *= 1 - _qpow(nome, e0)
+        e0 += step
         count -= 1
-    prec = mp.mp.prec + count.bit_length() + 11
+    pairs, odd = divmod(count, 2)
+    prec = mp.mp.prec + pairs.bit_length() + 12
     half = 1 << (prec - 1)
-    T, S = _fixed(t, prec), _fixed(qstep, prec)
-    man, ex = 1 << prec, 0
-    for _ in range(count):
-        if not T:
+    T, S = _qfixed(nome, (e0, step), prec)
+    man, ex = (1 << prec) - odd * T, 0
+    T = T * S >> prec if odd else T
+    TS = T * S >> prec
+    U, W, S2 = T + TS, T * TS >> prec, S * S >> prec
+    S4 = S2 * S2 >> prec
+    for _ in range(pairs):
+        if not U:
             break
-        L = T.bit_length()
+        # W < U/2 < F, so F's length cuts S^2 for U too, one ulp coarser
+        F = U - W
+        L = F.bit_length()
         sh = prec - L
-        man -= (man >> sh) * T >> L
-        T = T * (S >> sh) >> L
+        man -= (man >> sh) * F >> L
+        U = U * (S2 >> sh) >> L
+        L = W.bit_length()
+        W = W * (S4 >> (prec - L)) >> L
         if man < half:
             shift = prec - man.bit_length()
             man <<= shift
@@ -269,29 +319,27 @@ def _theta_terms(a, b, nome: Nome, margin=0, shift=0) -> tuple[int, list]:
     more."""
     count = _term_count(0, a, -abs(b), nome.tail + margin)
     prec = mp.mp.prec + 3 * count.bit_length() + 3 + _SLACK
-    with mp.workprec(prec):
-        Q2A = _fixed(_qpow(nome, 2 * a), prec)
+    shared = not b or (b == a and not shift)
+    Q2A, *starts = _qfixed(nome, [2 * a] + [e for c in ((b,) if shared else (b, -b))
+                                            for e in (a + c - shift, 3 * a + c)], prec)
 
-        def run(c) -> list:
-            T, S = (_fixed(_qpow(nome, e), prec) for e in (a + c - shift, 3 * a + c))
-            terms = []
-            for _ in range(count):
-                terms.append(T)
-                if not T:
-                    break
-                L = S.bit_length()
-                sh = prec - L
-                T = (T >> sh) * S >> L
-                S = S * (Q2A >> sh) >> L
-            return terms
+    def run(T, S) -> list:
+        terms = []
+        for _ in range(count):
+            terms.append(T)
+            if not T:
+                break
+            L = S.bit_length()
+            sh = prec - L
+            T = (T >> sh) * S >> L
+            S = S * (Q2A >> sh) >> L
+        return terms
 
-        plus = run(b)
-        if not b:
-            minus = plus
-        elif b == a and not shift:
-            minus = ([1 << prec] + plus)[:count]
-        else:
-            minus = run(-b)
+    plus = run(*starts[:2])
+    if shared:
+        minus = plus if not b else ([1 << prec] + plus)[:count]
+    else:
+        minus = run(*starts[2:])
     return prec, list(zip_longest(plus, minus, fillvalue=0))
 
 
@@ -336,9 +384,7 @@ def _rerun_if_cancelled(kernel, nome: Nome) -> HPReal:
 def _agile_raw(a: Fraction, p: Fraction, nome: Nome) -> HPReal:
     """The two-sided product for any positive rational a (also a >= p,
     where early factors may be negative); used by the shift symmetries."""
-    qa, qp = _qpow(nome, a), _qpow(nome, p)
-    return (_progression_product(a, p, qa, qp, nome)
-            * _progression_product(p - a, p, qp / qa, qp, nome))
+    return _progression_product(a, p, nome) * _progression_product(p - a, p, nome)
 
 
 def _dual(nome: Nome, s) -> bool:
@@ -361,8 +407,7 @@ def _agile_star_dual(a: Fraction, p: Fraction, nome: Nome) -> HPReal:
         with nm.ctx.workdps():
             v = make_nome(4 / (p * p * nm.r), nm.ctx)
             s, lost = _cosine_sum(Fraction(1, 2) - a / p, v, nm)
-            v2 = _qpow(v, 2)
-            return _qpow(v, Fraction(1, 6)) * s / _progression_product(2, 2, v2, v2, v), lost
+            return _qpow(v, Fraction(1, 6)) * s / _progression_product(2, 2, v), lost
 
     return _rerun_if_cancelled(kernel, nome)
 
@@ -435,7 +480,7 @@ def _cosine_sum(c: Fraction, v: Nome, nome: Nome) -> tuple[HPReal, int]:
     (j+2)^2 ulps, which the terms' own bound covers."""
     prec, terms = _theta_terms(1, 1, v)
     with mp.workprec(prec):
-        C = _fixed(mp.cospi(to_mpf(c)), prec)
+        C = to_fixed(mp.cospi(to_mpf(c))._mpf_, prec)
     weights = [C, C]
     s = C
     D = (C * C >> (prec - 1)) - (1 << prec)
@@ -519,9 +564,8 @@ def _eta(m: Fraction, nome: Nome, dual: bool) -> HPReal:
     if dual:
         d = make_nome(16 / (m * m * nome.r), nome.ctx)
         return (mp.root(to_mpf(d.r / 4), 4) * _qpow(nome, -m / 24) * _qpow(d, Fraction(1, 24))
-                * _progression_product(1, 1, d.q, d.q, d))
-    qm = _qpow(nome, m)
-    return _progression_product(m, m, qm, qm, nome)
+                * _progression_product(1, 1, d))
+    return _progression_product(m, m, nome)
 
 
 def agile_via_triangular(spec: AgileSpec, nome: Nome) -> HPReal:

@@ -24,7 +24,7 @@ from qalg import (
     theta2,
     theta3,
 )
-from qalg import AgileSpec, agile_star, elliptic
+from qalg import AgileSpec, agile_star, elliptic, tau_star
 from qalg.elliptic import singular_K
 from qalg.modular import rrcf
 from qalg.moebius import JacobiCharacter, lambert_series
@@ -426,9 +426,9 @@ class TestSingularModulusCost:
         full = []
         agm = elliptic._agm
 
-        def counting(man, exp, dps, k=None):
+        def counting(man, exp, dps, csum=False):
             full.append(dps >= ctx.dps)
-            return agm(man, exp, dps, k)
+            return agm(man, exp, dps, csum=csum)
 
         monkeypatch.setattr(elliptic, "_agm", counting)
         elliptic._singular_modulus_cached.cache_clear()
@@ -520,7 +520,10 @@ class TestNoLogarithm:
         lambda ctx: rrcf(make_nome(2, ctx), "continued_fraction"),
         lambda ctx: j_invariant(2, ctx, via="eta"),
         lambda ctx: agile_star(AgileSpec(1, 8), make_nome(2, ctx)),
-    ], ids=["theta2", "rrcf-product", "rrcf-cf", "j-eta", "agile_star"])
+        lambda ctx: tau_star(Fraction(1, 3), 4, make_nome(2, ctx)),
+        lambda ctx: agile_star(AgileSpec(Fraction(5, 4), 7), make_nome(2, ctx)),
+    ], ids=["theta2", "rrcf-product", "rrcf-cf", "j-eta", "agile_star", "tau_star",
+            "agile_star-5/4"])
     def test_q_series(self, value, log_precisions):
         value(self.CTX)
         assert log_precisions == []
@@ -607,9 +610,9 @@ class TestJInvariant:
         calls = []
         product = elliptic._progression_product
 
-        def counting(e0, step, t, qstep, nome):
+        def counting(e0, step, nome):
             calls.append(nome.r)
-            return product(e0, step, t, qstep, nome)
+            return product(e0, step, nome)
 
         monkeypatch.setattr(elliptic, "_progression_product", counting)
         j_invariant(r, CTX, via="eta")

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qalg import (
@@ -510,8 +510,11 @@ PRODUCTS = (
        for s in ((7, 5), (13, 5), (Fraction(9, 2), 2))])
 
 
-def _reference_product(e0, step, t, qstep, nome):
+def _reference_product(e0, step, nome):
+    # the same factors, with q^e0 and q^step taken by mpmath's own power
     count = _term_count(e0, 0, step, nome.tail) + 1
+    with mp.workdps(mp.mp.dps + 10):
+        t, qstep = (mp.power(nome.q, to_mpf(e)) for e in (e0, step))
     return mpf_progression_product(t, qstep, count)
 
 
@@ -537,6 +540,42 @@ class TestFixedPointProduct:
                 assert abs(x - ref) <= abs(ref) * mp.mpf(10) ** (3 - ctx.dps), i
 
 
+class TestPairedProduct:
+    """The paired product kernel on its own against the plain mpf loop
+    over the same factors, to 10^-(dps-3) relative: small rational e0 and
+    step, r log-uniform in [1/8, 400].  The examples leave 1, 2 and 3
+    factors after an mpf head (with t >= 1, as tau_star(13, 5) has),
+    and take eta(1) near 0 at r = 10^-4."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(e0=st.fractions(-3, 3, max_denominator=4),
+           step=st.fractions(Fraction(1, 4), 5, max_denominator=4),
+           r=st.floats(0, 1).map(lambda u: Fraction(round(125 * 3200 ** u), 1000)),
+           digits=st.sampled_from([30, 120, 300, 1000]))
+    @example(e0=Fraction(-8), step=Fraction(7, 2), r=Fraction(400), digits=30)
+    @example(e0=Fraction(-8), step=Fraction(5), r=Fraction(400), digits=30)
+    @example(e0=Fraction(1), step=Fraction(5), r=Fraction(400), digits=30)
+    @example(e0=Fraction(1), step=Fraction(1), r=Fraction(1, 10 ** 4), digits=120)
+    def test_matches_mpf_loop(self, e0, step, r, digits):
+        assume(step > 0 and not (e0 <= 0 and (e0 / step).denominator == 1))
+        ctx = PrecisionContext(digits)
+        nome = make_nome(r, ctx)
+        with ctx.workdps():
+            value = qengine._progression_product(e0, step, nome)
+            ref = _reference_product(e0, step, nome)
+        with mp.workdps(ctx.dps + 10):
+            assert abs(value - ref) <= abs(ref) * mp.mpf(10) ** (3 - ctx.dps)
+
+    @pytest.mark.parametrize("e0, step, rest", [(Fraction(-8), Fraction(7, 2), 1),
+                                                (Fraction(-8), Fraction(5), 2),
+                                                (Fraction(1), Fraction(5), 3)])
+    def test_example_counts(self, e0, step, rest):
+        # the fixed-point factors the examples above leave after the head
+        nome = make_nome(400, PrecisionContext(30))
+        head = 0 if e0 > 0 else int(-e0 / step) + 1
+        assert _term_count(e0, 0, step, nome.tail) + 1 - head == rest
+
+
 @lru_cache(maxsize=None)
 def _nome_pair(r, digits):
     ctx = PrecisionContext(digits)
@@ -551,16 +590,23 @@ FRACTIONAL = st.one_of(
     st.integers(0, 7).map(lambda t: Fraction(-(2 * t + 1) ** 2, 4)),
     st.integers(2, 12).flatmap(lambda p: st.integers(1, p - 1).map(
         lambda a: star_exponent(a, p))).filter(lambda e: e.denominator > 1),
+    # large denominators: 672, and tau_star's exponents for a outside (0, p)
+    st.sampled_from([star_exponent(Fraction(5, 4), 7), star_exponent(Fraction(1, 3), 4),
+                     star_exponent(13, 5), star_exponent(Fraction(9, 2), 2)]),
 )
 
 
 class TestQPow:
-    """q^e from the nome's x = pi sqrt(r): a fractional e agrees with
-    mpmath's power of q at twice the digits, and an integer e is the
-    same power of q, bit for bit."""
+    """q^(n/d) as the n-th power of an integer root of q: a fractional e
+    agrees with mpmath's power of q at twice the digits, also negative
+    ones at r = 10^40, and an integer e is the same power of q, bit for
+    bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(e=FRACTIONAL, r=st.sampled_from(QPOW_R), digits=st.sampled_from([120, 1000]))
+    @example(e=Fraction(-1, 24), r=Fraction(10 ** 40), digits=1000)
+    @example(e=-star_exponent(Fraction(5, 4), 7), r=Fraction(10 ** 40), digits=120)
+    @example(e=Fraction(-225, 4), r=Fraction(10 ** 40), digits=120)
     def test_fractional_matches_doubled_power(self, e, r, digits):
         nome, nome2 = _nome_pair(r, digits)
         with nome.ctx.workdps():

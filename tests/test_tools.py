@@ -1,5 +1,5 @@
-"""tools/compare.py: the medians, ratios and wins of a BENCH file; and
-tools/suite_pairs.py's arguments."""
+"""tools/compare.py: the medians, ratios and wins of a BENCH file;
+tools/suite_pairs.py's arguments; tools/layers.py's table."""
 
 import importlib.util
 import json
@@ -17,7 +17,7 @@ def _load(name):
     return module
 
 
-compare, suite_pairs = _load("compare"), _load("suite_pairs")
+compare, suite_pairs, layers = _load("compare"), _load("suite_pairs"), _load("layers")
 
 
 @pytest.mark.parametrize("name", ["BENCH_pr25.json", "BENCH_pr30.json"])
@@ -93,3 +93,13 @@ def test_suite_pairs_key_names_a_held_out_seed():
     assert suite_pairs.bench_key(args) == "eval-ladder --seed 7"
     args.seed = 0
     assert suite_pairs.bench_key(args) == "eval-ladder"
+
+
+def test_layers_prints_one_row_per_kernel(capsys):
+    assert layers.main(["--digits", "30", "--repeat", "1"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[-2:] == ["30", "digits"]
+    names = list(layers.kernels(layers.PrecisionContext(30)))
+    assert len(names) == 7 and len(rows) == len(names)
+    for name, row in zip(names, rows):
+        assert row.startswith(name) and float(row[len(name):]) >= 0
