@@ -186,8 +186,10 @@ def _shift(n: int, e: int) -> int:
     return n << e if e >= 0 else n >> -e
 
 
+@lru_cache(maxsize=64)
 def _root(q: tuple, d: int, P: int) -> tuple:
-    """q^(1/d) to about P bits for a raw mpf q > 0, as a raw mpf.  For
+    """q^(1/d) to about P bits for a raw mpf q > 0, as a raw mpf, memoized
+    so that the kernels of one nome share their roots.  For
     q = (m/2^B) 2^(E0 + d E1), 0 <= E0 < d, it is 2^E1 c^(1/d) with
     c = (m/2^B) 2^E0, a root in [1/2, 2) whatever q's exponent.  Newton's
     y <- y + y (c - y^d)/(d y^d) runs on integers from a float seed of
@@ -214,19 +216,21 @@ def _root(q: tuple, d: int, P: int) -> tuple:
 
 def _qpow(nome: Nome, e) -> HPReal:
     """q^e for e = n/d in lowest terms: the n-th power of q itself (d = 1)
-    or of q^(1/d) from _root, taken with log2|n| + 4 guard bits.  The
-    error is about |n/d| ulps of q, q's own rounding raised to the power."""
+    or of q^(1/d) from _root, taken with 20 guard bits (log2|n| + 4 past
+    |n| = 2^16).  The error is about |n/d| ulps of q, q's own rounding
+    raised to the power."""
     e = Fraction(e)
     n, d = e.numerator, e.denominator
     prec = mp.mp.prec
-    y = nome.q._mpf_ if d == 1 else _root(nome.q._mpf_, d, prec + n.bit_length() + 4)
+    y = nome.q._mpf_ if d == 1 else _root(nome.q._mpf_, d, prec + max(20, n.bit_length() + 4))
     return mp.make_mpf(mpf_pow_int(y, n, prec, round_nearest))
 
 
 def _qfixed(nome: Nome, exps, prec: int) -> list:
     """q^e for each e >= 0 of exps on integers scaled by 2^prec, truncated:
     the powers y^n of one root y = q^(1/D), D their least common
-    denominator, at P = prec + log2(max n) + 4 bits, under 1/8 ulp off."""
+    denominator, at P = prec + log2(max n) + 4 bits: about 1/8 ulp off
+    before the truncation."""
     D = math.lcm(*(e.denominator for e in exps))
     ns = [e.numerator * (D // e.denominator) for e in exps]
     P = prec + max(ns).bit_length() + 4
@@ -266,8 +270,8 @@ def _progression_product(e0, step, nome: Nome) -> HPReal:
     taken in mpf, an odd count's next factor alone, and the rest in pairs
     on integers: (1 - T)(1 - T S) = 1 - U + W for T = q^e, S = q^step,
     with U = T (1 + S) and W = T^2 S advanced by S^2 and S^4.  prec carries
-    log2 of the pair count plus twelve guard bits for the two ulps a pair
-    step may truncate in man, U and W and the few ulps of S^2 and S^4.
+    log2 of the pair count plus twelve guard bits for the few ulps a pair
+    step may truncate in man, U and W, and those of S^2 and S^4.
     man is renormalised to at least half scale (ex counts the shifts), so
     a product near 0 keeps its relative precision.  Once U truncates to 0
     every later factor is exactly 1."""

@@ -557,7 +557,7 @@ class TestPairedProduct:
     @example(e0=Fraction(1), step=Fraction(5), r=Fraction(400), digits=30)
     @example(e0=Fraction(1), step=Fraction(1), r=Fraction(1, 10 ** 4), digits=120)
     def test_matches_mpf_loop(self, e0, step, r, digits):
-        assume(step > 0 and not (e0 <= 0 and (e0 / step).denominator == 1))
+        assume(not (e0 <= 0 and (e0 / step).denominator == 1))  # no factor 1 - q^0
         ctx = PrecisionContext(digits)
         nome = make_nome(r, ctx)
         with ctx.workdps():
@@ -590,7 +590,7 @@ FRACTIONAL = st.one_of(
     st.integers(0, 7).map(lambda t: Fraction(-(2 * t + 1) ** 2, 4)),
     st.integers(2, 12).flatmap(lambda p: st.integers(1, p - 1).map(
         lambda a: star_exponent(a, p))).filter(lambda e: e.denominator > 1),
-    # large denominators: 672, and tau_star's exponents for a outside (0, p)
+    # large denominators (672 for (5/4, 7), 72 for (1/3, 4)) and tau_star's a > p
     st.sampled_from([star_exponent(Fraction(5, 4), 7), star_exponent(Fraction(1, 3), 4),
                      star_exponent(13, 5), star_exponent(Fraction(9, 2), 2)]),
 )
