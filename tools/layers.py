@@ -6,7 +6,9 @@ Run from a qalg checkout:
 
 The package is imported from ``src/`` of the checkout.  Each row is one
 kernel on fixed inputs, built before the clock starts, and each column
-the best of N calls at that many digits, in milliseconds:
+the best of N calls at that many digits, in milliseconds; every
+``lru_cache`` of the package is cleared before each call, as perfbench
+clears them before each pass:
 
   _progression_product   eta(1) at r = 1, its direct product;
   _theta_terms           the pair runs of theta(5/2, 3/2) at r = 1, the
@@ -34,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import mpmath as mp  # noqa: E402
 
 from qalg import AgileSpec, PrecisionContext, agile_star, make_nome  # noqa: E402
-from qalg import elliptic, hpcore, qengine  # noqa: E402
+from qalg import elliptic, hpcore, modular, qengine  # noqa: E402
 from qalg.recognize import lattice_reduce  # noqa: E402
 
 HEIGHT_DIGITS = 4
@@ -73,6 +75,9 @@ def kernels(ctx: PrecisionContext) -> dict:
 def best_ms(call, ctx: PrecisionContext, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
+        for module in (elliptic, modular, qengine):
+            for value in vars(module).values():
+                getattr(value, "cache_clear", lambda: None)()
         with ctx.workdps():
             start = time.perf_counter()
             call()
