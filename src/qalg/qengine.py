@@ -13,7 +13,7 @@ All parameters a, p, r are exact rationals (r enters through
 precision.exact, so an mpf r is taken bit for bit); q = exp(-pi*sqrt(r)).
 A power q^e, e = n/d, is the n-th power of q^(1/d), which Newton's
 iteration takes from q on integers (_root): after make_nome no
-exponential or logarithm is taken.
+exponential or logarithm is taken at the working precision.
 Truncation: one rule for every numeric q-series.  make_nome works out the
 tail threshold X (q^x < 10^-(digits+guard) for all x > X) once, as
 Nome.tail.  A product keeps every factor whose exponent is at most X, plus
@@ -88,7 +88,8 @@ from functools import lru_cache
 from itertools import zip_longest
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_pow_int, round_floor, round_nearest, to_fixed
+from mpmath.libmp import (from_man_exp, mpf_nthroot, mpf_pow_int, round_floor, round_nearest,
+                          to_fixed)
 
 from .errors import ConvergenceError, DomainError, InsufficientPrecision, OrderError
 from .precision import HPReal, PrecisionContext, exact, integer, to_mpf
@@ -190,52 +191,57 @@ def _shift(n: int, e: int) -> int:
 def _root(q: tuple, d: int, P: int) -> tuple:
     """q^(1/d) to about P bits for a raw mpf q > 0, as a raw mpf, memoized
     so that the kernels of one nome share their roots.  For
-    q = (m/2^B) 2^(E0 + d E1), 0 <= E0 < d, it is 2^E1 c^(1/d) with
-    c = (m/2^B) 2^E0, a root in [1/2, 2) whatever q's exponent.  Newton's
-    y <- y + y (c - y^d)/(d y^d) runs on integers from a float seed of
-    about 50 bits, each step at p bits from (p + log2 d)/2 + 2 bits (an
-    error e leaves about (d - 1) e^2/2), y^d by binary powering."""
+    q = (m/2^B) 2^(E0 + d E1), 0 <= E0 < d, it is 2^E1 c^(1/d), a root in
+    [1/2, 2) of c = (m/2^B) 2^E0.  Newton's y <- y + y (c - y^d)/(d y^d)
+    runs on integers, each step at p bits from (p + log2 d)/2 + 2: an
+    error e leaves about (d - 1) e^2/2, so the seed must beat log2 d bits.
+    It is a float below d = 2^32, mpmath's root at log2 d + 24 bits above.
+    y^d is cut to p bits and an exponent after each square."""
     _, m, E, B = q
     E1, E0 = divmod(E + B, d)
+    b = d.bit_length()
     precs, p = [], P
-    while p > 48:
+    while p > (50 if b <= 32 else b + 24):
         precs.append(p)
-        p = (p + d.bit_length()) // 2 + 2
-    Y = int(math.ldexp(math.ldexp(m >> max(B - 53, 0), -min(B, 53)) ** (1 / d)
-                       * 2 ** (E0 / d), p))
+        p = (p + b) // 2 + 2
+    f = math.ldexp(m >> max(B - 53, 0), -min(B, 53))       # m/2^B as a float
+    Y = (int(math.ldexp(f ** (1 / d) * 2 ** (E0 / d), p)) if b <= 32
+         else to_fixed(mpf_nthroot((0, m, E0 - B, B), d, p), p))
     for pn in reversed(precs):
         Y, p = Y << (pn - p), pn
-        Z = Y
+        Z, ze = Y, -p                   # y^j = Z 2^ze
         for bit in bin(d)[3:]:
-            Z = Z * Z >> p
+            Z *= Z
+            k = Z.bit_length() - p
+            Z >>= k
+            ze += ze + k
             if bit == "1":
                 Z = Z * Y >> p
-        Y += Y * (_shift(m, E0 + p - B) - Z) // (d * Z)
+        Y += Y * (_shift(m, E0 - B - ze) - Z) // (d * Z)
     return from_man_exp(Y, E1 - p)
 
 
+def _qpowers(nome: Nome, exps, prec: int, rnd) -> list:
+    """q^e for each e of exps as raw mpfs, rounded by rnd to prec bits: the
+    powers y^n of q (D = 1) or of one root y = q^(1/D), D the exps' common
+    denominator, y taken with log2(max |n|) + 4 and at least 20 guard bits.
+    q^(n/D) is about |n/D| ulps of q off, q's rounding raised to the power."""
+    D = math.lcm(*(e.denominator for e in exps))
+    ns = [e.numerator * (D // e.denominator) for e in exps]
+    P = prec + max(20, max(map(abs, ns)).bit_length() + 4)
+    y = nome.q._mpf_ if D == 1 else _root(nome.q._mpf_, D, P)
+    return [mpf_pow_int(y, n, prec, rnd) for n in ns]
+
+
 def _qpow(nome: Nome, e) -> HPReal:
-    """q^e for e = n/d in lowest terms: the n-th power of q itself (d = 1)
-    or of q^(1/d) from _root, taken with 20 guard bits (log2|n| + 4 past
-    |n| = 2^16).  The error is about |n/d| ulps of q, q's own rounding
-    raised to the power."""
-    e = Fraction(e)
-    n, d = e.numerator, e.denominator
-    prec = mp.mp.prec
-    y = nome.q._mpf_ if d == 1 else _root(nome.q._mpf_, d, prec + max(20, n.bit_length() + 4))
-    return mp.make_mpf(mpf_pow_int(y, n, prec, round_nearest))
+    """q^e, rounded to nearest (for an integer e the mpf mp.power gives)."""
+    return mp.make_mpf(_qpowers(nome, (Fraction(e),), mp.mp.prec, round_nearest)[0])
 
 
 def _qfixed(nome: Nome, exps, prec: int) -> list:
-    """q^e for each e >= 0 of exps on integers scaled by 2^prec, truncated:
-    the powers y^n of one root y = q^(1/D), D their least common
-    denominator, at P = prec + log2(max n) + 4 bits: about 1/8 ulp off
-    before the truncation."""
-    D = math.lcm(*(e.denominator for e in exps))
-    ns = [e.numerator * (D // e.denominator) for e in exps]
-    P = prec + max(ns).bit_length() + 4
-    y = nome.q._mpf_ if D == 1 else _root(nome.q._mpf_, D, P)
-    return [to_fixed(mpf_pow_int(y, n, P, round_floor), prec) for n in ns]
+    """q^e for each e >= 0 of exps on integers scaled by 2^prec, truncated
+    from prec + 4 bits: under 1 + 1/8 ulp off."""
+    return [to_fixed(y, prec) for y in _qpowers(nome, exps, prec + 4, round_floor)]
 
 
 def _term_count(e0, a, b, stop) -> int:

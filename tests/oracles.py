@@ -8,8 +8,8 @@ at small r from mpmath's jtheta, series log/exp/inverse from their
 textbook recurrences, series products from the schoolbook double loop
 over every index, exponent products one factor at a time, the q-product,
 q-sum and AGM kernels from plain mpf loops (the q-series loops over the
-same terms, counts and powers of q as the library, summed in mpf instead
-of fixed point; the triangular-number series as the two one-sided sums
+same terms and counts as the library, with powers of q from mpmath's
+power, summed in mpf instead of fixed point; the triangular-number series as the two one-sided sums
 M(c, q^p) that the paper writes), the eq40 tail integral from mp.quad on
 its integrand, the divisor sieve of the Moebius inversion from the
 Moebius-function formula, polynomial gcds from integer
@@ -101,6 +101,14 @@ def hypergeometric_E(k, dps: int) -> mp.mpf:
         return +(mp.pi / 2 * (1 - acc))
 
 
+def mpf_qpow(nome, e) -> mp.mpf:
+    """q^e by mpmath's own power of the nome's q, ten digits above the
+    current working precision: the reference for the library's q-powers,
+    which it takes from integer roots of q."""
+    with mp.workdps(mp.mp.dps + 10):
+        return mp.power(nome.q, _num(Fraction(e)))
+
+
 def mpf_progression_product(t, qstep, count: int) -> mp.mpf:
     """prod_{n<count} (1 - t qstep^n) by the plain mpf loop, ten digits
     above the current working precision: the reference for the
@@ -116,10 +124,10 @@ def mpf_progression_product(t, qstep, count: int) -> mp.mpf:
 def mpf_theta_terms(a, b, nome, margin=0) -> list:
     """The pairs (q^(a n^2 + b n), q^(a n^2 - b n)) for n = 1..N by the
     plain mpf loop (any rational b), N by the library's truncation rule."""
-    from qalg.qengine import _qpow, _term_count
+    from qalg.qengine import _term_count
 
     count = _term_count(0, a, -abs(b), nome.tail + margin)
-    qa, qb = _qpow(nome, a), _qpow(nome, b)
+    qa, qb = mpf_qpow(nome, a), mpf_qpow(nome, b)
     q2a = qa * qa
     tp, tm = qa * qb, qa / qb
     step_p, step_m = tp * q2a, tm * q2a
@@ -175,7 +183,7 @@ def mpf_lambert(X, nome) -> mp.mpf:
 def mpf_continued_fraction(nome) -> mp.mpf:
     """q^(1/5) / (1 + q/(1 + q^2/(1 + ...))) by the mpf backward
     recurrence, at the library's depth."""
-    from qalg.qengine import _qpow, _term_count
+    from qalg.qengine import _term_count
 
     with nome.ctx.workdps():
         depth = _term_count(1, Fraction(1, 2), Fraction(3, 2), nome.tail)
@@ -185,7 +193,7 @@ def mpf_continued_fraction(nome) -> mp.mpf:
         t = mp.mpf(1)
         for qk in reversed(powers):
             t = 1 + qk / t
-        return +(_qpow(nome, Fraction(1, 5)) / t)
+        return +(mpf_qpow(nome, Fraction(1, 5)) / t)
 
 
 def jtheta_rrcf(r, dps: int) -> mp.mpf:
@@ -201,10 +209,10 @@ def jtheta_rrcf(r, dps: int) -> mp.mpf:
 
 def mpf_agile(a, p, nome) -> mp.mpf:
     """[a,p;q] as two mpf progression products, 0 < a < p."""
-    from qalg.qengine import _qpow, _term_count
+    from qalg.qengine import _term_count
 
     with nome.ctx.workdps():
-        qa, qp = _qpow(nome, a), _qpow(nome, p)
+        qa, qp = mpf_qpow(nome, a), mpf_qpow(nome, p)
         out = mp.mpf(1)
         for e0, t in ((Fraction(a), qa), (Fraction(p - a), qp / qa)):
             out *= mpf_progression_product(t, qp, _term_count(e0, 0, p, nome.tail) + 1)
@@ -216,7 +224,7 @@ def mpf_triangular_sum(a, p, nome) -> mp.mpf:
     w^(n(n+1)/2), each series by the plain mpf loop over its terms up to
     the tail threshold: the numerator of the triangular-number route.  It
     cancels about pi/(2p sqrt r ln 10) digits, which the nome must carry."""
-    from qalg.qengine import _qpow, _term_count
+    from qalg.qengine import _term_count
 
     def m_series(c, w, terms):
         s = term = wn = mp.mpf(1)
@@ -228,7 +236,7 @@ def mpf_triangular_sum(a, p, nome) -> mp.mpf:
 
     a, p = Fraction(a), Fraction(p)
     with nome.ctx.workdps():
-        qa, qp = _qpow(nome, a), _qpow(nome, p)
+        qa, qp = mpf_qpow(nome, a), mpf_qpow(nome, p)
         lo = m_series(-1 / qa, qp, _term_count(0, p / 2, p / 2 - a, nome.tail))
         hi = m_series(-qa, qp, _term_count(0, p / 2, p / 2 + a, nome.tail))
         return +(lo - qa * hi)
@@ -236,10 +244,10 @@ def mpf_triangular_sum(a, p, nome) -> mp.mpf:
 
 def mpf_eta(m, nome) -> mp.mpf:
     """prod_{n>=1} (1 - q^(m n)) as one mpf progression product."""
-    from qalg.qengine import _qpow, _term_count
+    from qalg.qengine import _term_count
 
     with nome.ctx.workdps():
-        qm = _qpow(nome, m)
+        qm = mpf_qpow(nome, m)
         return +mpf_progression_product(qm, qm, _term_count(m, 0, m, nome.tail) + 1)
 
 

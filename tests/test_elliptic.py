@@ -484,7 +484,7 @@ class TestSingularModulusCost:
 
 class TestNoLogarithm:
     """No full-precision logarithm on the evaluation path: q^e for a
-    fractional e comes from the nome's pi sqrt(r), and the k_r solve runs
+    fractional e comes from an integer root of q, and the k_r solve runs
     Newton on K'/K - sqrt(s)."""
 
     CTX = PrecisionContext(1000)
@@ -527,6 +527,13 @@ class TestNoLogarithm:
     def test_q_series(self, value, log_precisions):
         value(self.CTX)
         assert log_precisions == []
+
+    def test_root_seed_past_2_32(self, log_precisions):
+        # a root of q with d >= 2^32 is seeded by mpmath's root at
+        # log2 d + 24 bits, which takes one logarithm there: d has 47 bits
+        # for the products of [10^-14, 1], 94 for its star exponent
+        agile_star(AgileSpec(Fraction(1, 10 ** 14), 1), make_nome(2, self.CTX))
+        assert len(log_precisions) == 2 and max(log_precisions) < 150
 
 
 class TestAlpha:

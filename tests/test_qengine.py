@@ -117,6 +117,22 @@ class TestAgile:
         assert 0 < val < 1
         assert close(val, prod, 80, dps=140)
 
+    @pytest.mark.parametrize("digits", [120, 1000])
+    def test_root_denominators_past_2_45(self, digits):
+        # a = 10^-14 takes q^(1/10^14), 47 bits under the root, and
+        # [10^-7, 1]* the power a^2/2 - a/2 + 1/12, 50 bits: the oracle
+        # products at doubled digits, with mpmath's powers of q
+        ctx = PrecisionContext(digits)
+        nome, nome2 = make_nome(1, ctx), make_nome(1, ctx.doubled())
+        for a, star in ((Fraction(1, 10 ** 14), False), (Fraction(1, 10 ** 7), True)):
+            with ctx.workdps():
+                value = (agile_star if star else agile)(AgileSpec(a, 1), nome)
+            with nome2.ctx.workdps():
+                ref = oracles.mpf_agile(a, 1, nome2)
+                if star:
+                    ref *= oracles.mpf_qpow(nome2, star_exponent(a, 1))
+                assert abs(value - ref) <= abs(ref) * mp.mpf(10) ** -digits
+
     def test_star_exponents(self):
         assert star_exponent(1, 5) == Fraction(1, 60)
         assert star_exponent(2, 5) == Fraction(-11, 60)
@@ -513,8 +529,7 @@ PRODUCTS = (
 def _reference_product(e0, step, nome):
     # the same factors, with q^e0 and q^step taken by mpmath's own power
     count = _term_count(e0, 0, step, nome.tail) + 1
-    with mp.workdps(mp.mp.dps + 10):
-        t, qstep = (mp.power(nome.q, to_mpf(e)) for e in (e0, step))
+    t, qstep = (oracles.mpf_qpow(nome, e) for e in (e0, step))
     return mpf_progression_product(t, qstep, count)
 
 
@@ -545,7 +560,8 @@ class TestPairedProduct:
     over the same factors, to 10^-(dps-3) relative: small rational e0 and
     step, r log-uniform in [1/8, 400].  The examples leave 1, 2 and 3
     factors after an mpf head (with t >= 1, as tau_star(13, 5) has),
-    and take eta(1) near 0 at r = 10^-4."""
+    and take eta(1) near 0 at r = 10^-4, and the second product of
+    [10^-14, 1], whose root of q has a denominator of 47 bits."""
 
     @settings(max_examples=25, deadline=None)
     @given(e0=st.fractions(-3, 3, max_denominator=4),
@@ -556,6 +572,8 @@ class TestPairedProduct:
     @example(e0=Fraction(-8), step=Fraction(5), r=Fraction(400), digits=30)
     @example(e0=Fraction(1), step=Fraction(5), r=Fraction(400), digits=30)
     @example(e0=Fraction(1), step=Fraction(1), r=Fraction(1, 10 ** 4), digits=120)
+    @example(e0=1 - Fraction(1, 10 ** 14), step=Fraction(1), r=Fraction(1), digits=120)
+    @example(e0=1 - Fraction(1, 10 ** 14), step=Fraction(1), r=Fraction(1), digits=1000)
     def test_matches_mpf_loop(self, e0, step, r, digits):
         assume(not (e0 <= 0 and (e0 / step).denominator == 1))  # no factor 1 - q^0
         ctx = PrecisionContext(digits)
@@ -593,6 +611,10 @@ FRACTIONAL = st.one_of(
     # large denominators (672 for (5/4, 7), 72 for (1/3, 4)) and tau_star's a > p
     st.sampled_from([star_exponent(Fraction(5, 4), 7), star_exponent(Fraction(1, 3), 4),
                      star_exponent(13, 5), star_exponent(Fraction(9, 2), 2)]),
+    # denominators past 2^32, whose roots are seeded by mpmath's (10^14 has
+    # 47 bits, [10^-7, 1]*'s exponent 50, 2^61 - 1 is prime)
+    st.sampled_from([Fraction(1, 10 ** 14), -star_exponent(Fraction(1, 10 ** 7), 1),
+                     Fraction(3, 2 ** 61 - 1), Fraction(-7, 2 ** 32 + 15)]),
 )
 
 
@@ -607,6 +629,10 @@ class TestQPow:
     @example(e=Fraction(-1, 24), r=Fraction(10 ** 40), digits=1000)
     @example(e=-star_exponent(Fraction(5, 4), 7), r=Fraction(10 ** 40), digits=120)
     @example(e=Fraction(-225, 4), r=Fraction(10 ** 40), digits=120)
+    @example(e=Fraction(1, 10 ** 14), r=Fraction(1), digits=1000)
+    @example(e=star_exponent(Fraction(1, 10 ** 7), 1), r=Fraction(1), digits=120)
+    @example(e=-star_exponent(Fraction(1, 10 ** 7), 1), r=Fraction(10 ** 40), digits=1000)
+    @example(e=Fraction(3, 2 ** 61 - 1), r=Fraction(10 ** 40), digits=120)
     def test_fractional_matches_doubled_power(self, e, r, digits):
         nome, nome2 = _nome_pair(r, digits)
         with nome.ctx.workdps():
@@ -650,10 +676,10 @@ class TestTermCount:
                 _term_count(*args)
 
 
-def _with_qpow(e, f):
+def _with_qpow(e, f, power=_qpow):
     def call(nome):
         with nome.ctx.workdps():
-            return +(_qpow(nome, e) * f(nome))
+            return +(power(nome, e) * f(nome))
     return call
 
 
@@ -673,7 +699,8 @@ LAMBERT_X = {"chi1": JacobiCharacter(1), "chi5": JacobiCharacter(5),
 FIXED_POINT_SUMS = {
     "eta_paper1": (lambda n: eta_paper(1, n), lambda n: oracles.mpf_eta(1, n)),
     "agile15": (lambda n: agile(AgileSpec(1, 5), n), lambda n: oracles.mpf_agile(1, 5, n)),
-    "theta2": (theta2, _with_qpow(Fraction(1, 4), lambda n: oracles.mpf_theta_powersum(1, n))),
+    "theta2": (theta2, _with_qpow(Fraction(1, 4), lambda n: oracles.mpf_theta_powersum(1, n),
+                                  oracles.mpf_qpow)),
     "theta3": (theta3, lambda n: oracles.mpf_theta_powersum(0, n)),
     "continued_fraction": (lambda n: rrcf(n, "continued_fraction"),
                            oracles.mpf_continued_fraction),
@@ -685,10 +712,11 @@ FIXED_POINT_SUMS = {
        for a, b in THETA_WIDE + THETA_B0},
     **{f"agile_star({a},{p})": (lambda n, a=a, p=p: agile_star(AgileSpec(a, p), n),
                                 _with_qpow(star_exponent(a, p),
-                                           lambda n, a=a, p=p: oracles.mpf_agile(a, p, n)))
+                                           lambda n, a=a, p=p: oracles.mpf_agile(a, p, n),
+                                           oracles.mpf_qpow))
        for a, p in STAR_SPECS},
     "rrcf_product": (rrcf, _with_qpow(Fraction(1, 5), lambda n: oracles.mpf_agile(1, 5, n)
-                                      / oracles.mpf_agile(2, 5, n))),
+                                      / oracles.mpf_agile(2, 5, n), oracles.mpf_qpow)),
     **{f"lambert_{k}": (lambda n, X=X: lambert_series(X, n),
                         lambda n, X=X: oracles.mpf_lambert(X, n))
        for k, X in LAMBERT_X.items()},

@@ -13,7 +13,8 @@ clears them before each pass:
   _progression_product   eta(1) at r = 1, its direct product;
   _theta_terms           the pair runs of theta(5/2, 3/2) at r = 1, the
                          numerator of agile_via_triangular for [1,5];
-  _qpow q^7, q^(-1/24)   an integer and a fractional power of q at r = 2;
+  _qpow q^7, q^(-1/24),  an integer power of q at r = 2 and two
+    q^(47/672)           fractional ones, with a small and a large denominator;
   _agm                   the AGM of (1, sqrt(2) - 1);
   tail_integral          hpcore.tail_integral at theta = 2 (Theorem 3);
   lattice_reduce d16     LLL of the degree-16 identity basis on the powers
@@ -66,6 +67,7 @@ def kernels(ctx: PrecisionContext) -> dict:
             Fraction(5, 2), Fraction(3, 2), nome1),
         "_qpow q^7": lambda: qengine._qpow(nome2, Fraction(7)),
         "_qpow q^(-1/24)": lambda: qengine._qpow(nome2, Fraction(-1, 24)),
+        "_qpow q^(47/672)": lambda: qengine._qpow(nome2, Fraction(47, 672)),
         "_agm (1, sqrt 2 - 1)": lambda: elliptic._agm(b.man, b.exp, ctx.dps),
         "tail_integral(2)": lambda: hpcore.tail_integral(2, ctx),
         f"lattice_reduce d{DEGREE}": lambda: lattice_reduce(basis),
