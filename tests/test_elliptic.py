@@ -531,7 +531,7 @@ class TestNoLogarithm:
     def test_root_seed_past_2_32(self, log_precisions):
         # a root of q with d >= 2^32 is seeded by mpmath's root at
         # log2 d + 24 bits, which takes one logarithm there: d has 47 bits
-        # for the products of [10^-14, 1], 94 for its star exponent
+        # for the products of [10^-14, 1], 96 for its star exponent
         agile_star(AgileSpec(Fraction(1, 10 ** 14), 1), make_nome(2, self.CTX))
         assert len(log_precisions) == 2 and max(log_precisions) < 150
 
