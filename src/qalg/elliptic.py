@@ -40,8 +40,8 @@ import mpmath as mp
 from mpmath.libmp import dps_to_prec, pi_fixed, to_fixed
 
 from .errors import ConvergenceError, DomainError, InsufficientPrecision
-from .precision import HPReal, PrecisionContext, dyadic, exact, integer, to_mpf
-from .qengine import _dual, _progression_product, _qpow, _shift, make_nome
+from .precision import HPReal, PrecisionContext, _shift, dyadic, exact, integer, power, to_mpf
+from .qengine import _dual, _progression_product, _qpow, make_nome
 
 
 def _man_exp(x: HPReal) -> tuple[int, int]:
@@ -379,6 +379,6 @@ def theta_powersum_closed(m: int, r, ctx: PrecisionContext) -> HPReal:
             return +(_qpow(nome, Fraction(-t * t)) * mp.sqrt(2 * K / mp.pi))
         k21 = k11 * k11 / (1 + k12) ** 2
         k22 = 2 * mp.sqrt(k12) / (1 + k12)
-        pref = mp.mpf(2) ** (mp.mpf(5) / 6) * _qpow(nome, Fraction(-m * m, 4))
-        return +(pref * (k11 * k12 * k21) ** (mp.mpf(1) / 6)
-                 / k22 ** (mp.mpf(1) / 3) * mp.sqrt(K / mp.pi))
+        # 2^(5/6) (k11 k12 k21)^(1/6) / k22^(1/3) as one sixth root
+        root = power(32 * k11 * k12 * k21 / (k22 * k22), Fraction(1, 6))
+        return +(_qpow(nome, Fraction(-m * m, 4)) * root * mp.sqrt(K / mp.pi))

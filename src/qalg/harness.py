@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import mpmath as mp
 
 from .errors import DomainError
-from .precision import PrecisionContext, to_mpf
+from .precision import PrecisionContext, power, to_mpf
 from .series import FormalSeries, exponent_product
 from .qengine import (
     AgileSpec,
@@ -171,8 +171,8 @@ def _eta_power(ctx, r: Fraction):
     kp = mp.sqrt(1 - k * k)
     K = singular_K(r, ctx)
     lhs = eta_paper(1, nome) ** 8
-    rhs = (2 ** (mp.mpf(8) / 3) / mp.pi ** 4 * _qpow(nome, Fraction(-1, 3))
-           * k ** (mp.mpf(2) / 3) * kp ** (mp.mpf(8) / 3) * K ** 4)
+    # 2^(8/3) k^(2/3) k'^(8/3) as (16 k k'^4)^(2/3)
+    rhs = power(16 * k * kp ** 4, Fraction(2, 3)) * _qpow(nome, Fraction(-1, 3)) * (K / mp.pi) ** 4
     return Residual(lhs, rhs)
 
 
@@ -312,14 +312,14 @@ def _example2(ctx):
     lhs = normalized_value(pc, make_nome(Fraction(1), ctx))
     inner = 81 * (885 + 511 * mp.sqrt(mp.mpf(3))
                   - 3 * mp.sqrt(174033 + 100478 * mp.sqrt(mp.mpf(3))))
-    return Residual(lhs, mp.root(inner, 12), note=f"A={pc.A}")
+    return Residual(lhs, power(inner, Fraction(1, 12)), note=f"A={pc.A}")
 
 
 def _example3i(ctx):
     nome = make_nome(Fraction(2), ctx)
     y6 = eta_paper(1, nome) ** 6 / (eta_paper(5, nome) ** 6 * nome.q)
     lhs = 3125 + 250 * y6 + y6 * y6
-    rhs = 20 * y6 ** (mp.mpf(5) / 3)
+    rhs = 20 * power(y6, Fraction(5, 3))
     return Residual(lhs, rhs, note="sextic with cube root of j equal to 20")
 
 
@@ -453,7 +453,7 @@ def _eq59_quartic(ctx):
 
 def _eq58_radical(ctx):
     val = QUANTITIES["agile_star_ki"].evaluate({"a": "1", "p": "3", "x": "1/5"}, ctx)
-    t = mp.mpf(3) ** (mp.mpf(2) / 3) * mp.cbrt(mp.mpf(10))
+    t = power(90, Fraction(1, 3))       # 3^(2/3) 10^(1/3)
     radical = (-182 - mp.sqrt(689224 - 148230 * t)
                + mp.sqrt(2 * (92571934
                               * mp.sqrt(2 / (344612 - 74115 * t))

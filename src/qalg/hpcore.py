@@ -19,11 +19,12 @@ no tables: nothing is computed when the module loads.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 
 from .errors import DomainError
-from .precision import HPReal, PrecisionContext
+from .precision import HPReal, PrecisionContext, power
 
 
 def _mul(t: int, X: int, P: int) -> int:
@@ -177,10 +178,10 @@ def tail_integral(theta, ctx: PrecisionContext) -> HPReal:
             return mp.ldexp(_legendre_sum(int(mp.ldexp(u, P)), e, N, P), -P)
 
         def head(s):
-            return mp.cbrt(mp.sqrt(s)) ** 5 / A * legendre(s / 125, 5)
+            return power(s, Fraction(5, 6)) / A * legendre(s / 125, 5)
 
         def tail(T):
-            return legendre(1 / T, 1) / mp.cbrt(mp.sqrt(T))
+            return legendre(1 / T, 1) * power(T, Fraction(-1, 6))
 
         if theta >= 2 * A:
             return +tail(theta)
@@ -191,5 +192,5 @@ def tail_integral(theta, ctx: PrecisionContext) -> HPReal:
         c, h = (T + theta) / 2, (T - theta) / 2
         N = _taylor_terms(c, h, prec + 20)
         P = prec + _guard(N)
-        gc = 1 / (mp.cbrt(mp.sqrt(c)) * mp.sqrt(c * c + 22 * c + 125))
+        gc = power(c, Fraction(-1, 6)) / mp.sqrt(c * c + 22 * c + 125)
         return +(2 * h * gc * mp.ldexp(_taylor_sum(c, h, N, P), -P) + tail(T))

@@ -15,7 +15,7 @@ import mpmath as mp
 
 from .errors import BranchError, ConvergenceError, DomainError, SingularError
 from .hpcore import _mul, tail_integral
-from .precision import HPReal, PrecisionContext, exact, to_mpf
+from .precision import HPReal, PrecisionContext, exact, power, to_mpf
 from .qengine import (
     AgileSpec,
     Nome,
@@ -158,11 +158,10 @@ def modular5_check(nome: Nome) -> tuple[Residual, Residual]:
         k25 = theta2(nome5) ** 2 / theta3(nome5) ** 2
         kp = mp.sqrt(1 - k * k)
         kp25 = mp.sqrt(1 - k25 * k25)
-        lhs3 = (k * k25 + kp * kp25
-                + 2 ** (mp.mpf(5) / 3) * (k * k25 * kp * kp25) ** (mp.mpf(1) / 3))
+        lhs3 = k * k25 + kp * kp25 + power(32 * k * k25 * kp * kp25, Fraction(1, 3))
         first = Residual(+lhs3, mp.mpf(1), note="product-of-moduli relation")
-        u = k25 ** (mp.mpf(1) / 4)
-        v = k ** (mp.mpf(1) / 4)
+        u = power(k25, Fraction(1, 4))
+        v = power(k, Fraction(1, 4))
         lhs4 = (u ** 6 - v ** 6 + 5 * u * u * v * v * (u * u - v * v)
                 + 4 * u * v * (1 - u ** 4 * v ** 4))
         second = Residual(+lhs4, mp.mpf(0), note="depressed sextic form, u=k_25r^(1/4)")
@@ -216,7 +215,7 @@ def sextic_Y_check(nome: Nome) -> dict:
         for label, arg in (("r", nome.r), ("4r", 4 * nome.r), ("r/4", nome.r / 4)):
             jv = j_invariant(arg, ctx)
             residuals[label] = +abs(3125 + 250 * y6 + y6 ** 2
-                                    - mp.cbrt(jv) * y6 ** (mp.mpf(5) / 3))
+                                    - power(jv, Fraction(1, 3)) * power(y6, Fraction(5, 3)))
         return residuals
 
 
@@ -254,7 +253,7 @@ def solve_sextic(a, b, c, ctx: PrecisionContext) -> tuple[HPReal, Residual]:
         Y = b / (250 * a) * sextic_theta(nome, via="rrcf")
         resid = Residual(
             +(b * b / (20 * a) + b * Y + a * Y * Y),
-            +(c * Y ** (mp.mpf(5) / 3)),
+            +(c * power(Y, Fraction(5, 3))),
             note=f"sextic at r={mp.nstr(r, 20)}",
         )
         return +Y, resid
@@ -314,20 +313,10 @@ def _beta_series(x: Fraction, p: Fraction, q: Fraction) -> HPReal:
         t = _mul(t * ((n * D + A) * (n * D + B)) // ((n * D + C) * (n + 1) * D), X, P)
         total += t
         n += 1
-    # (1 - x)^q = exp(q ln(1 - x)) scales ln's rounding error by q
-    with mp.extraprec(math.ceil(q).bit_length()):
-        pref = _power_over(to_mpf(x), p)
-        if q > 1:
-            pref *= to_mpf(1 - x) ** to_mpf(q)
-        return pref * mp.ldexp(total, -P)
-
-
-def _power_over(x: HPReal, p: Fraction) -> HPReal:
-    """x^p/p for an mpf x >= 0, with as many extra bits as x's exponent
-    has: x^p = exp(p ln x) scales p's rounding by ln x."""
-    with mp.extraprec(mp.mag(x).bit_length() if x else 0):
-        pm = to_mpf(p)
-        return x ** pm / pm
+    pref = power(x, p) * p.denominator / p.numerator
+    if q > 1:
+        pref *= power(1 - x, q)
+    return pref * mp.ldexp(total, -P)
 
 
 @lru_cache(maxsize=64)
@@ -375,7 +364,7 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
     above about 65000 at 60 digits.
 
     Where y = x (1 + |q - 1|) < 2^-P, P the working bits, this is x^p/p
-    (_power_over) from the mpf x, which need not be exact (k_{4r}^2 at
+    from the mpf x, which need not be exact (k_{4r}^2 at
     r = 10^30 is about 3e-2728752707683682): each ratio of 2F1(p, 1-q;
     p+1; x) is below y in modulus, so the 2F1 is 1 within y/(1 - y) <
     2^(1-P).
@@ -386,7 +375,7 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
     if isinstance(x, mp.mpf) and x > 0:
         with ctx.workdps():
             if x * to_mpf(1 + abs(q - 1)) < mp.ldexp(1, -mp.mp.prec):
-                return +_power_over(x, p)
+                return +(power(x, p) * p.denominator / p.numerator)
     x = exact(x)
     if x < 0 or x > 1:
         raise DomainError(f"x must lie in [0,1], got {x}")
@@ -395,7 +384,7 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
     with ctx.workdps():
         if 2 * x <= 1:
             return +_beta_series(x, p, q)
-        return +(_complete_beta(p, q, ctx.dps) - _beta_series(1 - x, q, p))
+        return +(_complete_beta(p, q, ctx.dps) - (_beta_series(1 - x, q, p) if x < 1 else 0))
 
 
 def theorem3_check(r, ctx: PrecisionContext) -> Residual:
@@ -437,7 +426,7 @@ def theorem3_check(r, ctx: PrecisionContext) -> Residual:
         lhs = tail_integral(sextic_theta(nome), ctx) / 5
         k4r = singular_modulus(4 * r, ctx)
         rhs = incomplete_beta(k4r * k4r, Fraction(1, 6), Fraction(2, 3), ctx) \
-            / (5 * mp.cbrt(mp.mpf(4)))
+            / (5 * power(4, Fraction(1, 3)))
         return Residual(+lhs, +rhs)
 
 
@@ -456,7 +445,7 @@ def eq43_derivative_check(r, ctx: PrecisionContext) -> Residual:
 
         lhs = (B(rm + h) - B(rm - h)) / (2 * h)
         nome = make_nome(r, ctx)
-        rhs = -(mp.pi / 2) * mp.cbrt(mp.mpf(4)) * _qpow(nome, Fraction(1, 6)) \
+        rhs = -(mp.pi / 2) * power(4, Fraction(1, 3)) * _qpow(nome, Fraction(1, 6)) \
             * eta_paper(1, nome) ** 4 / mp.sqrt(rm)
         return Residual(+lhs, +rhs, note=f"central difference, h=1e-{ctx.digits // 4}")
 

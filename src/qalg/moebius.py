@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import mpmath as mp
 
 from .errors import DomainError, InsufficientData
-from .precision import HPReal, integer, to_mpf
+from .precision import HPReal, integer, power, to_mpf
 from .series import FormalSeries, _divisor_sieve, _quo, exponent_product
 from .qengine import (
     AgileSpec,
@@ -304,7 +304,7 @@ def product_value(pc: PeriodicCoeffs, nome: Nome) -> HPReal:
     with nome.ctx.workdps():
         acc = mp.mpf(1)
         for spec, w in represent_product(pc):
-            acc *= mp.power(agile(spec, nome), to_mpf(w))
+            acc *= power(agile(spec, nome), w)
         return +acc
 
 
@@ -312,9 +312,9 @@ def theta_value(pc: PeriodicCoeffs, nome: Nome) -> HPReal:
     """Numeric exp(-f(q)) through the eta/theta representation."""
     rep = represent_theta(pc)
     with nome.ctx.workdps():
-        acc = mp.power(eta_paper(rep.period, nome), to_mpf(rep.eta_exponent))
+        acc = power(eta_paper(rep.period, nome), rep.eta_exponent)
         for spec, w in rep.factors:
-            acc *= mp.power(theta_general(spec, nome), to_mpf(w))
+            acc *= power(theta_general(spec, nome), w)
         return +acc
 
 

@@ -1,4 +1,4 @@
-"""Precision management and the input boundary.
+"""Precision management, the input boundary and the one rational power.
 
 Every numeric routine in qalg takes a :class:`PrecisionContext` telling it
 how many decimal digits the caller wants to be correct, plus a number of
@@ -12,15 +12,19 @@ converts bit for bit) and is rounded only where it is used, by
 :func:`to_mpf`, so 1 - k^2 and c^2 r are formed before any rounding.
 An integer parameter (a multiplier, a power) enters through
 :func:`integer`, which refuses a non-integer instead of truncating it.
+Every x^(n/d) in the package is :func:`power` or :func:`powers`: no logarithm.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import from_rational, mpf_shift, round_nearest
+from mpmath.libmp import (from_man_exp, from_rational, mpf_nthroot, mpf_pow_int, mpf_shift,
+                          round_nearest, to_fixed)
 
 from .errors import DomainError
 
@@ -115,3 +119,69 @@ def to_mpf(x) -> HPReal:
     twos = (x.denominator & -x.denominator).bit_length() - 1
     v = from_rational(x.numerator, x.denominator >> twos, mp.mp.prec, round_nearest)
     return mp.make_mpf(mpf_shift(v, -twos))
+
+
+def _shift(n: int, e: int) -> int:
+    """n 2^e, rounded toward -inf."""
+    return n << e if e >= 0 else n >> -e
+
+
+# a paper-core pass takes 83-84 distinct roots, 47 of them of nomes: 128 hold a pass
+@lru_cache(maxsize=128)
+def _root(x: tuple, d: int, P: int) -> tuple:
+    """x^(1/d) to about P bits for a raw mpf x > 0, as a raw mpf, memoized
+    so that the kernels of one nome share their roots.  For
+    x = (m/2^B) 2^(E0 + d E1), 0 <= E0 < d, it is 2^E1 c^(1/d), a root in
+    [1/2, 2) of c = (m/2^B) 2^E0.  Newton's y <- y + y (c - y^d)/(d y^d)
+    runs on integers, each step at p bits from (p + log2 d)/2 + 2: an
+    error e leaves about (d - 1) e^2/2, so the seed must beat log2 d bits.
+    It is a float below d = 2^32, mpmath's root at log2 d + 24 bits above.
+    y^d is cut to p bits and an exponent after each square."""
+    _, m, E, B = x
+    E1, E0 = divmod(E + B, d)
+    b = d.bit_length()
+    precs, p = [], P
+    while p > (50 if b <= 32 else b + 24):
+        precs.append(p)
+        p = (p + b) // 2 + 2
+    f = math.ldexp(m >> max(B - 53, 0), -min(B, 53))       # m/2^B as a float
+    Y = (int(math.ldexp(f ** (1 / d) * 2 ** (E0 / d), p)) if b <= 32
+         else to_fixed(mpf_nthroot((0, m, E0 - B, B), d, p), p))
+    for pn in reversed(precs):
+        Y, p = Y << (pn - p), pn
+        Z, ze = Y, -p                   # y^j = Z 2^ze
+        for bit in bin(d)[3:]:
+            Z *= Z
+            k = Z.bit_length() - p
+            Z >>= k
+            ze += ze + k
+            if bit == "1":
+                Z = Z * Y >> p
+        Y += Y * (_shift(m, E0 - B - ze) - Z) // (d * Z)
+    return from_man_exp(Y, E1 - p)
+
+
+def powers(x, exps, prec: int, rnd) -> list:
+    """x^e for each Fraction e of exps as raw mpfs, rounded by rnd to prec
+    bits, for a positive mpf or exact rational x (else DomainError): the
+    powers y^n of x or of y = x^(1/D), D the exps' common denominator, y
+    taken (and a rational x rounded) with log2(max |n|) + 4 and at least 20
+    guard bits, and to no less than the working precision plus 64 bits, so
+    the kernels of a nome, a few dozen guard bits apart, share one root.
+    x^(n/D) is about |n/D| ulps of x off, x's rounding raised to the power."""
+    D = math.lcm(*(e.denominator for e in exps))
+    ns = [e.numerator * (D // e.denominator) for e in exps]
+    P = max(prec + max(20, max(map(abs, ns)).bit_length() + 4), mp.mp.prec + 64)
+    if not isinstance(x, mp.mpf):
+        with mp.workprec(P):
+            x = to_mpf(x)
+    if x._mpf_[0] or not x._mpf_[1]:        # negative, zero, inf or nan
+        raise DomainError(f"a rational power needs x > 0, got {mp.nstr(x, 5)}")
+    y = x._mpf_ if D == 1 else _root(x._mpf_, D, P)
+    return [mpf_pow_int(y, n, prec, rnd) for n in ns]
+
+
+def power(x, e) -> HPReal:
+    """x^e for a positive mpf or exact rational x and a Fraction e, rounded
+    to nearest at the working precision (see powers)."""
+    return mp.make_mpf(powers(x, (Fraction(e),), mp.mp.prec, round_nearest)[0])

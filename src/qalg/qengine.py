@@ -11,8 +11,8 @@ theta3, and the prefactor-free eta product eta(m) = prod (1 - q^(m*n)).
 
 All parameters a, p, r are exact rationals (r enters through
 precision.exact, so an mpf r is taken bit for bit); q = exp(-pi*sqrt(r)).
-A power q^e, e = n/d, is the n-th power of q^(1/d), which Newton's
-iteration takes from q on integers (_root): after make_nome no
+A power q^e, e = n/d, is precision.power's n-th power of an integer root
+q^(1/d), as is a dual parameter's fourth root: after make_nome no
 exponential or logarithm is taken at the working precision.
 Truncation: one rule for every numeric q-series.  make_nome works out the
 tail threshold X (q^x < 10^-(digits+guard) for all x > X) once, as
@@ -88,11 +88,10 @@ from functools import lru_cache
 from itertools import zip_longest
 
 import mpmath as mp
-from mpmath.libmp import (from_man_exp, mpf_nthroot, mpf_pow_int, round_floor, round_nearest,
-                          to_fixed)
+from mpmath.libmp import round_floor, to_fixed
 
 from .errors import ConvergenceError, DomainError, InsufficientPrecision, OrderError
-from .precision import HPReal, PrecisionContext, exact, integer, to_mpf
+from .precision import HPReal, PrecisionContext, exact, integer, power, powers, to_mpf
 from .series import FormalSeries, one_minus_power_product
 
 
@@ -182,66 +181,14 @@ _SLACK = 10
 R0 = Fraction(1, 8)
 
 
-def _shift(n: int, e: int) -> int:
-    """n 2^e, rounded toward -inf."""
-    return n << e if e >= 0 else n >> -e
-
-
-@lru_cache(maxsize=64)
-def _root(q: tuple, d: int, P: int) -> tuple:
-    """q^(1/d) to about P bits for a raw mpf q > 0, as a raw mpf, memoized
-    so that the kernels of one nome share their roots.  For
-    q = (m/2^B) 2^(E0 + d E1), 0 <= E0 < d, it is 2^E1 c^(1/d), a root in
-    [1/2, 2) of c = (m/2^B) 2^E0.  Newton's y <- y + y (c - y^d)/(d y^d)
-    runs on integers, each step at p bits from (p + log2 d)/2 + 2: an
-    error e leaves about (d - 1) e^2/2, so the seed must beat log2 d bits.
-    It is a float below d = 2^32, mpmath's root at log2 d + 24 bits above.
-    y^d is cut to p bits and an exponent after each square."""
-    _, m, E, B = q
-    E1, E0 = divmod(E + B, d)
-    b = d.bit_length()
-    precs, p = [], P
-    while p > (50 if b <= 32 else b + 24):
-        precs.append(p)
-        p = (p + b) // 2 + 2
-    f = math.ldexp(m >> max(B - 53, 0), -min(B, 53))       # m/2^B as a float
-    Y = (int(math.ldexp(f ** (1 / d) * 2 ** (E0 / d), p)) if b <= 32
-         else to_fixed(mpf_nthroot((0, m, E0 - B, B), d, p), p))
-    for pn in reversed(precs):
-        Y, p = Y << (pn - p), pn
-        Z, ze = Y, -p                   # y^j = Z 2^ze
-        for bit in bin(d)[3:]:
-            Z *= Z
-            k = Z.bit_length() - p
-            Z >>= k
-            ze += ze + k
-            if bit == "1":
-                Z = Z * Y >> p
-        Y += Y * (_shift(m, E0 - B - ze) - Z) // (d * Z)
-    return from_man_exp(Y, E1 - p)
-
-
-def _qpowers(nome: Nome, exps, prec: int, rnd) -> list:
-    """q^e for each e of exps as raw mpfs, rounded by rnd to prec bits: the
-    powers y^n of q (D = 1) or of one root y = q^(1/D), D the exps' common
-    denominator, y taken with log2(max |n|) + 4 and at least 20 guard bits.
-    q^(n/D) is about |n/D| ulps of q off, q's rounding raised to the power."""
-    D = math.lcm(*(e.denominator for e in exps))
-    ns = [e.numerator * (D // e.denominator) for e in exps]
-    P = prec + max(20, max(map(abs, ns)).bit_length() + 4)
-    y = nome.q._mpf_ if D == 1 else _root(nome.q._mpf_, D, P)
-    return [mpf_pow_int(y, n, prec, rnd) for n in ns]
-
-
 def _qpow(nome: Nome, e) -> HPReal:
-    """q^e, rounded to nearest (for an integer e the mpf mp.power gives)."""
-    return mp.make_mpf(_qpowers(nome, (Fraction(e),), mp.mp.prec, round_nearest)[0])
+    return power(nome.q, e)
 
 
 def _qfixed(nome: Nome, exps, prec: int) -> list:
     """q^e for each e >= 0 of exps on integers scaled by 2^prec, truncated
     from prec + 4 bits: under 1 + 1/8 ulp off."""
-    return [to_fixed(y, prec) for y in _qpowers(nome, exps, prec + 4, round_floor)]
+    return [to_fixed(y, prec) for y in powers(nome.q, exps, prec + 4, round_floor)]
 
 
 def _term_count(e0, a, b, stop) -> int:
@@ -456,7 +403,7 @@ def _theta(a: Fraction, b: Fraction, nome: Nome, dual: bool) -> HPReal:
             if dual:
                 v = make_nome(1 / (a * a * nm.r), nm.ctx)
                 s, lost = _cosine_sum(b / (2 * a), v, nm)
-                return s * mp.root(to_mpf(v.r), 4) * _qpow(v, Fraction(1, 4)), lost
+                return s * power(v.r, Fraction(1, 4)) * _qpow(v, Fraction(1, 4)), lost
             return _theta_direct(a, b, nm)
 
     if b == a:
@@ -543,7 +490,7 @@ def _powersum(m: int, nome: Nome, dual: bool) -> HPReal:
         prec, terms = _theta_terms(1, 0, dual_nome)
         odd = sum(tp + tm for tp, tm in terms[::2])
         s = (1 << prec) + sum(tp + tm for tp, tm in terms[1::2]) + (-odd if m1 else odd)
-        return +(mp.ldexp(s, -prec) * mp.root(to_mpf(dual_nome.r), 4)
+        return +(mp.ldexp(s, -prec) * power(dual_nome.r, Fraction(1, 4))
                  * _qpow(nome, Fraction(-m * m, 4)))
     prec, terms = _theta_terms(1, m1, nome, Fraction(m1, 4) + 1)
     s = mp.ldexp((1 << prec) + sum(tp + tm for tp, tm in terms), -prec)
@@ -573,7 +520,7 @@ def _eta(m: Fraction, nome: Nome, dual: bool) -> HPReal:
     e^(-pi/(12 t)) = q'^(1/24)."""
     if dual:
         d = make_nome(16 / (m * m * nome.r), nome.ctx)
-        return (mp.root(to_mpf(d.r / 4), 4) * _qpow(nome, -m / 24) * _qpow(d, Fraction(1, 24))
+        return (power(d.r / 4, Fraction(1, 4)) * _qpow(nome, -m / 24) * _qpow(d, Fraction(1, 24))
                 * _progression_product(1, 1, d))
     return _progression_product(m, m, nome)
 

@@ -24,9 +24,9 @@ from qalg import (
     theta2,
     theta3,
 )
-from qalg import AgileSpec, agile_star, elliptic, tau_star
-from qalg.elliptic import singular_K
-from qalg.modular import rrcf
+from qalg import AgileSpec, agile_star, elliptic, harness, tau_star
+from qalg.elliptic import singular_K, theta_powersum_closed
+from qalg.modular import modular5_check, rrcf, sextic_Y_check, theorem3_check
 from qalg.moebius import JacobiCharacter, lambert_series
 from qalg.precision import exact, to_mpf
 from qalg.recognize import QUANTITIES
@@ -301,6 +301,20 @@ class TestExtremeParameters:
             assert mp.isfinite(value)
         assert time.perf_counter() - start < 2
 
+    @pytest.mark.parametrize("name", ["k", "K", "alpha", "j", "multiplier"])
+    def test_huge_r_leading_terms(self, name):
+        # at r = 1e300 every correction is O(q), q = exp(-pi 1e150): k is
+        # 4 q^(1/2), K pi/2, alpha 1/pi, j q^-2 and the multiplier 1.  The
+        # references at 200 digits keep 50 digits of pi 1e150's fraction.
+        ctx, r = PrecisionContext(30), 10 ** 300
+        value = {"k": singular_modulus, "K": singular_K, "alpha": elliptic_alpha,
+                 "j": j_invariant, "multiplier": lambda r, ctx: multiplier(r, 2, ctx)}[name](r, ctx)
+        with mp.workdps(200):
+            x = mp.pi * mp.mpf(10) ** 150
+            ref = {"k": 4 * mp.exp(-x / 2), "K": mp.pi / 2, "alpha": 1 / mp.pi,
+                   "j": mp.exp(2 * x), "multiplier": mp.mpf(1)}[name]
+            assert abs(value / ref - 1) <= ctx.eps_check
+
     def test_K_reflection(self):
         # K(k_{1/r}) = K(k'_r) = sqrt(r) K(k_r): the K quantity at r < 1
         # must not rebuild the tiny k'_r as sqrt(1 - k_r^2)
@@ -527,6 +541,23 @@ class TestNoLogarithm:
     def test_q_series(self, value, log_precisions):
         value(self.CTX)
         assert log_precisions == []
+
+    @pytest.mark.parametrize("value", [
+        lambda ctx: theta_powersum_closed(1, 2, ctx),
+        lambda ctx: modular5_check(make_nome(2, ctx)),
+        lambda ctx: sextic_Y_check(make_nome(2, ctx)),
+        lambda ctx: harness._eta_power(ctx, Fraction(2)),
+    ], ids=["powersum-closed-odd", "modular5", "sextic-Y", "eta-power"])
+    def test_rational_powers(self, value, log_precisions):
+        # harness checks run under the runner's working precision
+        with self.CTX.workdps():
+            value(self.CTX)
+        assert log_precisions == []
+
+    def test_theorem3(self, log_precisions):
+        # hpcore._legendre_terms takes a 53-bit logarithm for its term count
+        theorem3_check(1, self.CTX)
+        assert log_precisions and max(log_precisions) < 150
 
     def test_root_seed_past_2_32(self, log_precisions):
         # a root of q with d >= 2^32 is seeded by mpmath's root at

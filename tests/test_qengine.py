@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_man_exp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +38,8 @@ from qalg import qengine
 from qalg.modular import rrcf, sextic_theta
 from qalg.moebius import (JacobiCharacter, PeriodicCoeffs, eta_qdlog, lambert_series,
                           theta_qdlog)
-from qalg.precision import exact, to_mpf
+from qalg import precision
+from qalg.precision import exact, power, to_mpf
 from qalg.qengine import _qpow, _term_count
 
 import oracles
@@ -648,6 +650,55 @@ class TestQPow:
         nome = _nome_pair(r, digits)[0]
         with nome.ctx.workdps():
             assert _qpow(nome, Fraction(n))._mpf_ == mp.power(nome.q, n)._mpf_
+
+
+POSITIVE = st.one_of(
+    st.builds(lambda m, e: mp.make_mpf(from_man_exp(m, e)), st.integers(1, 2 ** 4000),
+              st.integers(-10 ** 4, 10 ** 4)),
+    st.fractions(min_value=0, max_denominator=10 ** 30).filter(lambda x: x > 0),
+)
+
+
+class TestPower:
+    """x^e from the integer root for a positive mpf or exact rational x
+    and a fractional e: it agrees with mpmath's power at twice the
+    digits, and x <= 0 is refused."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=POSITIVE, e=st.fractions(-20, 20, max_denominator=12).filter(lambda e: e.denominator > 1),
+           digits=st.sampled_from([120, 1000]))
+    def test_matches_doubled_power(self, x, e, digits):
+        ctx = PrecisionContext(digits)
+        with ctx.workdps():
+            value = power(x, e)
+        with ctx.doubled().workdps():
+            ref = mp.power(x if isinstance(x, mp.mpf) else to_mpf(x), to_mpf(e))
+            assert abs(value - ref) <= abs(ref) * mp.mpf(10) ** -digits
+
+    @pytest.mark.parametrize("x", [0, -2, mp.mpf(0), mp.mpf(-2), mp.inf, mp.nan], ids=repr)
+    def test_refuses_nonpositive(self, x):
+        with pytest.raises(DomainError):
+            power(x, Fraction(1, 3))
+
+
+@pytest.mark.parametrize("digits", [30, 120, 300, 1000])
+@pytest.mark.parametrize("r", [Fraction(1, 20), Fraction(2)], ids=str)
+def test_one_root_per_nome_and_denominator(monkeypatch, r, digits):
+    # q^(n/d) by _qpow and _qfixed at their different widths, over a
+    # nome, its square and a dual: each (x, d) is computed once
+    computed = []
+    raw = precision._root.__wrapped__
+
+    def spy(x, d, P):
+        computed.append((x, d))
+        return raw(x, d, P)
+
+    monkeypatch.setattr(precision, "_root", lru_cache(maxsize=128)(spy))
+    nome = make_nome(r, PrecisionContext(digits))
+    tau_star(Fraction(1, 3), 4, nome)
+    theta2(nome)
+    agile(AgileSpec(Fraction(5, 4), 7), nome)
+    assert len(computed) > 3 and len(set(computed)) == len(computed)
 
 
 class TestTermCount:

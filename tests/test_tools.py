@@ -100,6 +100,6 @@ def test_layers_prints_one_row_per_kernel(capsys):
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split()[-2:] == ["30", "digits"]
     names = list(layers.kernels(layers.PrecisionContext(30)))
-    assert len(names) == 8 and len(rows) == len(names)
+    assert len(names) == 9 and len(rows) == len(names)
     for name, row in zip(names, rows):
         assert row.startswith(name) and float(row[len(name):]) >= 0

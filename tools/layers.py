@@ -15,6 +15,8 @@ clears them before each pass:
                          numerator of agile_via_triangular for [1,5];
   _qpow q^7, q^(-1/24),  an integer power of q at r = 2 and two
     q^(47/672)           fractional ones, with a small and a large denominator;
+  power k_2^(2/3)        precision.power of the singular modulus k_2, a
+                         rational power of an mpf other than q;
   _agm                   the AGM of (1, sqrt(2) - 1);
   tail_integral          hpcore.tail_integral at theta = 2 (Theorem 3);
   lattice_reduce d16     LLL of the degree-16 identity basis on the powers
@@ -36,8 +38,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import mpmath as mp  # noqa: E402
 
-from qalg import AgileSpec, PrecisionContext, agile_star, make_nome  # noqa: E402
-from qalg import elliptic, hpcore, modular, qengine  # noqa: E402
+from qalg import AgileSpec, PrecisionContext, agile_star, make_nome, singular_modulus  # noqa: E402
+from qalg import elliptic, hpcore, modular, precision, qengine  # noqa: E402
 from qalg.recognize import lattice_reduce  # noqa: E402
 
 HEIGHT_DIGITS = 4
@@ -58,6 +60,7 @@ def lattice_basis(ctx: PrecisionContext) -> list:
 def kernels(ctx: PrecisionContext) -> dict:
     """Row name -> a call of that kernel at ctx, its inputs built."""
     nome1, nome2 = make_nome(1, ctx), make_nome(2, ctx)
+    k2 = singular_modulus(2, ctx)
     with ctx.workdps():
         b = mp.sqrt(2) - 1
     basis = lattice_basis(ctx)
@@ -68,6 +71,7 @@ def kernels(ctx: PrecisionContext) -> dict:
         "_qpow q^7": lambda: qengine._qpow(nome2, Fraction(7)),
         "_qpow q^(-1/24)": lambda: qengine._qpow(nome2, Fraction(-1, 24)),
         "_qpow q^(47/672)": lambda: qengine._qpow(nome2, Fraction(47, 672)),
+        "power k_2^(2/3)": lambda: precision.power(k2, Fraction(2, 3)),
         "_agm (1, sqrt 2 - 1)": lambda: elliptic._agm(b.man, b.exp, ctx.dps),
         "tail_integral(2)": lambda: hpcore.tail_integral(2, ctx),
         f"lattice_reduce d{DEGREE}": lambda: lattice_reduce(basis),
@@ -77,7 +81,7 @@ def kernels(ctx: PrecisionContext) -> dict:
 def best_ms(call, ctx: PrecisionContext, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
-        for module in (elliptic, modular, qengine):
+        for module in (elliptic, modular, precision, qengine):
             for value in vars(module).values():
                 getattr(value, "cache_clear", lambda: None)()
         with ctx.workdps():
