@@ -168,12 +168,11 @@ def _klein(ctx, r: Fraction):
 def _eta_power(ctx, r: Fraction):
     nome = make_nome(r, ctx)
     k = singular_modulus(r, ctx)
-    kp = mp.sqrt(1 - k * k)
     K = singular_K(r, ctx)
     lhs = eta_paper(1, nome) ** 8
-    # 2^(8/3) k^(2/3) k'^(8/3) as (16 k k'^4)^(2/3)
-    rhs = power(16 * k * kp ** 4, Fraction(2, 3)) * _qpow(nome, Fraction(-1, 3)) * (K / mp.pi) ** 4
-    return Residual(lhs, rhs)
+    # 2^(8/3) k^(2/3) k'^(8/3) as (16 k k'^4)^(2/3), k'^2 = 1 - k^2
+    rhs = power(16 * k * (1 - k * k) ** 2, Fraction(2, 3)) * (K / mp.pi) ** 4
+    return Residual(lhs, rhs * _qpow(nome, Fraction(-1, 3)))
 
 
 def _theta_eta_agile_grid(ctx, rs, pmax: int):

@@ -211,12 +211,9 @@ def sextic_Y_check(nome: Nome) -> dict:
     ctx = nome.ctx
     with ctx.workdps():
         y6 = eta_paper(1, nome) ** 6 / (eta_paper(5, nome) ** 6 * nome.q)
-        residuals = {}
-        for label, arg in (("r", nome.r), ("4r", 4 * nome.r), ("r/4", nome.r / 4)):
-            jv = j_invariant(arg, ctx)
-            residuals[label] = +abs(3125 + 250 * y6 + y6 ** 2
-                                    - power(jv, Fraction(1, 3)) * power(y6, Fraction(5, 3)))
-        return residuals
+        lhs, y10 = 3125 + 250 * y6 + y6 ** 2, power(y6, Fraction(5, 3))
+        return {label: +abs(lhs - power(j_invariant(arg, ctx), Fraction(1, 3)) * y10)
+                for label, arg in (("r", nome.r), ("4r", 4 * nome.r), ("r/4", nome.r / 4))}
 
 
 def solve_sextic(a, b, c, ctx: PrecisionContext) -> tuple[HPReal, Residual]:
@@ -313,7 +310,7 @@ def _beta_series(x: Fraction, p: Fraction, q: Fraction) -> HPReal:
         t = _mul(t * ((n * D + A) * (n * D + B)) // ((n * D + C) * (n + 1) * D), X, P)
         total += t
         n += 1
-    pref = power(x, p) * p.denominator / p.numerator
+    pref = power(x, p) / p
     if q > 1:
         pref *= power(1 - x, q)
     return pref * mp.ldexp(total, -P)
@@ -375,7 +372,7 @@ def incomplete_beta(x, p, q, ctx: PrecisionContext) -> HPReal:
     if isinstance(x, mp.mpf) and x > 0:
         with ctx.workdps():
             if x * to_mpf(1 + abs(q - 1)) < mp.ldexp(1, -mp.mp.prec):
-                return +(power(x, p) * p.denominator / p.numerator)
+                return +(power(x, p) / p)
     x = exact(x)
     if x < 0 or x > 1:
         raise DomainError(f"x must lie in [0,1], got {x}")

@@ -12,7 +12,6 @@ converts bit for bit) and is rounded only where it is used, by
 :func:`to_mpf`, so 1 - k^2 and c^2 r are formed before any rounding.
 An integer parameter (a multiplier, a power) enters through
 :func:`integer`, which refuses a non-integer instead of truncating it.
-Every x^(n/d) in the package is :func:`power` or :func:`powers`: no logarithm.
 """
 
 from __future__ import annotations
@@ -126,7 +125,6 @@ def _shift(n: int, e: int) -> int:
     return n << e if e >= 0 else n >> -e
 
 
-# a paper-core pass takes 83-84 distinct roots, 47 of them of nomes: 128 hold a pass
 @lru_cache(maxsize=128)
 def _root(x: tuple, d: int, P: int) -> tuple:
     """x^(1/d) to about P bits for a raw mpf x > 0, as a raw mpf, memoized
@@ -182,6 +180,5 @@ def powers(x, exps, prec: int, rnd) -> list:
 
 
 def power(x, e) -> HPReal:
-    """x^e for a positive mpf or exact rational x and a Fraction e, rounded
-    to nearest at the working precision (see powers)."""
+    """x^e rounded to nearest at the working precision (see powers)."""
     return mp.make_mpf(powers(x, (Fraction(e),), mp.mp.prec, round_nearest)[0])

@@ -11,9 +11,8 @@ theta3, and the prefactor-free eta product eta(m) = prod (1 - q^(m*n)).
 
 All parameters a, p, r are exact rationals (r enters through
 precision.exact, so an mpf r is taken bit for bit); q = exp(-pi*sqrt(r)).
-A power q^e, e = n/d, is precision.power's n-th power of an integer root
-q^(1/d), as is a dual parameter's fourth root: after make_nome no
-exponential or logarithm is taken at the working precision.
+A power q^e is precision.power's, from an integer root of q: after
+make_nome no exponential or logarithm is taken at the working precision.
 Truncation: one rule for every numeric q-series.  make_nome works out the
 tail threshold X (q^x < 10^-(digits+guard) for all x > X) once, as
 Nome.tail.  A product keeps every factor whose exponent is at most X, plus
