@@ -34,11 +34,10 @@ from qalg import (
     theta_qexpansion,
 )
 from qalg.elliptic import ellint_K, singular_modulus, theta_powersum_closed
-from qalg import qengine
+from qalg import precision, qengine
 from qalg.modular import rrcf, sextic_theta
 from qalg.moebius import (JacobiCharacter, PeriodicCoeffs, eta_qdlog, lambert_series,
                           theta_qdlog)
-from qalg import precision
 from qalg.precision import exact, power, to_mpf
 from qalg.qengine import _qpow, _term_count
 
@@ -685,7 +684,7 @@ class TestPower:
 @pytest.mark.parametrize("r", [Fraction(1, 20), Fraction(2)], ids=str)
 def test_one_root_per_nome_and_denominator(monkeypatch, r, digits):
     # q^(n/d) by _qpow and _qfixed at their different widths, over a
-    # nome, its square and a dual: each (x, d) is computed once
+    # nome, its square and (at r = 1/20) a dual: each (x, d) is computed once
     computed = []
     raw = precision._root.__wrapped__
 
